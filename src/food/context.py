@@ -47,11 +47,6 @@ class GlobalCtx:
     def type_names(self) -> tuple[str, ...]:
         return self.dt + self.it
 
-    def parent_of(self, ctor_or_gen: str) -> str:
-        d = self.defs[ctor_or_gen]
-        assert isinstance(d, (Constructor, Generator))
-        return d.parent
-
     def duality_parts(self):
         """The components the duality checks compare.
 

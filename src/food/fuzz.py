@@ -18,12 +18,10 @@ from .context import GlobalCtx, preprocess, restrict, translate_ctx
 from .diagnostics import FoodError
 from .interp import (
     Done,
-    FuelExhausted,
     Stuck,
-    _step,
     csm_body,
     dtr_body,
-    to_value,
+    run,
 )
 from .parser import parse
 from .pretty import pretty
@@ -410,19 +408,11 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
         expected = type_of(e)
     except FoodError as exc:
         return None, f"main expression does not type: {exc}"
-    remaining = fuel
-    while True:
-        out = _step(e, ctx)
-        if out is None:
-            return Done(to_value(e)), None
-        if isinstance(out, Stuck):
-            return out, None
-        if remaining <= 0:
-            return FuelExhausted(e), None
-        remaining -= 1
-        e = out.next
+    for state in run(e, ctx, fuel):
+        if not isinstance(state, Expr):
+            return state, None
         try:
-            t = type_of(e)
+            t = type_of(state)
         except FoodError as exc:
             return None, f"step result fails to type: {exc}"
         if t != expected:

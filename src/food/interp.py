@@ -8,6 +8,7 @@ integers wrap to 64 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .context import GlobalCtx, preprocess
 from .syntax import (
@@ -96,17 +97,6 @@ def to_value(e: Expr) -> Value:
         case Obj(name, args):
             return ObjV(name, tuple(to_value(a) for a in args))
     raise ValueError(f"not a value form: {e!r}")
-
-
-def value_to_expr(v: Value) -> Expr:
-    match v:
-        case IntV(x):
-            return IntLit(x)
-        case BoolV(x):
-            return BoolLit(x)
-        case ObjV(name, fields):
-            return Obj(name, tuple(value_to_expr(f) for f in fields))
-    raise ValueError(f"not a value: {v!r}")
 
 
 def format_value(v: Value) -> str:
@@ -322,41 +312,38 @@ def step(e: Expr, ctx: GlobalCtx) -> Stepped | Done | Stuck:
     return out
 
 
+def run(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[Expr | Done | FuelExhausted | Stuck]:
+    """Yield each state from e on, then the outcome; at most fuel steps are taken."""
+    while True:
+        yield e
+        out = _step(e, ctx)
+        if out is None:
+            yield Done(to_value(e))
+            return
+        if isinstance(out, Stuck):
+            yield out
+            return
+        if fuel <= 0:
+            yield FuelExhausted(e)
+            return
+        fuel -= 1
+        e = out.next
+
+
 def eval_program(
     program: Program, fuel: int = 100_000, ctx: GlobalCtx | None = None
 ) -> Done | FuelExhausted | Stuck:
     """Iterate the step relation on the main expression at most fuel times."""
     if ctx is None:
         ctx = preprocess(program)
-    e = program.main
-    remaining = fuel
-    while True:
-        out = _step(e, ctx)
-        if out is None:
-            return Done(to_value(e))
-        if isinstance(out, Stuck):
-            return out
-        if remaining <= 0:
-            return FuelExhausted(e)
-        remaining -= 1
-        e = out.next
+    for out in run(program.main, ctx, fuel):
+        pass
+    return out
 
 
 def trace(program: Program, fuel: int = 100_000, ctx: GlobalCtx | None = None) -> Trace:
     """The step sequence starting at the main expression, up to value or fuel."""
     if ctx is None:
         ctx = preprocess(program)
-    e = program.main
-    steps = [e]
-    remaining = fuel
-    while True:
-        out = _step(e, ctx)
-        if out is None:
-            return Trace(tuple(steps), Done(to_value(e)))
-        if isinstance(out, Stuck):
-            return Trace(tuple(steps), out)
-        if remaining <= 0:
-            return Trace(tuple(steps), FuelExhausted(e))
-        remaining -= 1
-        e = out.next
-        steps.append(e)
+    *steps, outcome = run(program.main, ctx, fuel)
+    return Trace(tuple(steps), outcome)

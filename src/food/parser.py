@@ -58,6 +58,11 @@ KEYWORDS = {
 
 DEF_KEYWORDS = {"data", "interface", "case", "class", "def"}
 
+# only ASCII digits: str.isdigit also accepts characters such as '²' that
+# int() rejects
+_DIGITS = frozenset("0123456789")
+_INT64_MAX = 2**63 - 1
+
 _SYMBOLS = ["=>", "==", "<=", "&&", "||", "(", ")", "{", "}", ":", ",", ";", ".", "=", "<", "+", "-", "*", "_"]
 
 
@@ -98,9 +103,9 @@ class _Lexer:
                     self._advance()
                 continue
             line, col = self.line, self.col
-            if c.isdigit():
+            if c in _DIGITS:
                 start = self.pos
-                while self.pos < len(src) and src[self.pos].isdigit():
+                while self.pos < len(src) and src[self.pos] in _DIGITS:
                     self._advance()
                 out.append(Token("int", src[start : self.pos], line, col))
                 continue
@@ -415,7 +420,11 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return IntLit(int(t.text))
+            digits = t.text.lstrip("0") or "0"
+            # source literals are never negative, so only the upper bound applies
+            if len(digits) > len(str(_INT64_MAX)) or int(digits) > _INT64_MAX:
+                raise self.fail("integer literal does not fit in 64 bits", t)
+            return IntLit(int(digits))
         if t.kind == "kw" and t.text in ("true", "false"):
             self.next()
             return BoolLit(t.text == "true")

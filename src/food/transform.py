@@ -164,7 +164,7 @@ def _check_args(
 ) -> tuple[Expr, ...]:
     if len(args) != len(params):
         raise _err(
-            f"{pretty_expr(call, runtime=True)} passes {len(args)} argument(s), expected {len(params)}"
+            f"{pretty_expr(call, runtime=True)} takes {len(params)} argument(s), got {len(args)}"
         )
     return tuple(_expect(a, p, ctx, env) for a, p in zip(args, params))
 

@@ -1,9 +1,12 @@
 """Static checks assumed before translation.
 
-Collects one diagnostic per violation: scoping (including binder
-disjointness, which keeps the evaluation substitutions well defined), exact
-interface implementation, pattern exhaustiveness, the pattern/field naming
-restriction, constructor/class call arity, and finally a full typing pass so
+Collects one diagnostic per violation of the structural conditions that
+typing cannot see: declared types in signatures, reserved, duplicate and
+shadowing binders (disjointness keeps the evaluation substitutions well
+defined), exact interface implementation, desugared and non-overlapping
+clauses that name constructors of their datatype, the pattern/field naming
+restriction, exhaustiveness, and the absence of runtime objects.  Once those
+hold, the typing pass reports scoping, call kind, member names and arity, so
 that a clean check guarantees the transformation cannot fail.
 """
 
@@ -12,28 +15,19 @@ from __future__ import annotations
 from .context import GlobalCtx
 from .diagnostics import Diagnostic
 from .syntax import (
-    App,
     Constructor,
     Consumer,
-    CtrCall,
     Datatype,
     Dtr,
     Expr,
     Generator,
-    If,
     Interface,
     Named,
-    New,
-    Obj,
     Param,
-    PrimOp,
     Program,
     RESERVED_BINDERS,
-    SELF,
-    Sel,
-    THIS,
     Type,
-    Var,
+    contains_obj,
 )
 from .transform import typing_diagnostics
 
@@ -74,7 +68,7 @@ class _Checker:
                     self.check_consumer(d)
                 case Datatype():
                     pass
-        self.check_expr(self.program.main, set(), None)
+        self.check_body(self.program.main, None)
 
     # -- helpers
 
@@ -93,15 +87,19 @@ class _Checker:
             self.check_type(p.type, where, pos)
         return seen
 
+    def check_body(self, e: Expr, pos: tuple[int, int] | None) -> None:
+        if contains_obj(e):
+            self.report("runtime object in source program", pos)
+
     # -- definitions
 
     def check_interface(self, d: Interface) -> None:
         for m in d.dtrs:
             where = f"destructor {m.name} of {d.name}"
-            params = self.check_params(m.params, where, d.pos)
+            self.check_params(m.params, where, d.pos)
             self.check_type(m.ret, where, d.pos)
             if m.body is not None:
-                self.check_expr(m.body, {THIS, *params}, d.pos)
+                self.check_body(m.body, d.pos)
 
     def check_generator(self, d: Generator) -> None:
         where = f"class {d.name}"
@@ -127,7 +125,7 @@ class _Checker:
             if overlap:
                 self.report(f"{mwhere} shadows field(s) {', '.join(sorted(overlap))}", d.pos)
             if fun.body is not None:
-                self.check_expr(fun.body, {THIS, *fields, *params}, d.pos)
+                self.check_body(fun.body, d.pos)
         for name in sorted(required - seen):
             self.report(f"class {d.name} does not implement {name!r}", d.pos)
 
@@ -141,7 +139,7 @@ class _Checker:
         self.check_type(d.ret, where, d.pos)
         if d.body is not None:
             self.report(f"{where} has not been desugared", d.pos)
-            self.check_expr(d.body, {SELF, *params}, d.pos)
+            self.check_body(d.body, d.pos)
             return
         ctors = self.ctx.ctr.get(d.self_type, ())
         wildcard = d.wildcard_clause() is not None
@@ -150,7 +148,7 @@ class _Checker:
             if clause.pattern.is_wildcard:
                 if i != len(d.clauses) - 1:
                     self.report(f"{where}: wildcard clause must be last", d.pos)
-                self.check_expr(clause.body, {SELF, *params}, d.pos)
+                self.check_body(clause.body, d.pos)
                 continue
             c = clause.pattern.name
             if c in seen:
@@ -171,57 +169,8 @@ class _Checker:
             overlap = set(clause.pattern.vars) & set(params)
             if overlap:
                 self.report(f"{where}: pattern for {c} shadows parameter(s) {', '.join(sorted(overlap))}", d.pos)
-            self.check_expr(clause.body, {SELF, *clause.pattern.vars, *params}, d.pos)
+            self.check_body(clause.body, d.pos)
         if not wildcard:
             for c in ctors:
                 if c not in seen:
                     self.report(f"{where} has no clause for constructor {c}", d.pos)
-
-    # -- expressions
-
-    def check_expr(self, e: Expr, bound: set[str], pos: tuple[int, int] | None) -> None:
-        match e:
-            case Var(name):
-                if name not in bound:
-                    self.report(f"unbound variable {name!r}", pos)
-            case Sel(recv, name, args):
-                if not any(k[0] == name for k in self.ctx.dtr_sig):
-                    self.report(f"no interface declares a destructor {name!r}", pos)
-                self.check_expr(recv, bound, pos)
-                for a in args:
-                    self.check_expr(a, bound, pos)
-            case App(name, recv, args):
-                if not any(isinstance(k, tuple) and k[0] == name for k in self.ctx.sig):
-                    self.report(f"no datatype has a consumer {name!r}", pos)
-                self.check_expr(recv, bound, pos)
-                for a in args:
-                    self.check_expr(a, bound, pos)
-            case CtrCall(name, args):
-                d = self.ctx.defs.get(name)
-                if not isinstance(d, Constructor):
-                    self.report(f"{name} is not a constructor", pos)
-                elif len(args) != len(d.fields):
-                    self.report(
-                        f"constructor {name} takes {len(d.fields)} argument(s), got {len(args)}", pos
-                    )
-                for a in args:
-                    self.check_expr(a, bound, pos)
-            case New(name, args):
-                d = self.ctx.defs.get(name)
-                if not isinstance(d, Generator):
-                    self.report(f"{name} is not a class", pos)
-                elif len(args) != len(d.fields):
-                    self.report(f"class {name} takes {len(d.fields)} argument(s), got {len(args)}", pos)
-                for a in args:
-                    self.check_expr(a, bound, pos)
-            case PrimOp(_, lhs, rhs):
-                self.check_expr(lhs, bound, pos)
-                self.check_expr(rhs, bound, pos)
-            case If(cond, then, els):
-                self.check_expr(cond, bound, pos)
-                self.check_expr(then, bound, pos)
-                self.check_expr(els, bound, pos)
-            case Obj():
-                self.report("runtime object in source program", pos)
-            case _:
-                pass  # literals

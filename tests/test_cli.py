@@ -27,6 +27,15 @@ def test_check_reports_diagnostics_on_stderr(capsys, tmp_path):
     assert "wildcard clause must be last" in err
 
 
+def test_check_rejects_non_ascii_digit_without_traceback(capsys, tmp_path):
+    bad = tmp_path / "bad.food"
+    bad.write_text("1 + 2\u00b2", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1 and out == ""
+    assert "1:6: unexpected character '\u00b2'" in err
+    assert "Traceback" not in err
+
+
 def test_transform_matches_expected_output(capsys):
     code, out, err = run(capsys, "transform", str(CORPUS / "setlist_oop.food"), "--types", "Set")
     assert code == 0 and err == ""

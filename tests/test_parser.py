@@ -64,6 +64,25 @@ def test_diagnostics_carry_positions():
     assert (d.line, d.column) == (2, 6)
 
 
+def test_lexer_accepts_only_ascii_digits():
+    with pytest.raises(ParseError) as exc:
+        parse("1 + 2\u00b2")
+    d = exc.value.diagnostics[0]
+    assert "unexpected character '\u00b2'" in d.message
+    assert (d.line, d.column) == (1, 6)
+
+
+def test_integer_literals_fit_in_64_bits():
+    assert parse("9223372036854775807").main == IntLit(2**63 - 1)
+    assert parse("007").main == IntLit(7)
+    for src in ("9223372036854775808", "99999999999999999999999 + 0", "1" * 5000):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        d = exc.value.diagnostics[0]
+        assert "does not fit in 64 bits" in d.message
+        assert (d.line, d.column) == (1, 1)
+
+
 def test_recovery_reports_one_error_per_definition():
     src = "data 1\ndata Set\nclass C() implements\nx"
     with pytest.raises(ParseError) as exc:

@@ -5,7 +5,7 @@ from dataclasses import replace
 from conftest import GOLDEN_SELECTIONS, load
 
 from food import canonicalize, check, desugar, parse, preprocess, transform
-from food.syntax import Consumer, Program
+from food.syntax import Consumer, Obj, Program
 
 
 def check_src(src: str):
@@ -45,6 +45,12 @@ def test_pattern_variables_must_match_field_names():
 def test_unbound_variable():
     diags = check_src("data Set\ncase C() extends Set\ndef f(self: Set)(): Int = match { case C() => y }\n1")
     assert any("unbound variable 'y'" in d.message for d in diags)
+    for src in (
+        "interface I { def f(): Int = y }\n1",
+        "interface I { def f(): Int }\nclass C() implements I { def f(): Int = y }\n1",
+        "y + 1",
+    ):
+        assert any("unbound variable 'y'" in d.message for d in check_src(src)), src
 
 
 def test_generator_must_implement_exactly_the_interface():
@@ -84,6 +90,29 @@ def test_call_kind_and_arity():
     assert any("C is not a constructor" in d.message for d in diags)
     diags = check_src("data Set\ncase C() extends Set\nnew C()")
     assert any("C is not a class" in d.message for d in diags)
+    diags = check_src(
+        "interface I { def f(): Int }\nclass C() implements I { def f(): Int = 1 }\nnew C().g()"
+    )
+    assert any("has no destructor 'g'" in d.message for d in diags)
+    diags = check_src(
+        "interface I { def f(x: Int): Int }\n"
+        "class C() implements I { def f(x: Int): Int = x }\nnew C().f()"
+    )
+    assert any("takes 1 argument(s), got 0" in d.message for d in diags)
+    diags = check_src("data D\ncase C() extends D\ndef f(self: D)(x: Int): Int = x\nf(C())(1, 2)")
+    assert any("takes 1 argument(s), got 2" in d.message for d in diags)
+
+
+def test_runtime_objects_are_rejected():
+    p = load("sets_fp")
+    obj = Obj("Empty", ())
+    consumer = next(d for d in p.defs if isinstance(d, Consumer))
+    clause = replace(consumer.clauses[0], body=obj)
+    broken = replace(consumer, clauses=(clause,) + consumer.clauses[1:])
+    q = Program(tuple(broken if d is consumer else d for d in p.defs), obj)
+    diags = check(q, preprocess(q))
+    hits = [d for d in diags if d.message == "runtime object in source program"]
+    assert [(d.line, d.column) for d in hits] == [consumer.pos, (0, 0)]
 
 
 def test_binder_conflicts_are_rejected():
