@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .diagnostics import ContextError, Diagnostic
+from .pretty import pretty_type
 from .syntax import (
     Arrow,
     Constructor,
@@ -71,8 +72,6 @@ class GlobalCtx:
             return f"{k[0]}@{k[1]}" if isinstance(k, tuple) else k
 
         def type_text(t: Type) -> str:
-            from .pretty import pretty_type
-
             if isinstance(t, Arrow) and isinstance(t.ret, Arrow):
                 # consumer signatures read better curried: D -> (T...) -> T
                 return (

@@ -24,7 +24,7 @@ from .interp import (
     run,
 )
 from .parser import parse
-from .pretty import pretty
+from .pretty import pretty, pretty_type
 from .syntax import (
     App,
     Arrow,
@@ -416,8 +416,6 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
         except FoodError as exc:
             return None, f"step result fails to type: {exc}"
         if t != expected:
-            from .pretty import pretty_type
-
             return None, (
                 f"type changed from {pretty_type(expected)} to {pretty_type(t)} "
                 "during evaluation"

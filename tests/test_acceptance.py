@@ -13,6 +13,7 @@ from conftest import CORPUS, GOLDEN_SELECTIONS, load
 
 from food import canonicalize, eval_program, pretty, transform
 from food.fuzz import GenConfig, MUTATORS, check_properties, run_properties
+from food.interp import Done, IntV
 
 FUEL = 100_000
 TRIALS = 1_000
@@ -156,7 +157,5 @@ def test_criterion_8_boolnorm_case_study():
         ok &= canonicalize(twice.program) == canonicalize(p)
     results = {name: eval_program(load(name), FUEL) for name in ("boolnorm_ctx_oop", "boolnorm_ctx_fp")}
     ok &= results["boolnorm_ctx_oop"] == results["boolnorm_ctx_fp"]
-    from food.interp import Done, IntV
-
     ok &= results["boolnorm_ctx_oop"] == Done(IntV(-3))
     report(8, "boolean-formula normalizer port", ok)

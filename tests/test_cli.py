@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from conftest import CORPUS
+from conftest import CORPUS, eval_source
 
 from food.cli import main
 
@@ -65,6 +65,24 @@ def test_roundtrip_empty_diff(capsys):
 def test_eval_prints_value(capsys):
     code, out, err = run(capsys, "eval", str(CORPUS / "exp_oop.food"))
     assert code == 0 and out == "1\n" and err == ""
+
+
+def test_eval_prints_a_deep_object(capsys, tmp_path):
+    # build(Z())(3000) without the count: the result is a 3000-deep object
+    text = eval_source("peano_fp", 3000).replace("count(build(Z())(3000))", "build(Z())(3000)")
+    source = tmp_path / "build.food"
+    source.write_text(text)
+    code, out, err = run(capsys, "eval", str(source))
+    assert code == 0 and err == ""
+    assert out == "obj(S, " * 3000 + "obj(Z)" + ")" * 3000 + "\n"
+
+
+def test_eval_counts_a_deep_peano_number_in_both_styles(capsys, tmp_path):
+    for style in ("peano_fp", "peano_oo"):
+        source = tmp_path / f"{style}.food"
+        source.write_text(eval_source(style, 3000))
+        code, out, err = run(capsys, "eval", str(source))
+        assert (code, out, err) == (0, "3000\n", ""), style
 
 
 def test_eval_missing_file(capsys):

@@ -3,7 +3,7 @@
 import pytest
 from conftest import load
 
-from food import ContextError, parse, preprocess, restrict, translate_ctx
+from food import ContextError, parse, preprocess, restrict, transform, translate_ctx
 from food.syntax import Arrow, BoolT, IntT, Named
 
 
@@ -119,8 +119,6 @@ def test_translate_ctx_leaves_skip_entries_alone():
 
 
 def test_translate_ctx_matches_preprocess_of_transformed_program():
-    from food import transform
-
     for name in ("setlist_oop", "setlist_fp"):
         p = load(name)
         q = transform(p, {"Set"}).program

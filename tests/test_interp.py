@@ -1,6 +1,9 @@
 """Small-step semantics, lookup functions, and fuel-bounded evaluation."""
 
-from conftest import load
+from collections import deque
+
+from conftest import EVAL_TEMPLATES, eval_source, load
+from reference_step import states as reference_states
 
 from food import (
     BoolV,
@@ -10,6 +13,7 @@ from food import (
     ObjV,
     Stuck,
     csm_body,
+    desugar,
     dtr_body,
     eval_program,
     parse,
@@ -20,11 +24,14 @@ from food import (
     transform,
     transform_expr,
 )
-from food.interp import Stepped, format_value
+from food.fuzz import GenConfig, gen_program
+from food.interp import Stepped, format_value, run
 from food.syntax import (
     App,
     BoolLit,
     CtrCall,
+    Expr,
+    If,
     IntLit,
     New,
     Obj,
@@ -167,3 +174,75 @@ def test_format_value():
     assert format_value(IntV(-3)) == "-3"
     assert format_value(BoolV(True)) == "true"
     assert format_value(ObjV("Insert", (ObjV("Empty", ()), IntV(3)))) == "obj(Insert, obj(Empty), 3)"
+
+
+# ---------------------------------------------------------------------------
+# The refocusing machine against the recursive reference step
+
+FUEL_LADDER = (0, 1, 3, 17, 200)
+
+
+def assert_same_states(e, ctx):
+    for fuel in FUEL_LADDER:
+        assert list(run(e, ctx, fuel)) == list(reference_states(e, ctx, fuel)), fuel
+
+
+def test_machine_matches_reference_on_generated_programs():
+    for seed in range(300):
+        p = gen_program(GenConfig(seed=seed, diverge_prob=1.0 if seed % 7 == 0 else 0.0))
+        assert_same_states(p.main, preprocess(p))
+
+
+def test_machine_matches_reference_on_eval_templates():
+    for name in EVAL_TEMPLATES:
+        for n in (0, 1, 4, 9):
+            p = desugar(parse(eval_source(name, n)))
+            assert_same_states(p.main, preprocess(p))
+
+
+def test_machine_matches_reference_on_stuck_terms():
+    src = (
+        "data D\ncase C0() extends D\ncase C1() extends D\n"
+        "def f(self: D)(): Int = match { case C1() => 1 }\n"
+        "interface E { def g(): Int }\nclass K() implements E { def g(): Int = 1 }\n"
+        "f(C0())"
+    )
+    p = parse(src)
+    ctx = preprocess(p)
+    terms = [
+        p.main,
+        Sel(Obj("K", ()), "g", (IntLit(1),)),
+        PrimOp("+", IntLit(1), Expr()),
+        Var("x"),
+        If(IntLit(1), IntLit(2), IntLit(3)),
+        PrimOp("+", BoolLit(True), IntLit(1)),
+        PrimOp("&&", IntLit(1), Var("boom")),
+        PrimOp("%", IntLit(1), IntLit(2)),
+        CtrCall("Nope", ()),
+        New("C0", ()),
+        Sel(IntLit(1), "f", ()),
+        Sel(Obj("C0", ()), "f", ()),
+        App("f", IntLit(3), ()),
+        App("g", Obj("C0", ()), ()),
+        App("f", Obj("C1", ()), (IntLit(1),)),
+        # stuck below evaluated subterms and inside every kind of context
+        PrimOp("+", PrimOp("*", IntLit(2), IntLit(3)), CtrCall("C1", (Var("y"),))),
+        Sel(New("Nope", (IntLit(1),)), "f", ()),
+        App("f", CtrCall("C1", ()), (PrimOp("-", IntLit(1), IntLit(1)), If(Var("z"), IntLit(0), IntLit(1)))),
+    ]
+    for e in terms:
+        assert isinstance(list(run(e, ctx, 200))[-1], Stuck), e
+        assert_same_states(e, ctx)
+
+
+def test_fuel_boundary_at_a_depth_the_recursive_step_cannot_reach():
+    n = 2000
+    for name in ("peano_fp", "peano_oo"):
+        p = desugar(parse(eval_source(name, n)))
+        ctx = preprocess(p)
+        assert eval_program(p, 7 * n + 5, ctx) == Done(IntV(n))
+        out = eval_program(p, 7 * n + 4, ctx)
+        assert isinstance(out, FuelExhausted)
+        # keep only the tail: the states of a 2000-deep run are too large to hold
+        last, outcome = deque(run(p.main, ctx, 7 * n + 4), maxlen=2)
+        assert outcome == out and out.last == last

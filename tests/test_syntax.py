@@ -6,7 +6,7 @@ from conftest import load, load_raw
 from food import canonicalize, desugar, parse, pretty
 from food.fuzz import GenConfig, gen_program
 from food.pretty import pretty_def, pretty_expr
-from food.syntax import Constructor, Consumer, Obj, Program, Var
+from food.syntax import App, Constructor, Consumer, CtrCall, If, IntLit, New, Obj, PrimOp, Program, Sel, Var
 
 
 def test_desugar_rewrites_bare_body_to_wildcard_clause():
@@ -118,8 +118,6 @@ def test_parse_pretty_fixpoint_on_fuzzed_programs():
 
 
 def test_pretty_parenthesizes_exactly_where_needed():
-    from food.syntax import App, CtrCall, If, IntLit, New, PrimOp, Sel
-
     cases = [
         (PrimOp("-", PrimOp("-", Var("a"), Var("b")), Var("c")), "a - b - c"),
         (PrimOp("-", Var("a"), PrimOp("-", Var("b"), Var("c"))), "a - (b - c)"),

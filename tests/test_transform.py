@@ -4,6 +4,7 @@ import pytest
 from conftest import GOLDEN_SELECTIONS, load
 
 from food import (
+    ContextError,
     TransformError,
     canonicalize,
     check,
@@ -167,7 +168,5 @@ def test_ill_typed_program_is_rejected_with_expression_context():
 
 
 def test_unknown_selected_type_is_rejected():
-    from food import ContextError
-
     with pytest.raises(ContextError):
         transform(load("sets_fp"), {"Nope"})
