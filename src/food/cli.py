@@ -17,10 +17,10 @@ from . import __version__
 from .context import preprocess, restrict
 from .diagnostics import FoodError
 from .fuzz import GenConfig, run_properties
-from .interp import Done, FuelExhausted, Stuck, eval_program, format_value, trace
+from .interp import Done, FuelExhausted, Stuck, eval_program, format_value, run
 from .parser import parse
 from .pretty import pretty, pretty_expr
-from .syntax import Program, canonicalize, desugar
+from .syntax import Expr, Program, canonicalize, desugar
 from .transform import transform
 from .wellformed import check
 
@@ -75,6 +75,13 @@ def _fuel(args: argparse.Namespace) -> int:
         except ValueError:
             raise _Failure(f"FOOD_FUEL must be an integer, got {env!r}")
     return 100_000
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -155,11 +162,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     program = _checked(args.file)
-    result = trace(program, _fuel(args))
-    steps = result.steps if args.limit is None else result.steps[: args.limit]
-    for i, e in enumerate(steps):
-        print(f"{i:4}  {pretty_expr(e, runtime=True)}")
-    match result.outcome:
+    # print each state as run yields it and keep none: a state is O(depth)
+    for i, out in enumerate(run(program.main, preprocess(program), _fuel(args))):
+        if isinstance(out, Expr) and (args.limit is None or i < args.limit):
+            print(f"{i:4}  {pretty_expr(out, runtime=True)}")
+    match out:
         case Done(value):
             print(f"   => {format_value(value)}")
             return 0
@@ -217,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = with_file("trace", "print the step sequence")
     c.add_argument("--fuel", type=int, help="step budget (default: FOOD_FUEL or 100000)")
-    c.add_argument("--limit", type=int, help="print at most this many steps")
+    c.add_argument("--limit", type=_count, help="print at most this many steps")
     c.set_defaults(fn=_cmd_trace)
 
     c = sub.add_parser("fuzz", help="generate programs and run the property battery")

@@ -18,6 +18,7 @@ from .context import GlobalCtx, preprocess, restrict, translate_ctx
 from .diagnostics import FoodError
 from .interp import (
     Done,
+    FuelExhausted,
     Stuck,
     csm_body,
     dtr_body,
@@ -390,32 +391,33 @@ class FuzzReport:
 def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     """Evaluate the main expression, typing every reached expression.
 
-    Returns (outcome, type_failure_detail).  Types are memoized per
-    expression, so looping programs pay for each distinct state once.
+    Returns (outcome, type_failure_detail).  Evaluation is deterministic, so
+    once a state repeats the run is periodic until the fuel runs out, and no
+    state in the cycle is a value or stuck.  Typing is a pure function of the
+    state, so every later state would type as the one it repeats already did:
+    the run stops at the first repeat with the state the fuel would end on,
+    and the verdict is the one the whole run would give.
     """
     tctx = restrict(ctx, frozenset())
-    cache: dict[Expr, Type] = {}
-
-    def type_of(e: Expr) -> Type:
-        t = cache.get(e)
-        if t is None:
-            t = transform_expr(e, tctx, {})[1]
-            cache[e] = t
-        return t
-
-    e = program.main
-    try:
-        expected = type_of(e)
-    except FoodError as exc:
-        return None, f"main expression does not type: {exc}"
-    for state in run(e, ctx, fuel):
+    states: list[Expr] = []
+    first: dict[Expr, int] = {}  # each state's index of first appearance
+    expected = None  # the type of state 0, the main expression
+    for state in run(program.main, ctx, fuel):
         if not isinstance(state, Expr):
             return state, None
+        i = first.setdefault(state, len(states))
+        if i < len(states):
+            return FuelExhausted(states[i + (fuel - i) % (len(states) - i)]), None
+        states.append(state)
         try:
-            t = type_of(state)
+            t = transform_expr(state, tctx, {})[1]
         except FoodError as exc:
+            if expected is None:
+                return None, f"main expression does not type: {exc}"
             return None, f"step result fails to type: {exc}"
-        if t != expected:
+        if expected is None:
+            expected = t
+        elif t != expected:
             return None, (
                 f"type changed from {pretty_type(expected)} to {pretty_type(t)} "
                 "during evaluation"

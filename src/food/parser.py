@@ -1,12 +1,15 @@
 """Recursive-descent parser for the FOOD concrete syntax.
 
-Positions are 1-based.  Error recovery is per definition: after a syntax error
-the parser skips to the next top-level definition keyword and keeps going, so
-one bad definition yields one diagnostic.
+The lexer is one compiled regular expression with an alternative per token
+class; each token's line and column come from the offsets of the newlines
+before it.  Positions are 1-based.  Error recovery is per definition: after a
+syntax error the parser skips to the next top-level definition keyword and
+keeps going, so one bad definition yields one diagnostic.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, ParseError
@@ -58,15 +61,22 @@ KEYWORDS = {
 
 DEF_KEYWORDS = {"data", "interface", "case", "class", "def"}
 
-# only ASCII digits: str.isdigit also accepts characters such as '²' that
-# int() rejects
-_DIGITS = frozenset("0123456789")
 _INT64_MAX = 2**63 - 1
 
 _SYMBOLS = ["=>", "==", "<=", "&&", "||", "(", ")", "{", "}", ":", ",", ";", ".", "=", "<", "+", "-", "*", "_"]
 
+# One alternative per token class, tried in order.  Integers are ASCII digits
+# only: \d would also accept other decimal digits, such as '٣'.  \s is
+# exactly str.isspace and \w exactly str.isalnum or '_'.  A lone underscore
+# is the wildcard symbol, so an identifier starts with a letter.
+_TOKEN = re.compile(
+    r"(?P<skip>\s+|//[^\n]*)|(?P<int>[0-9]+)|(?P<ident>[^\W\d_]\w*)|(?P<sym>"
+    + "|".join(map(re.escape, _SYMBOLS))
+    + ")"
+)
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class Token:
     kind: str  # "ident", "int", "kw", or the symbol itself
     text: str
@@ -74,59 +84,27 @@ class Token:
     column: int
 
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.src) and self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def tokens(self) -> list[Token]:
-        out = []
-        src = self.src
-        while self.pos < len(src):
-            c = src[self.pos]
-            if c.isspace():
-                self._advance()
-                continue
-            if src.startswith("//", self.pos):
-                while self.pos < len(src) and src[self.pos] != "\n":
-                    self._advance()
-                continue
-            line, col = self.line, self.col
-            if c in _DIGITS:
-                start = self.pos
-                while self.pos < len(src) and src[self.pos] in _DIGITS:
-                    self._advance()
-                out.append(Token("int", src[start : self.pos], line, col))
-                continue
-            if c.isalpha():
-                start = self.pos
-                while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-                    self._advance()
-                text = src[start : self.pos]
-                out.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
-                continue
-            for sym in _SYMBOLS:
-                if src.startswith(sym, self.pos):
-                    # a lone underscore is the wildcard; _x would be an ident,
-                    # but identifiers must start with a letter
-                    self._advance(len(sym))
-                    out.append(Token(sym, sym, line, col))
-                    break
-            else:
-                raise ParseError([Diagnostic(f"unexpected character {c!r}", line, col)])
-        out.append(Token("eof", "", self.line, self.col))
-        return out
+def _tokens(src: str) -> list[Token]:
+    out: list[Token] = []
+    pos = 0
+    line, line_start = 1, 0  # the line of pos, and the offset where it starts
+    while pos < len(src):
+        m = _TOKEN.match(src, pos)
+        col = pos - line_start + 1
+        # [^\W\d_] also accepts characters such as '²' that are not letters
+        if m is None or m.lastgroup == "ident" and not src[pos].isalpha():
+            raise ParseError([Diagnostic(f"unexpected character {src[pos]!r}", line, col)])
+        kind, text, pos = m.lastgroup, m.group(), m.end()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = src.rindex("\n", 0, pos) + 1
+        elif kind == "ident":
+            out.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
+        else:
+            out.append(Token(text if kind == "sym" else kind, text, line, col))
+    out.append(Token("eof", "", line, pos - line_start + 1))
+    return out
 
 
 class _Fail(Exception):
@@ -463,5 +441,4 @@ class _Parser:
 
 def parse(source: str) -> Program:
     """Parse FOOD source text; raises ParseError carrying all diagnostics."""
-    tokens = _Lexer(source).tokens()
-    return _Parser(tokens).program()
+    return _Parser(_tokens(source)).program()

@@ -5,12 +5,20 @@ way back up.  ``states`` iterates it with the fuel accounting of
 ``food.interp.run``, so tests can compare the refocusing machine against it
 state by state.  It shares only body lookup, substitution and value
 conversion with ``food.interp``; its binding and 64-bit wrapping are its own.
+
+``typed_run`` is the fuzzer's typed run as it was before it closed cycles: it
+follows ``food.interp.run`` until the fuel runs out, typing each distinct
+state once, so tests can check that the fuzzer's early return at the first
+repeated state gives the same outcome and failure detail.
 """
 
 from __future__ import annotations
 
-from food.context import GlobalCtx
-from food.interp import Done, FuelExhausted, Stepped, Stuck, csm_body, dtr_body, is_value, to_value
+from food.context import GlobalCtx, restrict
+from food.diagnostics import FoodError
+from food.interp import Done, FuelExhausted, Stepped, Stuck, csm_body, dtr_body, is_value, run, to_value
+from food.pretty import pretty_type
+from food.transform import transform_expr
 from food.syntax import (
     App,
     BoolLit,
@@ -23,10 +31,12 @@ from food.syntax import (
     New,
     Obj,
     PrimOp,
+    Program,
     SELF,
     Sel,
     subst,
     THIS,
+    Type,
     Var,
 )
 
@@ -191,3 +201,38 @@ def states(e: Expr, ctx: GlobalCtx, fuel: int):
             return
         fuel -= 1
         e = out.next
+
+
+def typed_run(program: Program, ctx: GlobalCtx, fuel: int):
+    """Evaluate the main expression, typing every reached expression.
+
+    Returns (outcome, type_failure_detail).  Types are memoized per
+    expression, so looping programs pay for each distinct state once.
+    """
+    tctx = restrict(ctx, frozenset())
+    cache: dict[Expr, Type] = {}
+
+    def type_of(e: Expr) -> Type:
+        t = cache.get(e)
+        if t is None:
+            t = transform_expr(e, tctx, {})[1]
+            cache[e] = t
+        return t
+
+    e = program.main
+    try:
+        expected = type_of(e)
+    except FoodError as exc:
+        return None, f"main expression does not type: {exc}"
+    for state in run(e, ctx, fuel):
+        if not isinstance(state, Expr):
+            return state, None
+        try:
+            t = type_of(state)
+        except FoodError as exc:
+            return None, f"step result fails to type: {exc}"
+        if t != expected:
+            return None, (
+                f"type changed from {pretty_type(expected)} to {pretty_type(t)} "
+                "during evaluation"
+            )

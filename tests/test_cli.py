@@ -1,6 +1,7 @@
 """The food command line."""
 
 import json
+import tracemalloc
 
 import pytest
 from conftest import CORPUS, eval_source
@@ -109,6 +110,29 @@ def test_trace_prints_numbered_steps(capsys):
     assert lines[0].startswith("   0  eval(Sub(Lit(2), Lit(1)))")
     assert len([l for l in lines if not l.startswith("   =>")]) == 3
     assert lines[-1] == "   => 1"
+
+
+def test_trace_keeps_no_states(capsys, tmp_path):
+    # the 4,205 states of this run, each up to 600 deep, took 36 MB when
+    # the whole trace was stored before printing
+    src = tmp_path / "peano.food"
+    src.write_text(eval_source("peano_fp", 600))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "trace", str(src), "--limit", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert out == "   0  count(build(Z())(600))\n   => 600\n"
+    assert peak < 4_000_000
+
+
+def test_trace_rejects_a_negative_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", str(CORPUS / "exp_fp.food"), "--limit", "-1"])
+    assert exc.value.code == 2
+    assert "must not be negative" in capsys.readouterr().err
 
 
 def test_ctx_dump(capsys):

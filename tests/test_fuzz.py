@@ -2,12 +2,15 @@
 
 from dataclasses import replace
 
+import pytest
 from conftest import GOLDEN_SELECTIONS, load
+from reference_step import typed_run as reference_typed_run
 
-from food import check, eval_program, preprocess, transform
+from food import FoodError, check, desugar, eval_program, parse, preprocess, transform
 from food.fuzz import (
     GenConfig,
     MUTATORS,
+    _typed_run,
     check_properties,
     gen_program,
     mutate_swap_clause_bodies,
@@ -15,7 +18,7 @@ from food.fuzz import (
     shrink,
 )
 from food.interp import FuelExhausted
-from food.syntax import Consumer, Datatype, Interface
+from food.syntax import App, BoolLit, Consumer, Datatype, IntLit, Interface, Obj, PrimOp, Program, Sel
 
 
 def type_names(p):
@@ -114,3 +117,118 @@ def test_planted_mutant_fails_eval_and_shrinks_small():
 def test_every_mutator_leaves_untargeted_programs_alone():
     p = load("exp_oop")
     assert MUTATORS["drop-wildcard"](p) == p  # no consumer at all on the OO side
+
+
+# ---------------------------------------------------------------------------
+# The typed run stops at the first repeated state; the reference runs on.
+
+TYPED_RUN_FUELS = (0, 1, 2, 3, 4, 5, 6, 7, 17, 200, 1001)
+
+
+def assert_typed_run_matches_reference(p, fuels=TYPED_RUN_FUELS):
+    ctx = preprocess(p)
+    for fuel in fuels:
+        assert _typed_run(p, ctx, fuel) == reference_typed_run(p, ctx, fuel), fuel
+
+
+def test_typed_run_matches_reference_on_generated_programs():
+    for seed in range(300):
+        for diverge_prob in (1.0, 0.0) if seed % 4 == 0 else (1.0,):
+            p = gen_program(GenConfig(seed=seed, diverge_prob=diverge_prob))
+            q = transform(p, type_names(p)).program
+            assert_typed_run_matches_reference(p)
+            assert_typed_run_matches_reference(q)
+
+
+def test_typed_run_matches_reference_on_mutated_programs():
+    for seed in range(0, 300, 4):
+        for diverge_prob in (1.0, 0.0):
+            p = gen_program(GenConfig(seed=seed, diverge_prob=diverge_prob))
+            q = transform(p, type_names(p)).program
+            for mutate in MUTATORS.values():
+                m = mutate(q)
+                if m == q:
+                    continue
+                try:
+                    preprocess(m)
+                except FoodError:
+                    continue
+                assert_typed_run_matches_reference(m, (0, 3, 17, 200))
+
+
+# The loop runs through f and g (period 2) or f, g and h (period 3).  Calls on
+# a constructor call enter it after one step, the if after five, and calls on
+# an object at once; up(0) counts up and never repeats a state.
+LOOP_FP = """
+data T
+case Go() extends T
+def f(self: T)(): Int = g(self)
+def g(self: T)(): Int = {back}
+def h(self: T)(): Int = f(self)
+def up(self: T)(k: Int): Int = up(self)(k + 1)
+0
+"""
+LOOP_OO = """
+interface T {
+  def f(): Int
+  def g(): Int
+  def h(): Int
+  def up(k: Int): Int
+}
+class Go() implements T {
+  def f(): Int = this.g()
+  def g(): Int = {back}
+  def h(): Int = this.f()
+  def up(k: Int): Int = this.up(k + 1)
+}
+0
+"""
+
+
+def loop_programs(style: str, period: int) -> dict[str, Program]:
+    fp = style == "fp"
+    template = LOOP_FP if fp else LOOP_OO
+    back = {(True, 2): "f(self)", (True, 3): "h(self)", (False, 2): "this.f()", (False, 3): "this.h()"}
+    defs = desugar(parse(template.replace("{back}", back[fp, period]))).defs
+    ctor = parse("Go()" if fp else "new Go()").main
+    obj = Obj("Go", ())
+
+    def call(name, recv, *args):
+        return App(name, recv, args) if fp else Sel(recv, name, args)
+
+    after_prefix = parse("if (1 + 2 * 3 == 7) 1 else 0").main
+    mains = {
+        "after one step": call("f", ctor),
+        "after five steps": replace(after_prefix, then=call("f", ctor)),
+        "at once": call("f", obj),
+        "never": call("up", ctor, IntLit(0)),
+    }
+    return {where: Program(defs, main) for where, main in mains.items()}
+
+
+@pytest.mark.parametrize("style", ["fp", "oo"])
+@pytest.mark.parametrize("period", [2, 3])
+def test_typed_run_matches_reference_on_hand_written_loops(style, period):
+    for where, p in loop_programs(style, period).items():
+        assert_typed_run_matches_reference(p, (*range(40), 200, 1001))
+        if where == "never":
+            continue
+        # the whole run would take 10**9 steps; the reference takes as many
+        # as reach the same position in the cycle
+        ctx = preprocess(p)
+        out, detail = _typed_run(p, ctx, 10**9)
+        assert detail is None and isinstance(out, FuelExhausted)
+        assert (out, detail) == reference_typed_run(p, ctx, 1000 + (10**9 - 1000) % period)
+
+
+def test_typed_run_matches_reference_on_ill_typed_programs():
+    p = loop_programs("fp", 2)["at once"]
+    bad_main = Program(p.defs, PrimOp("+", IntLit(1), BoolLit(True)))
+    assert_typed_run_matches_reference(bad_main)
+    assert _typed_run(bad_main, preprocess(bad_main), 5)[1].startswith("main expression does not type")
+    # f is declared Int but its body is a Bool, so the second step changes
+    # the type of the state
+    bad_step = desugar(parse(LOOP_FP.replace("{back}", "f(self)").replace("= g(self)", "= g(self) == 0")))
+    bad_step = Program(bad_step.defs, loop_programs("fp", 2)["after one step"].main)
+    assert_typed_run_matches_reference(bad_step)
+    assert _typed_run(bad_step, preprocess(bad_step), 5)[1] == "type changed from Int to Bool during evaluation"

@@ -1,9 +1,14 @@
 """Concrete-syntax parsing and diagnostics."""
 
-import pytest
-from conftest import corpus_text
+import sys
 
-from food import ParseError, parse
+import pytest
+from conftest import CORPUS, corpus_text
+from reference_lexer import tokens as reference_tokens
+
+from food import ParseError, parse, pretty
+from food.fuzz import GenConfig, gen_program
+from food.parser import _tokens
 from food.syntax import (
     App,
     BoolLit,
@@ -162,3 +167,69 @@ def test_accepted_inputs_carry_no_diagnostics():
     # parse either returns a Program or raises; a returned Program is clean
     p = parse(corpus_text("setlist_fp"))
     assert p is not None
+
+
+# ---------------------------------------------------------------------------
+# The regular-expression lexer against the character-at-a-time reference.
+
+
+def lexed(lex, src):
+    """The tokens as plain tuples, or the error's diagnostics."""
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in lex(src)]
+    except ParseError as exc:
+        return ("error", [(d.message, d.line, d.column) for d in exc.diagnostics])
+
+
+def assert_lexes_as_reference(src):
+    assert lexed(_tokens, src) == lexed(reference_tokens, src), src
+
+
+def test_lexer_matches_reference_on_corpus():
+    for path in sorted(CORPUS.glob("*.food")):
+        assert_lexes_as_reference(path.read_text())
+
+
+def test_lexer_matches_reference_on_generated_programs():
+    for seed in range(500):
+        for style_mix in (0.0, 1.0):
+            assert_lexes_as_reference(pretty(gen_program(GenConfig(seed=seed, style_mix=style_mix))))
+
+
+HOSTILE_SOURCES = [
+    "",
+    "x //",
+    "//",
+    "x\n//",
+    "/",
+    "a / b",
+    "\u00b2",
+    "x\u00b2",
+    "1 + 2\u00b2",
+    "_x",
+    "_",
+    "x_1 _ y",
+    "12abc",
+    "007",
+    "\u0663",
+    "1\u0663",
+    "a\r\nb\r\n c",
+    "a\u2028b\n c",
+    "a\x85b\x0b\x0c\x1c\n  d",
+    "\n\n\n   x",
+    "x\n  \u00b2",
+    "==>=<=<&&||&|",
+    "caf\u00e9 \u00e9t\u00e9 \u03bb",
+    "data Set // \u00b2 in a comment\n\u00b2",
+]
+
+
+@pytest.mark.parametrize("src", HOSTILE_SOURCES)
+def test_lexer_matches_reference_on_hostile_input(src):
+    assert_lexes_as_reference(src)
+
+
+def test_lexer_matches_reference_on_every_word_or_space_character():
+    for c in map(chr, range(sys.maxunicode + 1)):
+        if c.isascii() or c.isspace() or c.isalnum():
+            assert_lexes_as_reference(f"a{c}1")
