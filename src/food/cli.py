@@ -243,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     except _Failure as exc:
         print(exc.message, file=sys.stderr)
         return 1
+    except RecursionError:  # the parser, checker and printer recurse on nesting
+        print(f"{getattr(args, 'file', args.command)}: input nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -133,20 +133,11 @@ def preprocess(program: Program) -> GlobalCtx:
     # first pass: type names, so parents can be validated in order-independent
     # fashion
     for d in program.defs:
-        if isinstance(d, Datatype):
+        if isinstance(d, (Datatype, Interface)):
             declare(d.name, d)
-            dt.append(d.name)
-            ctr[d.name] = []
-            csm[d.name] = []
-            gen[d.name] = []
-            dtr[d.name] = []
-        elif isinstance(d, Interface):
-            declare(d.name, d)
-            it.append(d.name)
-            gen[d.name] = []
-            dtr[d.name] = []
-            ctr[d.name] = []
-            csm[d.name] = []
+            (dt if isinstance(d, Datatype) else it).append(d.name)
+            for members in (ctr, csm, gen, dtr):
+                members[d.name] = []
 
     for d in program.defs:
         line, col = _pos(d)

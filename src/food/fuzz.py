@@ -59,6 +59,7 @@ from .syntax import (
     Var,
     WILDCARD,
     canonicalize,
+    rewrite_first,
 )
 from .transform import transform, transform_expr
 from .wellformed import check
@@ -679,198 +680,141 @@ def shrink(
 
 Mutator = Callable[[Program], Program]
 
+# Each mutator changes the first place it applies to and returns the program
+# unchanged when there is none.  A rewriter returns None to pass on an item,
+# or the tuple of items that replace it (empty to delete it).
+_PARTS = {Consumer: "clauses", Interface: "dtrs", Generator: "funs"}
 
-def _map_consumers(program: Program, fn) -> Program:
-    done = False
-    defs = []
-    for d in program.defs:
-        if not done and isinstance(d, Consumer):
-            replacement = fn(d)
-            if replacement is not None:
-                defs.append(replacement)
-                done = True
-                continue
-        defs.append(d)
-    return Program(tuple(defs), program.main)
+
+def _first(items: tuple, fn) -> tuple | None:
+    for i, item in enumerate(items):
+        new = fn(item)
+        if new is not None:
+            return items[:i] + new + items[i + 1 :]
+    return None
+
+
+def _first_def(program: Program, fn) -> Program:
+    defs = _first(program.defs, fn)
+    return program if defs is None else Program(defs, program.main)
+
+
+def _first_clause(program: Program, fn) -> Program:
+    """Rewrite the first consumer clause or method that ``fn(def, part)`` rewrites."""
+
+    def in_def(d):
+        attr = _PARTS.get(type(d))
+        parts = attr and _first(getattr(d, attr) or (), lambda part: fn(d, part))
+        return None if parts is None else (replace(d, **{attr: parts}),)
+
+    return _first_def(program, in_def)
+
+
+def _first_prim(program: Program, op: str, fn) -> Program:
+    """Rewrite the first ``op``, in pre-order, in a consumer clause to ``fn(lhs, rhs)``."""
+
+    def at(e: Expr):
+        return fn(e.lhs, e.rhs) if isinstance(e, PrimOp) and e.op == op else None
+
+    def in_clause(d: Def, c):
+        body = rewrite_first(c.body, at) if isinstance(c, Clause) else None
+        return None if body is None else (Clause(c.pattern, body),)
+
+    return _first_clause(program, in_clause)
+
+
+def _resubst(kind: type, old: str, new: str):
+    """Rewrite ``old`` to ``new`` in the first ``kind`` body that mentions it."""
+
+    def rewrite(d, part):
+        if isinstance(part, kind) and part.body is not None and old in free_vars(part.body):
+            return (replace(part, body=subst(part.body, {old: Var(new)})),)
+        return None
+
+    return rewrite
 
 
 def mutate_swap_clause_bodies(program: Program) -> Program:
     """Swap the bodies of the first two clauses of some consumer."""
 
-    def fn(d: Consumer):
-        if d.clauses and len(d.clauses) >= 2:
-            a, b = d.clauses[0], d.clauses[1]
-            swapped = (Clause(a.pattern, b.body), Clause(b.pattern, a.body)) + d.clauses[2:]
-            return replace(d, clauses=swapped)
+    def fn(d: Def):
+        if isinstance(d, Consumer) and d.clauses and len(d.clauses) >= 2:
+            a, b, *rest = d.clauses
+            return (replace(d, clauses=(Clause(a.pattern, b.body), Clause(b.pattern, a.body), *rest)),)
         return None
 
-    return _map_consumers(program, fn)
+    return _first_def(program, fn)
 
 
 def mutate_drop_wildcard(program: Program) -> Program:
     """Delete the wildcard clause of the first consumer that has one."""
 
-    def fn(d: Consumer):
-        if d.clauses and any(c.pattern.is_wildcard for c in d.clauses) and len(d.clauses) > 1:
-            return replace(d, clauses=tuple(c for c in d.clauses if not c.pattern.is_wildcard))
+    def fn(d: Def):
+        if isinstance(d, Consumer) and d.wildcard_clause() and len(d.clauses) > 1:
+            return (replace(d, clauses=tuple(c for c in d.clauses if not c.pattern.is_wildcard)),)
         return None
 
-    return _map_consumers(program, fn)
+    return _first_def(program, fn)
 
 
 def mutate_wrong_substitution(program: Program) -> Program:
     """Rewrite self to this in the first consumer clause that mentions it."""
-
-    def fn(d: Consumer):
-        for i, clause in enumerate(d.clauses or ()):
-            if SELF in free_vars(clause.body):
-                bad = Clause(clause.pattern, subst(clause.body, {SELF: Var(THIS)}))
-                return replace(d, clauses=d.clauses[:i] + (bad,) + d.clauses[i + 1 :])
-        return None
-
-    return _map_consumers(program, fn)
+    return _first_clause(program, _resubst(Clause, SELF, THIS))
 
 
 def mutate_wrong_substitution_oo(program: Program) -> Program:
     """Rewrite this to self in the first destructor body that mentions it."""
-    defs = []
-    done = False
-    for d in program.defs:
-        if not done and isinstance(d, Interface):
-            members = []
-            for m in d.dtrs:
-                if not done and m.body is not None and THIS in free_vars(m.body):
-                    m = replace(m, body=subst(m.body, {THIS: Var(SELF)}))
-                    done = True
-                members.append(m)
-            d = replace(d, dtrs=tuple(members))
-        elif not done and isinstance(d, Generator):
-            members = []
-            for m in d.funs:
-                if not done and m.body is not None and THIS in free_vars(m.body):
-                    m = replace(m, body=subst(m.body, {THIS: Var(SELF)}))
-                    done = True
-                members.append(m)
-            d = replace(d, funs=tuple(members))
-        defs.append(d)
-    return Program(tuple(defs), program.main)
+    return _first_clause(program, _resubst(Dtr, THIS, SELF))
 
 
 def mutate_rename_pattern_var(program: Program) -> Program:
     """Rename the first bound pattern variable without touching the body."""
 
-    def fn(d: Consumer):
-        for i, clause in enumerate(d.clauses or ()):
-            if clause.pattern.vars:
-                pat = Pattern(clause.pattern.name, ("z" + clause.pattern.vars[0],) + clause.pattern.vars[1:])
-                bad = Clause(pat, clause.body)
-                return replace(d, clauses=d.clauses[:i] + (bad,) + d.clauses[i + 1 :])
+    def fn(d: Def, c):
+        if isinstance(c, Clause) and c.pattern.vars:
+            name, (first, *rest) = c.pattern.name, c.pattern.vars
+            return (Clause(Pattern(name, ("z" + first, *rest)), c.body),)
         return None
 
-    return _map_consumers(program, fn)
+    return _first_clause(program, fn)
 
 
 def mutate_drop_consumer(program: Program) -> Program:
     """Delete the first consumer definition outright."""
-    for i, d in enumerate(program.defs):
-        if isinstance(d, Consumer):
-            return Program(program.defs[:i] + program.defs[i + 1 :], program.main)
-    return program
+    return _first_def(program, lambda d: () if isinstance(d, Consumer) else None)
 
 
 def mutate_swap_ctor_fields(program: Program) -> Program:
     """Reverse the field list of the first constructor with two or more fields."""
-    defs = []
-    done = False
-    for d in program.defs:
-        if not done and isinstance(d, Constructor) and len(d.fields) >= 2:
-            d = replace(d, fields=tuple(reversed(d.fields)))
-            done = True
-        defs.append(d)
-    return Program(tuple(defs), program.main)
+
+    def fn(d: Def):
+        if isinstance(d, Constructor) and len(d.fields) >= 2:
+            return (replace(d, fields=d.fields[::-1]),)
+        return None
+
+    return _first_def(program, fn)
 
 
 def mutate_flip_comparison(program: Program) -> Program:
     """Turn the first == in a consumer clause into <=."""
-
-    def flip(e: Expr) -> tuple[Expr, bool]:
-        match e:
-            case PrimOp("==", lhs, rhs):
-                return PrimOp("<=", lhs, rhs), True
-            case PrimOp(op, lhs, rhs):
-                l2, hit = flip(lhs)
-                if hit:
-                    return PrimOp(op, l2, rhs), True
-                r2, hit = flip(rhs)
-                return PrimOp(op, lhs, r2), hit
-            case If(c, t, e2):
-                c2, hit = flip(c)
-                if hit:
-                    return If(c2, t, e2), True
-                t2, hit = flip(t)
-                if hit:
-                    return If(c, t2, e2), True
-                e3, hit = flip(e2)
-                return If(c, t, e3), hit
-            case _:
-                return e, False
-
-    def fn(d: Consumer):
-        for i, clause in enumerate(d.clauses or ()):
-            body2, hit = flip(clause.body)
-            if hit:
-                bad = Clause(clause.pattern, body2)
-                return replace(d, clauses=d.clauses[:i] + (bad,) + d.clauses[i + 1 :])
-        return None
-
-    return _map_consumers(program, fn)
+    return _first_prim(program, "==", lambda lhs, rhs: PrimOp("<=", lhs, rhs))
 
 
 def mutate_swap_prim_operands(program: Program) -> Program:
     """Swap the operands of the first subtraction in a consumer clause."""
-
-    def swap(e: Expr) -> tuple[Expr, bool]:
-        match e:
-            case PrimOp("-", lhs, rhs):
-                return PrimOp("-", rhs, lhs), True
-            case PrimOp(op, lhs, rhs):
-                l2, hit = swap(lhs)
-                if hit:
-                    return PrimOp(op, l2, rhs), True
-                r2, hit = swap(rhs)
-                return PrimOp(op, lhs, r2), hit
-            case _:
-                return e, False
-
-    def fn(d: Consumer):
-        for i, clause in enumerate(d.clauses or ()):
-            body2, hit = swap(clause.body)
-            if hit:
-                bad = Clause(clause.pattern, body2)
-                return replace(d, clauses=d.clauses[:i] + (bad,) + d.clauses[i + 1 :])
-        return None
-
-    return _map_consumers(program, fn)
+    return _first_prim(program, "-", lambda lhs, rhs: PrimOp("-", rhs, lhs))
 
 
 def mutate_drop_override(program: Program) -> Program:
     """Remove the first generator method that overrides an interface default."""
-    defaults: dict[tuple[str, str], bool] = {}
-    for d in program.defs:
-        if isinstance(d, Interface):
-            for m in d.dtrs:
-                defaults[(d.name, m.name)] = m.body is not None
-    defs = []
-    done = False
-    for d in program.defs:
-        if not done and isinstance(d, Generator):
-            for j, m in enumerate(d.funs):
-                if defaults.get((d.parent, m.name)):
-                    d = replace(d, funs=d.funs[:j] + d.funs[j + 1 :])
-                    done = True
-                    break
-        defs.append(d)
-    return Program(tuple(defs), program.main)
+    defaults = {
+        (d.name, m.name) for d in program.defs if isinstance(d, Interface) for m in d.dtrs if m.body is not None
+    }
+
+    def fn(d: Def, m):
+        return () if isinstance(d, Generator) and (d.parent, m.name) in defaults else None
+
+    return _first_clause(program, fn)
 
 
 MUTATORS = {

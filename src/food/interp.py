@@ -38,6 +38,7 @@ from .syntax import (
     subst,
     THIS,
     Var,
+    walk,
 )
 
 # ---------------------------------------------------------------------------
@@ -100,12 +101,7 @@ def is_value(e: Expr) -> bool:
 
 def to_value(e: Expr) -> Value:
     """The value an evaluated expression denotes, at any depth."""
-    order, todo = [], [e]  # pre-order, so reversed it builds fields first
-    while todo:
-        x = todo.pop()
-        order.append(x)
-        if isinstance(x, Obj):
-            todo.extend(x.args)
+    order = list(walk(e))  # pre-order, so reversed it builds fields first
     built: dict[int, Value] = {}
     for x in reversed(order):
         if isinstance(x, IntLit):

@@ -120,8 +120,8 @@ class _Parser:
 
     # -- token helpers
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.toks[min(self.i + offset, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.i]  # next() never advances past eof
 
     def next(self) -> Token:
         t = self.peek()
@@ -149,12 +149,8 @@ class _Parser:
 
     # -- identifiers
 
-    def ident(self, what: str) -> Token:
-        t = self.expect("ident", what)
-        return t
-
     def upper_ident(self, what: str) -> str:
-        t = self.ident(what)
+        t = self.expect("ident", what)
         if not t.text[0].isupper():
             raise self.fail(f"{what} must start with an uppercase letter", t)
         if t.text in ("Int", "Bool"):
@@ -162,13 +158,13 @@ class _Parser:
         return t.text
 
     def lower_ident(self, what: str) -> str:
-        t = self.ident(what)
+        t = self.expect("ident", what)
         if not t.text[0].islower():
             raise self.fail(f"{what} must start with a lowercase letter", t)
         return t.text
 
     def binder(self, what: str) -> str:
-        t = self.ident(what)
+        t = self.expect("ident", what)
         if t.text in RESERVED_BINDERS:
             raise self.fail(f"{t.text!r} is reserved and cannot be declared", t)
         if not t.text[0].islower():

@@ -1,4 +1,5 @@
-"""Abstract syntax of FOOD programs plus the desugaring and canonicalization passes.
+"""Abstract syntax of FOOD programs, the desugaring and canonicalization passes,
+and one stack-safe expression traversal.
 
 All nodes are immutable; structural equality is dataclass equality and ignores
 the (non-compared) source positions attached to definitions.
@@ -319,39 +320,68 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
             return e  # literals and runtime objects
 
 
-def free_vars(e: Expr) -> set[str]:
+# ---------------------------------------------------------------------------
+# Generic traversal; ``subst`` and the evaluator stay hand-written for speed.
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The immediate subexpressions of ``e``, left to right."""
+    if isinstance(e, (Sel, App)):  # isinstance tests: faster than class patterns
+        return (e.recv, *e.args)
+    if isinstance(e, (CtrCall, New, Obj)):
+        return e.args
+    if isinstance(e, PrimOp):
+        return (e.lhs, e.rhs)
+    if isinstance(e, If):
+        return (e.cond, e.then, e.els)
+    return ()
+
+
+def with_children(e: Expr, kids: tuple[Expr, ...]) -> Expr:
+    """``e`` with its immediate subexpressions replaced by ``kids``, in ``children`` order."""
     match e:
-        case Var(name):
-            return {name}
-        case Sel(recv, _, args) | App(_, recv, args):
-            out = free_vars(recv)
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case CtrCall(_, args) | New(_, args):
-            out = set()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case PrimOp(_, lhs, rhs):
-            return free_vars(lhs) | free_vars(rhs)
-        case If(cond, then, els):
-            return free_vars(cond) | free_vars(then) | free_vars(els)
-        case _:
-            return set()
+        case Sel(_, name, _):
+            return Sel(kids[0], name, kids[1:])
+        case App(name, _, _):
+            return App(name, kids[0], kids[1:])
+        case CtrCall(name, _) | New(name, _) | Obj(name, _):
+            return type(e)(name, kids)
+        case PrimOp(op, _, _):
+            return PrimOp(op, *kids)
+        case If():
+            return If(*kids)
+    return e
+
+
+def walk(e: Expr):
+    """Every subexpression of ``e`` (``e`` included) in pre-order, at any depth."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(children(e)))
+
+
+def rewrite_first(e: Expr, fn) -> Expr | None:
+    """``e`` with its first subexpression, in pre-order, that ``fn`` maps to an
+    expression (not None) replaced by that expression; None if there is none."""
+    stack = [(e, None)]  # (node, up): up is (parent, slot, the parent's up), None at e
+    while stack:
+        node, up = stack.pop()
+        new = fn(node)
+        if new is not None:
+            while up is not None:
+                parent, slot, up = up
+                kids = children(parent)
+                new = with_children(parent, (*kids[:slot], new, *kids[slot + 1 :]))
+            return new
+        stack.extend((kid, (node, i, up)) for i, kid in reversed(tuple(enumerate(children(node)))))
+    return None
+
+
+def free_vars(e: Expr) -> set[str]:
+    return {x.name for x in walk(e) if isinstance(x, Var)}
 
 
 def contains_obj(e: Expr) -> bool:
-    match e:
-        case Obj():
-            return True
-        case Sel(recv, _, args) | App(_, recv, args):
-            return contains_obj(recv) or any(contains_obj(a) for a in args)
-        case CtrCall(_, args) | New(_, args):
-            return any(contains_obj(a) for a in args)
-        case PrimOp(_, lhs, rhs):
-            return contains_obj(lhs) or contains_obj(rhs)
-        case If(cond, then, els):
-            return contains_obj(cond) or contains_obj(then) or contains_obj(els)
-        case _:
-            return False
+    return any(isinstance(x, Obj) for x in walk(e))

@@ -128,6 +128,23 @@ def test_trace_keeps_no_states(capsys, tmp_path):
     assert peak < 4_000_000
 
 
+@pytest.mark.parametrize("command", ["check", "ctx", "transform", "roundtrip", "eval", "trace"])
+def test_deeply_nested_input_is_a_diagnostic(capsys, tmp_path, command):
+    source = tmp_path / "deep.food"
+    source.write_text("1 + (" * 3000 + "1" + ")" * 3000 + "\n")
+    code, out, err = run(capsys, command, str(source))
+    assert (code, out, err) == (1, "", f"{source}: input nested too deeply\n")
+
+
+def test_trace_of_a_deep_state_is_a_diagnostic(capsys, tmp_path):
+    # the states of count(build(Z())(400)) grow 400 deep before counting down
+    source = tmp_path / "peano.food"
+    source.write_text(eval_source("peano_fp", 400))
+    code, out, err = run(capsys, "trace", str(source))
+    assert code == 1 and out.startswith("   0  count(build(Z())(400))\n")
+    assert err == f"{source}: input nested too deeply\n" and "Traceback" not in out
+
+
 def test_trace_rejects_a_negative_limit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["trace", str(CORPUS / "exp_fp.food"), "--limit", "-1"])

@@ -119,6 +119,28 @@ def test_every_mutator_leaves_untargeted_programs_alone():
     assert MUTATORS["drop-wildcard"](p) == p  # no consumer at all on the OO side
 
 
+# The first == sits in a call argument and the first - under an if branch;
+# the later ones must stay as they are.
+PRIM_TARGETS = """
+data T
+case A(n: Int) extends T
+def f(self: T)(k: Int): Int = match {
+  case A(n) => if (g(self)(n == k)) n else if (n == 0) k - n else 0 - 1
+}
+def g(self: T)(b: Bool): Bool = b
+0
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, before, after",
+    [("flip-comparison", "n == k", "n <= k"), ("swap-prim-operands", "k - n", "n - k")],
+)
+def test_prim_mutators_hit_the_first_target_in_pre_order(kind, before, after):
+    p = desugar(parse(PRIM_TARGETS))
+    assert MUTATORS[kind](p) == desugar(parse(PRIM_TARGETS.replace(before, after)))
+
+
 # ---------------------------------------------------------------------------
 # The typed run stops at the first repeated state; the reference runs on.
 

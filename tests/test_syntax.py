@@ -1,4 +1,4 @@
-"""Desugaring, canonicalization, and pretty-printing."""
+"""Desugaring, canonicalization, pretty-printing, and the generic traversal."""
 
 import pytest
 from conftest import load, load_raw
@@ -6,7 +6,27 @@ from conftest import load, load_raw
 from food import canonicalize, desugar, parse, pretty
 from food.fuzz import GenConfig, gen_program
 from food.pretty import pretty_def, pretty_expr
-from food.syntax import App, Constructor, Consumer, CtrCall, If, IntLit, New, Obj, PrimOp, Program, Sel, Var
+from food.syntax import (
+    App,
+    BoolLit,
+    Constructor,
+    Consumer,
+    CtrCall,
+    If,
+    IntLit,
+    New,
+    Obj,
+    PrimOp,
+    Program,
+    Sel,
+    Var,
+    children,
+    contains_obj,
+    free_vars,
+    rewrite_first,
+    walk,
+    with_children,
+)
 
 
 def test_desugar_rewrites_bare_body_to_wildcard_clause():
@@ -140,3 +160,84 @@ def test_structural_equality_ignores_positions():
     b = parse("\n\n  data    Set  \n\n   x\n")
     assert a == b
     assert a.defs[0].pos != b.defs[0].pos
+
+
+# ---------------------------------------------------------------------------
+# children / with_children / walk / rewrite_first
+
+# one node of every form, with distinct leaves so positions can be told apart
+ALL_FORMS = If(
+    PrimOp("==", Sel(Var("a"), "f", (Var("b"), Var("c"))), App("g", Var("d"), (IntLit(1),))),
+    CtrCall("C", (New("D", (Var("e"),)), BoolLit(True))),
+    Obj("E", (IntLit(2), Obj("F", ()))),
+)
+
+
+def test_children_lists_immediate_subexpressions_left_to_right():
+    sel, app = ALL_FORMS.cond.lhs, ALL_FORMS.cond.rhs
+    assert children(ALL_FORMS) == (ALL_FORMS.cond, ALL_FORMS.then, ALL_FORMS.els)
+    assert children(ALL_FORMS.cond) == (sel, app)
+    assert children(sel) == (Var("a"), Var("b"), Var("c"))
+    assert children(app) == (Var("d"), IntLit(1))
+    assert children(ALL_FORMS.then) == (New("D", (Var("e"),)), BoolLit(True))
+    assert children(ALL_FORMS.els) == (IntLit(2), Obj("F", ()))
+    for leaf in (Var("x"), IntLit(0), BoolLit(False), Obj("F", ()), CtrCall("G", ())):
+        assert children(leaf) == ()
+
+
+def test_with_children_rebuilds_every_form():
+    for e in walk(ALL_FORMS):
+        assert with_children(e, children(e)) == e
+        kids = tuple(Var(f"k{i}") for i in range(len(children(e))))
+        rebuilt = with_children(e, kids)
+        assert type(rebuilt) is type(e) and children(rebuilt) == kids
+
+
+def test_walk_is_pre_order():
+    names = [e.name for e in walk(ALL_FORMS) if isinstance(e, Var)]
+    assert names == ["a", "b", "c", "d", "e"]
+    assert next(walk(ALL_FORMS)) is ALL_FORMS
+    assert [type(e).__name__ for e in walk(ALL_FORMS)] == [
+        "If", "PrimOp", "Sel", "Var", "Var", "Var", "App", "Var", "IntLit",
+        "CtrCall", "New", "Var", "BoolLit", "Obj", "IntLit", "Obj",
+    ]  # fmt: skip
+
+
+def test_rewrite_first_replaces_only_the_first_match_in_pre_order():
+    def bump(e):
+        return IntLit(e.value + 10) if isinstance(e, IntLit) else None
+
+    once = rewrite_first(ALL_FORMS, bump)
+    assert once.cond.rhs.args == (IntLit(11),)  # the 1 inside the call, not the 2 after it
+    assert once.els == ALL_FORMS.els and once.then is ALL_FORMS.then
+    assert rewrite_first(ALL_FORMS, lambda e: Var("z") if e == ALL_FORMS else None) == Var("z")
+    assert rewrite_first(ALL_FORMS, lambda e: None) is None
+
+
+def deep(depth):
+    """A chain of every compound form, ``depth`` nodes deep, built without recursion."""
+    e = PrimOp("+", Var("x"), Obj("Z", ()))
+    for i in range(depth):
+        match i % 6:
+            case 0:
+                e = PrimOp("-", IntLit(i), e)
+            case 1:
+                e = If(BoolLit(True), e, IntLit(0))
+            case 2:
+                e = Sel(e, "f", (IntLit(i),))
+            case 3:
+                e = App("g", IntLit(i), (e,))
+            case 4:
+                e = CtrCall("C", (e,))
+            case 5:
+                e = New("D", (IntLit(i), e))
+    return e
+
+
+def test_traversals_do_not_recurse_on_deep_expressions():
+    e = deep(100_000)
+    assert free_vars(e) == {"x"}
+    assert contains_obj(e)
+    assert sum(1 for _ in walk(e)) > 100_000
+    minus_one = rewrite_first(e, lambda x: IntLit(-1) if x == Var("x") else None)
+    assert not free_vars(minus_one) and contains_obj(minus_one)
