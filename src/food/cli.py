@@ -17,10 +17,10 @@ from . import __version__
 from .context import preprocess, restrict
 from .diagnostics import FoodError
 from .fuzz import GenConfig, run_properties
-from .interp import Done, FuelExhausted, Stuck, eval_program, format_value, run
+from .interp import Done, FuelExhausted, Stuck, _machine, _plug_all, eval_program, format_value
 from .parser import parse
 from .pretty import pretty, pretty_expr
-from .syntax import Expr, Program, canonicalize, desugar
+from .syntax import Program, canonicalize, desugar
 from .transform import transform
 from .wellformed import check
 
@@ -162,10 +162,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     program = _checked(args.file)
-    # print each state as run yields it and keep none: a state is O(depth)
-    for i, out in enumerate(run(program.main, preprocess(program), _fuel(args))):
-        if isinstance(out, Expr) and (args.limit is None or i < args.limit):
-            print(f"{i:4}  {pretty_expr(out, runtime=True)}")
+    # print each state as the machine reaches it and keep none: a state is
+    # O(depth), so only the states printed are plugged into whole terms
+    for i, out in enumerate(_machine(program.main, preprocess(program), _fuel(args))):
+        if isinstance(out, tuple) and (args.limit is None or i < args.limit):
+            print(f"{i:4}  {pretty_expr(_plug_all(*out), runtime=True)}")
     match out:
         case Done(value):
             print(f"   => {format_value(value)}")
@@ -243,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Failure as exc:
         print(exc.message, file=sys.stderr)
         return 1
-    except RecursionError:  # the parser, checker and printer recurse on nesting
+    except RecursionError:  # the checker, the transformation and the printer recurse on nesting
         print(f"{getattr(args, 'file', args.command)}: input nested too deeply", file=sys.stderr)
         return 1
 

@@ -1,16 +1,31 @@
-"""Recursive-descent parser for the FOOD concrete syntax.
+"""Parser for the FOOD concrete syntax.
 
-The lexer is one compiled regular expression with an alternative per token
-class; each token's line and column come from the offsets of the newlines
-before it.  Positions are 1-based.  Error recovery is per definition: after a
-syntax error the parser skips to the next top-level definition keyword and
-keeps going, so one bad definition yields one diagnostic.
+The lexer is one ``findall`` pass of a compiled regular expression.  Each
+match is a token and the whitespace and comments (the gap) before it; tokens
+carry no position.  A token's line and column are worked out from the gap
+and text lengths only where one is needed, for a diagnostic or a
+definition's position, through a cursor that moves forward, so a whole parse
+stays linear.  Positions are 1-based.
+
+Definitions are parsed by recursive descent, which nests only a fixed few
+calls deep.  Expressions are parsed in one loop over an explicit stack of
+frames (parentheses, argument lists, consumer receivers, the parts of an
+if), each expression keeping its operands and operators on two lists
+reduced by precedence (Pratt, "Top Down Operator Precedence", 1973).  The
+loop is the recursive descent with its continuations defunctionalized, so
+nesting depth costs heap, not Python frames.
+
+Error recovery is per definition: after a syntax error the parser skips to
+the next top-level definition keyword and keeps going, so one bad definition
+yields one diagnostic.  The tests compare this module against two oracles:
+the character-at-a-time lexer ``tests/reference_lexer.py`` and the
+recursive-descent parser ``tests/reference_parser.py``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial
 
 from .diagnostics import Diagnostic, ParseError
 from .syntax import (
@@ -65,46 +80,63 @@ _INT64_MAX = 2**63 - 1
 
 _SYMBOLS = ["=>", "==", "<=", "&&", "||", "(", ")", "{", "}", ":", ",", ";", ".", "=", "<", "+", "-", "*", "_"]
 
-# One alternative per token class, tried in order.  Integers are ASCII digits
-# only: \d would also accept other decimal digits, such as '٣'.  \s is
-# exactly str.isspace and \w exactly str.isalnum or '_'.  A lone underscore
-# is the wildcard symbol, so an identifier starts with a letter.
+# One match per token: (gap, int, ident, sym, bad).  The gap is the whitespace
+# and comments before the token; at the end of the source every token group is
+# empty.  Integers are ASCII digits only: \d would also accept other decimal
+# digits, such as '٣'.  \s is exactly str.isspace and \w exactly str.isalnum
+# or '_'.  A lone underscore is the wildcard symbol, so an identifier starts
+# with a letter.  After the gap one alternative always matches, so the gap is
+# never backtracked into.
 _TOKEN = re.compile(
-    r"(?P<skip>\s+|//[^\n]*)|(?P<int>[0-9]+)|(?P<ident>[^\W\d_]\w*)|(?P<sym>"
+    r"((?:\s+|//[^\n]*)*)(?:([0-9]+)|([^\W\d_]\w*)|("
     + "|".join(map(re.escape, _SYMBOLS))
-    + ")"
+    + r")|(.)|\Z)",
+    re.S,
 )
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # "ident", "int", "kw", or the symbol itself
-    text: str
-    line: int
-    column: int
+def _line_start(src: str, begin: int, end: int, line: int, start: int) -> tuple[int, int]:
+    """The line of ``end``, and the offset where it starts, from those of ``begin``."""
+    newlines = src.count("\n", begin, end)
+    if newlines:
+        return line + newlines, src.rindex("\n", begin, end) + 1
+    return line, start
 
 
-def _tokens(src: str) -> list[Token]:
-    out: list[Token] = []
-    pos = 0
-    line, line_start = 1, 0  # the line of pos, and the offset where it starts
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        col = pos - line_start + 1
-        # [^\W\d_] also accepts characters such as '²' that are not letters
-        if m is None or m.lastgroup == "ident" and not src[pos].isalpha():
-            raise ParseError([Diagnostic(f"unexpected character {src[pos]!r}", line, col)])
-        kind, text, pos = m.lastgroup, m.group(), m.end()
-        if kind == "skip":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = src.rindex("\n", 0, pos) + 1
-        elif kind == "ident":
-            out.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
+def _tokens(src: str) -> tuple[list[str], list[str], list[str]]:
+    """The kinds, texts and gaps of the tokens of ``src``, ending with "eof".
+
+    A kind is "ident", "int", "kw" or the symbol itself.  Tokens carry no
+    position: a token's offset is the length of every gap and text before it
+    plus its own gap.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    gaps: list[str] = []
+    for gap, num, name, sym, bad in _TOKEN.findall(src):
+        gaps.append(gap)
+        if sym:
+            kinds.append(sym)
+            texts.append(sym)
+        elif name:
+            # [^\W\d_] also accepts characters such as '²' that are not letters
+            if not name[0].isalpha():
+                bad = name[0]
+                break
+            kinds.append("kw" if name in KEYWORDS else "ident")
+            texts.append(name)
+        elif num:
+            kinds.append("int")
+            texts.append(num)
         else:
-            out.append(Token(text if kind == "sym" else kind, text, line, col))
-    out.append(Token("eof", "", line, pos - line_start + 1))
-    return out
+            break
+    if bad:
+        offset = sum(map(len, gaps)) + sum(map(len, texts))
+        line, start = _line_start(src, 0, offset, 1, 0)
+        raise ParseError([Diagnostic(f"unexpected character {bad!r}", line, offset - start + 1)])
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts, gaps
 
 
 class _Fail(Exception):
@@ -112,36 +144,71 @@ class _Fail(Exception):
         self.diagnostic = diagnostic
 
 
+# Binding strength of the binary operators; every level is left-associative.
+_PREC = {"||": 1, "&&": 2, "==": 3, "<=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
+
+# The frames of the expression loop, each waiting for one expression:
+#   (_PAREN, vals, ops)             the inside of ( ... )
+#   (_ARG, vals, ops, make, args)   the next argument; make(tuple(args)) builds the node
+#   (_RECV, vals, ops, name)        the receiver of the consumer application name(...)
+#   (_COND, vals, ops)              the condition of an if
+#   (_THEN, vals, ops, cond)        its then branch
+#   (_ELSE, vals, ops, cond, then)  its else branch
+# vals and ops are the operands and operators of the enclosing expression.
+_PAREN, _ARG, _RECV, _COND, _THEN, _ELSE = range(6)
+
+_INT64_DIGITS = len(str(_INT64_MAX))
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, source: str):
+        self.src = source
+        self.kinds, self.texts, self.gaps = _tokens(source)
         self.i = 0
         self.diags: list[Diagnostic] = []
+        first = len(self.gaps[0])
+        # (token, its offset, its line, the offset where that line starts)
+        self._first = (0, first, *_line_start(source, 0, first, 1, 0))
+        self._cursor = self._first
 
     # -- token helpers
 
-    def peek(self) -> Token:
-        return self.toks[self.i]  # next() never advances past eof
+    def where(self, j: int) -> tuple[int, int]:
+        """The line and column of token j.
 
-    def next(self) -> Token:
-        t = self.peek()
-        if t.kind != "eof":
-            self.i += 1
-        return t
+        The cursor moves forward from the last query, so the positions of a
+        whole parse cost O(n) in total."""
+        k, offset, line, start = self._cursor if self._cursor[0] <= j else self._first
+        end = offset + sum(map(len, self.texts[k:j])) + sum(map(len, self.gaps[k + 1 : j + 1]))
+        line, start = _line_start(self.src, offset, end, line, start)
+        self._cursor = (j, end, line, start)
+        return line, end - start + 1
+
+    def next(self) -> int:
+        """Consume the current token, unless it is eof, and return its index."""
+        i = self.i
+        if self.kinds[i] != "eof":
+            self.i = i + 1
+        return i
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+        i = self.i
+        return self.kinds[i] == kind and (text is None or self.texts[i] == text)
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise _Fail(Diagnostic(f"expected {what or kind}, found {t.text or 'end of input'!r}", t.line, t.column))
-        return self.next()
+    def expected(self, what: str) -> _Fail:
+        return self.fail(f"expected {what}, found {self.texts[self.i] or 'end of input'!r}")
 
-    def fail(self, message: str, tok: Token | None = None) -> _Fail:
-        t = tok or self.peek()
-        return _Fail(Diagnostic(message, t.line, t.column))
+    def expect(self, kind: str, what: str | None = None) -> int:
+        """Consume a token of ``kind`` (never eof) and return its index."""
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.expected(what or kind)
+        self.i = i + 1
+        return i
+
+    def fail(self, message: str, j: int | None = None) -> _Fail:
+        """The error at token j, by default the current one."""
+        return _Fail(Diagnostic(message, *self.where(self.i if j is None else j)))
 
     def skip_separators(self) -> None:
         while self.at(";"):
@@ -151,37 +218,47 @@ class _Parser:
 
     def upper_ident(self, what: str) -> str:
         t = self.expect("ident", what)
-        if not t.text[0].isupper():
+        text = self.texts[t]
+        if not text[0].isupper():
             raise self.fail(f"{what} must start with an uppercase letter", t)
-        if t.text in ("Int", "Bool"):
-            raise self.fail(f"{t.text} is a reserved type name", t)
-        return t.text
+        if text in ("Int", "Bool"):
+            raise self.fail(f"{text} is a reserved type name", t)
+        return text
 
     def lower_ident(self, what: str) -> str:
         t = self.expect("ident", what)
-        if not t.text[0].islower():
+        text = self.texts[t]
+        if not text[0].islower():
             raise self.fail(f"{what} must start with a lowercase letter", t)
-        return t.text
+        return text
 
     def binder(self, what: str) -> str:
         t = self.expect("ident", what)
-        if t.text in RESERVED_BINDERS:
-            raise self.fail(f"{t.text!r} is reserved and cannot be declared", t)
-        if not t.text[0].islower():
+        text = self.texts[t]
+        if text in RESERVED_BINDERS:
+            raise self.fail(f"{text!r} is reserved and cannot be declared", t)
+        if not text[0].islower():
             raise self.fail(f"{what} must start with a lowercase letter", t)
-        return t.text
+        return text
+
+    def keyword(self, text: str) -> None:
+        """Consume the keyword ``text``; any other keyword is consumed too before the error."""
+        kw = self.expect("kw", f"{text!r}")
+        if self.texts[kw] != text:
+            raise self.fail(f"expected {text!r}", kw)
 
     # -- types
 
     def type_(self) -> Type:
         t = self.expect("ident", "a type name")
-        if t.text == "Int":
+        text = self.texts[t]
+        if text == "Int":
             return INT
-        if t.text == "Bool":
+        if text == "Bool":
             return BOOL
-        if not t.text[0].isupper():
+        if not text[0].isupper():
             raise self.fail("type name must start with an uppercase letter", t)
-        return Named(t.text)
+        return Named(text)
 
     # -- parameter lists
 
@@ -204,7 +281,7 @@ class _Parser:
         main: Expr | None = None
         self.skip_separators()
         while not self.at("eof"):
-            if self.peek().kind == "kw" and self.peek().text in DEF_KEYWORDS:
+            if self.at("kw") and self.texts[self.i] in DEF_KEYWORDS:
                 try:
                     defs.append(self.definition())
                 except _Fail as f:
@@ -215,8 +292,7 @@ class _Parser:
                     main = self.expr()
                     self.skip_separators()
                     if not self.at("eof"):
-                        t = self.peek()
-                        raise self.fail(f"unexpected {t.text!r} after the main expression", t)
+                        raise self.fail(f"unexpected {self.texts[self.i]!r} after the main expression")
                 except _Fail as f:
                     self.diags.append(f.diagnostic)
                 break
@@ -224,29 +300,28 @@ class _Parser:
         if self.diags:
             raise ParseError(self.diags)
         if main is None:
-            t = self.peek()
-            raise ParseError([Diagnostic("program must end with a main expression", t.line, t.column)])
+            raise ParseError([Diagnostic("program must end with a main expression", *self.where(self.i))])
         return Program(tuple(defs), main)
 
     def recover(self) -> None:
         depth = 0
         while not self.at("eof"):
-            t = self.peek()
-            if t.kind == "{":
+            kind = self.kinds[self.i]
+            if kind == "{":
                 depth += 1
-            elif t.kind == "}":
+            elif kind == "}":
                 depth = max(0, depth - 1)
-            elif depth == 0 and t.kind == "kw" and t.text in DEF_KEYWORDS:
+            elif depth == 0 and kind == "kw" and self.texts[self.i] in DEF_KEYWORDS:
                 return
             self.next()
 
     def definition(self) -> Def:
-        t = self.peek()
-        pos = (t.line, t.column)
-        if t.text == "data":
+        text = self.texts[self.i]
+        pos = self.where(self.i)
+        if text == "data":
             self.next()
             return Datatype(self.upper_ident("datatype name"), pos=pos)
-        if t.text == "interface":
+        if text == "interface":
             self.next()
             name = self.upper_ident("interface name")
             self.expect("{")
@@ -256,21 +331,17 @@ class _Parser:
                 self.skip_separators()
             self.expect("}")
             return Interface(name, tuple(dtrs), pos=pos)
-        if t.text == "case":
+        if text == "case":
             self.next()
             name = self.upper_ident("constructor name")
             fields = self.params()
-            kw = self.expect("kw", "'extends'")
-            if kw.text != "extends":
-                raise self.fail("expected 'extends'", kw)
+            self.keyword("extends")
             return Constructor(name, fields, self.upper_ident("datatype name"), pos=pos)
-        if t.text == "class":
+        if text == "class":
             self.next()
             name = self.upper_ident("class name")
             fields = self.params()
-            kw = self.expect("kw", "'implements'")
-            if kw.text != "implements":
-                raise self.fail("expected 'implements'", kw)
+            self.keyword("implements")
             parent = self.upper_ident("interface name")
             self.expect("{")
             funs = []
@@ -279,15 +350,11 @@ class _Parser:
                 self.skip_separators()
             self.expect("}")
             return Generator(name, fields, parent, tuple(funs), pos=pos)
-        if t.text == "def":
-            self.next()
-            return self.consumer(pos)
-        raise self.fail(f"expected a definition, found {t.text!r}", t)
+        self.next()  # def: the caller saw a definition keyword
+        return self.consumer(pos)
 
     def dtr(self, body_required: bool) -> Dtr:
-        kw = self.expect("kw", "'def'")
-        if kw.text != "def":
-            raise self.fail("expected 'def'", kw)
+        self.keyword("def")
         name = self.lower_ident("method name")
         params = self.params()
         self.expect(":")
@@ -304,7 +371,7 @@ class _Parser:
         name = self.lower_ident("consumer name")
         self.expect("(")
         first = self.expect("ident", "'self'")
-        if first.text != "self":
+        if self.texts[first] != "self":
             raise self.fail("the first parameter of a consumer must be 'self'", first)
         self.expect(":")
         self_type = self.upper_ident("datatype name")
@@ -327,9 +394,7 @@ class _Parser:
         return Consumer(name, self_type, params, ret, body=self.expr(), pos=pos)
 
     def clause(self) -> Clause:
-        kw = self.expect("kw", "'case'")
-        if kw.text != "case":
-            raise self.fail("expected 'case'", kw)
+        self.keyword("case")
         if self.at("_"):
             self.next()
             pattern = WILDCARD
@@ -349,92 +414,158 @@ class _Parser:
     # -- expressions
 
     def expr(self) -> Expr:
-        if self.at("kw", "if"):
-            self.next()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
-            then = self.expr()
-            kw = self.expect("kw", "'else'")
-            if kw.text != "else":
-                raise self.fail("expected 'else'", kw)
-            return If(cond, then, self.expr())
-        return self.binary(1)
+        """One expression, parsed in a loop over an explicit stack of frames.
 
-    _BINARY = {1: ("||",), 2: ("&&",), 3: ("==", "<=", "<"), 4: ("+", "-"), 5: ("*",)}
-
-    def binary(self, level: int) -> Expr:
-        if level > 5:
-            return self.postfix()
-        e = self.binary(level + 1)
-        while self.peek().kind in self._BINARY[level]:
-            op = self.next().text
-            e = PrimOp(op, e, self.binary(level + 1))
-        return e
-
-    def postfix(self) -> Expr:
-        e = self.primary()
-        while self.at("."):
-            self.next()
-            name = self.lower_ident("method name")
-            e = Sel(e, name, self.arg_list())
-        return e
-
-    def arg_list(self) -> tuple[Expr, ...]:
-        self.expect("(")
-        args: list[Expr] = []
-        while not self.at(")"):
-            if args:
-                self.expect(",")
-            args.append(self.expr())
-        self.expect(")")
-        return tuple(args)
-
-    def primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            digits = t.text.lstrip("0") or "0"
-            # source literals are never negative, so only the upper bound applies
-            if len(digits) > len(str(_INT64_MAX)) or int(digits) > _INT64_MAX:
-                raise self.fail("integer literal does not fit in 64 bits", t)
-            return IntLit(int(digits))
-        if t.kind == "kw" and t.text in ("true", "false"):
-            self.next()
-            return BoolLit(t.text == "true")
-        if t.kind == "(":
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        if t.kind == "kw" and t.text == "new":
-            self.next()
-            name = self.upper_ident("class name")
-            return New(name, self.arg_list())
-        if t.kind == "ident":
-            if t.text[0].isupper():
-                if t.text in ("Int", "Bool"):
-                    raise self.fail(f"{t.text} is a type, not an expression", t)
-                self.next()
-                return CtrCall(t.text, self.arg_list())
-            self.next()
-            if self.at("("):
-                if t.text in RESERVED_BINDERS:
-                    raise self.fail(f"{t.text!r} cannot be applied", t)
-                self.expect("(")
-                recv = self.expr()
-                close = self.expect(")")
-                args: tuple[Expr, ...] = ()
-                # the second argument list must open on the same line; this
-                # keeps a following parenthesized expression from being
-                # swallowed as extra arguments
-                if self.at("(") and self.peek().line == close.line:
-                    args = self.arg_list()
-                return App(t.text, recv, args)
-            return Var(t.text)
-        raise self.fail(f"expected an expression, found {t.text or 'end of input'!r}", t)
+        This is the recursive descent expr -> binary(1..5) -> postfix ->
+        primary with its continuations made data: each construct that waits
+        for an inner expression pushes a frame, and each expression keeps its
+        operands and operators in two lists, reduced by precedence.  So an
+        atom costs one step of the loop and nesting costs no Python frames.
+        On an error, self.i is where the recursive descent would have been.
+        """
+        kinds, texts = self.kinds, self.texts
+        i = self.i
+        stack: list[tuple] = []
+        vals: list[Expr] = []  # the operands before atom, and
+        ops: list[str] = []  # the operators between them, in rising precedence
+        atom: Expr | None = None
+        make = None  # set where an argument list opens: it builds the node
+        while True:
+            if make is not None:
+                if kinds[i] != "(":
+                    self.i = i
+                    raise self.expected("(")
+                i += 1
+                if kinds[i] == ")":
+                    atom = make(())
+                    i += 1
+                else:
+                    stack.append((_ARG, vals, ops, make, []))
+                    vals, ops = [], []
+                make = None
+            if atom is None:  # at the start of an operand
+                k = kinds[i]
+                if k == "ident":
+                    name = texts[i]
+                    i += 1
+                    if name[0].isupper():
+                        if name in ("Int", "Bool"):
+                            self.i = i - 1
+                            raise self.fail(f"{name} is a type, not an expression")
+                        make = partial(CtrCall, name)
+                        continue
+                    if kinds[i] == "(":
+                        if name in RESERVED_BINDERS:
+                            self.i = i
+                            raise self.fail(f"{name!r} cannot be applied", i - 1)
+                        stack.append((_RECV, vals, ops, name))
+                        vals, ops = [], []
+                        i += 1
+                        continue
+                    atom = Var(name)
+                elif k == "(":
+                    stack.append((_PAREN, vals, ops))
+                    vals, ops = [], []
+                    i += 1
+                    continue
+                elif k == "int":
+                    digits = texts[i].lstrip("0") or "0"
+                    i += 1
+                    # source literals are never negative, so only the upper bound applies
+                    if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
+                        self.i = i
+                        raise self.fail("integer literal does not fit in 64 bits", i - 1)
+                    atom = IntLit(int(digits))
+                elif k == "kw" and texts[i] in ("true", "false"):
+                    atom = BoolLit(texts[i] == "true")
+                    i += 1
+                elif k == "kw" and texts[i] == "new":
+                    self.i = i + 1
+                    make = partial(New, self.upper_ident("class name"))
+                    i = self.i
+                    continue
+                elif k == "kw" and texts[i] == "if" and not vals:  # if starts an expression
+                    self.i = i + 1
+                    self.expect("(")
+                    i = self.i
+                    stack.append((_COND, vals, ops))
+                    vals, ops = [], []
+                    continue
+                else:
+                    self.i = i
+                    raise self.expected("an expression")
+            else:  # after an operand
+                k = kinds[i]
+                if k == ".":
+                    self.i = i + 1
+                    make = partial(Sel, atom, self.lower_ident("method name"))
+                    i = self.i
+                    atom = None
+                    continue
+                prec = _PREC.get(k)
+                if prec:
+                    while ops and _PREC[ops[-1]] >= prec:
+                        atom = PrimOp(ops.pop(), vals.pop(), atom)
+                    vals.append(atom)
+                    ops.append(k)
+                    atom = None
+                    i += 1
+                    continue
+                # the expression ends: reduce it, and hand it to the frame below
+                while ops:
+                    atom = PrimOp(ops.pop(), vals.pop(), atom)
+                if not stack:
+                    self.i = i
+                    return atom
+                frame = stack.pop()
+                tag = frame[0]
+                if tag is _ARG:
+                    frame[4].append(atom)
+                    if k == ",":
+                        stack.append(frame)
+                        vals, ops = [], []
+                        atom = None
+                        i += 1
+                        continue
+                    if k != ")":
+                        self.i = i
+                        raise self.expected(",")
+                    vals, ops = frame[1], frame[2]
+                    atom = frame[3](tuple(frame[4]))
+                    i += 1
+                    continue
+                if tag is _THEN:
+                    self.i = i
+                    self.keyword("else")
+                    i = self.i
+                    stack.append((_ELSE, frame[1], frame[2], frame[3], atom))
+                    vals, ops, atom = [], [], None
+                    continue
+                if tag is _ELSE:  # the if is the whole expression, so nothing can follow it
+                    vals, ops = frame[1], frame[2]
+                    atom = If(frame[3], frame[4], atom)
+                    continue
+                # the other frames wait for a closing parenthesis
+                if k != ")":
+                    self.i = i
+                    raise self.expected(")")
+                i += 1
+                if tag is _COND:
+                    stack.append((_THEN, frame[1], frame[2], atom))
+                    vals, ops, atom = [], [], None
+                    continue
+                vals, ops = frame[1], frame[2]
+                # the second argument list of an application must open on the
+                # same line; this keeps a following parenthesized expression
+                # from being swallowed as extra arguments
+                if tag is _RECV and kinds[i] == "(" and "\n" not in self.gaps[i]:
+                    make = partial(App, frame[3], atom)
+                    atom = None
+                elif tag is _RECV:
+                    atom = App(frame[3], atom, ())
+                # a parenthesized expression is an operand of the one around it
 
 
 def parse(source: str) -> Program:
     """Parse FOOD source text; raises ParseError carrying all diagnostics."""
-    return _Parser(_tokens(source)).program()
+    return _Parser(source).program()

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from conftest import CORPUS, eval_source
 
+from food import cli, interp
 from food.cli import main
 
 
@@ -128,12 +129,33 @@ def test_trace_keeps_no_states(capsys, tmp_path):
     assert peak < 4_000_000
 
 
+def test_trace_plugs_only_the_states_it_prints(capsys, tmp_path, monkeypatch):
+    # a state is O(depth) to plug; the outcome line needs the run's end, not its states
+    plugged = []
+    interp_plug_all = interp._plug_all
+
+    def plug_all(e, frames):
+        plugged.append(e)
+        return interp_plug_all(e, frames)
+
+    monkeypatch.setattr(interp, "_plug_all", plug_all)
+    monkeypatch.setattr(cli, "_plug_all", plug_all)
+    src = tmp_path / "peano.food"
+    src.write_text(eval_source("peano_fp", 600))
+    code, out, err = run(capsys, "trace", str(src), "--limit", "1")
+    assert (code, out, err) == (0, "   0  count(build(Z())(600))\n   => 600\n", "")
+    assert len(plugged) <= 1
+
+
 @pytest.mark.parametrize("command", ["check", "ctx", "transform", "roundtrip", "eval", "trace"])
 def test_deeply_nested_input_is_a_diagnostic(capsys, tmp_path, command):
     source = tmp_path / "deep.food"
     source.write_text("1 + (" * 3000 + "1" + ")" * 3000 + "\n")
     code, out, err = run(capsys, command, str(source))
-    assert (code, out, err) == (1, "", f"{source}: input nested too deeply\n")
+    if command == "ctx":  # the parser takes any depth, and ctx never walks the main expression
+        assert (code, out, err) == (0, "dt: -\nit: -\n", "")
+    else:
+        assert (code, out, err) == (1, "", f"{source}: input nested too deeply\n")
 
 
 def test_trace_of_a_deep_state_is_a_diagnostic(capsys, tmp_path):

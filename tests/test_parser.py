@@ -1,14 +1,17 @@
 """Concrete-syntax parsing and diagnostics."""
 
+import functools
+import random
 import sys
 
 import pytest
+import reference_parser
 from conftest import CORPUS, corpus_text
 from reference_lexer import tokens as reference_tokens
 
 from food import ParseError, parse, pretty
 from food.fuzz import GenConfig, gen_program
-from food.parser import _tokens
+from food.parser import _Parser
 from food.syntax import (
     App,
     BoolLit,
@@ -170,19 +173,62 @@ def test_accepted_inputs_carry_no_diagnostics():
 
 
 # ---------------------------------------------------------------------------
-# The regular-expression lexer against the character-at-a-time reference.
+# The findall lexer against the character-at-a-time reference, and the
+# explicit-stack parser against the recursive-descent reference.
 
 
-def lexed(lex, src):
-    """The tokens as plain tuples, or the error's diagnostics."""
+@functools.cache
+def generated_sources() -> tuple[str, ...]:
+    """pretty(gen_program(...)) for seeds 0..1999, in both styles."""
+    return tuple(
+        pretty(gen_program(GenConfig(seed=seed, style_mix=style_mix)))
+        for seed in range(2000)
+        for style_mix in (0.0, 1.0)
+    )
+
+
+def diagnostics(exc):
+    return ("error", [(d.message, d.line, d.column) for d in exc.diagnostics])
+
+
+def lexed(src):
+    """food.parser's tokens as (kind, text, line, column), or the error's diagnostics."""
     try:
-        return [(t.kind, t.text, t.line, t.column) for t in lex(src)]
+        p = _Parser(src)
     except ParseError as exc:
-        return ("error", [(d.message, d.line, d.column) for d in exc.diagnostics])
+        return diagnostics(exc)
+    return [(kind, text, *p.where(j)) for j, (kind, text) in enumerate(zip(p.kinds, p.texts))]
+
+
+def reference_lexed(src):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in reference_tokens(src)]
+    except ParseError as exc:
+        return diagnostics(exc)
 
 
 def assert_lexes_as_reference(src):
-    assert lexed(_tokens, src) == lexed(reference_tokens, src), src
+    assert lexed(src) == reference_lexed(src), src
+
+
+def parsed(parse_fn, src):
+    """The program and its definitions' positions, or the error's diagnostics."""
+    try:
+        p = parse_fn(src)
+    except ParseError as exc:
+        return diagnostics(exc)
+    return p, [d.pos for d in p.defs]
+
+
+def assert_parses_as_reference(src):
+    """Compare with the reference; False, with nothing compared, where the
+    reference runs out of recursion depth."""
+    try:
+        expected = parsed(reference_parser.parse, src)
+    except RecursionError:
+        return False
+    assert parsed(parse, src) == expected, src
+    return True
 
 
 def test_lexer_matches_reference_on_corpus():
@@ -191,9 +237,8 @@ def test_lexer_matches_reference_on_corpus():
 
 
 def test_lexer_matches_reference_on_generated_programs():
-    for seed in range(500):
-        for style_mix in (0.0, 1.0):
-            assert_lexes_as_reference(pretty(gen_program(GenConfig(seed=seed, style_mix=style_mix))))
+    for src in generated_sources()[:1000]:
+        assert_lexes_as_reference(src)
 
 
 HOSTILE_SOURCES = [
@@ -227,6 +272,48 @@ HOSTILE_SOURCES = [
 @pytest.mark.parametrize("src", HOSTILE_SOURCES)
 def test_lexer_matches_reference_on_hostile_input(src):
     assert_lexes_as_reference(src)
+
+
+def test_parser_matches_reference_on_corpus():
+    for path in sorted(CORPUS.glob("*.food")):
+        assert assert_parses_as_reference(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "src",
+    HOSTILE_SOURCES
+    + ["f(a,)", "f(x)\n(1)", "1 + if (a) 1 else 2", "if (a) 1 else 2 + 3"]
+    + ["1 + Int", "this(x)", "new s()", "x.G()", "(1", "f(x", "f(x)(1", "if x", "a < b < c", "x.f(1 2)"]
+    + ["def f(self: D)(): Int = if (a) 1 case 1\nx", "data D; case C(x: Int) extends D\nC(1).x"],
+)
+def test_parser_matches_reference_on_hostile_input(src):
+    assert assert_parses_as_reference(src)
+
+
+def test_parser_matches_reference_on_generated_programs():
+    for src in generated_sources():
+        assert assert_parses_as_reference(src)
+
+
+# the characters an edit inserts: some of every token kind, and those of the
+# keywords that open expressions
+MUTANT_ALPHABET = "(),.=+*<-_;{}:x1 \nif else new S"
+
+
+def mutant(src: str, seed: int) -> str:
+    """src after one to three single-character deletions, insertions or replacements."""
+    rng = random.Random(seed)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(src) + 1)
+        c = rng.choice(MUTANT_ALPHABET)
+        src = rng.choice((src[:at] + src[at + 1 :], src[:at] + c + src[at:], src[:at] + c + src[at + 1 :]))
+    return src
+
+
+def test_parser_matches_reference_on_mutants():
+    sources = generated_sources()
+    checked = sum(assert_parses_as_reference(mutant(sources[seed % len(sources)], seed)) for seed in range(5000))
+    assert checked >= 4990
 
 
 def test_lexer_matches_reference_on_every_word_or_space_character():

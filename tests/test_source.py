@@ -23,3 +23,32 @@ def test_no_function_level_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert len(SOURCES) >= 10 and found == []
+
+
+def test_no_recursion_limit_or_stack_size_changes():
+    # a higher limit turns RecursionError into a crash in the C-level
+    # recursion of dataclass ==, hash and repr; depth is handled with
+    # explicit stacks instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("setrecursionlimit", "stack_size")
+        or isinstance(node, ast.alias)
+        and node.name in ("setrecursionlimit", "stack_size")
+    ]
+    assert found == []
+
+
+def test_parser_imports_nothing_from_the_tests():
+    # the test oracles (reference_lexer, reference_parser) stay test-only
+    test_modules = {p.stem for p in pathlib.Path(__file__).parent.glob("*.py")} | {"tests"}
+    parser = pathlib.Path(food.__file__).parent / "parser.py"
+    imported = set()
+    for node in ast.walk(ast.parse(parser.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "re" in imported and imported.isdisjoint(test_modules)
