@@ -71,14 +71,17 @@ def _fuel(args: argparse.Namespace) -> int:
     env = os.environ.get("FOOD_FUEL")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise _Failure(f"FOOD_FUEL must be an integer, got {env!r}")
+            return _count(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _Failure(f"FOOD_FUEL {exc}")
     return 100_000
 
 
 def _count(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
     return n
@@ -220,18 +223,18 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_roundtrip)
 
     c = with_file("eval", "evaluate the main expression")
-    c.add_argument("--fuel", type=int, help="step budget (default: FOOD_FUEL or 100000)")
+    c.add_argument("--fuel", type=_count, help="step budget (default: FOOD_FUEL or 100000)")
     c.set_defaults(fn=_cmd_eval)
 
     c = with_file("trace", "print the step sequence")
-    c.add_argument("--fuel", type=int, help="step budget (default: FOOD_FUEL or 100000)")
+    c.add_argument("--fuel", type=_count, help="step budget (default: FOOD_FUEL or 100000)")
     c.add_argument("--limit", type=_count, help="print at most this many steps")
     c.set_defaults(fn=_cmd_trace)
 
     c = sub.add_parser("fuzz", help="generate programs and run the property battery")
-    c.add_argument("--trials", type=int, default=100)
+    c.add_argument("--trials", type=_count, default=100)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--fuel", type=int, help="step budget (default: FOOD_FUEL or 100000)")
+    c.add_argument("--fuel", type=_count, help="step budget (default: FOOD_FUEL or 100000)")
     c.add_argument("--diverge-prob", type=float, default=0.01)
     c.set_defaults(fn=_cmd_fuzz)
     return p

@@ -148,23 +148,18 @@ def preprocess(program: Program) -> GlobalCtx:
                     continue
                 dtr[d.name].append(m.name)
                 dtr_sig[(m.name, d.name)] = Arrow(tuple(p.type for p in m.params), m.ret)
-        elif isinstance(d, Constructor):
+        elif isinstance(d, (Constructor, Generator)):
             declare(d.name, d)
-            if d.parent not in dt:
-                diags.append(
-                    Diagnostic(f"constructor {d.name} extends {d.parent}, which is not a declared datatype", line, col)
+            fp = isinstance(d, Constructor)
+            if d.parent not in (dt if fp else it):
+                message = (
+                    f"constructor {d.name} extends {d.parent}, which is not a declared datatype"
+                    if fp
+                    else f"class {d.name} implements {d.parent}, which is not a declared interface"
                 )
+                diags.append(Diagnostic(message, line, col))
                 continue
-            ctr[d.parent].append(d.name)
-            sig[d.name] = Arrow(tuple(f.type for f in d.fields), Named(d.parent))
-        elif isinstance(d, Generator):
-            declare(d.name, d)
-            if d.parent not in it:
-                diags.append(
-                    Diagnostic(f"class {d.name} implements {d.parent}, which is not a declared interface", line, col)
-                )
-                continue
-            gen[d.parent].append(d.name)
+            (ctr if fp else gen)[d.parent].append(d.name)
             sig[d.name] = Arrow(tuple(f.type for f in d.fields), Named(d.parent))
         elif isinstance(d, Consumer):
             key = (d.name, d.self_type)
@@ -226,18 +221,15 @@ def translate_ctx(ctx: GlobalCtx) -> GlobalCtx:
     """
     sig: dict[DefKey, Arrow] = {}
     dtr_sig: dict[tuple[str, str], Arrow] = {}
-    for key, s in ctx.sig.items():
-        if isinstance(key, tuple) and key[0] in ctx.csm.get(key[1], ()):
-            inner = s.ret
-            assert isinstance(inner, Arrow)
-            dtr_sig[key] = inner
-        else:
-            sig[key] = s
-    for key, s in ctx.dtr_sig.items():
-        if key[0] in ctx.dtr.get(key[1], ()):
-            sig[key] = Arrow((Named(key[1]),), s)
-        else:
-            dtr_sig[key] = s
+    for key, s in (*ctx.sig.items(), *ctx.dtr_sig.items()):
+        in_sig = key in ctx.sig
+        if isinstance(key, tuple) and key[0] in (ctx.csm if in_sig else ctx.dtr).get(key[1], ()):
+            # a translated member swaps maps: a consumer's signature drops its
+            # self type, a destructor's gains it
+            s = s.ret if in_sig else Arrow((Named(key[1]),), s)
+            assert isinstance(s, Arrow)
+            in_sig = not in_sig
+        (sig if in_sig else dtr_sig)[key] = s
     return GlobalCtx(
         dt=ctx.it,
         it=ctx.dt,

@@ -194,8 +194,7 @@ class _Gen:
         model = self.types[0]
         op = _Op(f"f{self.op_counter}", (), INT, has_default=False)
         self.op_counter += 1
-        recv = Var(THIS if model.oo else SELF)
-        body = Sel(recv, op.name, ()) if model.oo else App(op.name, recv, ())
+        body = self.render_call(Var(THIS if model.oo else SELF), model, op, [], 0)
         for ctor, _ in model.ctors:
             op.specific[ctor] = body
         model.ops.append(op)
@@ -448,40 +447,30 @@ def _lookup_duality_failures(
 ) -> list[str]:
     """Check that body lookup commutes with translation for every (f, C)."""
     out = []
-    for d_name in rctx.it:  # destructor before == consumer after
-        for c_name in rctx.gen[d_name]:
-            g = rctx.defs[c_name]
-            for f in rctx.dtr[d_name]:
-                before = dtr_body(f, c_name, rctx)
-                if before is None:
-                    out.append(f"no body for destructor {f} on {c_name}")
-                    continue
-                ys, xs, body = before
-                fields = {p.name: p.type for p in g.fields} if ys else {}
-                params = dict(zip(xs, rctx.dtr_sig[(f, d_name)].params))
-                env = {THIS: Named(d_name), **fields, **params}
-                translated = subst(transform_expr(body, rctx, env)[0], {THIS: Var(SELF)})
-                after = csm_body(f, c_name, ctx2)
-                if after != (ys, xs, translated):
-                    out.append(f"destructor {f} on {c_name} does not survive translation")
-    for d_name in rctx.dt:  # consumer before == destructor after
-        for c_name in rctx.ctr[d_name]:
-            ctor = rctx.defs[c_name]
-            for f in rctx.csm[d_name]:
-                before = csm_body(f, c_name, rctx)
-                if before is None:
-                    out.append(f"no clause covers {c_name} in consumer {f}")
-                    continue
-                ys, xs, body = before
-                fields = {p.name: p.type for p in ctor.fields} if ys else {}
-                sig = rctx.sig[(f, d_name)]
-                assert isinstance(sig.ret, Arrow)
-                params = dict(zip(xs, sig.ret.params))
-                env = {SELF: Named(d_name), **fields, **params}
-                translated = subst(transform_expr(body, rctx, env)[0], {SELF: Var(THIS)})
-                after = dtr_body(f, c_name, ctx2)
-                if after != (ys, xs, translated):
-                    out.append(f"consumer {f} on {c_name} does not survive translation")
+    # destructor before == consumer after, then consumer before == destructor after
+    for oo in (True, False):
+        lookup, lookup_after = (dtr_body, csm_body) if oo else (csm_body, dtr_body)
+        recv, recv_after = (THIS, SELF) if oo else (SELF, THIS)
+        for d_name in rctx.it if oo else rctx.dt:
+            for c_name in (rctx.gen if oo else rctx.ctr)[d_name]:
+                for f in (rctx.dtr if oo else rctx.csm)[d_name]:
+                    before = lookup(f, c_name, rctx)
+                    if before is None:
+                        out.append(
+                            f"no body for destructor {f} on {c_name}"
+                            if oo
+                            else f"no clause covers {c_name} in consumer {f}"
+                        )
+                        continue
+                    ys, xs, body = before
+                    fields = {p.name: p.type for p in rctx.defs[c_name].fields} if ys else {}
+                    sig = rctx.dtr_sig[(f, d_name)] if oo else rctx.sig[(f, d_name)].ret
+                    assert isinstance(sig, Arrow)
+                    env = {recv: Named(d_name), **fields, **dict(zip(xs, sig.params))}
+                    translated = subst(transform_expr(body, rctx, env)[0], {recv: Var(recv_after)})
+                    if lookup_after(f, c_name, ctx2) != (ys, xs, translated):
+                        member = "destructor" if oo else "consumer"
+                        out.append(f"{member} {f} on {c_name} does not survive translation")
     return out
 
 
@@ -630,24 +619,21 @@ def _shrink_candidates(program: Program):
     for i in range(len(program.defs)):
         yield _without_def(program, i)
     for i, d in enumerate(program.defs):
-        if isinstance(d, Consumer) and d.clauses and len(d.clauses) > 1:
-            for j in range(len(d.clauses)):
-                smaller = replace(d, clauses=d.clauses[:j] + d.clauses[j + 1 :])
-                yield Program(program.defs[:i] + (smaller,) + program.defs[i + 1 :], program.main)
-        if isinstance(d, Generator) and d.funs:
-            for j in range(len(d.funs)):
-                smaller = replace(d, funs=d.funs[:j] + d.funs[j + 1 :])
-                yield Program(program.defs[:i] + (smaller,) + program.defs[i + 1 :], program.main)
-        if isinstance(d, Interface) and d.dtrs:
-            for j in range(len(d.dtrs)):
-                gone = d.dtrs[j].name
-                smaller = replace(d, dtrs=d.dtrs[:j] + d.dtrs[j + 1 :])
-                defs = []
-                for other in program.defs[:i] + (smaller,) + program.defs[i + 1 :]:
-                    if isinstance(other, Generator) and other.parent == d.name:
-                        other = replace(other, funs=tuple(f for f in other.funs if f.name != gone))
-                    defs.append(other)
-                yield Program(tuple(defs), program.main)
+        attr = _PARTS.get(type(d))
+        parts = (attr and getattr(d, attr)) or ()
+        if isinstance(d, Consumer) and len(parts) == 1:
+            continue
+        for j, gone in enumerate(parts):
+            smaller = replace(d, **{attr: parts[:j] + parts[j + 1 :]})
+            defs = program.defs[:i] + (smaller,) + program.defs[i + 1 :]
+            if isinstance(d, Interface):  # its classes lose the method with it
+                defs = tuple(
+                    replace(o, funs=tuple(f for f in o.funs if f.name != gone.name))
+                    if isinstance(o, Generator) and o.parent == d.name
+                    else o
+                    for o in defs
+                )
+            yield Program(defs, program.main)
     yield Program(program.defs, IntLit(0))
 
 
@@ -862,14 +848,13 @@ def run_properties(
         seed = _derive_seed(cfg.seed, index)
         program = gen_program(replace(cfg, seed=seed))
         rng = random.Random(_derive_seed(seed, 1))
-        names = tuple(t.name for t in _collect_type_names(program))
-        selected = _choose_selected(names, rng)
+        selected = _choose_selected(_type_names(program), rng)
         failures = tuple(check_properties(program, selected, fuel, mutate))
         witness = ""
         if failures and minimize:
             prop = failures[0].prop
             small = shrink(
-                program, prop, lambda q: check_properties(q, selected & _names_of(q), fuel, mutate)
+                program, prop, lambda q: check_properties(q, selected & set(_type_names(q)), fuel, mutate)
             )
             witness = pretty(small)
         elif failures:
@@ -878,11 +863,6 @@ def run_properties(
     return FuzzReport(tuple(reports))
 
 
-def _collect_type_names(program: Program):
-    for d in program.defs:
-        if isinstance(d, (Datatype, Interface)):
-            yield d
-
-
-def _names_of(program: Program) -> set[str]:
-    return {d.name for d in _collect_type_names(program)}
+def _type_names(program: Program) -> tuple[str, ...]:
+    """The declared type names, in definition order (trial selection samples from it)."""
+    return tuple(d.name for d in program.defs if isinstance(d, (Datatype, Interface)))

@@ -5,6 +5,12 @@ assigned a type, and its translated form depends on whether the types involved
 were selected for transformation.  Selected interfaces become datatypes with
 consumers, selected datatypes become interfaces with generators, and all other
 definitions pass through with only their inner expressions translated.
+
+Each FP⇄OO rule pair is written once: Sel2App/App2Sel and Obj2New/New2Obj are
+one case each of ``transform_expr``, and Csm2Fun/Fun2Csm and Case2Fun/Fun2Case
+are ``_body``.  Dt2It/It2Dt and Ctr2Gen/Gen2Ctr keep one function per source
+form, as member bodies live in consumers on one side and in generators on the
+other.
 """
 
 from __future__ import annotations
@@ -48,9 +54,6 @@ from .syntax import (
     WILDCARD,
 )
 
-_TO_SELF = {THIS: Var(SELF)}
-_TO_THIS = {SELF: Var(THIS)}
-
 _ARITH = {"+", "-", "*"}
 _CMP = {"==", "<=", "<"}
 _LOGIC = {"&&", "||"}
@@ -93,50 +96,36 @@ def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
                     f"{pretty_type(t1)} and {pretty_type(t2)}"
                 )
             return If(cond2, then2, els2), t1
-        case Sel(recv, f, args):
+        case Sel(recv, f, args) | App(f, recv, args):
+            # one rule for both decompositions: a destructor selected, or a consumer applied
+            oo = isinstance(e, Sel)
             recv2, rt = transform_expr(recv, ctx, env)
             if not isinstance(rt, Named):
-                raise _err(f"cannot select {f!r} on a value of type {pretty_type(rt)}")
-            sig = ctx.dtr_sig.get((f, rt.name))
+                call = f"select {f!r} on" if oo else f"apply consumer {f!r} to"
+                raise _err(f"cannot {call} a value of type {pretty_type(rt)}")
+            sig = (ctx.dtr_sig if oo else ctx.sig).get((f, rt.name))
             if sig is None:
-                raise _err(f"type {rt.name} has no destructor {f!r}")
+                raise _err(f"type {rt.name} has no {'destructor' if oo else 'consumer'} {f!r}")
+            if not oo:  # a consumer's signature is D -> (T...) -> T
+                sig = sig.ret
+                assert isinstance(sig, Arrow)
             args2 = _check_args(e, args, sig.params, ctx, env)
-            if f in ctx.dtr.get(rt.name, ()):  # Sel2App
-                return App(f, recv2, args2), sig.ret
-            return Sel(recv2, f, args2), sig.ret
-        case App(f, recv, args):
-            recv2, rt = transform_expr(recv, ctx, env)
-            if not isinstance(rt, Named):
-                raise _err(f"cannot apply consumer {f!r} to a value of type {pretty_type(rt)}")
-            sig = ctx.sig.get((f, rt.name))
-            if sig is None:
-                raise _err(f"type {rt.name} has no consumer {f!r}")
-            inner = sig.ret
-            assert isinstance(inner, Arrow)
-            args2 = _check_args(e, args, inner.params, ctx, env)
-            if f in ctx.csm.get(rt.name, ()):  # App2Sel
-                return Sel(recv2, f, args2), inner.ret
-            return App(f, recv2, args2), inner.ret
-        case CtrCall(c, args):
+            flip = f in (ctx.dtr if oo else ctx.csm).get(rt.name, ())
+            if oo != flip:  # a selection kept, or App2Sel
+                return Sel(recv2, f, args2), sig.ret
+            return App(f, recv2, args2), sig.ret  # an application kept, or Sel2App
+        case CtrCall(c, args) | New(c, args):
+            oo = isinstance(e, New)
             sig = ctx.sig.get(c)
-            if sig is None or not isinstance(ctx.defs.get(c), Constructor):
-                raise _err(f"{c} is not a constructor")
+            if sig is None or not isinstance(ctx.defs.get(c), Generator if oo else Constructor):
+                raise _err(f"{c} is not a {'class' if oo else 'constructor'}")
             args2 = _check_args(e, args, sig.params, ctx, env)
             parent = sig.ret
             assert isinstance(parent, Named)
-            if c in ctx.ctr.get(parent.name, ()):  # Obj2New
+            flip = c in (ctx.gen if oo else ctx.ctr).get(parent.name, ())
+            if oo != flip:  # an instantiation kept, or Obj2New
                 return New(c, args2), parent
-            return CtrCall(c, args2), parent
-        case New(c, args):
-            sig = ctx.sig.get(c)
-            if sig is None or not isinstance(ctx.defs.get(c), Generator):
-                raise _err(f"{c} is not a class")
-            args2 = _check_args(e, args, sig.params, ctx, env)
-            parent = sig.ret
-            assert isinstance(parent, Named)
-            if c in ctx.gen.get(parent.name, ()):  # New2Obj
-                return CtrCall(c, args2), parent
-            return New(c, args2), parent
+            return CtrCall(c, args2), parent  # a constructor call kept, or New2Obj
         case Obj(c, values):
             # runtime objects appear only when typing evaluation traces; they
             # are values shared by both styles and are never rewritten
@@ -173,24 +162,23 @@ def _check_args(
 # Definition translation
 
 
-def _env(*groups: dict[str, Type]) -> TypeEnv:
-    out: TypeEnv = {}
-    for g in groups:
-        out.update(g)
-    return out
-
-
-def _param_env(params: tuple[Param, ...]) -> dict[str, Type]:
-    return {p.name: p.type for p in params}
-
-
 def _body(
-    what: str, body: Expr, want: Type, ctx: GlobalCtx, env: TypeEnv, rename: dict[str, Expr]
+    what: str, body: Expr, want: Type, ctx: GlobalCtx, recv: str, self_type: str, *scopes: tuple[Param, ...]
 ) -> Expr:
+    """A member body typed with receiver ``recv`` of ``self_type`` and the scopes' binders.
+
+    When ``self_type`` is selected the body moves to the other style, so its
+    receiver takes that style's name.
+    """
+    env: TypeEnv = {recv: Named(self_type)}
+    env.update((p.name, p.type) for params in scopes for p in params)
     body2, got = transform_expr(body, ctx, env)
     if got != want:
         raise _err(f"{what} has type {pretty_type(got)}, declared {pretty_type(want)}")
-    return subst(body2, rename)
+    oo = recv == THIS
+    if self_type in (ctx.it if oo else ctx.dt):
+        return subst(body2, {recv: Var(SELF if oo else THIS)})
+    return body2
 
 
 def _translate_datatype(d: Datatype, ctx: GlobalCtx) -> list[Def]:
@@ -206,8 +194,7 @@ def _translate_datatype(d: Datatype, ctx: GlobalCtx) -> list[Def]:
         if wild is None:
             dtrs.append(Dtr(f, c.params, c.ret))  # Csm2Dec
         else:  # Csm2Fun
-            env = _env({SELF: Named(d.name)}, _param_env(c.params))
-            body = _body(f"consumer {f} on {d.name}", wild.body, c.ret, ctx, env, _TO_THIS)
+            body = _body(f"consumer {f} on {d.name}", wild.body, c.ret, ctx, SELF, d.name, c.params)
             dtrs.append(Dtr(f, c.params, c.ret, body))
     return [Interface(d.name, tuple(dtrs), pos=d.pos)]
 
@@ -219,8 +206,7 @@ def _translate_interface(d: Interface, ctx: GlobalCtx) -> list[Def]:
             if m.body is None:
                 members.append(m)
             else:
-                env = _env({THIS: Named(d.name)}, _param_env(m.params))
-                body = _body(f"default {m.name} in {d.name}", m.body, m.ret, ctx, env, {})
+                body = _body(f"default {m.name} in {d.name}", m.body, m.ret, ctx, THIS, d.name, m.params)
                 members.append(replace(m, body=body))
         return [Interface(d.name, tuple(members), pos=d.pos)]
     # It2Dt: each destructor becomes a consumer whose clauses are harvested
@@ -235,14 +221,11 @@ def _translate_interface(d: Interface, ctx: GlobalCtx) -> list[Def]:
             if impl is None:
                 continue
             assert impl.body is not None
-            env = _env({THIS: Named(d.name)}, _param_env(g.fields), _param_env(impl.params))
-            body = _body(
-                f"method {m.name} in class {c_name}", impl.body, m.ret, ctx, env, _TO_SELF
-            )  # Fun2Case
+            what = f"method {m.name} in class {c_name}"
+            body = _body(what, impl.body, m.ret, ctx, THIS, d.name, g.fields, impl.params)  # Fun2Case
             clauses.append(Clause(Pattern(c_name, tuple(p.name for p in g.fields)), body))
         if m.body is not None:  # Fun2Csm
-            env = _env({THIS: Named(d.name)}, _param_env(m.params))
-            body = _body(f"default {m.name} in {d.name}", m.body, m.ret, ctx, env, _TO_SELF)
+            body = _body(f"default {m.name} in {d.name}", m.body, m.ret, ctx, THIS, d.name, m.params)
             clauses.append(Clause(WILDCARD, body))
         out.append(Consumer(m.name, d.name, m.params, m.ret, clauses=tuple(clauses)))
     return out
@@ -260,10 +243,8 @@ def _translate_constructor(d: Constructor, ctx: GlobalCtx) -> list[Def]:
         clause = c.clause_for(d.name)
         if clause is None:
             continue
-        env = _env({SELF: Named(d.parent)}, _param_env(d.fields), _param_env(c.params))
-        body = _body(
-            f"clause for {d.name} in consumer {f}", clause.body, c.ret, ctx, env, _TO_THIS
-        )  # Case2Fun
+        what = f"clause for {d.name} in consumer {f}"
+        body = _body(what, clause.body, c.ret, ctx, SELF, d.parent, d.fields, c.params)  # Case2Fun
         funs.append(Dtr(f, c.params, c.ret, body))
     return [Generator(d.name, d.fields, d.parent, tuple(funs), pos=d.pos)]
 
@@ -274,8 +255,8 @@ def _translate_generator(d: Generator, ctx: GlobalCtx) -> list[Def]:
     members = []  # Gen2Gen
     for fun in d.funs:
         assert fun.body is not None
-        env = _env({THIS: Named(d.parent)}, _param_env(d.fields), _param_env(fun.params))
-        body = _body(f"method {fun.name} in class {d.name}", fun.body, fun.ret, ctx, env, {})
+        what = f"method {fun.name} in class {d.name}"
+        body = _body(what, fun.body, fun.ret, ctx, THIS, d.parent, d.fields, fun.params)
         members.append(replace(fun, body=body))
     return [Generator(d.name, d.fields, d.parent, tuple(members), pos=d.pos)]
 
@@ -287,9 +268,8 @@ def _translate_consumer(d: Consumer, ctx: GlobalCtx) -> list[Def]:
         return []  # CsmElim
     clauses = []  # Csm2Csm
     for clause in d.clauses or ():
-        if clause.pattern.is_wildcard:
-            pat_env: dict[str, Type] = {}
-        else:
+        binders: tuple[Param, ...] = ()
+        if not clause.pattern.is_wildcard:
             c_sig = ctx.sig.get(clause.pattern.name)
             if c_sig is None or len(c_sig.params) != len(clause.pattern.vars):
                 raise _err(
@@ -297,9 +277,9 @@ def _translate_consumer(d: Consumer, ctx: GlobalCtx) -> list[Def]:
                     "a constructor of that arity",
                     d.pos,
                 )
-            pat_env = dict(zip(clause.pattern.vars, c_sig.params))
-        env = _env({SELF: Named(d.self_type)}, pat_env, _param_env(d.params))
-        body = _body(f"consumer {d.name} on {d.self_type}", clause.body, d.ret, ctx, env, {})
+            binders = tuple(map(Param, clause.pattern.vars, c_sig.params))
+        what = f"consumer {d.name} on {d.self_type}"
+        body = _body(what, clause.body, d.ret, ctx, SELF, d.self_type, binders, d.params)
         clauses.append(Clause(clause.pattern, body))
     return [replace(d, clauses=tuple(clauses))]
 

@@ -174,6 +174,32 @@ def test_trace_rejects_a_negative_limit(capsys):
     assert "must not be negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fuzz", "--trials", "-3"), "argument --trials: must not be negative, got -3"),
+        (("fuzz", "--trials", "1", "--fuel", "-5"), "argument --fuel: must not be negative, got -5"),
+        (("eval", str(CORPUS / "sets_fp.food"), "--fuel", "-5"), "argument --fuel: must not be negative, got -5"),
+        (("trace", str(CORPUS / "sets_fp.food"), "--fuel", "-5"), "argument --fuel: must not be negative, got -5"),
+        (("fuzz", "--trials", "abc"), "argument --trials: must be an integer, got 'abc'"),
+    ],
+)
+def test_bad_counts_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_fuel_from_the_environment_fails(capsys, monkeypatch):
+    monkeypatch.setenv("FOOD_FUEL", "-5")
+    code, out, err = run(capsys, "eval", str(CORPUS / "sets_fp.food"))
+    assert (code, out, err) == (1, "", "FOOD_FUEL must not be negative, got -5\n")
+    monkeypatch.setenv("FOOD_FUEL", "five")
+    code, out, err = run(capsys, "eval", str(CORPUS / "sets_fp.food"))
+    assert (code, out, err) == (1, "", "FOOD_FUEL must be an integer, got 'five'\n")
+
+
 def test_ctx_dump(capsys):
     code, out, _ = run(capsys, "ctx", str(CORPUS / "sets_fp.food"))
     assert code == 0

@@ -85,6 +85,17 @@ def test_golden_corpus_passes_all_properties():
         assert not fails, (name, [(f.prop, f.detail) for f in fails])
 
 
+@pytest.mark.parametrize(
+    "name, kind, member",
+    [("sets_oop", "wrong-substitution-fp", "destructor"), ("sets_fp", "wrong-substitution-oo", "consumer")],
+)
+def test_lookup_duality_names_the_direction_that_failed(name, kind, member):
+    fails = check_properties(load(name), {"Set"}, mutate=MUTATORS[kind])
+    assert [f.detail for f in fails if f.prop == "lookup-duality"] == [
+        f"{member} insert on {c} does not survive translation" for c in ("Empty", "Insert", "Union")
+    ]
+
+
 def test_zero_trials_gives_empty_passing_report():
     report = run_properties(GenConfig(seed=0), trials=0)
     assert report.trials == () and report.ok

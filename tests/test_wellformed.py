@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import pytest
 from conftest import GOLDEN_SELECTIONS, load
 
 from food import canonicalize, check, desugar, parse, preprocess, transform
@@ -101,6 +102,33 @@ def test_call_kind_and_arity():
     assert any("takes 1 argument(s), got 0" in d.message for d in diags)
     diags = check_src("data D\ncase C() extends D\ndef f(self: D)(x: Int): Int = x\nf(C())(1, 2)")
     assert any("takes 1 argument(s), got 2" in d.message for d in diags)
+
+
+_OO = "interface D { def f(x: Int): Int }\nclass C(n: Int) implements D { def f(x: Int): Int = x }\n"
+_FP = "data D\ncase C(n: Int) extends D\ndef f(self: D)(x: Int): Int = x\n"
+
+
+# both halves of each typing rule that one case of transform_expr serves:
+# selection / application, then constructor call / instantiation
+@pytest.mark.parametrize(
+    "src, rendered",
+    [
+        (_OO + "1.f(2)", "cannot select 'f' on a value of type Int"),
+        (_FP + "f(1)(2)", "cannot apply consumer 'f' to a value of type Int"),
+        (_OO + "new C(1).g(2)", "type D has no destructor 'g'"),
+        (_FP + "g(C(1))(2)", "type D has no consumer 'g'"),
+        (_OO + "new C(1).f()", "new C(1).f() takes 1 argument(s), got 0"),
+        (_FP + "f(C(1))(1, 2)", "f(C(1))(1, 2) takes 1 argument(s), got 2"),
+        (_FP + "C()", "C() takes 1 argument(s), got 0"),
+        (_OO + "new C(1, 2)", "new C(1, 2) takes 1 argument(s), got 2"),
+        (_OO + "C(1)", "C is not a constructor"),
+        (_FP + "new C(1)", "C is not a class"),
+        (_OO + "interface E { def h(): Int = 1.f(2) }\n1", "3:1: cannot select 'f' on a value of type Int"),
+        (_FP + "def h(self: D)(): Int = f(true)(2)\n1", "4:1: cannot apply consumer 'f' to a value of type Bool"),
+    ],
+)
+def test_dual_typing_rules_render_their_own_diagnostic(src, rendered):
+    assert [d.render() for d in check_src(src)] == [rendered]
 
 
 def test_runtime_objects_are_rejected():
