@@ -87,6 +87,16 @@ def _count(text: str) -> int:
     return n
 
 
+def _probability(text: str) -> float:
+    try:
+        p = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+    if not 0.0 <= p <= 1.0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {p}")
+    return p
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -235,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--trials", type=_count, default=100)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--fuel", type=_count, help="step budget (default: FOOD_FUEL or 100000)")
-    c.add_argument("--diverge-prob", type=float, default=0.01)
+    c.add_argument("--diverge-prob", type=_probability, default=0.01)
     c.set_defaults(fn=_cmd_fuzz)
     return p
 

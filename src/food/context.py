@@ -7,7 +7,7 @@ the receiver's type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .diagnostics import ContextError, Diagnostic
 from .pretty import pretty_type
@@ -44,6 +44,10 @@ class GlobalCtx:
     sig: dict[DefKey, Arrow]
     dtr_sig: dict[tuple[str, str], Arrow]
     defs: dict[DefKey, Def]
+    # (member, class or constructor, lookup) -> what ``interp.dtr_body`` or
+    # ``csm_body`` answered, None included; filled by those lookups.  It
+    # depends on defs alone, so a context with the same defs dict shares it.
+    bodies: dict = field(default_factory=dict, compare=False, repr=False)
 
     def type_names(self) -> tuple[str, ...]:
         return self.dt + self.it

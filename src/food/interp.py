@@ -9,10 +9,13 @@ and Nielsen, "Refocusing in Reduction Semantics", BRICS RS-04-26, 2004).
 Plugging the focus into every frame gives the state, at O(depth) per state:
 ``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` pay it, while
 ``eval_program`` drains the same machine and plugs only ``FuelExhausted.last``.
+The machine, like ``subst``, dispatches on each node's exact class, and
+method bodies are looked up once per context, in its body table.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterator
@@ -92,11 +95,11 @@ class Trace:
     outcome: Done | FuelExhausted | Stuck
 
 
-_VALUE_FORMS = (IntLit, BoolLit, Obj)
+_VALUE_FORMS = frozenset((IntLit, BoolLit, Obj))
 
 
 def is_value(e: Expr) -> bool:
-    return isinstance(e, _VALUE_FORMS)
+    return type(e) in _VALUE_FORMS
 
 
 def to_value(e: Expr) -> Value:
@@ -141,6 +144,20 @@ def format_value(v: Value) -> str:
 # Body lookup
 
 
+def _tabled(lookup):
+    """lookup answered from the context's body table, which it fills on first use."""
+
+    @functools.wraps(lookup)
+    def tabled(f: str, c: str, ctx: GlobalCtx):
+        key = (f, c, lookup)
+        if key not in ctx.bodies:
+            ctx.bodies[key] = lookup(f, c, ctx)
+        return ctx.bodies[key]
+
+    return tabled
+
+
+@_tabled
 def dtr_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str, ...], Expr] | None:
     """Field names, parameter names, and body for destructor f on class C.
 
@@ -161,6 +178,7 @@ def dtr_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str
     return None
 
 
+@_tabled
 def csm_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str, ...], Expr] | None:
     """Pattern variables, parameter names, and body for consumer f on constructor C.
 
@@ -215,34 +233,35 @@ _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
 
 
 
-# The machine tests classes with isinstance, most frequent first: class
-# patterns in a match statement cost about a microsecond more per node.
+# The machine tests exact classes, most frequent first, as ``subst`` does:
+# class patterns cost about a microsecond more per node, isinstance less.
 def _contract(e: Expr, ctx: GlobalCtx) -> Expr | Stuck:
     """The contractum of the redex e, or why e is stuck."""
-    if isinstance(e, PrimOp):
+    cls = type(e)
+    if cls is PrimOp:
         op, lhs, rhs = e.op, e.lhs, e.rhs
         if op in ("&&", "||"):
-            if not isinstance(lhs, BoolLit):
+            if type(lhs) is not BoolLit:
                 return Stuck(f"{op} on a non-boolean", e)
             if op == "&&":
                 return rhs if lhs.value else BoolLit(False)
             return BoolLit(True) if lhs.value else rhs
-        if not isinstance(lhs, IntLit) or not isinstance(rhs, IntLit):
+        if type(lhs) is not IntLit or type(rhs) is not IntLit:
             return Stuck(f"{op} on non-integers", e)
         if op in _ARITH:
             return IntLit(_wrap64(_ARITH[op](lhs.value, rhs.value)))
         if op in _COMPARE:
             return BoolLit(_COMPARE[op](lhs.value, rhs.value))
         return Stuck(f"unknown operator {op!r}", e)
-    if isinstance(e, If):
-        if not isinstance(e.cond, BoolLit):
+    if cls is If:
+        if type(e.cond) is not BoolLit:
             return Stuck("condition of if is not a boolean", e)
         return e.then if e.cond.value else e.els
-    if isinstance(e, (Sel, App)):
+    if cls is Sel or cls is App:
         # one rule in the two decompositions: a destructor selected on an
         # object, or a consumer applied to one
-        recv, f, oo = e.recv, e.name, isinstance(e, Sel)
-        if not isinstance(recv, Obj):
+        recv, f, oo = e.recv, e.name, cls is Sel
+        if type(recv) is not Obj:
             call = f"selection of {f!r} on" if oo else f"consumer {f!r} applied to"
             return Stuck(f"{call} a non-object", e)
         found = dtr_body(f, recv.name, ctx) if oo else csm_body(f, recv.name, ctx)
@@ -255,27 +274,28 @@ def _contract(e: Expr, ctx: GlobalCtx) -> Expr | Stuck:
             call = f"invoking {f!r} on" if oo else f"applying {f!r} to"
             return Stuck(f"arity mismatch {call} {recv.name}", e)
         return subst(body, mapping)
-    if isinstance(e, (CtrCall, New)):
-        oo = isinstance(e, New)
+    if cls is CtrCall or cls is New:
+        oo = cls is New
         if not isinstance(ctx.defs.get(e.name), Generator if oo else Constructor):
             return Stuck(f"{e.name} is not a {'class' if oo else 'constructor'}", e)
         return Obj(e.name, e.args)
-    if isinstance(e, Var):
+    if cls is Var:
         return Stuck(f"unbound variable {e.name!r}", e)
     return Stuck(f"no rule applies to {e!r}", e)
 
 
 def _plug(node: Expr, slot: int, v: Expr) -> Expr:
     """node with v in its hole at slot, numbered as by _refocus."""
-    if isinstance(node, PrimOp):
+    cls = type(node)
+    if cls is PrimOp:
         return PrimOp(node.op, v, node.rhs) if slot == 0 else PrimOp(node.op, node.lhs, v)
-    if isinstance(node, If):
+    if cls is If:
         return If(v, node.then, node.els)
-    if isinstance(node, (Sel, App)):
+    if cls is Sel or cls is App:
         recv = v if slot == 0 else node.recv
         args = node.args if slot == 0 else node.args[: slot - 1] + (v,) + node.args[slot:]
-        return Sel(recv, node.name, args) if isinstance(node, Sel) else App(node.name, recv, args)
-    return type(node)(node.name, node.args[:slot] + (v,) + node.args[slot + 1 :])  # CtrCall or New
+        return Sel(recv, node.name, args) if cls is Sel else App(node.name, recv, args)
+    return cls(node.name, node.args[:slot] + (v,) + node.args[slot + 1 :])  # CtrCall or New
 
 
 Frames = list[tuple[Expr, int]]
@@ -297,25 +317,33 @@ def _refocus(e: Expr, frames: Frames) -> Expr:
     to the contractum.  A descent to the first non-value slot pushes a frame.
     """
     while True:
-        if isinstance(e, _VALUE_FORMS):
+        cls = type(e)
+        if cls in _VALUE_FORMS:
             if not frames:
                 return e
             node, slot = frames.pop()
             e = _plug(node, slot, e)
-        if isinstance(e, PrimOp):
-            subterms = (e.lhs,) if e.op in ("&&", "||") else (e.lhs, e.rhs)
-        elif isinstance(e, If):
-            subterms = (e.cond,)
-        elif isinstance(e, (Sel, App)):
-            subterms = (e.recv, *e.args)
-        elif isinstance(e, (CtrCall, New)):
-            subterms = e.args
+            cls = type(e)
+        if cls is PrimOp:
+            slot = 1 if e.op not in ("&&", "||") and type(e.lhs) in _VALUE_FORMS else 0
+            sub = e.rhs if slot else e.lhs
+        elif cls is If:
+            slot, sub = 0, e.cond
+        elif cls is Sel or cls is App:
+            slot, sub = 0, e.recv
+            if type(sub) in _VALUE_FORMS:
+                for slot, sub in enumerate(e.args, 1):
+                    if type(sub) not in _VALUE_FORMS:
+                        break
+        elif cls is CtrCall or cls is New:
+            for slot, sub in enumerate(e.args):
+                if type(sub) not in _VALUE_FORMS:
+                    break
+            else:
+                return e
         else:
             return e
-        for slot, sub in enumerate(subterms):
-            if not isinstance(sub, _VALUE_FORMS):
-                break
-        else:
+        if type(sub) in _VALUE_FORMS:
             return e
         frames.append((e, slot))
         e = sub

@@ -299,57 +299,55 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
     FOOD expressions contain no binders, so no capture is possible.
     """
+    # Hand-written for the evaluator, which calls it once per method call.  Exact
+    # class tests (no node class is subclassed) cost less than patterns or isinstance.
     if not mapping:
         return e
-    match e:
-        case Var(name):
-            return mapping.get(name, e)
-        case Sel(recv, name, args):
-            return Sel(subst(recv, mapping), name, tuple(subst(a, mapping) for a in args))
-        case App(name, recv, args):
-            return App(name, subst(recv, mapping), tuple(subst(a, mapping) for a in args))
-        case CtrCall(name, args):
-            return CtrCall(name, tuple(subst(a, mapping) for a in args))
-        case New(name, args):
-            return New(name, tuple(subst(a, mapping) for a in args))
-        case PrimOp(op, lhs, rhs):
-            return PrimOp(op, subst(lhs, mapping), subst(rhs, mapping))
-        case If(cond, then, els):
-            return If(subst(cond, mapping), subst(then, mapping), subst(els, mapping))
-        case _:
-            return e  # literals and runtime objects
+    cls = type(e)
+    if cls is Var:
+        return mapping.get(e.name, e)
+    if cls is PrimOp:
+        return PrimOp(e.op, subst(e.lhs, mapping), subst(e.rhs, mapping))
+    if cls is App:
+        return App(e.name, subst(e.recv, mapping), tuple([subst(a, mapping) for a in e.args]))
+    if cls is Sel:
+        return Sel(subst(e.recv, mapping), e.name, tuple([subst(a, mapping) for a in e.args]))
+    if cls is If:
+        return If(subst(e.cond, mapping), subst(e.then, mapping), subst(e.els, mapping))
+    if cls is CtrCall or cls is New:
+        return cls(e.name, tuple([subst(a, mapping) for a in e.args]))
+    return e  # literals and runtime objects
 
 
 # ---------------------------------------------------------------------------
-# Generic traversal; ``subst`` and the evaluator stay hand-written for speed.
+# Generic traversal, with the exact-class tests of ``subst``
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
     """The immediate subexpressions of ``e``, left to right."""
-    if isinstance(e, (Sel, App)):  # isinstance tests: faster than class patterns
+    cls = type(e)
+    if cls is Sel or cls is App:
         return (e.recv, *e.args)
-    if isinstance(e, (CtrCall, New, Obj)):
+    if cls is CtrCall or cls is New or cls is Obj:
         return e.args
-    if isinstance(e, PrimOp):
+    if cls is PrimOp:
         return (e.lhs, e.rhs)
-    if isinstance(e, If):
+    if cls is If:
         return (e.cond, e.then, e.els)
     return ()
 
 
 def with_children(e: Expr, kids: tuple[Expr, ...]) -> Expr:
     """``e`` with its immediate subexpressions replaced by ``kids``, in ``children`` order."""
-    match e:
-        case Sel(_, name, _):
-            return Sel(kids[0], name, kids[1:])
-        case App(name, _, _):
-            return App(name, kids[0], kids[1:])
-        case CtrCall(name, _) | New(name, _) | Obj(name, _):
-            return type(e)(name, kids)
-        case PrimOp(op, _, _):
-            return PrimOp(op, *kids)
-        case If():
-            return If(*kids)
+    cls = type(e)
+    if cls is Sel or cls is App:
+        return Sel(kids[0], e.name, kids[1:]) if cls is Sel else App(e.name, kids[0], kids[1:])
+    if cls is CtrCall or cls is New or cls is Obj:
+        return cls(e.name, kids)
+    if cls is PrimOp:
+        return PrimOp(e.op, *kids)
+    if cls is If:
+        return If(*kids)
     return e
 
 

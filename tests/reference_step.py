@@ -3,8 +3,12 @@
 Each step searches from the root for the redex and rebuilds every node on the
 way back up.  ``states`` iterates it with the fuel accounting of
 ``food.interp.run``, so tests can compare the refocusing machine against it
-state by state.  It shares only body lookup, substitution and value
-conversion with ``food.interp``; its binding and 64-bit wrapping are its own.
+state by state.  Its substitution, body lookup, value test, binding and
+64-bit wrapping are its own: copies of the ``match``-based ``subst``, the
+table-less ``dtr_body`` / ``csm_body`` and the ``isinstance``-based
+``is_value`` that ``food`` used before it dispatched on exact types and kept a
+body table per context, so a fault in those fast paths cannot hide in the
+oracle.  It shares only value conversion with ``food.interp``.
 
 ``typed_run`` is the fuzzer's typed run as it was before it closed cycles: it
 follows ``food.interp.run`` until the fuel runs out, typing each distinct
@@ -16,29 +20,105 @@ from __future__ import annotations
 
 from food.context import GlobalCtx, restrict
 from food.diagnostics import FoodError
-from food.interp import Done, FuelExhausted, Stepped, Stuck, csm_body, dtr_body, is_value, run, to_value
+from food.interp import Done, FuelExhausted, Stepped, Stuck, run, to_value
 from food.pretty import pretty_type
 from food.transform import transform_expr
 from food.syntax import (
     App,
     BoolLit,
     Constructor,
+    Consumer,
     CtrCall,
     Expr,
     Generator,
     If,
     IntLit,
+    Interface,
     New,
     Obj,
     PrimOp,
     Program,
     SELF,
     Sel,
-    subst,
     THIS,
     Type,
     Var,
 )
+
+
+def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
+    """Simultaneous variable substitution.
+
+    FOOD expressions contain no binders, so no capture is possible.
+    """
+    if not mapping:
+        return e
+    match e:
+        case Var(name):
+            return mapping.get(name, e)
+        case Sel(recv, name, args):
+            return Sel(subst(recv, mapping), name, tuple(subst(a, mapping) for a in args))
+        case App(name, recv, args):
+            return App(name, subst(recv, mapping), tuple(subst(a, mapping) for a in args))
+        case CtrCall(name, args):
+            return CtrCall(name, tuple(subst(a, mapping) for a in args))
+        case New(name, args):
+            return New(name, tuple(subst(a, mapping) for a in args))
+        case PrimOp(op, lhs, rhs):
+            return PrimOp(op, subst(lhs, mapping), subst(rhs, mapping))
+        case If(cond, then, els):
+            return If(subst(cond, mapping), subst(then, mapping), subst(els, mapping))
+        case _:
+            return e  # literals and runtime objects
+
+
+_VALUE_FORMS = (IntLit, BoolLit, Obj)
+
+
+def is_value(e: Expr) -> bool:
+    return isinstance(e, _VALUE_FORMS)
+
+
+def dtr_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str, ...], Expr] | None:
+    """Field names, parameter names, and body for destructor f on class C.
+
+    The class's own definition wins; otherwise the interface default applies
+    with no fields in scope.  None when neither exists.
+    """
+    g = ctx.defs.get(c)
+    if not isinstance(g, Generator):
+        return None
+    for fun in g.funs:
+        if fun.name == f and fun.body is not None:
+            return tuple(p.name for p in g.fields), tuple(p.name for p in fun.params), fun.body
+    parent = ctx.defs.get(g.parent)
+    if isinstance(parent, Interface):
+        for m in parent.dtrs:
+            if m.name == f and m.body is not None:
+                return (), tuple(p.name for p in m.params), m.body
+    return None
+
+
+def csm_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str, ...], Expr] | None:
+    """Pattern variables, parameter names, and body for consumer f on constructor C.
+
+    A clause naming C wins; otherwise the wildcard clause applies with no
+    pattern variables.  None when neither exists.
+    """
+    ctor = ctx.defs.get(c)
+    if not isinstance(ctor, Constructor):
+        return None
+    consumer = ctx.defs.get((f, ctor.parent))
+    if not isinstance(consumer, Consumer):
+        return None
+    params = tuple(p.name for p in consumer.params)
+    clause = consumer.clause_for(c)
+    if clause is not None:
+        return clause.pattern.vars, params, clause.body
+    wild = consumer.wildcard_clause()
+    if wild is not None:
+        return (), params, wild.body
+    return None
 
 
 def _wrap64(n: int) -> int:

@@ -182,6 +182,10 @@ def test_trace_rejects_a_negative_limit(capsys):
         (("eval", str(CORPUS / "sets_fp.food"), "--fuel", "-5"), "argument --fuel: must not be negative, got -5"),
         (("trace", str(CORPUS / "sets_fp.food"), "--fuel", "-5"), "argument --fuel: must not be negative, got -5"),
         (("fuzz", "--trials", "abc"), "argument --trials: must be an integer, got 'abc'"),
+        (("fuzz", "--diverge-prob", "-1"), "argument --diverge-prob: must be a probability in [0, 1], got -1.0"),
+        (("fuzz", "--diverge-prob", "2"), "argument --diverge-prob: must be a probability in [0, 1], got 2.0"),
+        (("fuzz", "--diverge-prob", "nan"), "argument --diverge-prob: must be a probability in [0, 1], got nan"),
+        (("fuzz", "--diverge-prob", "abc"), "argument --diverge-prob: must be a number, got 'abc'"),
     ],
 )
 def test_bad_counts_are_usage_errors(capsys, argv, message):

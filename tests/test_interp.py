@@ -1,8 +1,10 @@
 """Small-step semantics, lookup functions, and fuel-bounded evaluation."""
 
-from collections import deque
+from collections import Counter, deque
+from dataclasses import replace
 
-from conftest import EVAL_TEMPLATES, eval_source, load
+import reference_step
+from conftest import EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, load
 from reference_step import states as reference_states
 
 from food import (
@@ -23,16 +25,20 @@ from food import (
     trace,
     transform,
     transform_expr,
+    translate_ctx,
 )
 from food.fuzz import GenConfig, gen_program
+import food.interp
 from food.interp import Stepped, format_value, run
 from food.syntax import (
     App,
     BoolLit,
     CtrCall,
     Expr,
+    Generator,
     If,
     IntLit,
+    Interface,
     New,
     Obj,
     PrimOp,
@@ -92,6 +98,79 @@ def test_csm_body_lookup():
     )
     assert csm_body("contains", "Empty", ctx) == ((), ("i",), BoolLit(False))
     assert csm_body("nothing", "Empty", ctx) is None
+
+
+def lookup_pairs(ctx):
+    """Every (member, class-or-constructor) pair the context's definitions name, plus misses."""
+    members = {"nope"}
+    for key, d in ctx.defs.items():
+        if isinstance(key, tuple):
+            members.add(key[0])
+        elif isinstance(d, Interface):
+            members.update(m.name for m in d.dtrs)
+        elif isinstance(d, Generator):
+            members.update(fun.name for fun in d.funs)
+    names = {k for k in ctx.defs if isinstance(k, str)} | {"Nope"}
+    return [(f, c) for f in sorted(members) for c in sorted(names)]
+
+
+def assert_body_table_matches_oracle(ctx):
+    unfilled = replace(ctx, bodies={})
+    pairs = lookup_pairs(ctx)
+    for _ in range(2):  # the first round fills the table, the second reads it
+        for f, c in pairs:
+            assert dtr_body(f, c, ctx) == reference_step.dtr_body(f, c, ctx), (f, c)
+            assert csm_body(f, c, ctx) == reference_step.csm_body(f, c, ctx), (f, c)
+    assert len(ctx.bodies) == 2 * len(pairs)
+    assert ctx == unfilled and repr(ctx) == repr(unfilled)
+    assert ctx.duality_parts() == unfilled.duality_parts()
+    assert ctx.dump() == unfilled.dump()
+
+
+def test_body_table_matches_the_table_less_lookup():
+    programs = [(load(name), selected) for name, selected in GOLDEN_SELECTIONS.items()]
+    for style in (0.0, 1.0):
+        for seed in range(300):
+            p = gen_program(GenConfig(seed=seed, style_mix=style))
+            programs.append((p, set(preprocess(p).type_names()[::2])))
+    for p, selected in programs:
+        ctx = preprocess(p)
+        narrowed = restrict(ctx, selected)
+        translated = translate_ctx(narrowed)
+        assert translated.bodies is not narrowed.bodies
+        for c in (ctx, narrowed, translated, preprocess(transform(p, selected).program)):
+            assert_body_table_matches_oracle(c)
+
+
+def test_contractions_call_subst_and_lookups_through_module_globals(monkeypatch):
+    # the benchmark's tracer counts these calls by rebinding the three names
+    # in food.interp, so a contraction must call each of them there
+    counts = Counter()
+
+    def count_calls(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            counts[module.__name__, name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("subst", "dtr_body", "csm_body"):
+        count_calls(food.interp, name)
+    for name in ("_bind", "dtr_body", "csm_body"):
+        count_calls(reference_step, name)
+    for template in EVAL_TEMPLATES:
+        for n in (0, 3, 12):
+            p = desugar(parse(eval_source(template, n)))
+            ctx = preprocess(p)
+            counts.clear()
+            assert isinstance(eval_program(p, ctx=ctx), Done)
+            assert isinstance(list(reference_states(p.main, ctx, 100_000))[-1], Done)
+            # the oracle binds once per Sel / App contraction
+            assert counts["food.interp", "subst"] == counts["reference_step", "_bind"] > 0
+            for name in ("dtr_body", "csm_body"):
+                assert counts["food.interp", name] == counts["reference_step", name], (template, n, name)
 
 
 def test_set_mains_agree_on_false():
