@@ -10,7 +10,9 @@ Plugging the focus into every frame gives the state, at O(depth) per state:
 ``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` pay it, while
 ``eval_program`` drains the same machine and plugs only ``FuelExhausted.last``.
 The machine, like ``subst``, dispatches on each node's exact class, and
-method bodies are looked up once per context, in its body table.
+method bodies are looked up once per context, in its body table.  The nodes
+and values it builds are ``@node`` classes, whose constructors write their
+slots directly (see ``syntax``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .syntax import (
     IntLit,
     Interface,
     New,
+    node,
     Obj,
     PrimOp,
     Program,
@@ -51,18 +54,20 @@ from .syntax import (
 class Value:
     """A fully evaluated result."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class IntV(Value):
     value: int
 
 
-@dataclass(frozen=True)
+@node
 class BoolV(Value):
     value: bool
 
 
-@dataclass(frozen=True)
+@node
 class ObjV(Value):
     name: str
     fields: tuple[Value, ...]
@@ -144,15 +149,19 @@ def format_value(v: Value) -> str:
 # Body lookup
 
 
+_MISSING = object()  # a lookup that found nothing is tabled as None
+
+
 def _tabled(lookup):
     """lookup answered from the context's body table, which it fills on first use."""
 
     @functools.wraps(lookup)
     def tabled(f: str, c: str, ctx: GlobalCtx):
         key = (f, c, lookup)
-        if key not in ctx.bodies:
-            ctx.bodies[key] = lookup(f, c, ctx)
-        return ctx.bodies[key]
+        found = ctx.bodies.get(key, _MISSING)
+        if found is _MISSING:
+            found = ctx.bodies[key] = lookup(f, c, ctx)
+        return found
 
     return tabled
 

@@ -3,11 +3,54 @@ and one stack-safe expression traversal.
 
 All nodes are immutable; structural equality is dataclass equality and ignores
 the (non-compared) source positions attached to definitions.
+
+Every layer builds nodes: the parser and the transformation build programs,
+and each evaluation step builds a few (``subst`` rebuilds a method body, the
+machine plugs a parent).  So node classes are declared with ``@node``: a
+frozen dataclass with slots, whose ``__init__`` stores each field through its
+slot's descriptor, bound once per class.  The ``__init__`` a frozen dataclass
+generates calls ``object.__setattr__`` per field and costs about twice as much.
+Only ``__init__`` writes a field; assigning or deleting one afterwards raises
+``FrozenInstanceError``, and equality, hashing, ``repr``, class patterns and
+``dataclasses.replace`` are the dataclass's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+
+
+def node(cls):
+    """``cls`` as a frozen, slotted dataclass with a constructor that writes its slots directly.
+
+    A field may have a plain default, such as ``pos=None``, but no default factory.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names, defaults = [], {}
+    for f in fields(cls):
+        if f.default_factory is not MISSING or f.kw_only:
+            raise TypeError(f"@node field {cls.__name__}.{f.name} is keyword-only or has a factory")
+        names.append(f.name)
+        if f.default is not MISSING:
+            defaults[f.name] = f.default
+    params = [f"{x}=_default_{x}" if x in defaults else x for x in names]
+    # the setters and defaults are arguments of an outer function, so the
+    # constructor reads them as closure cells
+    outer = [f"_set_{x}" for x in names] + [f"_default_{x}" for x in defaults]
+    body = "".join(f"  _set_{x}(self, {x})\n" for x in names) or "  pass\n"
+    src = (
+        f"def outer({', '.join(outer)}):\n"
+        f" def __init__({', '.join(['self', *params])}):\n{body}"
+        " return __init__\n"
+    )
+    scope: dict = {}
+    exec(src, scope)
+    init = scope["outer"](*(cls.__dict__[x].__set__ for x in names), *defaults.values())
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
 
 # ---------------------------------------------------------------------------
 # Types
@@ -16,23 +59,25 @@ from dataclasses import dataclass, field, replace
 class Type:
     """A FOOD type: a named datatype/interface, Int, Bool, or an arrow."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Named(Type):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class IntT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class BoolT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Arrow(Type):
     """Arrows occur only in collected signatures, never in parsed source."""
 
@@ -53,13 +98,15 @@ PRIM_OPS = ("+", "-", "*", "&&", "||", "==", "<=", "<")
 class Expr:
     """Base class for FOOD expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Sel(Expr):
     """Method selection ``recv.f(args)``."""
 
@@ -68,7 +115,7 @@ class Sel(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@node
 class App(Expr):
     """Consumer application ``f(recv)(args)``."""
 
@@ -77,7 +124,7 @@ class App(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@node
 class CtrCall(Expr):
     """Constructor call ``C(args)``."""
 
@@ -85,7 +132,7 @@ class CtrCall(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@node
 class New(Expr):
     """Object creation ``new C(args)``."""
 
@@ -93,7 +140,7 @@ class New(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@node
 class Obj(Expr):
     """Runtime object; never appears in parsed source. Args are value forms."""
 
@@ -101,24 +148,24 @@ class Obj(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@node
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@node
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@node
 class PrimOp(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@node
 class If(Expr):
     cond: Expr
     then: Expr
@@ -129,13 +176,13 @@ class If(Expr):
 # Definitions
 
 
-@dataclass(frozen=True)
+@node
 class Param:
     name: str
     type: Type
 
 
-@dataclass(frozen=True)
+@node
 class Pattern:
     """Top-level pattern ``C(vars)``; a wildcard has name None and no vars."""
 
@@ -150,13 +197,13 @@ class Pattern:
 WILDCARD = Pattern(None)
 
 
-@dataclass(frozen=True)
+@node
 class Clause:
     pattern: Pattern
     body: Expr
 
 
-@dataclass(frozen=True)
+@node
 class Dtr:
     """Interface member: a declaration (no body) or a function (with body)."""
 
@@ -169,21 +216,23 @@ class Dtr:
 class Def:
     """Base class for the five definition forms."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Datatype(Def):
     name: str
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@node
 class Interface(Def):
     name: str
     dtrs: tuple[Dtr, ...]
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@node
 class Constructor(Def):
     name: str
     fields: tuple[Param, ...]
@@ -191,7 +240,7 @@ class Constructor(Def):
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@node
 class Generator(Def):
     name: str
     fields: tuple[Param, ...]
@@ -200,7 +249,7 @@ class Generator(Def):
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@node
 class Consumer(Def):
     """Pattern-matching function on a datatype.
 
@@ -229,7 +278,7 @@ class Consumer(Def):
         return None
 
 
-@dataclass(frozen=True)
+@node
 class Program:
     defs: tuple[Def, ...]
     main: Expr

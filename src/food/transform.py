@@ -90,7 +90,7 @@ def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
             cond2 = _expect(cond, BOOL, ctx, env)
             then2, t1 = transform_expr(then, ctx, env)
             els2, t2 = transform_expr(els, ctx, env)
-            if t1 != t2:
+            if t1 is not t2 and t1 != t2:
                 raise _err(
                     f"branches of {pretty_expr(e)} have different types "
                     f"{pretty_type(t1)} and {pretty_type(t2)}"
@@ -141,7 +141,9 @@ def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
 
 def _expect(e: Expr, want: Type, ctx: GlobalCtx, env: TypeEnv) -> Expr:
     e2, got = transform_expr(e, ctx, env)
-    if got != want:
+    # INT and BOOL are shared instances, so identity settles most checks
+    # before the dataclass __eq__ is called
+    if got is not want and got != want:
         raise _err(
             f"{pretty_expr(e, runtime=True)} has type {pretty_type(got)}, expected {pretty_type(want)}"
         )
@@ -173,7 +175,7 @@ def _body(
     env: TypeEnv = {recv: Named(self_type)}
     env.update((p.name, p.type) for params in scopes for p in params)
     body2, got = transform_expr(body, ctx, env)
-    if got != want:
+    if got is not want and got != want:
         raise _err(f"{what} has type {pretty_type(got)}, declared {pretty_type(want)}")
     oo = recv == THIS
     if self_type in (ctx.it if oo else ctx.dt):

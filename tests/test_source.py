@@ -52,3 +52,22 @@ def test_parser_imports_nothing_from_the_tests():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert "re" in imported and imported.isdisjoint(test_modules)
+
+
+def test_node_classes_use_the_slotted_constructor():
+    # a node class declared with a plain frozen dataclass would still pass
+    # every other test, at twice the price per node built
+    package = pathlib.Path(food.__file__).parent
+
+    def classes(module):
+        tree = ast.parse((package / module).read_text())
+        return [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+
+    def decorators(c):
+        return [ast.unparse(d) for d in c.decorator_list]
+
+    # in syntax.py every class but the three bases is a node class
+    nodes = [c for c in classes("syntax.py") if c.name not in ("Type", "Expr", "Def")]
+    values = [c for c in classes("interp.py") if "Value" in map(ast.unparse, c.bases)]
+    assert len(nodes) >= 24 and len(values) == 3
+    assert [c.name for c in nodes + values if decorators(c) != ["node"]] == []

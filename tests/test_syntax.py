@@ -1,24 +1,44 @@
-"""Desugaring, canonicalization, pretty-printing, and the generic traversal."""
+"""Node classes, desugaring, canonicalization, pretty-printing, and the generic traversal."""
+
+import dataclasses
 
 import pytest
 from conftest import load, load_raw
 
-from food import canonicalize, desugar, parse, pretty
+from food import canonicalize, desugar, interp, parse, pretty, syntax
 from food.fuzz import GenConfig, gen_program
+from food.interp import BoolV, IntV, ObjV, Value
 from food.pretty import pretty_def, pretty_expr
 from food.syntax import (
+    BOOL,
+    INT,
+    WILDCARD,
     App,
+    Arrow,
     BoolLit,
+    BoolT,
+    Clause,
     Constructor,
     Consumer,
     CtrCall,
+    Datatype,
+    Def,
+    Dtr,
+    Expr,
+    Generator,
     If,
     IntLit,
+    Interface,
+    IntT,
+    Named,
     New,
     Obj,
+    Param,
+    Pattern,
     PrimOp,
     Program,
     Sel,
+    Type,
     Var,
     children,
     contains_obj,
@@ -241,3 +261,173 @@ def test_traversals_do_not_recurse_on_deep_expressions():
     assert sum(1 for _ in walk(e)) > 100_000
     minus_one = rewrite_first(e, lambda x: IntLit(-1) if x == Var("x") else None)
     assert not free_vars(minus_one) and contains_obj(minus_one)
+
+
+# ---------------------------------------------------------------------------
+# Node classes: frozen, slotted dataclasses built by ``@node``
+
+# positional constructor arguments of one instance of every node class
+SAMPLES = {
+    Named: ("D",),
+    IntT: (),
+    BoolT: (),
+    Arrow: ((Named("D"), INT), BOOL),
+    Var: ("x",),
+    Sel: (Var("x"), "f", (IntLit(1),)),
+    App: ("f", Var("x"), (IntLit(1),)),
+    CtrCall: ("C", (IntLit(1),)),
+    New: ("C", (IntLit(1),)),
+    Obj: ("C", (IntLit(1),)),
+    IntLit: (3,),
+    BoolLit: (True,),
+    PrimOp: ("+", IntLit(1), IntLit(2)),
+    If: (BoolLit(True), IntLit(1), IntLit(2)),
+    Param: ("x", INT),
+    Pattern: ("C", ("x", "y")),
+    Clause: (Pattern("C", ("x",)), Var("x")),
+    Dtr: ("f", (Param("x", INT),), INT, Var("x")),
+    Datatype: ("D",),
+    Interface: ("I", (Dtr("f", (), INT),)),
+    Constructor: ("C", (Param("x", INT),), "D"),
+    Generator: ("G", (Param("x", INT),), "I", (Dtr("f", (), INT, Var("x")),)),
+    Consumer: ("f", "D", (), INT, (Clause(WILDCARD, IntLit(0)),)),
+    Program: ((Datatype("D"),), IntLit(1)),
+    IntV: (1,),
+    BoolV: (False,),
+    ObjV: ("C", (IntV(1),)),
+}
+NODE_CLASSES = list(SAMPLES)
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def both_ways(cls):
+    """The sample instance of cls, built with positional and with keyword arguments."""
+    args = SAMPLES[cls]
+    return cls(*args), cls(**dict(zip(field_names(cls), args)))
+
+
+def bind_positionally(a):
+    """The subjects a class pattern with one capture per positional slot binds on a."""
+    cls, n = type(a), len(type(a).__match_args__)
+    match a:
+        case cls() if n == 0:
+            return ()
+        case cls(x1) if n == 1:
+            return (x1,)
+        case cls(x1, x2) if n == 2:
+            return (x1, x2)
+        case cls(x1, x2, x3) if n == 3:
+            return (x1, x2, x3)
+        case cls(x1, x2, x3, x4) if n == 4:
+            return (x1, x2, x3, x4)
+        case cls(x1, x2, x3, x4, x5) if n == 5:
+            return (x1, x2, x3, x4, x5)
+        case cls(x1, x2, x3, x4, x5, x6) if n == 6:
+            return (x1, x2, x3, x4, x5, x6)
+        case cls(x1, x2, x3, x4, x5, x6, x7) if n == 7:
+            return (x1, x2, x3, x4, x5, x6, x7)
+    raise AssertionError(f"no pattern bound {a!r}")
+
+
+def test_samples_cover_every_node_class():
+    # a slotted dataclass is a new class; the class it replaced stays a
+    # subclass of the base, but is no longer what the module binds
+    subclasses = {
+        c
+        for base in (Type, Expr, Def, Value)
+        for c in base.__subclasses__()
+        if c is vars(syntax).get(c.__name__) or c is vars(interp).get(c.__name__)
+    }
+    assert subclasses | {Param, Pattern, Clause, Dtr, Program} == set(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_fields_cannot_be_set_or_deleted(cls):
+    a, _ = both_ways(cls)
+    for name in field_names(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, name)
+    assert a == both_ways(cls)[0]
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_instances_have_no_dict(cls):
+    a, _ = both_ways(cls)
+    assert not hasattr(a, "__dict__")
+    assert set(cls.__slots__) == set(field_names(cls))
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_equality_and_hash_agree_across_constructions(cls):
+    a, b = both_ways(cls)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert [getattr(a, x) for x in field_names(cls)] == [getattr(b, x) for x in field_names(cls)]
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in NODE_CLASSES if "pos" in field_names(c)], ids=lambda c: c.__name__
+)
+def test_node_equality_ignores_pos(cls):
+    a, _ = both_ways(cls)
+    moved = dataclasses.replace(a, pos=(3, 4))
+    assert a.pos is None and moved.pos == (3, 4)
+    assert moved == a and hash(moved) == hash(a)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_replace_rebuilds_with_changed_fields(cls):
+    a, _ = both_ways(cls)
+    copy = dataclasses.replace(a)
+    assert type(copy) is cls and copy == a and copy is not a
+    for name in field_names(cls):
+        changed = dataclasses.replace(a, **{name: "changed"})
+        assert getattr(changed, name) == "changed"
+        assert all(getattr(changed, x) is getattr(a, x) for x in field_names(cls) if x != name)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_repr_is_the_dataclass_repr(cls):
+    a, _ = both_ways(cls)
+    shown = [f"{f.name}={getattr(a, f.name)!r}" for f in dataclasses.fields(cls) if f.repr]
+    assert repr(a) == f"{cls.__name__}({', '.join(shown)})"
+
+
+def test_node_repr_examples():
+    assert repr(Var("x")) == "Var(name='x')"
+    assert repr(IntT()) == "IntT()"
+    assert repr(Datatype("D", pos=(1, 1))) == "Datatype(name='D')"
+    shown = "PrimOp(op='+', lhs=IntLit(value=1), rhs=Var(name='y'))"
+    assert repr(PrimOp("+", IntLit(1), Var("y"))) == shown
+    assert repr(ObjV("C", (BoolV(True),))) == "ObjV(name='C', fields=(BoolV(value=True),))"
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_class_patterns_bind_positionally(cls):
+    a, _ = both_ways(cls)
+    assert cls.__match_args__ == tuple(field_names(cls))
+    assert bind_positionally(a) == tuple(getattr(a, x) for x in field_names(cls))
+
+
+def test_node_class_pattern_example():
+    match PrimOp("*", IntLit(6), Var("y")):
+        case PrimOp(op, lhs, rhs):
+            assert (op, lhs, rhs) == ("*", IntLit(6), Var("y"))
+        case _:
+            raise AssertionError("PrimOp pattern did not bind")
+
+
+def test_node_defaults_apply_when_omitted():
+    assert Pattern("C").vars == () and WILDCARD == Pattern(None, ())
+    assert Dtr("f", (), INT).body is None
+    assert Consumer("f", "D", (), INT).clauses is None and Consumer("f", "D", (), INT).pos is None
+    with pytest.raises(TypeError):
+        Var()
+    with pytest.raises(TypeError):
+        Var("x", "y")
+    with pytest.raises(TypeError):
+        Var(nom="x")
