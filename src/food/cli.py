@@ -257,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Failure as exc:
         print(exc.message, file=sys.stderr)
         return 1
-    except RecursionError:  # the checker, the transformation and the printer recurse on nesting
+    except RecursionError:  # subst recurses on a method body; dataclass ==, hash and repr on any term
         print(f"{getattr(args, 'file', args.command)}: input nested too deeply", file=sys.stderr)
         return 1
 

@@ -78,12 +78,7 @@ class GlobalCtx:
         def type_text(t: Type) -> str:
             if isinstance(t, Arrow) and isinstance(t.ret, Arrow):
                 # consumer signatures read better curried: D -> (T...) -> T
-                return (
-                    "("
-                    + ", ".join(pretty_type(p) for p in t.params)
-                    + ") -> "
-                    + type_text(t.ret)
-                )
+                return "(" + ", ".join(pretty_type(p) for p in t.params) + ") -> " + type_text(t.ret)
             return pretty_type(t)
 
         lines = [
@@ -92,20 +87,12 @@ class GlobalCtx:
         ]
         for label, mapping in (("ctr", self.ctr), ("gen", self.gen), ("dtr", self.dtr), ("csm", self.csm)):
             for name in sorted(mapping):
-                values = mapping[name]
-                lines.append(f"{label}[{name}]: " + (", ".join(values) if values else "-"))
+                lines.append(f"{label}[{name}]: " + (", ".join(mapping[name]) or "-"))
         for label, sigmap in (("sig", self.sig), ("dtrSig", self.dtr_sig)):
             for k in sorted(sigmap, key=key_text):
                 lines.append(f"{label}[{key_text(k)}]: {type_text(sigmap[k])}")
-        kind_names = {
-            Datatype: "datatype",
-            Interface: "interface",
-            Constructor: "constructor",
-            Generator: "generator",
-            Consumer: "consumer",
-        }
         for k in sorted(self.defs, key=key_text):
-            lines.append(f"def[{key_text(k)}]: {kind_names[type(self.defs[k])]}")
+            lines.append(f"def[{key_text(k)}]: {type(self.defs[k]).__name__.lower()}")
         return "\n".join(lines) + "\n"
 
 

@@ -64,6 +64,9 @@ from .syntax import (
 from .transform import transform, transform_expr
 from .wellformed import check
 
+_MAX_FIELD_ARITY = 2
+_RECURSION_BIAS = 0.6  # probability a body recurses on a field
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -73,10 +76,8 @@ class GenConfig:
     max_types: int = 3
     max_ctors_per_type: int = 3
     max_ops_per_type: int = 3
-    max_field_arity: int = 2
     max_expr_depth: int = 4
     style_mix: float = 0.5  # probability a type is rendered object-oriented
-    recursion_bias: float = 0.6  # probability a body recurses on a field
     overload_prob: float = 0.2  # probability an op reuses a name from another type
     diverge_prob: float = 0.0  # probability the program deliberately loops
 
@@ -132,7 +133,7 @@ class _Gen:
             for j in range(rng.randint(1, cfg.max_ctors_per_type)):
                 fields = tuple(
                     Param(f"y{k}", self.field_type(i, allow_self=j > 0))
-                    for k in range(rng.randint(0, cfg.max_field_arity))
+                    for k in range(rng.randint(0, _MAX_FIELD_ARITY))
                 )
                 model.ctors.append((f"C{self.ctor_counter}", fields))
                 self.ctor_counter += 1
@@ -244,7 +245,7 @@ class _Gen:
     def expr(self, target: Type, env: list[_Binding], depth: int) -> Expr:
         rng = self.rng
         calls = self.call_candidates(target, env) if depth > 0 else []
-        if calls and rng.random() < self.cfg.recursion_bias:
+        if calls and rng.random() < _RECURSION_BIAS:
             b, host, op = rng.choice(calls)
             return self.render_call(Var(b.name), host, op, env, depth)
         variables = [b for b in env if b.type == target]
@@ -837,7 +838,6 @@ def run_properties(
     trials: int,
     fuel: int = 100_000,
     mutate: "Mutator | None" = None,
-    minimize: bool = True,
 ) -> FuzzReport:
     """Generate trial programs and run the full property battery on each.
 
@@ -851,14 +851,12 @@ def run_properties(
         selected = _choose_selected(_type_names(program), rng)
         failures = tuple(check_properties(program, selected, fuel, mutate))
         witness = ""
-        if failures and minimize:
+        if failures:
             prop = failures[0].prop
             small = shrink(
                 program, prop, lambda q: check_properties(q, selected & set(_type_names(q)), fuel, mutate)
             )
             witness = pretty(small)
-        elif failures:
-            witness = pretty(program)
         reports.append(TrialReport(seed, tuple(sorted(selected)), failures, witness))
     return FuzzReport(tuple(reports))
 

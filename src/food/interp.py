@@ -10,7 +10,8 @@ Plugging the focus into every frame gives the state, at O(depth) per state:
 ``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` pay it, while
 ``eval_program`` drains the same machine and plugs only ``FuelExhausted.last``.
 The machine, like ``subst``, dispatches on each node's exact class, and
-method bodies are looked up once per context, in its body table.  The nodes
+method bodies are looked up once per context, in its body table.  A final
+value is converted by one rule per form over ``syntax.fold``.  The nodes
 and values it builds are ``@node`` classes, whose constructors write their
 slots directly (see ``syntax``).
 """
@@ -44,7 +45,7 @@ from .syntax import (
     subst,
     THIS,
     Var,
-    walk,
+    fold,
 )
 
 # ---------------------------------------------------------------------------
@@ -109,18 +110,16 @@ def is_value(e: Expr) -> bool:
 
 def to_value(e: Expr) -> Value:
     """The value an evaluated expression denotes, at any depth."""
-    order = list(walk(e))  # pre-order, so reversed it builds fields first
-    built: dict[int, Value] = {}
-    for x in reversed(order):
-        if isinstance(x, IntLit):
-            built[id(x)] = IntV(x.value)
-        elif isinstance(x, BoolLit):
-            built[id(x)] = BoolV(x.value)
-        elif isinstance(x, Obj):
-            built[id(x)] = ObjV(x.name, tuple(built[id(a)] for a in x.args))
-        else:
-            raise ValueError(f"not a value form: {x!r}")
-    return built[id(e)]
+    return fold(e, _value)
+
+
+def _value(e: Expr, fields: list[Value]) -> Value:
+    cls = type(e)
+    if cls is Obj:
+        return ObjV(e.name, tuple(fields))
+    if cls is IntLit or cls is BoolLit:
+        return (IntV if cls is IntLit else BoolV)(e.value)
+    raise ValueError(f"not a value form: {e!r}")
 
 
 def format_value(v: Value) -> str:
@@ -239,7 +238,6 @@ def _bind(
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
-
 
 
 # The machine tests exact classes, most frequent first, as ``subst`` does:

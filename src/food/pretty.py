@@ -1,10 +1,13 @@
 """Pretty-printing of FOOD programs back to concrete syntax.
 
 ``parse(pretty(p))`` is structurally equal to ``p`` for any program free of
-runtime objects; the fuzz suite exercises that round trip.
+runtime objects; the fuzz suite exercises that round trip.  Expressions print
+at any depth, by one rule per form over ``syntax.fold``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .syntax import (
     App,
@@ -33,6 +36,7 @@ from .syntax import (
     Sel,
     Type,
     Var,
+    fold,
 )
 
 # Precedence levels, loosest first.  A child is parenthesized whenever its
@@ -55,65 +59,57 @@ def pretty_type(t: Type) -> str:
     raise ValueError(f"unknown type: {t!r}")
 
 
-def _level(e: Expr) -> int:
-    match e:
-        case If():
-            return _IF
-        case PrimOp(op, _, _):
-            return _PREC[op]
-        case _:
-            return _POSTFIX
-
-
-def pretty_expr(e: Expr, min_prec: int = 0, *, runtime: bool = False) -> str:
+def pretty_expr(e: Expr, *, runtime: bool = False) -> str:
     """Render one expression; with ``runtime`` set, objects print as obj(...)."""
-    text = _expr(e, runtime)
-    if _level(e) < min_prec:
-        return "(" + text + ")"
-    return text
+    out, todo = [], [fold(e, partial(_text, runtime))[0]]
+    while todo:  # the text is a tree of strings, flattened here in order
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            todo.extend(reversed(piece))
+    return "".join(out)
 
 
-def _args(args: tuple[Expr, ...], runtime: bool) -> str:
-    return "(" + ", ".join(pretty_expr(a, runtime=runtime) for a in args) + ")"
+# A rule's text is a string or a sequence of texts, so no level copies its
+# children's text: joined level by level, a chain n deep prints in n^2 time.
+def _at(kid: tuple, prec: int):
+    """A child's text, parenthesized when its level is below ``prec``."""
+    text, level = kid
+    return text if level >= prec else ("(", text, ")")
 
 
-def _expr(e: Expr, runtime: bool) -> str:
-    match e:
-        case Var(name):
-            return name
-        case IntLit(v):
-            return str(v)
-        case BoolLit(v):
-            return "true" if v else "false"
-        case Sel(recv, name, args):
-            return pretty_expr(recv, _POSTFIX, runtime=runtime) + "." + name + _args(args, runtime)
-        case App(name, recv, args):
-            head = name + "(" + pretty_expr(recv, runtime=runtime) + ")"
-            return head + (_args(args, runtime) if args else "")
-        case CtrCall(name, args):
-            return name + _args(args, runtime)
-        case New(name, args):
-            return "new " + name + _args(args, runtime)
-        case Obj(name, args):
-            if not runtime:
-                raise ValueError("runtime object is not printable source")
-            return "obj(" + ", ".join([name] + [pretty_expr(a, runtime=True) for a in args]) + ")"
-        case PrimOp(op, lhs, rhs):
-            prec = _PREC[op]
-            return (
-                pretty_expr(lhs, prec, runtime=runtime)
-                + f" {op} "
-                + pretty_expr(rhs, prec + 1, runtime=runtime)
-            )
-        case If(cond, then, els):
-            return (
-                "if ("
-                + pretty_expr(cond, runtime=runtime)
-                + ") "
-                + pretty_expr(then, runtime=runtime)
-                + " else "
-                + pretty_expr(els, runtime=runtime)
-            )
+def _args(kids: list[tuple]) -> list:
+    pieces = [piece for text, _ in kids for piece in (", ", text)]
+    return ["(", *pieces[1:], ")"]
+
+
+def _text(runtime: bool, e: Expr, kids: list[tuple]) -> tuple:
+    """The text and precedence level of ``e``, given those of its children."""
+    cls = type(e)
+    if cls is Var:
+        return e.name, _POSTFIX
+    if cls is IntLit:
+        return str(e.value), _POSTFIX
+    if cls is Sel:
+        return (_at(kids[0], _POSTFIX), ".", e.name, _args(kids[1:])), _POSTFIX
+    if cls is App:
+        return (e.name, "(", kids[0][0], ")", _args(kids[1:]) if e.args else ""), _POSTFIX
+    if cls is PrimOp:
+        prec = _PREC[e.op]
+        return (_at(kids[0], prec), f" {e.op} ", _at(kids[1], prec + 1)), prec
+    if cls is CtrCall:
+        return (e.name, _args(kids)), _POSTFIX
+    if cls is New:
+        return ("new ", e.name, _args(kids)), _POSTFIX
+    if cls is BoolLit:
+        return ("true" if e.value else "false"), _POSTFIX
+    if cls is If:
+        return ("if (", kids[0][0], ") ", kids[1][0], " else ", kids[2][0]), _IF
+    if cls is Obj:
+        if not runtime:
+            raise ValueError("runtime object is not printable source")
+        return ("obj(", e.name, *[(", ", text) for text, _ in kids], ")"), _POSTFIX
     raise ValueError(f"unknown expression: {e!r}")
 
 
@@ -121,19 +117,19 @@ def _params(params: tuple[Param, ...]) -> str:
     return "(" + ", ".join(f"{p.name}: {pretty_type(p.type)}" for p in params) + ")"
 
 
-def _dtr(d: Dtr, indent: str) -> str:
-    head = f"{indent}def {d.name}{_params(d.params)}: {pretty_type(d.ret)}"
-    if d.body is None:
-        return head
-    return head + " = " + pretty_expr(d.body)
+def _dtr(d: Dtr) -> str:
+    head = f"def {d.name}{_params(d.params)}: {pretty_type(d.ret)}"
+    return head if d.body is None else head + " = " + pretty_expr(d.body)
 
 
-def _clause(c: Clause, indent: str) -> str:
-    if c.pattern.is_wildcard:
-        pat = "_"
-    else:
-        pat = c.pattern.name + "(" + ", ".join(c.pattern.vars) + ")"
-    return f"{indent}case {pat} => " + pretty_expr(c.body)
+def _clause(c: Clause) -> str:
+    pat = "_" if c.pattern.is_wildcard else c.pattern.name + "(" + ", ".join(c.pattern.vars) + ")"
+    return f"case {pat} => " + pretty_expr(c.body)
+
+
+def _block(lines: list[str]) -> str:
+    """``lines`` in braces, one indented line each; ``{}`` when there are none."""
+    return "{\n" + "".join(f"  {line}\n" for line in lines) + "}" if lines else "{}"
 
 
 def pretty_def(d: Def) -> str:
@@ -141,31 +137,19 @@ def pretty_def(d: Def) -> str:
         case Datatype(name):
             return f"data {name}"
         case Interface(name, dtrs):
-            if not dtrs:
-                return f"interface {name} {{}}"
-            members = "\n".join(_dtr(m, "  ") for m in dtrs)
-            return f"interface {name} {{\n{members}\n}}"
+            return f"interface {name} " + _block([_dtr(m) for m in dtrs])
         case Constructor(name, fields, parent):
             return f"case {name}{_params(fields)} extends {parent}"
         case Generator(name, fields, parent, funs):
-            head = f"class {name}{_params(fields)} implements {parent}"
-            if not funs:
-                return head + " {}"
-            members = "\n".join(_dtr(m, "  ") for m in funs)
-            return head + " {\n" + members + "\n}"
+            return f"class {name}{_params(fields)} implements {parent} " + _block([_dtr(m) for m in funs])
         case Consumer(name, self_type, params, ret, clauses, body):
             head = f"def {name}(self: {self_type}){_params(params)}: {pretty_type(ret)} = "
             if body is not None:
                 return head + pretty_expr(body)
-            if not clauses:
-                return head + "match {}"
-            lines = "\n".join(_clause(c, "  ") for c in clauses)
-            return head + "match {\n" + lines + "\n}"
+            return head + "match " + _block([_clause(c) for c in clauses or ()])
     raise ValueError(f"unknown definition: {d!r}")
 
 
 def pretty(program: Program) -> str:
     """Render a whole program; rejects programs containing runtime objects."""
-    parts = [pretty_def(d) for d in program.defs]
-    parts.append(pretty_expr(program.main))
-    return "\n".join(parts) + "\n"
+    return "\n".join([*map(pretty_def, program.defs), pretty_expr(program.main)]) + "\n"

@@ -1,5 +1,7 @@
 """Abstract syntax of FOOD programs, the desugaring and canonicalization passes,
-and one stack-safe expression traversal.
+and one stack-safe expression traversal, which takes any depth.  Only ``subst``
+and the evaluator's machine walk expressions by hand, for speed; the printer,
+the typer and value conversion each give ``fold`` one rule per form.
 
 All nodes are immutable; structural equality is dataclass equality and ignores
 the (non-compared) source positions attached to definitions.
@@ -91,9 +93,6 @@ BOOL = BoolT()
 
 # ---------------------------------------------------------------------------
 # Expressions
-
-PRIM_OPS = ("+", "-", "*", "&&", "||", "==", "<=", "<")
-
 
 class Expr:
     """Base class for FOOD expressions."""
@@ -424,6 +423,24 @@ def rewrite_first(e: Expr, fn) -> Expr | None:
             return new
         stack.extend((kid, (node, i, up)) for i, kid in reversed(tuple(enumerate(children(node)))))
     return None
+
+
+def fold(e: Expr, fn):
+    """``fn(node, results of its children, left to right)`` at ``e``, computed
+    bottom-up over every subexpression, at any depth."""
+    results: list = []
+    todo: list = [e]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:  # (node, n): the results of its n children end the list
+            x, n = x
+            results[-n:] = [fn(x, results[-n:])]
+        elif kids := children(x):
+            todo.append((x, len(kids)))
+            todo += reversed(kids)
+        else:
+            results.append(fn(x, []))
+    return results[0]
 
 
 def free_vars(e: Expr) -> set[str]:

@@ -6,8 +6,12 @@ were selected for transformation.  Selected interfaces become datatypes with
 consumers, selected datatypes become interfaces with generators, and all other
 definitions pass through with only their inner expressions translated.
 
+Expressions are typed by one rule per form over ``syntax.fold``, which returns
+the error a recursive pass meets first: the receiver's, the node's own, then
+the arguments'.  Errors are carried as functions that build them.
+
 Each FP⇄OO rule pair is written once: Sel2App/App2Sel and Obj2New/New2Obj are
-one case each of ``transform_expr``, and Csm2Fun/Fun2Csm and Case2Fun/Fun2Case
+one case each of its rule ``_typed``, and Csm2Fun/Fun2Csm and Case2Fun/Fun2Case
 are ``_body``.  Dt2It/It2Dt and Ctr2Gen/Gen2Ctr keep one function per source
 form, as member bodies live in consumers on one side and in generators on the
 other.
@@ -16,6 +20,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .context import GlobalCtx, TypeEnv, preprocess, restrict
 from .diagnostics import Diagnostic, TransformError
@@ -52,6 +57,7 @@ from .syntax import (
     Type,
     Var,
     WILDCARD,
+    fold,
 )
 
 _ARITH = {"+", "-", "*"}
@@ -72,92 +78,102 @@ def _err(message: str, pos: tuple[int, int] | None = None) -> TransformError:
 
 def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
     """Translate one expression, returning its rewritten form and type."""
-    match e:
-        case Var(name):
-            if name not in env:
-                raise _err(f"unbound variable {name!r}")
-            return e, env[name]
-        case IntLit():
-            return e, INT
-        case BoolLit():
-            return e, BOOL
-        case PrimOp(op, lhs, rhs):
-            want = INT if op in _ARITH or op in _CMP else BOOL
-            lhs2 = _expect(lhs, want, ctx, env)
-            rhs2 = _expect(rhs, want, ctx, env)
-            return PrimOp(op, lhs2, rhs2), (INT if op in _ARITH else BOOL)
-        case If(cond, then, els):
-            cond2 = _expect(cond, BOOL, ctx, env)
-            then2, t1 = transform_expr(then, ctx, env)
-            els2, t2 = transform_expr(els, ctx, env)
-            if t1 is not t2 and t1 != t2:
-                raise _err(
-                    f"branches of {pretty_expr(e)} have different types "
-                    f"{pretty_type(t1)} and {pretty_type(t2)}"
-                )
-            return If(cond2, then2, els2), t1
-        case Sel(recv, f, args) | App(f, recv, args):
-            # one rule for both decompositions: a destructor selected, or a consumer applied
-            oo = isinstance(e, Sel)
-            recv2, rt = transform_expr(recv, ctx, env)
-            if not isinstance(rt, Named):
-                call = f"select {f!r} on" if oo else f"apply consumer {f!r} to"
-                raise _err(f"cannot {call} a value of type {pretty_type(rt)}")
-            sig = (ctx.dtr_sig if oo else ctx.sig).get((f, rt.name))
-            if sig is None:
-                raise _err(f"type {rt.name} has no {'destructor' if oo else 'consumer'} {f!r}")
-            if not oo:  # a consumer's signature is D -> (T...) -> T
-                sig = sig.ret
-                assert isinstance(sig, Arrow)
-            args2 = _check_args(e, args, sig.params, ctx, env)
-            flip = f in (ctx.dtr if oo else ctx.csm).get(rt.name, ())
-            if oo != flip:  # a selection kept, or App2Sel
-                return Sel(recv2, f, args2), sig.ret
-            return App(f, recv2, args2), sig.ret  # an application kept, or Sel2App
-        case CtrCall(c, args) | New(c, args):
-            oo = isinstance(e, New)
-            sig = ctx.sig.get(c)
-            if sig is None or not isinstance(ctx.defs.get(c), Generator if oo else Constructor):
-                raise _err(f"{c} is not a {'class' if oo else 'constructor'}")
-            args2 = _check_args(e, args, sig.params, ctx, env)
-            parent = sig.ret
-            assert isinstance(parent, Named)
-            flip = c in (ctx.gen if oo else ctx.ctr).get(parent.name, ())
-            if oo != flip:  # an instantiation kept, or Obj2New
-                return New(c, args2), parent
-            return CtrCall(c, args2), parent  # a constructor call kept, or New2Obj
-        case Obj(c, values):
-            # runtime objects appear only when typing evaluation traces; they
-            # are values shared by both styles and are never rewritten
-            sig = ctx.sig.get(c)
-            if sig is None:
-                raise _err(f"object tag {c} has no signature")
-            _check_args(e, values, sig.params, ctx, env)
-            parent = sig.ret
-            assert isinstance(parent, Named)
-            return e, parent
-    raise _err(f"unknown expression form {e!r}")
+    out = fold(e, partial(_typed, ctx, env))
+    if type(out) is not tuple:
+        raise out()
+    return out
 
 
-def _expect(e: Expr, want: Type, ctx: GlobalCtx, env: TypeEnv) -> Expr:
-    e2, got = transform_expr(e, ctx, env)
-    # INT and BOOL are shared instances, so identity settles most checks
-    # before the dataclass __eq__ is called
-    if got is not want and got != want:
-        raise _err(
-            f"{pretty_expr(e, runtime=True)} has type {pretty_type(got)}, expected {pretty_type(want)}"
-        )
-    return e2
+def _typed(ctx: GlobalCtx, env: TypeEnv, e: Expr, kids: list):
+    """The (translation, type) of ``e`` from its children's, or its first error."""
+    cls = type(e)
+    if cls is Var:
+        t = env.get(e.name)
+        return (e, t) if t is not None else partial(_err, f"unbound variable {e.name!r}")
+    if cls is IntLit:
+        return e, INT
+    if cls is BoolLit:
+        return e, BOOL
+    if cls is Sel or cls is App:
+        # one rule for both decompositions: a destructor selected, or a consumer applied
+        oo, f, recv = cls is Sel, e.name, kids[0]
+        if type(recv) is not tuple:
+            return recv
+        recv2, rt = recv
+        if type(rt) is not Named:
+            call = f"select {f!r} on" if oo else f"apply consumer {f!r} to"
+            return partial(_err, f"cannot {call} a value of type {pretty_type(rt)}")
+        sig = (ctx.dtr_sig if oo else ctx.sig).get((f, rt.name))
+        if sig is None:
+            return partial(_err, f"type {rt.name} has no {'destructor' if oo else 'consumer'} {f!r}")
+        if not oo:  # a consumer's signature is D -> (T...) -> T
+            sig = sig.ret
+            assert isinstance(sig, Arrow)
+        if failed := _check_args(e, e.args, kids[1:], sig.params):
+            return failed
+        args2 = tuple([kid[0] for kid in kids[1:]])
+        flip = f in (ctx.dtr if oo else ctx.csm).get(rt.name, ())
+        if oo != flip:  # a selection kept, or App2Sel
+            return Sel(recv2, f, args2), sig.ret
+        return App(f, recv2, args2), sig.ret  # an application kept, or Sel2App
+    if cls is PrimOp:
+        op = e.op
+        want = INT if op in _ARITH or op in _CMP else BOOL
+        failed = _expect(e.lhs, kids[0], want) or _expect(e.rhs, kids[1], want)
+        return failed or (PrimOp(op, kids[0][0], kids[1][0]), (INT if op in _ARITH else BOOL))
+    if cls is If:
+        if failed := _expect(e.cond, kids[0], BOOL) or _expect(e.then, kids[1]) or _expect(e.els, kids[2]):
+            return failed
+        (cond2, _), (then2, t1), (els2, t2) = kids
+        if t1 is not t2 and t1 != t2:
+            types = f" have different types {pretty_type(t1)} and {pretty_type(t2)}"
+            return _printing("branches of ", e, types, runtime=False)
+        return If(cond2, then2, els2), t1
+    if cls is CtrCall or cls is New:
+        oo, c = cls is New, e.name
+        sig = ctx.sig.get(c)
+        if sig is None or not isinstance(ctx.defs.get(c), Generator if oo else Constructor):
+            return partial(_err, f"{c} is not a {'class' if oo else 'constructor'}")
+        if failed := _check_args(e, e.args, kids, sig.params):
+            return failed
+        args2 = tuple([kid[0] for kid in kids])
+        parent = sig.ret
+        assert isinstance(parent, Named)
+        flip = c in (ctx.gen if oo else ctx.ctr).get(parent.name, ())
+        if oo != flip:  # an instantiation kept, or Obj2New
+            return New(c, args2), parent
+        return CtrCall(c, args2), parent  # a constructor call kept, or New2Obj
+    if cls is Obj:
+        # runtime objects appear only when typing evaluation traces; they
+        # are values shared by both styles and are never rewritten
+        sig = ctx.sig.get(e.name)
+        if sig is None:
+            return partial(_err, f"object tag {e.name} has no signature")
+        return _check_args(e, e.args, kids, sig.params) or (e, sig.ret)
+    return partial(_err, f"unknown expression form {e!r}")
 
 
-def _check_args(
-    call: Expr, args: tuple[Expr, ...], params: tuple[Type, ...], ctx: GlobalCtx, env: TypeEnv
-) -> tuple[Expr, ...]:
+def _expect(e: Expr, kid, want: Type | None = None):
+    """The error of child ``e``, typed as ``kid``, where ``want`` is expected; None if it has none."""
+    if type(kid) is not tuple:
+        return kid
+    got = kid[1]
+    # INT and BOOL are shared instances: identity settles most checks before __eq__
+    if want is None or got is want or got == want:
+        return None
+    return _printing("", e, f" has type {pretty_type(got)}, expected {pretty_type(want)}")
+
+
+def _check_args(call: Expr, args: tuple[Expr, ...], kids: list, params: tuple[Type, ...]):
+    """The first error of a call's arguments, typed as ``kids``, against ``params``; None if none."""
     if len(args) != len(params):
-        raise _err(
-            f"{pretty_expr(call, runtime=True)} takes {len(params)} argument(s), got {len(args)}"
-        )
-    return tuple(_expect(a, p, ctx, env) for a, p in zip(args, params))
+        return _printing("", call, f" takes {len(params)} argument(s), got {len(args)}")
+    return next(filter(None, map(_expect, args, kids, params)), None)
+
+
+def _printing(prefix: str, e: Expr, suffix: str, runtime: bool = True):
+    """The error ``prefix``, ``e`` printed, ``suffix``, built only when it is raised."""
+    return lambda: _err(prefix + pretty_expr(e, runtime=runtime) + suffix)
 
 
 # ---------------------------------------------------------------------------

@@ -147,24 +147,51 @@ def test_trace_plugs_only_the_states_it_prints(capsys, tmp_path, monkeypatch):
     assert len(plugged) <= 1
 
 
+def nested_sum(depth, inner):
+    """``1 + (1 + (… + inner))`` as printed: ``depth`` additions."""
+    return "1 + (" * (depth - 1) + "1 + " + inner + ")" * (depth - 1)
+
+
 @pytest.mark.parametrize("command", ["check", "ctx", "transform", "roundtrip", "eval", "trace"])
 def test_deeply_nested_input_is_a_diagnostic(capsys, tmp_path, command):
+    # every subcommand gives its real output at any depth of expression; the
+    # trace stops after two 3,000-deep states, as all 3,001 print 27 MB
     source = tmp_path / "deep.food"
     source.write_text("1 + (" * 3000 + "1" + ")" * 3000 + "\n")
-    code, out, err = run(capsys, command, str(source))
-    if command == "ctx":  # the parser takes any depth, and ctx never walks the main expression
-        assert (code, out, err) == (0, "dt: -\nit: -\n", "")
-    else:
-        assert (code, out, err) == (1, "", f"{source}: input nested too deeply\n")
+    code, out, err = run(capsys, command, str(source), *(["--limit", "2"] if command == "trace" else []))
+    expected = {
+        "check": "",
+        "ctx": "dt: -\nit: -\n",
+        "transform": nested_sum(3000, "1") + "\n",
+        "roundtrip": "",
+        "eval": "3001\n",
+        "trace": f"   0  {nested_sum(3000, '1')}\n   1  {nested_sum(2999, '2')}\n   => 3001\n",
+    }
+    assert (code, out, err) == (0, expected[command], "")
 
 
 def test_trace_of_a_deep_state_is_a_diagnostic(capsys, tmp_path):
-    # the states of count(build(Z())(400)) grow 400 deep before counting down
+    # the states of count(build(Z())(400)) grow 400 deep before counting down;
+    # every one prints, 7n + 5 = 2,805 steps
     source = tmp_path / "peano.food"
     source.write_text(eval_source("peano_fp", 400))
     code, out, err = run(capsys, "trace", str(source))
-    assert code == 1 and out.startswith("   0  count(build(Z())(400))\n")
-    assert err == f"{source}: input nested too deeply\n" and "Traceback" not in out
+    lines = out.splitlines()
+    assert (code, err) == (0, "") and len(lines) == 2807
+    assert lines[0] == "   0  count(build(Z())(400))" and lines[-1] == "   => 400"
+    assert max(map(len, lines)) > 400 * len("S(")
+
+
+@pytest.mark.parametrize("command", ["eval", "transform"])
+def test_a_deep_method_body_is_still_a_diagnostic(capsys, tmp_path, command):
+    # subst recurses on a method body, and dataclass ==, hash and repr on any
+    # term; cli.main reports their RecursionError as a diagnostic
+    source = tmp_path / "deep_body.food"
+    body = "1 + (" * 3000 + "n" + ")" * 3000
+    source.write_text(f"data D\ncase C() extends D\ndef f(self: D)(n: Int): Int = {body}\nf(C())(1)\n")
+    assert run(capsys, "check", str(source)) == (0, "", "")
+    code, out, err = run(capsys, command, str(source))
+    assert (code, out, err) == (1, "", f"{source}: input nested too deeply\n")
 
 
 def test_trace_rejects_a_negative_limit(capsys):

@@ -71,3 +71,39 @@ def test_node_classes_use_the_slotted_constructor():
     values = [c for c in classes("interp.py") if "Value" in map(ast.unparse, c.bases)]
     assert len(nodes) >= 24 and len(values) == 3
     assert [c.name for c in nodes + values if decorators(c) != ["node"]] == []
+
+
+def test_no_function_recurses_on_its_input():
+    # a function that calls itself, directly or through others in its module,
+    # takes one Python frame per nesting level and fails a few hundred levels
+    # deep; walks over expressions use syntax.fold, walk or rewrite_first
+    allowed = {
+        "syntax.subst",  # the evaluator's hot path, as deep as a method body
+        "pretty.pretty_type",  # types nest only as deep as a signature
+        "context.type_text",  # the same, for a consumer's curried signature
+        # the generator's own recursion is bounded by GenConfig.max_expr_depth
+        *(f"fuzz.{name}" for name in ("expr", "construct", "render_call", "minimal", "minimal_of")),
+    }
+    found = []
+    for path in SOURCES:
+        calls: dict[str, set[str]] = {}
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callees = calls.setdefault(fn.name, set())
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                        callees.add(node.func.id)
+                    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                        if isinstance(node.func.value, ast.Name) and node.func.value.id == "self":
+                            callees.add(node.func.attr)
+        for name in calls:
+            reached, todo = set(), list(calls[name])
+            while todo:
+                callee = todo.pop()
+                if callee in calls and callee not in reached:
+                    reached.add(callee)
+                    todo += calls[callee]
+            if name in reached:
+                found.append(f"{path.stem}.{name}")
+    assert len(SOURCES) >= 10 and sorted(set(found) - allowed) == []
+    assert {"syntax.subst", "pretty.pretty_type"} <= set(found)

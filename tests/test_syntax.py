@@ -4,8 +4,20 @@ import dataclasses
 
 import pytest
 from conftest import load, load_raw
+from test_hostile_input import NESTINGS, nest
 
-from food import canonicalize, desugar, interp, parse, pretty, syntax
+from food import (
+    TransformError,
+    canonicalize,
+    check,
+    desugar,
+    interp,
+    parse,
+    preprocess,
+    pretty,
+    syntax,
+    transform_expr,
+)
 from food.fuzz import GenConfig, gen_program
 from food.interp import BoolV, IntV, ObjV, Value
 from food.pretty import pretty_def, pretty_expr
@@ -42,6 +54,7 @@ from food.syntax import (
     Var,
     children,
     contains_obj,
+    fold,
     free_vars,
     rewrite_first,
     walk,
@@ -254,6 +267,23 @@ def deep(depth):
     return e
 
 
+# A context for the nesting forms: S is a constructor of N, f a consumer on N
+# and a destructor of I.  Per form: the variable x's type, and the outcome of
+# typing the 10^5-deep term, a type or the first error.
+DEEP_DEFS = desugar(
+    parse("data N\ncase S(n: N) extends N\ndef f(self: N)(): N = self\ninterface I {\n  def f(): I\n}\n0")
+).defs
+DEEP_TYPING = {
+    "parentheses": (INT, INT),
+    "sums": (INT, INT),
+    "constructors": (INT, "1 has type Int, expected N"),
+    "objects": (INT, "S is not a class"),
+    "selections": (Named("I"), Named("I")),
+    "receivers": (Named("N"), Named("N")),
+    "ifs": (INT, INT),
+}
+
+
 def test_traversals_do_not_recurse_on_deep_expressions():
     e = deep(100_000)
     assert free_vars(e) == {"x"}
@@ -261,6 +291,29 @@ def test_traversals_do_not_recurse_on_deep_expressions():
     assert sum(1 for _ in walk(e)) > 100_000
     minus_one = rewrite_first(e, lambda x: IntLit(-1) if x == Var("x") else None)
     assert not free_vars(minus_one) and contains_obj(minus_one)
+    assert fold(e, lambda x, kids: 1 + sum(kids)) == sum(1 for _ in walk(e))
+    assert pretty_expr(e, runtime=True).count("obj(Z)") == 1
+    # the printer, the typer and the checker take every nesting form at any depth
+    ctx = preprocess(Program(DEEP_DEFS, IntLit(0)))
+    for form, (source, tree) in NESTINGS.items():
+        e, (x_type, typing) = tree(100_000), DEEP_TYPING[form]
+        assert fold(e, lambda x, kids: 1 + sum(kids)) == sum(1 for _ in walk(e)), form
+        # the printer drops the source's redundant parentheses
+        printed = {"parentheses": "1", "sums": "1 + (" * 99_999 + "1 + 1" + ")" * 99_999}
+        assert pretty(Program((), e)) == printed.get(form, source(100_000)) + "\n", form
+        try:
+            assert transform_expr(e, ctx, {"x": x_type})[1] == typing, form
+        except TransformError as exc:
+            assert str(exc) == typing, form
+        if form in ("selections", "receivers"):
+            typing = "unbound variable 'x'"  # the main expression binds nothing
+        diagnostics = check(Program(DEEP_DEFS, e), ctx)
+        assert [d.message for d in diagnostics] == ([] if isinstance(typing, Type) else [typing]), form
+        if form != "parentheses":
+            with pytest.raises(ValueError):
+                interp.to_value(e)
+    value = nest(100_000, lambda v: Obj("S", (IntLit(1), v)), Obj("Z", ()))
+    assert interp.format_value(interp.to_value(value)) == pretty_expr(value, runtime=True)
 
 
 # ---------------------------------------------------------------------------
