@@ -41,21 +41,13 @@ def _read(path: str) -> str:
 
 
 def _load(path: str) -> Program:
-    try:
-        return desugar(parse(_read(path)))
-    except FoodError as exc:
-        raise _Failure("\n".join(f"{path}:{d.render()}" for d in exc.diagnostics))
+    return desugar(parse(_read(path)))
 
 
 def _checked(path: str) -> Program:
     program = _load(path)
-    try:
-        ctx = preprocess(program)
-    except FoodError as exc:
-        raise _Failure("\n".join(f"{path}:{d.render()}" for d in exc.diagnostics))
-    diags = check(program, ctx)
-    if diags:
-        raise _Failure("\n".join(f"{path}:{d.render()}" for d in diags))
+    if diags := check(program, preprocess(program)):
+        raise FoodError(diags)
     return program
 
 
@@ -114,23 +106,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_ctx(args: argparse.Namespace) -> int:
-    program = _load(args.file)
-    try:
-        ctx = preprocess(program)
-        if args.types is not None:
-            ctx = restrict(ctx, _selected(args.types) or set())
-    except FoodError as exc:
-        raise _Failure("\n".join(d.render() for d in exc.diagnostics))
+    ctx = preprocess(_load(args.file))
+    if args.types is not None:
+        ctx = restrict(ctx, _selected(args.types) or set())
     sys.stdout.write(ctx.dump())
     return 0
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    program = _checked(args.file)
-    try:
-        result = transform(program, _selected(args.types))
-    except FoodError as exc:
-        raise _Failure("\n".join(d.render() for d in exc.diagnostics))
+    result = transform(_checked(args.file), _selected(args.types))
     _emit(pretty(canonicalize(result.program)), args.output)
     return 0
 
@@ -138,11 +122,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
     program = _checked(args.file)
     selected = _selected(args.types)
-    try:
-        once = transform(program, selected)
-        twice = transform(once.program, selected)
-    except FoodError as exc:
-        raise _Failure("\n".join(d.render() for d in exc.diagnostics))
+    once = transform(program, selected)
+    twice = transform(once.program, selected)
     expected = pretty(canonicalize(program))
     actual = pretty(canonicalize(twice.program))
     if actual == expected and once.program_type == twice.program_type:
@@ -252,13 +233,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    where = getattr(args, "file", args.command)
     try:
         return args.fn(args)
     except _Failure as exc:
         print(exc.message, file=sys.stderr)
         return 1
+    except FoodError as exc:  # parse, context, check and transform diagnostics, after the file name
+        print("\n".join(f"{where}:{d.render()}" for d in exc.diagnostics), file=sys.stderr)
+        return 1
     except RecursionError:  # subst recurses on a method body; dataclass ==, hash and repr on any term
-        print(f"{getattr(args, 'file', args.command)}: input nested too deeply", file=sys.stderr)
+        print(f"{where}: input nested too deeply", file=sys.stderr)
         return 1
 
 

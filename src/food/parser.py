@@ -49,6 +49,7 @@ from .syntax import (
     New,
     Param,
     Pattern,
+    PREC,
     PrimOp,
     Program,
     RESERVED_BINDERS,
@@ -143,9 +144,6 @@ class _Fail(Exception):
     def __init__(self, diagnostic: Diagnostic):
         self.diagnostic = diagnostic
 
-
-# Binding strength of the binary operators; every level is left-associative.
-_PREC = {"||": 1, "&&": 2, "==": 3, "<=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
 
 # The frames of the expression loop, each waiting for one expression:
 #   (_PAREN, vals, ops)             the inside of ( ... )
@@ -502,9 +500,9 @@ class _Parser:
                     i = self.i
                     atom = None
                     continue
-                prec = _PREC.get(k)
+                prec = PREC.get(k)
                 if prec:
-                    while ops and _PREC[ops[-1]] >= prec:
+                    while ops and PREC[ops[-1]] >= prec:
                         atom = PrimOp(ops.pop(), vals.pop(), atom)
                     vals.append(atom)
                     ops.append(k)

@@ -31,6 +31,7 @@ from .syntax import (
     New,
     Obj,
     Param,
+    PREC,
     PrimOp,
     Program,
     Sel,
@@ -39,10 +40,10 @@ from .syntax import (
     fold,
 )
 
-# Precedence levels, loosest first.  A child is parenthesized whenever its
-# level is below the minimum its position demands.
+# Precedence levels, loosest first, with the binary operators' ``PREC``
+# between them.  A child is parenthesized whenever its level is below the
+# minimum its position demands.
 _IF = 0
-_PREC = {"||": 1, "&&": 2, "==": 3, "<=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
 _POSTFIX = 6
 
 
@@ -96,7 +97,7 @@ def _text(runtime: bool, e: Expr, kids: list[tuple]) -> tuple:
     if cls is App:
         return (e.name, "(", kids[0][0], ")", _args(kids[1:]) if e.args else ""), _POSTFIX
     if cls is PrimOp:
-        prec = _PREC[e.op]
+        prec = PREC[e.op]
         return (_at(kids[0], prec), f" {e.op} ", _at(kids[1], prec + 1)), prec
     if cls is CtrCall:
         return (e.name, _args(kids)), _POSTFIX

@@ -164,6 +164,11 @@ class PrimOp(Expr):
     rhs: Expr
 
 
+# Binding strength of the binary operators, for the parser and the printer;
+# every level is left-associative.
+PREC = {"||": 1, "&&": 2, "==": 3, "<=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
+
+
 @node
 class If(Expr):
     cond: Expr

@@ -1,28 +1,27 @@
 """Type-directed bidirectional translation between decomposition styles.
 
-One pass serves as both type checker and rewriter: every expression is
-assigned a type, and its translated form depends on whether the types involved
-were selected for transformation.  Selected interfaces become datatypes with
-consumers, selected datatypes become interfaces with generators, and all other
-definitions pass through with only their inner expressions translated.
+Selected datatypes become interfaces with classes, selected interfaces become
+datatypes with consumers, and all other definitions keep their form.  This
+takes two steps.  The typed pass (``_typed_def``) types and translates every
+member body where it stands: Sel2App/App2Sel and Obj2New/New2Obj are one case
+each of the typing rule ``_typed``, and a body whose receiver's type is
+selected takes the other style's receiver name.  ``transform`` raises every
+definition's first error, at that definition, with the main expression's, so
+with no type selected it is ``check``'s typing half.  The regrouping
+(``_regroup``) never types: one case per definition rule moves the translated
+bodies between consumers and classes.
 
 Expressions are typed by one rule per form over ``syntax.fold``, which returns
 the error a recursive pass meets first: the receiver's, the node's own, then
 the arguments'.  Errors are carried as functions that build them.
-
-Each FP⇄OO rule pair is written once: Sel2App/App2Sel and Obj2New/New2Obj are
-one case each of its rule ``_typed``, and Csm2Fun/Fun2Csm and Case2Fun/Fun2Case
-are ``_body``.  Dt2It/It2Dt and Ctr2Gen/Gen2Ctr keep one function per source
-form, as member bodies live in consumers on one side and in generators on the
-other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
-from .context import GlobalCtx, TypeEnv, preprocess, restrict
+from .context import DefKey, GlobalCtx, TypeEnv, preprocess, restrict
 from .diagnostics import Diagnostic, TransformError
 from .pretty import pretty_expr, pretty_type
 from .syntax import (
@@ -62,7 +61,6 @@ from .syntax import (
 
 _ARITH = {"+", "-", "*"}
 _CMP = {"==", "<=", "<"}
-_LOGIC = {"&&", "||"}
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ def _printing(prefix: str, e: Expr, suffix: str, runtime: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# Definition translation
+# Definitions: type every body in place, then regroup
 
 
 def _body(
@@ -199,122 +197,91 @@ def _body(
     return body2
 
 
-def _translate_datatype(d: Datatype, ctx: GlobalCtx) -> list[Def]:
-    if d.name not in ctx.dt:
-        return [d]  # Dt2Dt
-    # Dt2It: consumers become destructor declarations; a wildcard clause
-    # becomes the default implementation
-    dtrs = []
-    for f in ctx.csm[d.name]:
-        c = ctx.defs[(f, d.name)]
-        assert isinstance(c, Consumer)
-        wild = c.wildcard_clause()
-        if wild is None:
-            dtrs.append(Dtr(f, c.params, c.ret))  # Csm2Dec
-        else:  # Csm2Fun
-            body = _body(f"consumer {f} on {d.name}", wild.body, c.ret, ctx, SELF, d.name, c.params)
-            dtrs.append(Dtr(f, c.params, c.ret, body))
-    return [Interface(d.name, tuple(dtrs), pos=d.pos)]
+def _method(what: str, m: Dtr, ctx: GlobalCtx, self_type: str, *fields: tuple[Param, ...]) -> Dtr:
+    """Method or default ``m`` of ``self_type`` with its body typed."""
+    return Dtr(m.name, m.params, m.ret, _body(what, m.body, m.ret, ctx, THIS, self_type, *fields, m.params))
 
 
-def _translate_interface(d: Interface, ctx: GlobalCtx) -> list[Def]:
-    if d.name not in ctx.it:  # It2It
-        members = []
-        for m in d.dtrs:
-            if m.body is None:
-                members.append(m)
-            else:
-                body = _body(f"default {m.name} in {d.name}", m.body, m.ret, ctx, THIS, d.name, m.params)
-                members.append(replace(m, body=body))
-        return [Interface(d.name, tuple(members), pos=d.pos)]
-    # It2Dt: each destructor becomes a consumer whose clauses are harvested
-    # from the generators, plus a wildcard clause from any default
-    out: list[Def] = [Datatype(d.name, pos=d.pos)]
-    for m in d.dtrs:
-        clauses: list[Clause] = []
-        for c_name in ctx.gen[d.name]:
-            g = ctx.defs[c_name]
-            assert isinstance(g, Generator)
-            impl = next((fun for fun in g.funs if fun.name == m.name), None)
-            if impl is None:
-                continue
-            assert impl.body is not None
-            what = f"method {m.name} in class {c_name}"
-            body = _body(what, impl.body, m.ret, ctx, THIS, d.name, g.fields, impl.params)  # Fun2Case
-            clauses.append(Clause(Pattern(c_name, tuple(p.name for p in g.fields)), body))
-        if m.body is not None:  # Fun2Csm
-            body = _body(f"default {m.name} in {d.name}", m.body, m.ret, ctx, THIS, d.name, m.params)
-            clauses.append(Clause(WILDCARD, body))
-        out.append(Consumer(m.name, d.name, m.params, m.ret, clauses=tuple(clauses)))
-    return out
-
-
-def _translate_constructor(d: Constructor, ctx: GlobalCtx) -> list[Def]:
-    if d.name not in ctx.ctr.get(d.parent, ()):
-        return [d]  # Ctr2Ctr
-    # Ctr2Gen: for every consumer with a clause naming this constructor,
-    # produce a method from that clause
-    funs = []
-    for f in ctx.csm[d.parent]:
-        c = ctx.defs[(f, d.parent)]
-        assert isinstance(c, Consumer)
-        clause = c.clause_for(d.name)
-        if clause is None:
-            continue
-        what = f"clause for {d.name} in consumer {f}"
-        body = _body(what, clause.body, c.ret, ctx, SELF, d.parent, d.fields, c.params)  # Case2Fun
-        funs.append(Dtr(f, c.params, c.ret, body))
-    return [Generator(d.name, d.fields, d.parent, tuple(funs), pos=d.pos)]
-
-
-def _translate_generator(d: Generator, ctx: GlobalCtx) -> list[Def]:
-    if d.name in ctx.gen.get(d.parent, ()):
-        return [Constructor(d.name, d.fields, d.parent, pos=d.pos)]  # Gen2Ctr
-    members = []  # Gen2Gen
-    for fun in d.funs:
-        assert fun.body is not None
-        what = f"method {fun.name} in class {d.name}"
-        body = _body(what, fun.body, fun.ret, ctx, THIS, d.parent, d.fields, fun.params)
-        members.append(replace(fun, body=body))
-    return [Generator(d.name, d.fields, d.parent, tuple(members), pos=d.pos)]
-
-
-def _translate_consumer(d: Consumer, ctx: GlobalCtx) -> list[Def]:
+def _typed_def(d: Def, ctx: GlobalCtx) -> Def:
+    """``d`` in its own form, with every member body typed and translated."""
+    cls = type(d)
+    if cls is Datatype or cls is Constructor:
+        return d
+    if cls is Interface:
+        dtrs = [
+            m if m.body is None else _method(f"default {m.name} in {d.name}", m, ctx, d.name) for m in d.dtrs
+        ]
+        return Interface(d.name, tuple(dtrs), d.pos)
+    if cls is Generator:
+        funs = [_method(f"method {f.name} in class {d.name}", f, ctx, d.parent, d.fields) for f in d.funs]
+        return Generator(d.name, d.fields, d.parent, tuple(funs), d.pos)
+    if cls is not Consumer:
+        raise _err(f"unknown definition form {d!r}")
     if d.body is not None:
         raise _err(f"consumer {d.name} must be desugared before transformation", d.pos)
-    if d.self_type in ctx.dt:
-        return []  # CsmElim
-    clauses = []  # Csm2Csm
+    what = f"consumer {d.name} on {d.self_type}"
+    clauses = []
     for clause in d.clauses or ():
         binders: tuple[Param, ...] = ()
         if not clause.pattern.is_wildcard:
             c_sig = ctx.sig.get(clause.pattern.name)
             if c_sig is None or len(c_sig.params) != len(clause.pattern.vars):
-                raise _err(
-                    f"pattern {clause.pattern.name} in consumer {d.name} does not match "
-                    "a constructor of that arity",
-                    d.pos,
-                )
+                pattern = f"pattern {clause.pattern.name} in consumer {d.name}"
+                raise _err(f"{pattern} does not match a constructor of that arity", d.pos)
             binders = tuple(map(Param, clause.pattern.vars, c_sig.params))
-        what = f"consumer {d.name} on {d.self_type}"
         body = _body(what, clause.body, d.ret, ctx, SELF, d.self_type, binders, d.params)
         clauses.append(Clause(clause.pattern, body))
-    return [replace(d, clauses=tuple(clauses))]
+    return Consumer(d.name, d.self_type, d.params, d.ret, tuple(clauses), None, d.pos)
 
 
-def _translate_def(d: Def, ctx: GlobalCtx) -> list[Def]:
-    match d:
-        case Datatype():
-            return _translate_datatype(d, ctx)
-        case Interface():
-            return _translate_interface(d, ctx)
-        case Constructor():
-            return _translate_constructor(d, ctx)
-        case Generator():
-            return _translate_generator(d, ctx)
-        case Consumer():
-            return _translate_consumer(d, ctx)
-    raise _err(f"unknown definition form {d!r}")
+def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx) -> list[Def]:
+    """What ``d`` becomes: its typed form, or its part of a selected type's other decomposition.
+
+    ``typed`` maps each definition's key in ``ctx.defs`` to its ``_typed_def``;
+    the bodies it holds move between consumers and classes unchanged.
+    """
+    cls = type(d)
+    if cls is Datatype:
+        if d.name not in ctx.dt:
+            return [d]  # Dt2Dt
+        dtrs = []  # Dt2It
+        for f in ctx.csm[d.name]:
+            c = typed[(f, d.name)]
+            wild = c.wildcard_clause()  # Csm2Dec without one, Csm2Fun with one
+            dtrs.append(Dtr(f, c.params, c.ret, None if wild is None else wild.body))
+        return [Interface(d.name, tuple(dtrs), d.pos)]
+    if cls is Interface:
+        if d.name not in ctx.it:
+            return [typed[d.name]]  # It2It
+        out: list[Def] = [Datatype(d.name, d.pos)]  # It2Dt
+        for m in typed[d.name].dtrs:
+            clauses = []
+            for c_name in ctx.gen[d.name]:
+                g = typed[c_name]
+                impl = next((fun for fun in g.funs if fun.name == m.name), None)
+                if impl is not None:  # Fun2Case
+                    clauses.append(Clause(Pattern(c_name, tuple(p.name for p in g.fields)), impl.body))
+            if m.body is not None:  # Fun2Csm
+                clauses.append(Clause(WILDCARD, m.body))
+            out.append(Consumer(m.name, d.name, m.params, m.ret, tuple(clauses)))
+        return out
+    if cls is Constructor:
+        if d.name not in ctx.ctr.get(d.parent, ()):
+            return [d]  # Ctr2Ctr
+        funs = []  # Ctr2Gen
+        for f in ctx.csm[d.parent]:
+            c = typed[(f, d.parent)]
+            clause = c.clause_for(d.name)
+            if clause is not None:  # Case2Fun
+                funs.append(Dtr(f, c.params, c.ret, clause.body))
+        return [Generator(d.name, d.fields, d.parent, tuple(funs), d.pos)]
+    if cls is Generator:
+        if d.name in ctx.gen.get(d.parent, ()):
+            return [Constructor(d.name, d.fields, d.parent, d.pos)]  # Gen2Ctr
+        return [typed[d.name]]  # Gen2Gen
+    if d.self_type in ctx.dt:
+        return []  # CsmElim
+    return [typed[(d.name, d.self_type)]]  # Csm2Csm
 
 
 def transform(
@@ -325,38 +292,32 @@ def transform(
     """Transform all selected types of a desugared, well-formed program.
 
     ``selected=None`` selects every declared type; an empty set turns the
-    whole pass into a type check that returns the program unchanged.
+    whole pass into a type check that returns the program unchanged.  Each
+    definition's first typing error, at that definition, and the main
+    expression's are raised in one ``TransformError``.
     """
     full = ctx if ctx is not None else preprocess(program)
     if selected is None:
         selected = set(full.type_names())
     rctx = restrict(full, selected)
-    defs: list[Def] = []
+    typed: dict[DefKey, Def] = {}
+    diags: list[Diagnostic] = []
     for d in program.defs:
-        defs.extend(_translate_def(d, rctx))
-    main, main_type = transform_expr(program.main, rctx, {})
+        try:
+            typed[(d.name, d.self_type) if type(d) is Consumer else d.name] = _typed_def(d, rctx)
+        except TransformError as exc:
+            line, col = getattr(d, "pos", None) or (0, 0)
+            diags.extend(dg if dg.line else Diagnostic(dg.message, line, col) for dg in exc.diagnostics)
+    try:
+        main, main_type = transform_expr(program.main, rctx, {})
+    except TransformError as exc:
+        diags.extend(exc.diagnostics)
+    if diags:
+        raise TransformError(diags)
+    defs = [out for d in program.defs for out in _regroup(d, typed, rctx)]
     return TransformResult(Program(tuple(defs), main), main_type)
 
 
 def typecheck(program: Program, ctx: GlobalCtx | None = None) -> Type:
     """Type of the program's main expression; the whole program is derived."""
     return transform(program, frozenset(), ctx=ctx).program_type
-
-
-def typing_diagnostics(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
-    """All per-definition typing errors, collected rather than raised."""
-    rctx = restrict(ctx, frozenset())
-    diags: list[Diagnostic] = []
-    for d in program.defs:
-        try:
-            _translate_def(d, rctx)
-        except TransformError as exc:
-            pos = getattr(d, "pos", None) or (0, 0)
-            diags.extend(
-                dg if dg.line else Diagnostic(dg.message, pos[0], pos[1]) for dg in exc.diagnostics
-            )
-    try:
-        transform_expr(program.main, rctx, {})
-    except TransformError as exc:
-        diags.extend(exc.diagnostics)
-    return diags

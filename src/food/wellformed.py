@@ -13,7 +13,7 @@ that a clean check guarantees the transformation cannot fail.
 from __future__ import annotations
 
 from .context import GlobalCtx
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, TransformError
 from .syntax import (
     Constructor,
     Consumer,
@@ -29,7 +29,7 @@ from .syntax import (
     Type,
     contains_obj,
 )
-from .transform import typing_diagnostics
+from .transform import transform
 
 
 def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
@@ -40,7 +40,10 @@ def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
     checker = _Checker(program, ctx)
     checker.run()
     if not checker.diags:
-        checker.diags.extend(typing_diagnostics(program, ctx))
+        try:
+            transform(program, frozenset(), ctx)
+        except TransformError as exc:
+            return list(exc.diagnostics)
     return checker.diags
 
 

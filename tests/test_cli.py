@@ -244,6 +244,20 @@ def test_ctx_dump_restricted(capsys):
     assert "gen[List]: -" in out and "gen[Set]: Empty, Insert, Union" in out
 
 
+def test_ctx_diagnostics_name_the_file(capsys, tmp_path):
+    bad = tmp_path / "twice.food"
+    bad.write_text("data D\ndata D\n1")
+    code, out, err = run(capsys, "ctx", str(bad))
+    assert (code, out, err) == (1, "", f"{bad}:2:1: duplicate definition of D\n")
+
+
+@pytest.mark.parametrize("command", ["transform", "roundtrip"])
+def test_unknown_selected_type_names_the_file(capsys, command):
+    path = CORPUS / "sets_fp.food"
+    code, out, err = run(capsys, command, str(path), "--types", "Nope")
+    assert (code, out, err) == (1, "", f"{path}:unknown selected type Nope\n")
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -73,6 +73,23 @@ def test_node_classes_use_the_slotted_constructor():
     assert [c.name for c in nodes + values if decorators(c) != ["node"]] == []
 
 
+def test_transform_builds_nodes_with_their_constructors():
+    # dataclasses.replace reads the class's fields and rebuilds its keyword
+    # arguments for every node it copies; transform builds nodes with their
+    # slotted constructors instead
+    tree = ast.parse((pathlib.Path(food.__file__).parent / "transform.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "dataclasses"
+        and "replace" in [alias.name for alias in node.names]
+        or isinstance(node, ast.Attribute)
+        and ast.unparse(node) == "dataclasses.replace"
+    ]
+    assert found == []
+
+
 def test_no_function_recurses_on_its_input():
     # a function that calls itself, directly or through others in its module,
     # takes one Python frame per nesting level and fails a few hundred levels

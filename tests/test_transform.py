@@ -191,6 +191,42 @@ def test_unknown_selected_type_is_rejected():
         transform(load("sets_fp"), {"Nope"})
 
 
+def test_clause_naming_no_constructor_is_rejected_under_a_selection():
+    # the clause is typed where it stands, so E is reported even though the
+    # consumer is eliminated and its clauses move into the classes
+    p = desugar(
+        parse(
+            "data D\ncase C() extends D\n"
+            "def f(self: D)(): Int = match { case C() => 1  case E() => 2 }\nf(C())"
+        )
+    )
+    with pytest.raises(TransformError) as exc:
+        transform(p, {"D"})
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "3:1: pattern E in consumer f does not match a constructor of that arity"
+    ]
+
+
+def test_every_definitions_typing_error_is_raised_at_its_definition():
+    p = desugar(
+        parse(
+            "interface I { def m(): Int = true }\n"
+            "class K() implements I { def m(): Int = this.m() + false }\n"
+            "data D\ncase C() extends D\n"
+            "def f(self: D)(): Bool = match { case C() => 1 }\n"
+            "f(C())"
+        )
+    )
+    with pytest.raises(TransformError) as exc:
+        transform(p, set())
+    assert list(exc.value.diagnostics) == check(p, preprocess(p))
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "1:1: default m in I has type Bool, declared Int",
+        "2:1: false has type Bool, expected Int",
+        "5:1: consumer f on D has type Int, declared Bool",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # The printer and the typer, folds over syntax.fold, against the recursive
 # code they replaced (reference_recursive): the same text, translation and
