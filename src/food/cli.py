@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .context import preprocess, restrict
+from .context import GlobalCtx, preprocess, restrict
 from .diagnostics import FoodError
 from .fuzz import GenConfig, run_properties
 from .interp import Done, FuelExhausted, Stuck, _machine, _plug_all, eval_program, format_value
@@ -44,11 +44,12 @@ def _load(path: str) -> Program:
     return desugar(parse(_read(path)))
 
 
-def _checked(path: str) -> Program:
+def _checked(path: str) -> tuple[Program, GlobalCtx]:
     program = _load(path)
-    if diags := check(program, preprocess(program)):
+    ctx = preprocess(program)
+    if diags := check(program, ctx):
         raise FoodError(diags)
-    return program
+    return program, ctx
 
 
 def _selected(arg: str | None) -> set[str] | None:
@@ -114,15 +115,16 @@ def _cmd_ctx(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    result = transform(_checked(args.file), _selected(args.types))
+    program, ctx = _checked(args.file)
+    result = transform(program, _selected(args.types), ctx)
     _emit(pretty(canonicalize(result.program)), args.output)
     return 0
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
-    program = _checked(args.file)
+    program, ctx = _checked(args.file)
     selected = _selected(args.types)
-    once = transform(program, selected)
+    once = transform(program, selected, ctx)
     twice = transform(once.program, selected)
     expected = pretty(canonicalize(program))
     actual = pretty(canonicalize(twice.program))
@@ -139,8 +141,8 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    program = _checked(args.file)
-    outcome = eval_program(program, _fuel(args))
+    program, ctx = _checked(args.file)
+    outcome = eval_program(program, _fuel(args), ctx)
     match outcome:
         case Done(value):
             print(format_value(value))
@@ -155,10 +157,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    program = _checked(args.file)
+    program, ctx = _checked(args.file)
     # print each state as the machine reaches it and keep none: a state is
     # O(depth), so only the states printed are plugged into whole terms
-    for i, out in enumerate(_machine(program.main, preprocess(program), _fuel(args))):
+    for i, out in enumerate(_machine(program.main, ctx, _fuel(args))):
         if isinstance(out, tuple) and (args.limit is None or i < args.limit):
             print(f"{i:4}  {pretty_expr(_plug_all(*out), runtime=True)}")
     match out:

@@ -10,10 +10,11 @@ Plugging the focus into every frame gives the state, at O(depth) per state:
 ``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` pay it, while
 ``eval_program`` drains the same machine and plugs only ``FuelExhausted.last``.
 The machine, like ``subst``, dispatches on each node's exact class, and
-method bodies are looked up once per context, in its body table.  A final
-value is converted by one rule per form over ``syntax.fold``.  The nodes
-and values it builds are ``@node`` classes, whose constructors write their
-slots directly (see ``syntax``).
+method bodies are looked up once per context, in its body table.  Values
+are expressions in value form (``IntLit``, ``BoolLit`` and ``Obj``), and
+``Done`` carries the machine's final state itself.  The nodes it builds are
+``@node`` classes, whose constructors write their slots directly (see
+``syntax``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .context import GlobalCtx, preprocess
+from .pretty import pretty_expr
 from .syntax import (
     App,
     BoolLit,
@@ -36,7 +38,6 @@ from .syntax import (
     IntLit,
     Interface,
     New,
-    node,
     Obj,
     PrimOp,
     Program,
@@ -45,33 +46,13 @@ from .syntax import (
     subst,
     THIS,
     Var,
-    fold,
 )
 
 # ---------------------------------------------------------------------------
 # Values and outcomes
 
-
-class Value:
-    """A fully evaluated result."""
-
-    __slots__ = ()
-
-
-@node
-class IntV(Value):
-    value: int
-
-
-@node
-class BoolV(Value):
-    value: bool
-
-
-@node
-class ObjV(Value):
-    name: str
-    fields: tuple[Value, ...]
+# values are the value-form expressions; the names stay for callers
+IntV, BoolV, ObjV = IntLit, BoolLit, Obj
 
 
 @dataclass(frozen=True)
@@ -81,7 +62,7 @@ class Stepped:
 
 @dataclass(frozen=True)
 class Done:
-    value: Value
+    value: Expr
 
 
 @dataclass(frozen=True)
@@ -108,40 +89,9 @@ def is_value(e: Expr) -> bool:
     return type(e) in _VALUE_FORMS
 
 
-def to_value(e: Expr) -> Value:
-    """The value an evaluated expression denotes, at any depth."""
-    return fold(e, _value)
-
-
-def _value(e: Expr, fields: list[Value]) -> Value:
-    cls = type(e)
-    if cls is Obj:
-        return ObjV(e.name, tuple(fields))
-    if cls is IntLit or cls is BoolLit:
-        return (IntV if cls is IntLit else BoolV)(e.value)
-    raise ValueError(f"not a value form: {e!r}")
-
-
-def format_value(v: Value) -> str:
+def format_value(v: Expr) -> str:
     """The printed form of a value, such as ``obj(Insert, obj(Empty), 3)``, at any depth."""
-    parts: list[str] = []
-    todo: list[Value | str] = [v]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, str):
-            parts.append(x)
-        elif isinstance(x, IntV):
-            parts.append(str(x.value))
-        elif isinstance(x, BoolV):
-            parts.append("true" if x.value else "false")
-        elif isinstance(x, ObjV):
-            parts.append("obj(" + x.name)
-            todo.append(")")
-            for f in reversed(x.fields):
-                todo += (f, ", ")
-        else:
-            raise ValueError(f"not a value: {x!r}")
-    return "".join(parts)
+    return pretty_expr(v, runtime=True)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +318,7 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[tuple[Expr, Frames]
     while True:
         yield e, frames
         if is_value(e):
-            yield Done(to_value(e))
+            yield Done(e)
             return
         out = _contract(e, ctx)
         if isinstance(out, Stuck):

@@ -37,13 +37,19 @@ def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
 
     Returns the empty list when the program is well formed.
     """
-    checker = _Checker(program, ctx)
-    checker.run()
-    if not checker.diags:
+    diags = check_structure(program, ctx)
+    if not diags:
         try:
             transform(program, frozenset(), ctx)
         except TransformError as exc:
             return list(exc.diagnostics)
+    return diags
+
+
+def check_structure(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
+    """The structural half of ``check``: its diagnostics other than typing's."""
+    checker = _Checker(program, ctx)
+    checker.run()
     return checker.diags
 
 

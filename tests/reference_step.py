@@ -8,7 +8,7 @@ state by state.  Its substitution, body lookup, value test, binding and
 table-less ``dtr_body`` / ``csm_body`` and the ``isinstance``-based
 ``is_value`` that ``food`` used before it dispatched on exact types and kept a
 body table per context, so a fault in those fast paths cannot hide in the
-oracle.  It shares only value conversion with ``food.interp``.
+oracle.  It shares only the outcome classes with ``food.interp``.
 
 ``typed_run`` is the fuzzer's typed run as it was before it closed cycles: it
 follows ``food.interp.run`` until the fuel runs out, typing each distinct
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from food.context import GlobalCtx, restrict
 from food.diagnostics import FoodError
-from food.interp import Done, FuelExhausted, Stepped, Stuck, run, to_value
+from food.interp import Done, FuelExhausted, Stepped, Stuck, run
 from food.pretty import pretty_type
 from food.transform import transform_expr
 from food.syntax import (
@@ -271,7 +271,7 @@ def states(e: Expr, ctx: GlobalCtx, fuel: int):
         yield e
         out = _step(e, ctx)
         if out is None:
-            yield Done(to_value(e))
+            yield Done(e)
             return
         if isinstance(out, Stuck):
             yield out

@@ -255,6 +255,25 @@ def test_format_value():
     assert format_value(ObjV("Insert", (ObjV("Empty", ()), IntV(3)))) == "obj(Insert, obj(Empty), 3)"
 
 
+def test_done_carries_the_final_state():
+    programs = [load(name) for name in GOLDEN_SELECTIONS] + [
+        desugar(parse(eval_source(name, n))) for name in EVAL_TEMPLATES for n in (0, 3, 12)
+    ]
+    assert len(programs) == 20
+    for p in programs:
+        t = trace(p)
+        assert t.outcome == Done(t.steps[-1]), p.main
+
+
+def test_an_object_is_a_value_whatever_its_arguments():
+    # check rejects every runtime object in source, so only a hand-built
+    # program reaches this: the machine takes any Obj as a value, unevaluated
+    # arguments and all, and returns it as it is
+    e = Obj("C", (PrimOp("+", IntLit(1), IntLit(2)), Var("x")))
+    assert eval_program(Program((), e)) == trace(Program((), e)).outcome == Done(e)
+    assert trace(Program((), e)).steps == (e,)
+
+
 # ---------------------------------------------------------------------------
 # The refocusing machine against the recursive reference step
 
