@@ -31,13 +31,15 @@ class _Failure(Exception):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise _Failure(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise _Failure(f"cannot read {path}: {exc}")
 
 
 def _load(path: str) -> Program:
@@ -94,8 +96,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _Failure(f"cannot write {out_path}: {exc.strerror}")
 
 
 # -- subcommands
@@ -244,8 +249,13 @@ def main(argv: list[str] | None = None) -> int:
     except FoodError as exc:  # parse, context, check and transform diagnostics, after the file name
         print("\n".join(f"{where}:{d.render()}" for d in exc.diagnostics), file=sys.stderr)
         return 1
-    except RecursionError:  # subst recurses on a method body; dataclass ==, hash and repr on any term
+    except RecursionError:  # only eval and trace reach this: the evaluator's subst recurses on a method body
         print(f"{where}: input nested too deeply", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone: print nothing more, and send what is
+        # still buffered to the null device, where the exit's flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -22,6 +22,7 @@ from .interp import (
     Stuck,
     csm_body,
     dtr_body,
+    format_value,
     run,
 )
 from .parser import parse
@@ -452,7 +453,7 @@ def _lookup_duality_failures(
     # destructor before == consumer after, then consumer before == destructor after
     for oo in (True, False):
         lookup, lookup_after = (dtr_body, csm_body) if oo else (csm_body, dtr_body)
-        recv, recv_after = (THIS, SELF) if oo else (SELF, THIS)
+        recv = THIS if oo else SELF
         for d_name in rctx.it if oo else rctx.dt:
             for c_name in (rctx.gen if oo else rctx.ctr)[d_name]:
                 for f in (rctx.dtr if oo else rctx.csm)[d_name]:
@@ -469,7 +470,7 @@ def _lookup_duality_failures(
                     sig = rctx.dtr_sig[(f, d_name)] if oo else rctx.sig[(f, d_name)].ret
                     assert isinstance(sig, Arrow)
                     env = {recv: Named(d_name), **fields, **dict(zip(xs, sig.params))}
-                    translated = subst(transform_expr(body, rctx, env)[0], {recv: Var(recv_after)})
+                    translated = transform_expr(body, rctx, env)[0]
                     if lookup_after(f, c_name, ctx2) != (ys, xs, translated):
                         member = "destructor" if oo else "consumer"
                         out.append(f"{member} {f} on {c_name} does not survive translation")
@@ -574,7 +575,7 @@ def check_properties(
     if out1 is not None and out2 is not None and not isinstance(out1, Stuck) and not isinstance(out2, Stuck):
         if isinstance(out1, Done) != isinstance(out2, Done):
             fails.append(PropFail("eval-agreement", "only one side terminated within fuel"))
-        elif isinstance(out1, Done) and out1.value != out2.value:
+        elif isinstance(out1, Done) and format_value(out1.value) != format_value(out2.value):
             fails.append(PropFail("eval-agreement", "terminating results differ"))
 
     for label, q in (("source", program), ("transformed", p2)):

@@ -352,8 +352,10 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
     FOOD expressions contain no binders, so no capture is possible.
     """
-    # Hand-written for the evaluator, which calls it once per method call.  Exact
-    # class tests (no node class is subclassed) cost less than patterns or isinstance.
+    # Hand-written for the evaluator, which calls it once per method call; the
+    # fuzzer's wrong-substitution mutators call it too, on bounded generated
+    # bodies.  Exact class tests (no node class is subclassed) cost less than
+    # patterns or isinstance.
     if not mapping:
         return e
     cls = type(e)

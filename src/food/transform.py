@@ -3,13 +3,13 @@
 Selected datatypes become interfaces with classes, selected interfaces become
 datatypes with consumers, and all other definitions keep their form.  This
 takes two steps.  The typed pass (``_typed_def``) types and translates every
-member body where it stands: Sel2App/App2Sel and Obj2New/New2Obj are one case
-each of the typing rule ``_typed``, and a body whose receiver's type is
-selected takes the other style's receiver name.  ``transform`` raises every
-definition's first error, at that definition, with the main expression's, so
-with no type selected it is ``check``'s typing half.  The regrouping
-(``_regroup``) never types: one case per definition rule moves the translated
-bodies between consumers and classes.
+member body where it stands, in one fold per body: Sel2App/App2Sel,
+Obj2New/New2Obj and the receiver of a selected type, which moves with its body
+to the other style and takes that style's name, are one case each of the
+typing rule ``_typed``.  ``transform`` raises every definition's first error,
+at that definition, with the main expression's, so with no type selected it is
+``check``'s typing half.  The regrouping (``_regroup``) never types: one case
+per definition rule moves the translated bodies between consumers and classes.
 
 Expressions are typed by one rule per form over ``syntax.fold``, which returns
 the error a recursive pass meets first: the receiver's, the node's own, then
@@ -51,7 +51,6 @@ from .syntax import (
     Program,
     SELF,
     Sel,
-    subst,
     THIS,
     Type,
     Var,
@@ -75,7 +74,11 @@ def _err(message: str, pos: tuple[int, int] | None = None) -> TransformError:
 
 
 def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
-    """Translate one expression, returning its rewritten form and type."""
+    """Translate one expression, returning its rewritten form and type.
+
+    The translation renames a selected type's receiver: ``this`` of an interface
+    in ``ctx.it`` becomes ``self``, and ``self`` of a datatype in ``ctx.dt`` ``this``.
+    """
     out = fold(e, partial(_typed, ctx, env))
     if type(out) is not tuple:
         raise out()
@@ -86,8 +89,15 @@ def _typed(ctx: GlobalCtx, env: TypeEnv, e: Expr, kids: list):
     """The (translation, type) of ``e`` from its children's, or its first error."""
     cls = type(e)
     if cls is Var:
-        t = env.get(e.name)
-        return (e, t) if t is not None else partial(_err, f"unbound variable {e.name!r}")
+        name, t = e.name, env.get(e.name)
+        if t is None:
+            return partial(_err, f"unbound variable {name!r}")
+        # a selected type's receiver moves with its member body to the other style, and takes its name
+        if name == THIS and type(t) is Named and t.name in ctx.it:
+            return Var(SELF), t
+        if name == SELF and type(t) is Named and t.name in ctx.dt:
+            return Var(THIS), t
+        return e, t
     if cls is IntLit:
         return e, INT
     if cls is BoolLit:
@@ -181,19 +191,12 @@ def _printing(prefix: str, e: Expr, suffix: str, runtime: bool = True):
 def _body(
     what: str, body: Expr, want: Type, ctx: GlobalCtx, recv: str, self_type: str, *scopes: tuple[Param, ...]
 ) -> Expr:
-    """A member body typed with receiver ``recv`` of ``self_type`` and the scopes' binders.
-
-    When ``self_type`` is selected the body moves to the other style, so its
-    receiver takes that style's name.
-    """
+    """A member body typed and translated with receiver ``recv`` of ``self_type`` and the scopes' binders."""
     env: TypeEnv = {recv: Named(self_type)}
     env.update((p.name, p.type) for params in scopes for p in params)
     body2, got = transform_expr(body, ctx, env)
     if got is not want and got != want:
         raise _err(f"{what} has type {pretty_type(got)}, declared {pretty_type(want)}")
-    oo = recv == THIS
-    if self_type in (ctx.it if oo else ctx.dt):
-        return subst(body2, {recv: Var(SELF if oo else THIS)})
     return body2
 
 

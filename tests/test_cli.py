@@ -1,6 +1,11 @@
 """The food command line."""
 
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -182,16 +187,23 @@ def test_trace_of_a_deep_state_is_a_diagnostic(capsys, tmp_path):
     assert max(map(len, lines)) > 400 * len("S(")
 
 
-@pytest.mark.parametrize("command", ["eval", "transform"])
+@pytest.mark.parametrize("command", ["eval", "transform", "roundtrip"])
 def test_a_deep_method_body_is_still_a_diagnostic(capsys, tmp_path, command):
-    # subst recurses on a method body, and dataclass ==, hash and repr on any
-    # term; cli.main reports their RecursionError as a diagnostic
+    # the evaluator's subst recurses on a method body, and cli.main reports its
+    # RecursionError as a diagnostic; the transformation renames the receiver
+    # as it types the body, in one fold, and takes any depth
     source = tmp_path / "deep_body.food"
     body = "1 + (" * 3000 + "n" + ")" * 3000
     source.write_text(f"data D\ncase C() extends D\ndef f(self: D)(n: Int): Int = {body}\nf(C())(1)\n")
     assert run(capsys, "check", str(source)) == (0, "", "")
-    code, out, err = run(capsys, command, str(source))
-    assert (code, out, err) == (1, "", f"{source}: input nested too deeply\n")
+    printed = "1 + (" * 2999 + "1 + n" + ")" * 2999
+    interface = f"interface D {{\n  def f(n: Int): Int = {printed}\n}}\nclass C() implements D {{}}\nnew C().f(1)\n"
+    expected = {
+        "eval": (1, "", f"{source}: input nested too deeply\n"),
+        "transform": (0, interface, ""),
+        "roundtrip": (0, "", ""),
+    }
+    assert run(capsys, command, str(source)) == expected[command]
 
 
 def test_trace_rejects_a_negative_limit(capsys):
@@ -259,11 +271,40 @@ def test_unknown_selected_type_names_the_file(capsys, command):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 + 2"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1 + 2")))
     code, out, _ = run(capsys, "eval", "-")
     assert code == 0 and out == "3\n"
+
+
+@pytest.mark.parametrize("where", ["file", "stdin"])
+def test_input_that_is_not_utf8_is_a_diagnostic(capsys, monkeypatch, tmp_path, where):
+    path = tmp_path / "latin1.food"
+    path.write_bytes(b"\xff1")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff1")))
+    name = str(path) if where == "file" else "-"
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert run(capsys, "check", name) == (1, "", f"cannot read {name}: {reason}\n")
+
+
+def test_unwritable_output_is_a_diagnostic(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.food"
+    code, out, err = run(capsys, "transform", str(CORPUS / "sets_oop.food"), "-o", str(target))
+    assert (code, out, err) == (1, "", f"cannot write {target}: No such file or directory\n")
+
+
+def test_a_closed_pipe_ends_quietly(tmp_path):
+    # the reader takes one line of a long trace and closes the pipe; the next
+    # write fails with EPIPE, and food prints nothing more
+    source = tmp_path / "peano.food"
+    source.write_text(eval_source("peano_fp", 400))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "food.cli", "trace", str(source)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (first, code, err) == (b"   0  count(build(Z())(400))\n", 1, b"")
 
 
 def test_fuzz_reports_json_lines(capsys):

@@ -1,4 +1,4 @@
-"""Hostile input: deep nesting, odd digits, huge literals, empty and truncated files.
+"""Hostile input: deep nesting, odd digits, huge literals, empty, truncated and non-UTF-8 files.
 
 Trees are compared node by node over ``walk``: dataclass ``==`` recurses once
 per level, so it cannot compare a 10^5-deep tree.
@@ -74,12 +74,16 @@ HOSTILE_FILES = {
     "superscript two": "²",
     "5000-digit literal": "1" * 5000,
     "empty": "",
+    "not UTF-8": b"\xff1",
 }
 
 
 def run_cli(capsys, tmp_path, command, text):
     path = tmp_path / "input.food"
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     code = main([command, str(path), *(["--limit", "5"] if command == "trace" else [])])
     out, err = capsys.readouterr()
     return code, out, err

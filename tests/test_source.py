@@ -92,6 +92,21 @@ def test_transform_builds_nodes_with_their_constructors():
     assert found == []
 
 
+def test_transform_names_no_subst():
+    # a selected type's receiver is renamed where _typed types it, in the
+    # body's one fold; a recursive subst after typing would be a second pass
+    # over every moved body, and fail on one a few hundred levels deep
+    tree = ast.parse((pathlib.Path(food.__file__).parent / "transform.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.alias) and node.name == "subst"
+        or isinstance(node, ast.Name) and node.id == "subst"
+        or isinstance(node, ast.Attribute) and node.attr == "subst"
+    ]
+    assert found == []
+
+
 def test_no_function_recurses_on_its_input():
     # a function that calls itself, directly or through others in its module,
     # takes one Python frame per nesting level and fails a few hundred levels

@@ -38,12 +38,15 @@ from food.syntax import (
     Named,
     New,
     PrimOp,
+    SELF,
     Sel,
+    THIS,
     Var,
     children,
     desugar,
     fold,
     free_vars,
+    subst,
     walk,
     with_children,
 )
@@ -78,7 +81,7 @@ def test_new_on_selected_generator_becomes_constructor_call():
     env = {"this": Named("Set"), "i": INT}
     e = parse("new Insert(this, i)").main
     out, t = transform_expr(e, ctx, env)
-    assert out == CtrCall("Insert", (Var("this"), Var("i")))
+    assert out == CtrCall("Insert", (Var("self"), Var("i")))
     assert t == Named("Set")
 
 
@@ -230,7 +233,9 @@ def test_every_definitions_typing_error_is_raised_at_its_definition():
 # ---------------------------------------------------------------------------
 # The printer and the typer, folds over syntax.fold, against the recursive
 # code they replaced (reference_recursive): the same text, translation and
-# type, or the same error text, on every input.
+# type, or the same error text, on every input.  The typer also renames the
+# receiver of a selected type, which the definition layer did after typing,
+# by substitution: the reference's translation is renamed that way.
 
 
 def typing_inputs(monkeypatch, program):
@@ -260,10 +265,19 @@ def outcome(fn, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
+def reference_typed(e, ctx, env):
+    """``ref.transform_expr``, then the receiver of a selected type renamed by ``subst``."""
+    out, t = ref.transform_expr(e, ctx, env)
+    for recv, other, selected in ((THIS, SELF, ctx.it), (SELF, THIS, ctx.dt)):
+        if isinstance(env.get(recv), Named) and env[recv].name in selected:
+            out = subst(out, {recv: Var(other)})
+    return out, t
+
+
 def assert_prints_and_types_as_reference(e, ctx, env):
     for runtime in (False, True):
         assert outcome(pretty_expr, e, runtime=runtime) == outcome(ref.pretty_expr, e, runtime=runtime), e
-    assert outcome(transform_expr, e, ctx, env) == outcome(ref.transform_expr, e, ctx, env), e
+    assert outcome(transform_expr, e, ctx, env) == outcome(reference_typed, e, ctx, env), e
 
 
 def ill_typed_variants(e):
