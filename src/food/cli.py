@@ -249,7 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     except FoodError as exc:  # parse, context, check and transform diagnostics, after the file name
         print("\n".join(f"{where}:{d.render()}" for d in exc.diagnostics), file=sys.stderr)
         return 1
-    except RecursionError:  # only eval and trace reach this: the evaluator's subst recurses on a method body
+    except RecursionError:
+        # subst recurses on a method body: trace reaches this through the
+        # substituting machine, and eval only where it reads a stuck or
+        # fuel-exhausted state back with a deep unevaluated subterm in a body
         print(f"{where}: input nested too deeply", file=sys.stderr)
         return 1
     except BrokenPipeError:

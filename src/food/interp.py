@@ -1,20 +1,35 @@
-"""Call-by-value small-step semantics, run by a refocusing machine under fuel.
+"""Call-by-value small-step semantics, run under fuel by two machines.
 
 A step contracts the leftmost redex: receiver before arguments, arguments left
 to right.  Boolean operators short-circuit, consuming one step; integers wrap
-to 64 bits.  The redex's context is a stack of (parent node, hole slot)
-frames, so no depth of term recurses.  After a contraction the machine
-refocuses from the contractum in the same frames, not from the root (Danvy
-and Nielsen, "Refocusing in Reduction Semantics", BRICS RS-04-26, 2004).
-Plugging the focus into every frame gives the state, at O(depth) per state:
-``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` pay it, while
-``eval_program`` drains the same machine and plugs only ``FuelExhausted.last``.
-The machine, like ``subst``, dispatches on each node's exact class, and
-method bodies are looked up once per context, in its body table.  Values
-are expressions in value form (``IntLit``, ``BoolLit`` and ``Obj``), and
-``Done`` carries the machine's final state itself.  The nodes it builds are
-``@node`` classes, whose constructors write their slots directly (see
-``syntax``).
+to 64 bits.  ``_contract`` holds every contraction rule, once, for both
+machines.
+
+The substituting machine, ``_machine``, is the semantics and the oracle:
+``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` use it.  A
+method call substitutes its bindings into the body (``subst``).  The redex's
+context is a stack of (parent node, hole slot) frames, so no depth of term
+recurses.  After a contraction the machine refocuses from the contractum in
+the same frames, not from the root (Danvy and Nielsen, "Refocusing in
+Reduction Semantics", BRICS RS-04-26, 2004).  Plugging the focus into every
+frame gives the state, at O(depth) per state.
+
+``eval_program`` runs an environment machine, ``_eval``, derived from the
+same reduction semantics as in Biernacka and Danvy, "A Concrete Framework
+for Environment Machines", ACM TOCL 9(1), 2007; its target is the CEK
+machine of Felleisen and Friedman (1986).  Code is evaluated in the
+bindings of its method call, and frames on a list collect the values of
+their slots, so nothing is substituted or plugged on the way to a value.  A
+method body binds nothing, so a call's environment is exactly the mapping
+the substituting machine substitutes, and code read back in its environment
+is ``subst(code, env)``: the term the substituting machine holds.  That is
+how ``Stuck.expr`` and ``FuelExhausted.last`` are built, once, at O(size).
+
+Both machines dispatch on each node's exact class, as ``subst`` does, and
+look method bodies up once per context, in its body table.  Values are
+expressions in value form (``IntLit``, ``BoolLit`` and ``Obj``), and ``Done``
+carries the final value itself.  The nodes the machines build are ``@node``
+classes, whose constructors write their slots directly (see ``syntax``).
 """
 
 from __future__ import annotations
@@ -22,13 +37,14 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .context import GlobalCtx, preprocess
 from .pretty import pretty_expr
 from .syntax import (
     App,
     BoolLit,
+    children,
     Constructor,
     Consumer,
     CtrCall,
@@ -46,6 +62,7 @@ from .syntax import (
     subst,
     THIS,
     Var,
+    with_children,
 )
 
 # ---------------------------------------------------------------------------
@@ -160,7 +177,7 @@ def csm_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str
 
 
 # ---------------------------------------------------------------------------
-# The refocusing machine
+# The contraction rules
 
 
 def _wrap64(n: int) -> int:
@@ -190,55 +207,66 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
 
 
-# The machine tests exact classes, most frequent first, as ``subst`` does:
+# The machines test exact classes, most frequent first, as ``subst`` does:
 # class patterns cost about a microsecond more per node, isinstance less.
-def _contract(e: Expr, ctx: GlobalCtx) -> Expr | Stuck:
-    """The contractum of the redex e, or why e is stuck."""
+def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Expr, dict[str, Expr] | None] | str:
+    """What the redex e contracts to, given the values of its slots.
+
+    vals starts with those values, numbered as by ``_refocus``: the receiver
+    and then the arguments, or the operands, or the condition.  The answer is
+    a value; or (code, mapping), the body of a call and its bindings, or
+    (code, None), a subterm of e; or a str, why e is stuck.
+    """
     cls = type(e)
     if cls is PrimOp:
-        op, lhs, rhs = e.op, e.lhs, e.rhs
+        op, lhs = e.op, vals[0]
         if op in ("&&", "||"):
             if type(lhs) is not BoolLit:
-                return Stuck(f"{op} on a non-boolean", e)
+                return f"{op} on a non-boolean"
             if op == "&&":
-                return rhs if lhs.value else BoolLit(False)
-            return BoolLit(True) if lhs.value else rhs
+                return (e.rhs, None) if lhs.value else BoolLit(False)
+            return BoolLit(True) if lhs.value else (e.rhs, None)
+        rhs = vals[1]
         if type(lhs) is not IntLit or type(rhs) is not IntLit:
-            return Stuck(f"{op} on non-integers", e)
+            return f"{op} on non-integers"
         if op in _ARITH:
             return IntLit(_wrap64(_ARITH[op](lhs.value, rhs.value)))
         if op in _COMPARE:
             return BoolLit(_COMPARE[op](lhs.value, rhs.value))
-        return Stuck(f"unknown operator {op!r}", e)
+        return f"unknown operator {op!r}"
     if cls is If:
-        if type(e.cond) is not BoolLit:
-            return Stuck("condition of if is not a boolean", e)
-        return e.then if e.cond.value else e.els
+        if type(vals[0]) is not BoolLit:
+            return "condition of if is not a boolean"
+        return (e.then if vals[0].value else e.els), None
     if cls is Sel or cls is App:
         # one rule in the two decompositions: a destructor selected on an
         # object, or a consumer applied to one
-        recv, f, oo = e.recv, e.name, cls is Sel
+        recv, f, oo = vals[0], e.name, cls is Sel
         if type(recv) is not Obj:
             call = f"selection of {f!r} on" if oo else f"consumer {f!r} applied to"
-            return Stuck(f"{call} a non-object", e)
+            return f"{call} a non-object"
         found = dtr_body(f, recv.name, ctx) if oo else csm_body(f, recv.name, ctx)
         if found is None:
             member = f"destructor {f!r} on" if oo else f"consumer {f!r} covers"
-            return Stuck(f"no {member} {recv.name}", e)
+            return f"no {member} {recv.name}"
         bound, params, body = found
-        mapping = _bind(bound, recv.args, params, e.args, (THIS if oo else SELF, recv))
+        mapping = _bind(bound, recv.args, params, vals[1:], (THIS if oo else SELF, recv))
         if mapping is None:
             call = f"invoking {f!r} on" if oo else f"applying {f!r} to"
-            return Stuck(f"arity mismatch {call} {recv.name}", e)
-        return subst(body, mapping)
+            return f"arity mismatch {call} {recv.name}"
+        return body, mapping
     if cls is CtrCall or cls is New:
         oo = cls is New
         if not isinstance(ctx.defs.get(e.name), Generator if oo else Constructor):
-            return Stuck(f"{e.name} is not a {'class' if oo else 'constructor'}", e)
-        return Obj(e.name, e.args)
+            return f"{e.name} is not a {'class' if oo else 'constructor'}"
+        return Obj(e.name, tuple(vals))
     if cls is Var:
-        return Stuck(f"unbound variable {e.name!r}", e)
-    return Stuck(f"no rule applies to {e!r}", e)
+        return f"unbound variable {e.name!r}"
+    return f"no rule applies to {e!r}"
+
+
+# ---------------------------------------------------------------------------
+# The substituting machine
 
 
 def _plug(node: Expr, slot: int, v: Expr) -> Expr:
@@ -320,14 +348,17 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[tuple[Expr, Frames]
         if is_value(e):
             yield Done(e)
             return
-        out = _contract(e, ctx)
-        if isinstance(out, Stuck):
-            yield out
+        out = _contract(e, children(e), ctx)
+        if type(out) is str:
+            yield Stuck(out, e)
             return
         if fuel <= 0:
             yield FuelExhausted(_plug_all(e, frames))
             return
         fuel -= 1
+        if type(out) is tuple:
+            code, mapping = out
+            out = code if mapping is None else subst(code, mapping)
         e = _refocus(out, frames)
 
 
@@ -345,15 +376,108 @@ def run(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[Expr | Done | FuelExhaus
         yield _plug_all(*out) if isinstance(out, tuple) else out
 
 
+# ---------------------------------------------------------------------------
+# The environment machine
+
+# frames of the environment machine: (node, env, its slots, values of those evaluated)
+EnvFrames = list[tuple[Expr, dict[str, Expr], tuple[Expr, ...], list[Expr]]]
+
+
+def _read_back(node: Expr, env: dict[str, Expr], done: list[Expr]) -> Expr:
+    """node as the substituting machine holds it: its first slots are done, the rest substituted."""
+    kids = children(node)
+    return with_children(node, (*done, *[subst(kid, env) for kid in kids[len(done) :]]))
+
+
+def _eval(e: Expr, ctx: GlobalCtx, fuel: int) -> Done | FuelExhausted | Stuck:
+    """The outcome of ``_machine`` from e, reached without substituting.
+
+    Code is evaluated in an environment, the bindings of the method call
+    whose body it is part of.  A compound term pushes a frame, which takes
+    the values of its slots one by one, in ``_refocus`` order, and is
+    contracted when it has them all.
+    """
+    frames: EnvFrames = []
+    env: dict[str, Expr] = {}
+    while True:
+        # e in env: a compound term is pushed, a value goes to the top frame
+        cls = type(e)
+        if cls is Sel or cls is App:
+            frames.append((e, env, (e.recv, *e.args), []))
+        elif cls is PrimOp:
+            frames.append((e, env, (e.lhs,) if e.op in ("&&", "||") else (e.lhs, e.rhs), []))
+        elif cls is If:
+            frames.append((e, env, (e.cond,), []))
+        elif cls is CtrCall or cls is New:
+            frames.append((e, env, e.args, []))
+        else:
+            if cls is Var:
+                v = env.get(e.name)
+                if v is None:
+                    return Stuck(_contract(e, (), ctx), e)
+                if type(v) not in _VALUE_FORMS:  # an unevaluated field of a hand-built object
+                    e, env = v, {}
+                    continue
+            elif cls in _VALUE_FORMS:
+                v = e
+            else:
+                return Stuck(_contract(e, (), ctx), e)
+            if not frames:
+                return Done(v)
+            frames[-1][3].append(v)
+        # the top frame takes its next slot, a value in place, or is
+        # contracted; a value it contracts to goes to the frame below
+        node, env, slots, vals = frames[-1]
+        while True:
+            k = len(vals)
+            if k < len(slots):
+                e = slots[k]
+                cls = type(e)
+                if cls is Var:
+                    v = env.get(e.name)
+                    if v is not None and type(v) in _VALUE_FORMS:
+                        vals.append(v)
+                        continue
+                elif cls in _VALUE_FORMS:
+                    vals.append(e)
+                    continue
+                break
+            frames.pop()
+            out = _contract(node, vals, ctx)
+            if type(out) is str:
+                return Stuck(out, _read_back(node, env, vals))
+            if fuel <= 0:
+                last = _read_back(node, env, vals)
+                for node, env, _, vals in reversed(frames):
+                    last = _read_back(node, env, [*vals, last])
+                return FuelExhausted(last)
+            fuel -= 1
+            if type(out) is tuple:
+                e, mapping = out
+                if mapping is not None:
+                    env = mapping
+                break
+            if not frames:
+                return Done(out)
+            node, env, slots, vals = frames[-1]
+            vals.append(out)
+
+
 def eval_program(
     program: Program, fuel: int = 100_000, ctx: GlobalCtx | None = None
 ) -> Done | FuelExhausted | Stuck:
-    """Iterate the step relation on the main expression at most fuel times."""
+    """The outcome of iterating the step relation on the main expression at most fuel times.
+
+    The environment machine computes it: the contractions of ``run``, in
+    the same order, each counted against the fuel.  ``Stuck.expr`` and
+    ``FuelExhausted.last`` are read back into the states ``run`` ends on:
+    an evaluated slot holds its value, as in the substituted term, and any
+    other subterm is its code substituted with its environment, as the
+    substituting machine's call put it there.
+    """
     if ctx is None:
         ctx = preprocess(program)
-    for out in _machine(program.main, ctx, fuel):
-        pass
-    return out
+    return _eval(program.main, ctx, fuel)
 
 
 def trace(program: Program, fuel: int = 100_000, ctx: GlobalCtx | None = None) -> Trace:

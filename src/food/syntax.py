@@ -1,20 +1,20 @@
 """Abstract syntax of FOOD programs, the desugaring and canonicalization passes,
 and one stack-safe expression traversal, which takes any depth.  Only ``subst``
-and the evaluator's machine walk expressions by hand, for speed; the printer,
+and the evaluator's machines walk expressions by hand, for speed; the printer,
 the typer and value conversion each give ``fold`` one rule per form.
 
 All nodes are immutable; structural equality is dataclass equality and ignores
 the (non-compared) source positions attached to definitions.
 
 Every layer builds nodes: the parser and the transformation build programs,
-and each evaluation step builds a few (``subst`` rebuilds a method body, the
-machine plugs a parent).  So node classes are declared with ``@node``: a
-frozen dataclass with slots, whose ``__init__`` stores each field through its
-slot's descriptor, bound once per class.  The ``__init__`` a frozen dataclass
-generates calls ``object.__setattr__`` per field and costs about twice as much.
-Only ``__init__`` writes a field; assigning or deleting one afterwards raises
-``FrozenInstanceError``, and equality, hashing, ``repr``, class patterns and
-``dataclasses.replace`` are the dataclass's own.
+and each step of the substituting machine builds a few (``subst`` rebuilds a
+method body, the machine plugs a parent).  So node classes are declared with
+``@node``: a frozen dataclass with slots, whose ``__init__`` stores each field
+through its slot's descriptor, bound once per class.  The ``__init__`` a
+frozen dataclass generates calls ``object.__setattr__`` per field and costs
+about twice as much.  Only ``__init__`` writes a field; assigning or deleting
+one afterwards raises ``FrozenInstanceError``, and equality, hashing,
+``repr``, class patterns and ``dataclasses.replace`` are the dataclass's own.
 """
 
 from __future__ import annotations
@@ -352,10 +352,12 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
     FOOD expressions contain no binders, so no capture is possible.
     """
-    # Hand-written for the evaluator, which calls it once per method call; the
-    # fuzzer's wrong-substitution mutators call it too, on bounded generated
-    # bodies.  Exact class tests (no node class is subclassed) cost less than
-    # patterns or isinstance.
+    # Hand-written for the substituting machine, which calls it once per
+    # method call in ``run``, ``step`` and ``trace`` and in the fuzzer's typed
+    # run; the environment machine calls it to read a stuck or fuel-exhausted
+    # state back, and the fuzzer's wrong-substitution mutators on bounded
+    # generated bodies.  Exact class tests (no node class is subclassed) cost
+    # less than patterns or isinstance.
     if not mapping:
         return e
     cls = type(e)

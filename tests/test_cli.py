@@ -189,9 +189,9 @@ def test_trace_of_a_deep_state_is_a_diagnostic(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["eval", "transform", "roundtrip"])
 def test_a_deep_method_body_is_still_a_diagnostic(capsys, tmp_path, command):
-    # the evaluator's subst recurses on a method body, and cli.main reports its
-    # RecursionError as a diagnostic; the transformation renames the receiver
-    # as it types the body, in one fold, and takes any depth
+    # the environment machine evaluates a method body on a stack of frames,
+    # and the transformation renames the receiver as it types the body, in
+    # one fold: both take any depth
     source = tmp_path / "deep_body.food"
     body = "1 + (" * 3000 + "n" + ")" * 3000
     source.write_text(f"data D\ncase C() extends D\ndef f(self: D)(n: Int): Int = {body}\nf(C())(1)\n")
@@ -199,7 +199,7 @@ def test_a_deep_method_body_is_still_a_diagnostic(capsys, tmp_path, command):
     printed = "1 + (" * 2999 + "1 + n" + ")" * 2999
     interface = f"interface D {{\n  def f(n: Int): Int = {printed}\n}}\nclass C() implements D {{}}\nnew C().f(1)\n"
     expected = {
-        "eval": (1, "", f"{source}: input nested too deeply\n"),
+        "eval": (0, "3001\n", ""),
         "transform": (0, interface, ""),
         "roundtrip": (0, "", ""),
     }

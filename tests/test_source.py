@@ -112,7 +112,7 @@ def test_no_function_recurses_on_its_input():
     # takes one Python frame per nesting level and fails a few hundred levels
     # deep; walks over expressions use syntax.fold, walk or rewrite_first
     allowed = {
-        "syntax.subst",  # the evaluator's hot path, as deep as a method body
+        "syntax.subst",  # the substituting machine's, as deep as a method body
         "pretty.pretty_type",  # types nest only as deep as a signature
         "context.type_text",  # the same, for a consumer's curried signature
         # the generator's own recursion is bounded by GenConfig.max_expr_depth
