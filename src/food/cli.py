@@ -190,8 +190,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             line["failures"] = [{"prop": f.prop, "detail": f.detail} for f in t.failures]
             line["witness"] = t.witness
         print(json.dumps(line))
-    summary = {"trials": len(report.trials), "failed": report.failed}
-    print(json.dumps(summary))
+    by_prop = report.failures_by_prop()
+    print(json.dumps({"trials": len(report.trials), "failed": report.failed, "failures_by_prop": by_prop}))
     return 0 if report.ok else 1
 
 
@@ -250,9 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(f"{where}:{d.render()}" for d in exc.diagnostics), file=sys.stderr)
         return 1
     except RecursionError:
-        # subst recurses on a method body: trace reaches this through the
-        # substituting machine, and eval only where it reads a stuck or
-        # fuel-exhausted state back with a deep unevaluated subterm in a body
+        # a backstop: every pass is a fold or a loop, but dataclass ==, hash
+        # and repr still recurse once per nesting level
         print(f"{where}: input nested too deeply", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -62,7 +62,7 @@ from .syntax import (
     canonicalize,
     rewrite_first,
 )
-from .transform import transform, transform_expr
+from .transform import transform, transform_expr, type_expr, typecheck
 # check is unused here, but bound for the benchmark's tracer to wrap
 from .wellformed import check, check_structure  # noqa: F401
 
@@ -401,7 +401,6 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     the run stops at the first repeat with the state the fuel would end on,
     and the verdict is the one the whole run would give.
     """
-    tctx = restrict(ctx, frozenset())
     states: list[Expr] = []
     first: dict[Expr, int] = {}  # each state's index of first appearance
     expected = None  # the type of state 0, the main expression
@@ -413,7 +412,7 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
             return FuelExhausted(states[i + (fuel - i) % (len(states) - i)]), None
         states.append(state)
         try:
-            t = transform_expr(state, tctx, {})[1]
+            t = type_expr(state, ctx, {})
         except FoodError as exc:
             if expected is None:
                 return None, f"main expression does not type: {exc}"
@@ -526,7 +525,7 @@ def check_properties(
         return fails
     diags2 = check_structure(p2, ctx2)
     try:
-        t2: Type | FoodError = transform(p2, frozenset(), ctx=ctx2).program_type
+        t2: Type | FoodError = typecheck(p2, ctx2)
     except FoodError as exc:
         t2, diags2 = exc, diags2 or exc.diagnostics
     if diags2:

@@ -25,7 +25,7 @@ the substituting machine substitutes, and code read back in its environment
 is ``subst(code, env)``: the term the substituting machine holds.  That is
 how ``Stuck.expr`` and ``FuelExhausted.last`` are built, once, at O(size).
 
-Both machines dispatch on each node's exact class, as ``subst`` does, and
+Both machines dispatch on each node's exact class, as ``children`` does, and
 look method bodies up once per context, in its body table.  Values are
 expressions in value form (``IntLit``, ``BoolLit`` and ``Obj``), and ``Done``
 carries the final value itself.  The nodes the machines build are ``@node``
@@ -207,7 +207,7 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
 
 
-# The machines test exact classes, most frequent first, as ``subst`` does:
+# The machines test exact classes, most frequent first, as ``children`` does:
 # class patterns cost about a microsecond more per node, isinstance less.
 def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Expr, dict[str, Expr] | None] | str:
     """What the redex e contracts to, given the values of its slots.

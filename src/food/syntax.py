@@ -1,7 +1,7 @@
 """Abstract syntax of FOOD programs, the desugaring and canonicalization passes,
-and one stack-safe expression traversal, which takes any depth.  Only ``subst``
-and the evaluator's machines walk expressions by hand, for speed; the printer,
-the typer and value conversion each give ``fold`` one rule per form.
+and one stack-safe expression traversal, which takes any depth.  Only the
+evaluator's machines walk expressions by hand, for speed; ``subst``, the
+printer, the typer and the translation each give ``fold`` one rule per form.
 
 All nodes are immutable; structural equality is dataclass equality and ignores
 the (non-compared) source positions attached to definitions.
@@ -348,36 +348,25 @@ def canonicalize(program: Program) -> Program:
 
 
 def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Simultaneous variable substitution.
+    """Simultaneous variable substitution, at any depth.
 
     FOOD expressions contain no binders, so no capture is possible.
     """
-    # Hand-written for the substituting machine, which calls it once per
-    # method call in ``run``, ``step`` and ``trace`` and in the fuzzer's typed
-    # run; the environment machine calls it to read a stuck or fuel-exhausted
-    # state back, and the fuzzer's wrong-substitution mutators on bounded
-    # generated bodies.  Exact class tests (no node class is subclassed) cost
-    # less than patterns or isinstance.
+    # the substituting machine's call rule; the environment machine reads a
+    # stopped state back with it
     if not mapping:
         return e
-    cls = type(e)
-    if cls is Var:
-        return mapping.get(e.name, e)
-    if cls is PrimOp:
-        return PrimOp(e.op, subst(e.lhs, mapping), subst(e.rhs, mapping))
-    if cls is App:
-        return App(e.name, subst(e.recv, mapping), tuple([subst(a, mapping) for a in e.args]))
-    if cls is Sel:
-        return Sel(subst(e.recv, mapping), e.name, tuple([subst(a, mapping) for a in e.args]))
-    if cls is If:
-        return If(subst(e.cond, mapping), subst(e.then, mapping), subst(e.els, mapping))
-    if cls is CtrCall or cls is New:
-        return cls(e.name, tuple([subst(a, mapping) for a in e.args]))
-    return e  # literals and runtime objects
+
+    def rule(x: Expr, kids: list) -> Expr:
+        if not kids:
+            return mapping.get(x.name, x) if type(x) is Var else x
+        return x if type(x) is Obj else with_children(x, tuple(kids))  # runtime objects hold values only
+
+    return fold(e, rule)
 
 
 # ---------------------------------------------------------------------------
-# Generic traversal, with the exact-class tests of ``subst``
+# Generic traversal, with exact class tests
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
@@ -439,16 +428,19 @@ def fold(e: Expr, fn):
     bottom-up over every subexpression, at any depth."""
     results: list = []
     todo: list = [e]
+    pop, push = todo.pop, results.append
     while todo:
-        x = todo.pop()
+        x = pop()
         if type(x) is tuple:  # (node, n): the results of its n children end the list
             x, n = x
-            results[-n:] = [fn(x, results[-n:])]
+            kids = results[-n:]
+            del results[-n:]
+            push(fn(x, kids))
         elif kids := children(x):
             todo.append((x, len(kids)))
             todo += reversed(kids)
         else:
-            results.append(fn(x, []))
+            push(fn(x, ()))
     return results[0]
 
 

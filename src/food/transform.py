@@ -1,19 +1,24 @@
 """Type-directed bidirectional translation between decomposition styles.
 
 Selected datatypes become interfaces with classes, selected interfaces become
-datatypes with consumers, and all other definitions keep their form.  This
-takes two steps.  The typed pass (``_typed_def``) types and translates every
-member body where it stands, in one fold per body: Sel2App/App2Sel,
-Obj2New/New2Obj and the receiver of a selected type, which moves with its body
-to the other style and takes that style's name, are one case each of the
-typing rule ``_typed``.  ``transform`` raises every definition's first error,
-at that definition, with the main expression's, so with no type selected it is
-``check``'s typing half.  The regrouping (``_regroup``) never types: one case
-per definition rule moves the translated bodies between consumers and classes.
+datatypes with consumers, and all other definitions keep their form.  Typing
+does not depend on the selection, and a call flips exactly when its receiver's
+type, or its constructor's parent, is selected.  So this takes three steps:
 
-Expressions are typed by one rule per form over ``syntax.fold``, which returns
-the error a recursive pass meets first: the receiver's, the node's own, then
-the arguments'.  Errors are carried as functions that build them.
+- Typing (``type_program``) types each member body where it stands and builds
+  no node.  It raises each definition's first error, at that definition, and
+  the main expression's: it is ``check``'s typing half.  It lists the type
+  each call flips by, per body; a passing ``check`` keeps the lists for
+  ``transform``.
+- Translation (``_translated``) makes no type check.  Sel2App/App2Sel and
+  Obj2New/New2Obj flip by the listed types, and a selected type's receiver,
+  which moves with its body, takes the other style's name.  A body with
+  nothing to flip or rename is kept as it is.
+- Regrouping (``_regroup``) moves the translated bodies between consumers and classes.
+
+Typing and translation are each one rule per form over ``syntax.fold``.  The
+typing rule returns the error a recursive pass meets first: the receiver's,
+the node's own, then the arguments'.  Errors are functions that build them.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .syntax import (
     Var,
     WILDCARD,
     fold,
+    with_children,
 )
 
 _ARITH = {"+", "-", "*"}
@@ -73,41 +79,39 @@ def _err(message: str, pos: tuple[int, int] | None = None) -> TransformError:
     return TransformError([Diagnostic(message, line, col)])
 
 
+def type_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str] | None = None) -> Type:
+    """The type of ``e``, or its first error raised; builds no node.  ``names`` gets, in
+    fold order, the type each call flips by: a selection's or application's receiver
+    type, or a constructor call's or instantiation's parent."""
+    t = fold(e, partial(_typing, ctx, env, [] if names is None else names))
+    if callable(t):
+        raise t()
+    return t
+
+
 def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
-    """Translate one expression, returning its rewritten form and type.
-
-    The translation renames a selected type's receiver: ``this`` of an interface
-    in ``ctx.it`` becomes ``self``, and ``self`` of a datatype in ``ctx.dt`` ``this``.
-    """
-    out = fold(e, partial(_typed, ctx, env))
-    if type(out) is not tuple:
-        raise out()
-    return out
+    """The translation of ``e`` and its type.  A selected type's receiver is renamed:
+    ``this`` of an interface in ``ctx.it`` to ``self``, ``self`` of a datatype in ``ctx.dt`` to ``this``."""
+    names: list[str] = []
+    t = type_expr(e, ctx, env, names)
+    return _translated(e, ctx, env, names), t
 
 
-def _typed(ctx: GlobalCtx, env: TypeEnv, e: Expr, kids: list):
-    """The (translation, type) of ``e`` from its children's, or its first error."""
+def _typing(ctx: GlobalCtx, env: TypeEnv, names: list[str], e: Expr, kids: list):
+    """The type of ``e`` from its children's, or its first error."""
     cls = type(e)
     if cls is Var:
-        name, t = e.name, env.get(e.name)
-        if t is None:
-            return partial(_err, f"unbound variable {name!r}")
-        # a selected type's receiver moves with its member body to the other style, and takes its name
-        if name == THIS and type(t) is Named and t.name in ctx.it:
-            return Var(SELF), t
-        if name == SELF and type(t) is Named and t.name in ctx.dt:
-            return Var(THIS), t
-        return e, t
+        t = env.get(e.name)
+        return partial(_err, f"unbound variable {e.name!r}") if t is None else t
     if cls is IntLit:
-        return e, INT
+        return INT
     if cls is BoolLit:
-        return e, BOOL
+        return BOOL
     if cls is Sel or cls is App:
         # one rule for both decompositions: a destructor selected, or a consumer applied
-        oo, f, recv = cls is Sel, e.name, kids[0]
-        if type(recv) is not tuple:
-            return recv
-        recv2, rt = recv
+        oo, f, rt = cls is Sel, e.name, kids[0]
+        if callable(rt):
+            return rt
         if type(rt) is not Named:
             call = f"select {f!r} on" if oo else f"apply consumer {f!r} to"
             return partial(_err, f"cannot {call} a value of type {pretty_type(rt)}")
@@ -117,55 +121,43 @@ def _typed(ctx: GlobalCtx, env: TypeEnv, e: Expr, kids: list):
         if not oo:  # a consumer's signature is D -> (T...) -> T
             sig = sig.ret
             assert isinstance(sig, Arrow)
-        if failed := _check_args(e, e.args, kids[1:], sig.params):
-            return failed
-        args2 = tuple([kid[0] for kid in kids[1:]])
-        flip = f in (ctx.dtr if oo else ctx.csm).get(rt.name, ())
-        if oo != flip:  # a selection kept, or App2Sel
-            return Sel(recv2, f, args2), sig.ret
-        return App(f, recv2, args2), sig.ret  # an application kept, or Sel2App
-    if cls is PrimOp:
-        op = e.op
-        want = INT if op in _ARITH or op in _CMP else BOOL
-        failed = _expect(e.lhs, kids[0], want) or _expect(e.rhs, kids[1], want)
-        return failed or (PrimOp(op, kids[0][0], kids[1][0]), (INT if op in _ARITH else BOOL))
-    if cls is If:
-        if failed := _expect(e.cond, kids[0], BOOL) or _expect(e.then, kids[1]) or _expect(e.els, kids[2]):
-            return failed
-        (cond2, _), (then2, t1), (els2, t2) = kids
-        if t1 is not t2 and t1 != t2:
-            types = f" have different types {pretty_type(t1)} and {pretty_type(t2)}"
-            return _printing("branches of ", e, types, runtime=False)
-        return If(cond2, then2, els2), t1
-    if cls is CtrCall or cls is New:
+        kids, flips_by = kids[1:], rt.name
+    elif cls is CtrCall or cls is New:
         oo, c = cls is New, e.name
         sig = ctx.sig.get(c)
         if sig is None or not isinstance(ctx.defs.get(c), Generator if oo else Constructor):
             return partial(_err, f"{c} is not a {'class' if oo else 'constructor'}")
-        if failed := _check_args(e, e.args, kids, sig.params):
+        flips_by = sig.ret.name
+    elif cls is PrimOp:
+        op = e.op
+        want = INT if op in _ARITH or op in _CMP else BOOL
+        return _expect(e.lhs, kids[0], want) or _expect(e.rhs, kids[1], want) or (INT if op in _ARITH else BOOL)
+    elif cls is If:
+        if failed := _expect(e.cond, kids[0], BOOL) or _expect(e.then, kids[1]) or _expect(e.els, kids[2]):
             return failed
-        args2 = tuple([kid[0] for kid in kids])
-        parent = sig.ret
-        assert isinstance(parent, Named)
-        flip = c in (ctx.gen if oo else ctx.ctr).get(parent.name, ())
-        if oo != flip:  # an instantiation kept, or Obj2New
-            return New(c, args2), parent
-        return CtrCall(c, args2), parent  # a constructor call kept, or New2Obj
-    if cls is Obj:
-        # runtime objects appear only when typing evaluation traces; they
-        # are values shared by both styles and are never rewritten
+        _, t1, t2 = kids
+        if t1 is not t2 and t1 != t2:
+            types = f" have different types {pretty_type(t1)} and {pretty_type(t2)}"
+            return _printing("branches of ", e, types, runtime=False)
+        return t1
+    elif cls is Obj:
+        # runtime objects appear only when typing evaluation traces
         sig = ctx.sig.get(e.name)
         if sig is None:
             return partial(_err, f"object tag {e.name} has no signature")
-        return _check_args(e, e.args, kids, sig.params) or (e, sig.ret)
-    return partial(_err, f"unknown expression form {e!r}")
+        return _check_args(e, e.args, kids, sig.params) or sig.ret
+    else:
+        return partial(_err, f"unknown expression form {e!r}")
+    if failed := _check_args(e, e.args, kids, sig.params):  # a call: its arguments, then its flip type
+        return failed
+    names.append(flips_by)
+    return sig.ret
 
 
-def _expect(e: Expr, kid, want: Type | None = None):
-    """The error of child ``e``, typed as ``kid``, where ``want`` is expected; None if it has none."""
-    if type(kid) is not tuple:
-        return kid
-    got = kid[1]
+def _expect(e: Expr, got, want: Type | None = None):
+    """The error of child ``e``, typed ``got``, where ``want`` is expected; None if it has none."""
+    if callable(got):
+        return got
     # INT and BOOL are shared instances: identity settles most checks before __eq__
     if want is None or got is want or got == want:
         return None
@@ -184,63 +176,127 @@ def _printing(prefix: str, e: Expr, suffix: str, runtime: bool = True):
     return lambda: _err(prefix + pretty_expr(e, runtime=runtime) + suffix)
 
 
+def _translated(e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str]) -> Expr:
+    """``e``, typed in ``env`` with the call types ``names``, translated under ``ctx``."""
+    # a selected type's receiver moves with its member body to the other style, and takes its name
+    renames = {
+        recv: Var(other)
+        for recv, other, selected in ((THIS, SELF, ctx.it), (SELF, THIS, ctx.dt))
+        if type(t := env.get(recv)) is Named and t.name in selected
+    }
+    if not renames and {*ctx.dt, *ctx.it}.isdisjoint(names):
+        return e  # every rule would keep its node
+    return fold(e, partial(_translation, ctx, renames, iter(names)))
+
+
+def _translation(ctx: GlobalCtx, renames: dict[str, Var], names, e: Expr, kids: list) -> Expr:
+    """The translation of ``e`` from its children's; ``names`` yields the next call's type."""
+    cls = type(e)
+    if cls is Var:
+        return renames.get(e.name, e)
+    if cls is Sel or cls is App:
+        oo, f = cls is Sel, e.name
+        flip = f in (ctx.dtr if oo else ctx.csm).get(next(names), ())
+        if oo != flip:  # a selection kept, or App2Sel
+            return Sel(kids[0], f, tuple(kids[1:]))
+        return App(f, kids[0], tuple(kids[1:]))  # an application kept, or Sel2App
+    if cls is CtrCall or cls is New:
+        oo, c = cls is New, e.name
+        flip = c in (ctx.gen if oo else ctx.ctr).get(next(names), ())
+        if oo != flip:  # an instantiation kept, or Obj2New
+            return New(c, tuple(kids))
+        return CtrCall(c, tuple(kids))  # a constructor call kept, or New2Obj
+    return e if cls is Obj or not kids else with_children(e, kids)  # runtime objects are never rewritten
+
+
 # ---------------------------------------------------------------------------
-# Definitions: type every body in place, then regroup
+# Definitions: type every body where it stands, translate it, then regroup
 
 
-def _body(
-    what: str, body: Expr, want: Type, ctx: GlobalCtx, recv: str, self_type: str, *scopes: tuple[Param, ...]
-) -> Expr:
-    """A member body typed and translated with receiver ``recv`` of ``self_type`` and the scopes' binders."""
+def _members(d: Def, ctx: GlobalCtx):
+    """Each member body of ``d``: what it is, the body, its declared type and its typing environment."""
+    cls = type(d)
+    if cls is Interface:
+        for m in d.dtrs:
+            if m.body is not None:
+                yield f"default {m.name} in {d.name}", m.body, m.ret, _env(THIS, d.name, m.params)
+    elif cls is Generator:
+        for f in d.funs:
+            yield f"method {f.name} in class {d.name}", f.body, f.ret, _env(THIS, d.parent, d.fields, f.params)
+    elif cls is Consumer:
+        if d.body is not None:
+            raise _err(f"consumer {d.name} must be desugared before transformation", d.pos)
+        for clause in d.clauses or ():
+            binders: tuple[Param, ...] = ()
+            if not clause.pattern.is_wildcard:
+                c_sig = ctx.sig.get(clause.pattern.name)
+                if c_sig is None or len(c_sig.params) != len(clause.pattern.vars):
+                    pattern = f"pattern {clause.pattern.name} in consumer {d.name}"
+                    raise _err(f"{pattern} does not match a constructor of that arity", d.pos)
+                binders = tuple(map(Param, clause.pattern.vars, c_sig.params))
+            env = _env(SELF, d.self_type, binders, d.params)
+            yield f"consumer {d.name} on {d.self_type}", clause.body, d.ret, env
+    elif cls is not Datatype and cls is not Constructor:
+        raise _err(f"unknown definition form {d!r}")
+
+
+def _env(recv: str, self_type: str, *scopes: tuple[Param, ...]) -> TypeEnv:
+    """The typing environment of a member body: receiver ``recv`` of ``self_type``, then the scopes' binders."""
     env: TypeEnv = {recv: Named(self_type)}
     env.update((p.name, p.type) for params in scopes for p in params)
-    body2, got = transform_expr(body, ctx, env)
-    if got is not want and got != want:
-        raise _err(f"{what} has type {pretty_type(got)}, declared {pretty_type(want)}")
-    return body2
+    return env
 
 
-def _method(what: str, m: Dtr, ctx: GlobalCtx, self_type: str, *fields: tuple[Param, ...]) -> Dtr:
-    """Method or default ``m`` of ``self_type`` with its body typed."""
-    return Dtr(m.name, m.params, m.ret, _body(what, m.body, m.ret, ctx, THIS, self_type, *fields, m.params))
-
-
-def _typed_def(d: Def, ctx: GlobalCtx) -> Def:
-    """``d`` in its own form, with every member body typed and translated."""
+def _with_bodies(d: Def, bodies) -> Def:
+    """``d`` with its member bodies, in ``_members`` order, taken from the iterator ``bodies``."""
     cls = type(d)
-    if cls is Datatype or cls is Constructor:
-        return d
     if cls is Interface:
-        dtrs = [
-            m if m.body is None else _method(f"default {m.name} in {d.name}", m, ctx, d.name) for m in d.dtrs
-        ]
+        dtrs = [m if m.body is None else Dtr(m.name, m.params, m.ret, next(bodies)) for m in d.dtrs]
         return Interface(d.name, tuple(dtrs), d.pos)
     if cls is Generator:
-        funs = [_method(f"method {f.name} in class {d.name}", f, ctx, d.parent, d.fields) for f in d.funs]
+        funs = [Dtr(f.name, f.params, f.ret, next(bodies)) for f in d.funs]
         return Generator(d.name, d.fields, d.parent, tuple(funs), d.pos)
-    if cls is not Consumer:
-        raise _err(f"unknown definition form {d!r}")
-    if d.body is not None:
-        raise _err(f"consumer {d.name} must be desugared before transformation", d.pos)
-    what = f"consumer {d.name} on {d.self_type}"
-    clauses = []
-    for clause in d.clauses or ():
-        binders: tuple[Param, ...] = ()
-        if not clause.pattern.is_wildcard:
-            c_sig = ctx.sig.get(clause.pattern.name)
-            if c_sig is None or len(c_sig.params) != len(clause.pattern.vars):
-                pattern = f"pattern {clause.pattern.name} in consumer {d.name}"
-                raise _err(f"{pattern} does not match a constructor of that arity", d.pos)
-            binders = tuple(map(Param, clause.pattern.vars, c_sig.params))
-        body = _body(what, clause.body, d.ret, ctx, SELF, d.self_type, binders, d.params)
-        clauses.append(Clause(clause.pattern, body))
-    return Consumer(d.name, d.self_type, d.params, d.ret, tuple(clauses), None, d.pos)
+    if cls is Consumer:
+        clauses = [Clause(c.pattern, next(bodies)) for c in d.clauses or ()]
+        return Consumer(d.name, d.self_type, d.params, d.ret, tuple(clauses), None, d.pos)
+    return d
+
+
+def type_program(program: Program, ctx: GlobalCtx) -> tuple[list[tuple[Expr, TypeEnv, list[str]]], Type]:
+    """Each member body, in ``_members`` order and the main expression last, with
+    its typing environment and call types (``type_expr``), and the main expression's
+    type: what a passing ``check`` kept on ``ctx`` for this very program, or
+    else a new typing, which raises each definition's first error, at that
+    definition, and the main expression's in one ``TransformError``."""
+    kept = ctx.typings.get(id(program))
+    if kept is not None and kept[0] is program:
+        return kept[1]
+    bodies: list[tuple[Expr, TypeEnv, list[str]]] = []
+    diags: list[Diagnostic] = []
+    for d in program.defs:
+        try:
+            for what, body, want, env in _members(d, ctx):
+                bodies.append((body, env, names := []))
+                got = type_expr(body, ctx, env, names)
+                if got is not want and got != want:
+                    raise _err(f"{what} has type {pretty_type(got)}, declared {pretty_type(want)}")
+        except TransformError as exc:
+            line, col = getattr(d, "pos", None) or (0, 0)
+            diags.extend(dg if dg.line else Diagnostic(dg.message, line, col) for dg in exc.diagnostics)
+    bodies.append((program.main, {}, names := []))
+    try:
+        main_type = type_expr(program.main, ctx, {}, names)
+    except TransformError as exc:
+        diags.extend(exc.diagnostics)
+    if diags:
+        raise TransformError(diags)
+    return bodies, main_type
 
 
 def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx) -> list[Def]:
-    """What ``d`` becomes: its typed form, or its part of a selected type's other decomposition.
+    """What ``d`` becomes: its translated form, or its part of a selected type's other decomposition.
 
-    ``typed`` maps each definition's key in ``ctx.defs`` to its ``_typed_def``;
+    ``typed`` maps each definition's key in ``ctx.defs`` to its translation;
     the bodies it holds move between consumers and classes unchanged.
     """
     cls = type(d)
@@ -294,33 +350,23 @@ def transform(
 ) -> TransformResult:
     """Transform all selected types of a desugared, well-formed program.
 
-    ``selected=None`` selects every declared type; an empty set turns the
-    whole pass into a type check that returns the program unchanged.  Each
-    definition's first typing error, at that definition, and the main
-    expression's are raised in one ``TransformError``.
+    ``selected=None`` selects every declared type; an empty set returns the
+    program unchanged.  The program is typed first, unless ``check`` passed
+    this very program on ``ctx``; ``type_program``'s errors are raised.
     """
     full = ctx if ctx is not None else preprocess(program)
     if selected is None:
         selected = set(full.type_names())
     rctx = restrict(full, selected)
+    bodies, main_type = type_program(program, rctx)
+    translated = iter([_translated(body, rctx, env, names) for body, env, names in bodies])
     typed: dict[DefKey, Def] = {}
-    diags: list[Diagnostic] = []
     for d in program.defs:
-        try:
-            typed[(d.name, d.self_type) if type(d) is Consumer else d.name] = _typed_def(d, rctx)
-        except TransformError as exc:
-            line, col = getattr(d, "pos", None) or (0, 0)
-            diags.extend(dg if dg.line else Diagnostic(dg.message, line, col) for dg in exc.diagnostics)
-    try:
-        main, main_type = transform_expr(program.main, rctx, {})
-    except TransformError as exc:
-        diags.extend(exc.diagnostics)
-    if diags:
-        raise TransformError(diags)
+        typed[(d.name, d.self_type) if type(d) is Consumer else d.name] = _with_bodies(d, translated)
     defs = [out for d in program.defs for out in _regroup(d, typed, rctx)]
-    return TransformResult(Program(tuple(defs), main), main_type)
+    return TransformResult(Program(tuple(defs), next(translated)), main_type)
 
 
 def typecheck(program: Program, ctx: GlobalCtx | None = None) -> Type:
-    """Type of the program's main expression; the whole program is derived."""
-    return transform(program, frozenset(), ctx=ctx).program_type
+    """Type of the program's main expression; the whole program is typed."""
+    return type_program(program, ctx if ctx is not None else preprocess(program))[1]

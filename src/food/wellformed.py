@@ -6,8 +6,9 @@ shadowing binders (disjointness keeps the evaluation substitutions well
 defined), exact interface implementation, desugared and non-overlapping
 clauses that name constructors of their datatype, the pattern/field naming
 restriction, exhaustiveness, and the absence of runtime objects.  Once those
-hold, the typing pass reports scoping, call kind, member names and arity, so
-that a clean check guarantees the transformation cannot fail.
+hold, the typing pass (``transform.type_program``) reports scoping, call kind,
+member names and arity, so that a clean check guarantees the transformation
+cannot fail.  A passing check keeps its typing on the context for ``transform``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .syntax import (
     Type,
     contains_obj,
 )
-from .transform import transform
+from .transform import type_program
 
 
 def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
@@ -40,7 +41,7 @@ def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
     diags = check_structure(program, ctx)
     if not diags:
         try:
-            transform(program, frozenset(), ctx)
+            ctx.typings[id(program)] = program, type_program(program, ctx)
         except TransformError as exc:
             return list(exc.diagnostics)
     return diags

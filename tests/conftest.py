@@ -1,6 +1,8 @@
+import functools
 import pathlib
 
 from food import desugar, parse
+from food.fuzz import GenConfig, gen_program
 from food.syntax import Program
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -30,6 +32,16 @@ def load(name: str) -> Program:
 def load_raw(name: str) -> Program:
     """Parse without desugaring (keeps bare-expression consumer bodies)."""
     return parse(corpus_text(name))
+
+
+@functools.cache
+def generated(cfg: GenConfig) -> Program:
+    """``gen_program(cfg)``, made once per test session.
+
+    Generation is a pure function of the frozen ``cfg`` and programs are
+    immutable, so the modules that draw the same seeds share one copy.
+    """
+    return gen_program(cfg)
 
 
 # The benchmark's eval programs, with {n} for the size.  Peano takes 7n+5

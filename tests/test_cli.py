@@ -1,5 +1,7 @@
 """The food command line."""
 
+import collections
+import functools
 import io
 import json
 import os
@@ -11,7 +13,7 @@ import tracemalloc
 import pytest
 from conftest import CORPUS, eval_source
 
-from food import cli, interp
+from food import cli, fuzz, interp
 from food.cli import main
 
 
@@ -206,6 +208,19 @@ def test_a_deep_method_body_is_still_a_diagnostic(capsys, tmp_path, command):
     assert run(capsys, command, str(source)) == expected[command]
 
 
+@pytest.mark.parametrize("fuel", [0, 1, 2, 3, 4, None])
+def test_a_deep_body_read_back_when_the_fuel_runs_out(capsys, tmp_path, fuel):
+    # the fuel runs out on g(C()) at 2 and 3, with the deep right operand
+    # unevaluated: the stopped state is read back by subst, a fold
+    source = tmp_path / "deep_read_back.food"
+    body = "g(C())() + " + nested_sum(3000, "n")
+    source.write_text(
+        f"data D\ncase C() extends D\ndef g(self: D)(): Int = 1\ndef f(self: D)(n: Int): Int = {body}\nf(C())(1)\n"
+    )
+    expected = (0, "3002\n", "") if fuel is None else (1, "", "fuel exhausted\n")
+    assert run(capsys, "eval", str(source), *([] if fuel is None else ["--fuel", str(fuel)])) == expected
+
+
 def test_trace_rejects_a_negative_limit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["trace", str(CORPUS / "exp_fp.food"), "--limit", "-1"])
@@ -313,7 +328,20 @@ def test_fuzz_reports_json_lines(capsys):
     lines = [json.loads(l) for l in out.splitlines()]
     assert len(lines) == 6  # one per trial plus a summary
     assert all(l["ok"] for l in lines[:-1])
-    assert lines[-1] == {"trials": 5, "failed": 0}
+    assert lines[-1] == {"trials": 5, "failed": 0, "failures_by_prop": {}}
+
+
+def test_fuzz_summary_counts_failures_by_property(capsys, monkeypatch):
+    # a mutation of every transformed program makes trials fail; the summary
+    # counts each property's failures over the trial lines
+    mutated = functools.partial(fuzz.run_properties, mutate=fuzz.mutate_drop_consumer)
+    monkeypatch.setattr(cli, "run_properties", mutated)
+    code, out, _ = run(capsys, "fuzz", "--trials", "5", "--seed", "11", "--fuel", "5000")
+    *trials, summary = [json.loads(l) for l in out.splitlines()]
+    by_prop = collections.Counter(f["prop"] for t in trials for f in t.get("failures", ()))
+    assert code == 1 and summary["trials"] == 5
+    assert summary["failed"] == sum(not t["ok"] for t in trials) > 0
+    assert summary["failures_by_prop"] == dict(by_prop) and by_prop["wf-preservation"] > 0
 
 
 def test_unknown_subcommand_exits_2(capsys):

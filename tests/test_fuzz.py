@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, load
+from conftest import GOLDEN_SELECTIONS, generated, load
 from reference_step import typed_run as reference_typed_run
 
 from food import FoodError, check, desugar, eval_program, parse, preprocess, transform
@@ -33,20 +33,20 @@ def test_same_seed_gives_identical_programs():
 
 def test_single_type_programs_pass_check():
     for style in (0.0, 1.0):
-        p = gen_program(GenConfig(seed=1, max_types=1, style_mix=style))
+        p = generated(GenConfig(seed=1, max_types=1, style_mix=style))
         assert check(p, preprocess(p)) == []
         assert len(type_names(p)) == 1
 
 
 def test_generated_programs_pass_check():
     for seed in range(200):
-        p = gen_program(GenConfig(seed=seed))
+        p = generated(GenConfig(seed=seed))
         assert check(p, preprocess(p)) == [], f"seed {seed}"
 
 
 def test_generated_programs_transform_both_ways():
     for seed in range(50):
-        p = gen_program(GenConfig(seed=seed))
+        p = generated(GenConfig(seed=seed))
         names = type_names(p)
         once = transform(p, names)
         transform(once.program, names)
@@ -57,7 +57,7 @@ def test_overload_submode_produces_shared_names():
     # consumer/destructor name across two types
     for seed in range(40):
         cfg = GenConfig(seed=seed, max_types=3, overload_prob=0.9)
-        p = gen_program(cfg)
+        p = generated(cfg)
         ops: dict[str, set[str]] = {}
         for d in p.defs:
             if isinstance(d, Consumer):
@@ -73,7 +73,7 @@ def test_overload_submode_produces_shared_names():
 
 def test_divergent_programs_exhaust_fuel_on_both_sides():
     cfg = GenConfig(seed=3, diverge_prob=1.0)
-    p = gen_program(cfg)
+    p = generated(cfg)
     assert isinstance(eval_program(p, fuel=500), FuelExhausted)
     q = transform(p, type_names(p)).program
     assert isinstance(eval_program(q, fuel=500), FuelExhausted)
@@ -139,7 +139,7 @@ def test_planted_mutant_fails_eval_and_shrinks_small():
     # seed found by scanning: the clause-body swap flips the meaning of a
     # consumer the main expression actually calls
     seed = 8
-    p = gen_program(GenConfig(seed=seed))
+    p = generated(GenConfig(seed=seed))
     names = type_names(p)
 
     def rerun(q):
@@ -194,7 +194,7 @@ def assert_typed_run_matches_reference(p, fuels=TYPED_RUN_FUELS):
 def test_typed_run_matches_reference_on_generated_programs():
     for seed in range(300):
         for diverge_prob in (1.0, 0.0) if seed % 4 == 0 else (1.0,):
-            p = gen_program(GenConfig(seed=seed, diverge_prob=diverge_prob))
+            p = generated(GenConfig(seed=seed, diverge_prob=diverge_prob))
             q = transform(p, type_names(p)).program
             assert_typed_run_matches_reference(p)
             assert_typed_run_matches_reference(q)
@@ -203,7 +203,7 @@ def test_typed_run_matches_reference_on_generated_programs():
 def test_typed_run_matches_reference_on_mutated_programs():
     for seed in range(0, 300, 4):
         for diverge_prob in (1.0, 0.0):
-            p = gen_program(GenConfig(seed=seed, diverge_prob=diverge_prob))
+            p = generated(GenConfig(seed=seed, diverge_prob=diverge_prob))
             q = transform(p, type_names(p)).program
             for mutate in MUTATORS.values():
                 m = mutate(q)

@@ -4,7 +4,7 @@ from collections import Counter, deque
 from dataclasses import replace
 
 import reference_step
-from conftest import EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, load
+from conftest import EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, generated, load
 from reference_step import states as reference_states
 
 from food import (
@@ -28,7 +28,7 @@ from food import (
     transform_expr,
     translate_ctx,
 )
-from food.fuzz import MUTATORS, GenConfig, gen_program
+from food.fuzz import MUTATORS, GenConfig
 import food.interp
 from food.interp import Stepped, format_value, run
 from food.syntax import (
@@ -132,7 +132,7 @@ def test_body_table_matches_the_table_less_lookup():
     programs = [(load(name), selected) for name, selected in GOLDEN_SELECTIONS.items()]
     for style in (0.0, 1.0):
         for seed in range(300):
-            p = gen_program(GenConfig(seed=seed, style_mix=style))
+            p = generated(GenConfig(seed=seed, style_mix=style))
             programs.append((p, set(preprocess(p).type_names()[::2])))
     for p, selected in programs:
         ctx = preprocess(p)
@@ -290,7 +290,7 @@ def assert_same_states(e, ctx):
 
 def test_machine_matches_reference_on_generated_programs():
     for seed in range(300):
-        p = gen_program(GenConfig(seed=seed, diverge_prob=1.0 if seed % 7 == 0 else 0.0))
+        p = generated(GenConfig(seed=seed, diverge_prob=1.0 if seed % 7 == 0 else 0.0))
         assert_same_states(p.main, preprocess(p))
 
 
@@ -378,14 +378,14 @@ def test_eval_program_matches_the_substituting_machine():
             p = desugar(parse(eval_source(name, n)))
             assert_same_outcome(p, preprocess(p), range(7 * n + 7))
     for seed in range(300):
-        p = gen_program(GenConfig(seed=seed, diverge_prob=1.0 if seed % 7 == 0 else 0.0))
+        p = generated(GenConfig(seed=seed, diverge_prob=1.0 if seed % 7 == 0 else 0.0))
         assert_same_outcome(p, preprocess(p))
     ctx, terms = stuck_terms()
     for e in terms:
         assert_same_outcome(Program((), e), ctx)
     for mutate in MUTATORS.values():
         for seed in range(50):
-            p = mutate(gen_program(GenConfig(seed=seed)))
+            p = mutate(generated(GenConfig(seed=seed)))
             assert_same_outcome(p, preprocess(p))
 
 

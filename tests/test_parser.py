@@ -6,11 +6,11 @@ import sys
 
 import pytest
 import reference_parser
-from conftest import CORPUS, corpus_text
+from conftest import CORPUS, corpus_text, generated
 from reference_lexer import tokens as reference_tokens
 
 from food import ParseError, parse, pretty
-from food.fuzz import GenConfig, gen_program
+from food.fuzz import GenConfig
 from food.parser import _Parser
 from food.syntax import (
     App,
@@ -181,7 +181,7 @@ def test_accepted_inputs_carry_no_diagnostics():
 def generated_sources() -> tuple[str, ...]:
     """pretty(gen_program(...)) for seeds 0..1999, in both styles."""
     return tuple(
-        pretty(gen_program(GenConfig(seed=seed, style_mix=style_mix)))
+        pretty(generated(GenConfig(seed=seed, style_mix=style_mix)))
         for seed in range(2000)
         for style_mix in (0.0, 1.0)
     )

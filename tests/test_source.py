@@ -93,9 +93,9 @@ def test_transform_builds_nodes_with_their_constructors():
 
 
 def test_transform_names_no_subst():
-    # a selected type's receiver is renamed where _typed types it, in the
-    # body's one fold; a recursive subst after typing would be a second pass
-    # over every moved body, and fail on one a few hundred levels deep
+    # a selected type's receiver is renamed where _translation translates
+    # it, in the body's one translating fold; a subst after translating would
+    # be a second pass over every moved body
     tree = ast.parse((pathlib.Path(food.__file__).parent / "transform.py").read_text())
     found = [
         node.lineno
@@ -112,7 +112,6 @@ def test_no_function_recurses_on_its_input():
     # takes one Python frame per nesting level and fails a few hundred levels
     # deep; walks over expressions use syntax.fold, walk or rewrite_first
     allowed = {
-        "syntax.subst",  # the substituting machine's, as deep as a method body
         "pretty.pretty_type",  # types nest only as deep as a signature
         "context.type_text",  # the same, for a consumer's curried signature
         # the generator's own recursion is bounded by GenConfig.max_expr_depth
@@ -140,4 +139,4 @@ def test_no_function_recurses_on_its_input():
             if name in reached:
                 found.append(f"{path.stem}.{name}")
     assert len(SOURCES) >= 10 and sorted(set(found) - allowed) == []
-    assert {"syntax.subst", "pretty.pretty_type"} <= set(found)
+    assert {"pretty.pretty_type", "context.type_text"} <= set(found)

@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from conftest import load, load_raw
+from conftest import generated, load, load_raw
 from test_hostile_input import NESTINGS, nest
 
 from food import (
@@ -18,7 +18,7 @@ from food import (
     syntax,
     transform_expr,
 )
-from food.fuzz import GenConfig, gen_program
+from food.fuzz import GenConfig
 from food.interp import BoolV, IntV, ObjV
 from food.pretty import pretty_def, pretty_expr
 from food.syntax import (
@@ -57,6 +57,7 @@ from food.syntax import (
     fold,
     free_vars,
     rewrite_first,
+    subst,
     walk,
     with_children,
 )
@@ -166,7 +167,7 @@ def test_pretty_rejects_runtime_objects():
 
 def test_parse_pretty_fixpoint_on_fuzzed_programs():
     for seed in range(100):
-        p = gen_program(GenConfig(seed=seed))
+        p = generated(GenConfig(seed=seed))
         assert parse(pretty(p)) == p, f"seed {seed}"
 
 
@@ -311,6 +312,18 @@ def test_traversals_do_not_recurse_on_deep_expressions():
         assert [d.message for d in diagnostics] == ([] if isinstance(typing, Type) else [typing]), form
     value = nest(100_000, lambda v: Obj("S", (IntLit(1), v)), Obj("Z", ()))
     assert interp.format_value(value) == pretty_expr(value, runtime=True)
+
+
+def test_subst_takes_any_depth():
+    # one rule over fold, at the default recursion limit
+    e = deep(100_000)
+    out = subst(e, {"x": IntLit(7), "y": BoolLit(True)})
+    assert not free_vars(out) and sum(1 for _ in walk(out)) == sum(1 for _ in walk(e))
+    assert pretty_expr(out, runtime=True) == pretty_expr(e, runtime=True).replace("x", "7")
+    assert subst(e, {}) is e
+    # a runtime object holds values only, and is kept as it is
+    obj = Obj("C", (Var("x"),))
+    assert subst(obj, {"x": IntLit(7)}) is obj
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 import reference_recursive as ref
-from conftest import CORPUS, EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, load
+from conftest import CORPUS, EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, generated, load
 
 from food import (
     ContextError,
@@ -20,7 +20,7 @@ from food import (
     transform_expr,
     typecheck,
 )
-from food.fuzz import GenConfig, gen_program
+from food.fuzz import GenConfig
 from food.interp import run
 from food.pretty import pretty_expr
 from food.syntax import (
@@ -31,6 +31,7 @@ from food.syntax import (
     CtrCall,
     Consumer,
     Expr,
+    Generator,
     INT,
     Interface,
     IntLit,
@@ -38,6 +39,7 @@ from food.syntax import (
     Named,
     New,
     PrimOp,
+    Program,
     SELF,
     Sel,
     THIS,
@@ -83,6 +85,15 @@ def test_new_on_selected_generator_becomes_constructor_call():
     out, t = transform_expr(e, ctx, env)
     assert out == CtrCall("Insert", (Var("self"), Var("i")))
     assert t == Named("Set")
+
+
+def test_a_body_is_kept_unless_a_call_flips_or_its_receiver_moves():
+    e = parse("s.union(s).isEmpty() && new Empty().isEmpty()").main
+    env = {"s": Named("Set"), "this": Named("Set")}
+    assert transform_expr(e, restricted("sets_oop", set()), env) == (e, BOOL)
+    assert transform_expr(e, restricted("sets_oop", set()), env)[0] is e
+    # no call, but the receiver of the selected Set takes the other style's name
+    assert transform_expr(Var("this"), restricted("sets_oop", {"Set"}), env) == (Var("self"), Named("Set"))
 
 
 def test_application_on_selected_datatype_becomes_selection():
@@ -231,25 +242,87 @@ def test_every_definitions_typing_error_is_raised_at_its_definition():
 
 
 # ---------------------------------------------------------------------------
-# The printer and the typer, folds over syntax.fold, against the recursive
-# code they replaced (reference_recursive): the same text, translation and
-# type, or the same error text, on every input.  The typer also renames the
-# receiver of a selected type, which the definition layer did after typing,
-# by substitution: the reference's translation is renamed that way.
+# Type once: check keeps its typing on the context for transform
+
+
+def member_bodies(d):
+    """The expressions a definition holds: defaults, methods and clauses."""
+    if isinstance(d, Interface):
+        return [m.body for m in d.dtrs if m.body is not None]
+    if isinstance(d, Generator):
+        return [f.body for f in d.funs]
+    return [c.body for c in d.clauses] if isinstance(d, Consumer) else []
+
+
+def test_check_then_transform_types_each_body_once(monkeypatch):
+    real, typed = TRANSFORM._typing, []
+
+    def counted(ctx, env, names, e, kids):
+        typed.append(e)
+        return real(ctx, env, names, e, kids)
+
+    monkeypatch.setattr(TRANSFORM, "_typing", counted)
+    programs = [load(name) for name in sorted(GOLDEN_SELECTIONS)] + [generated(GenConfig(seed=s)) for s in range(20)]
+    for program in programs:
+        bodies = [program.main, *(b for d in program.defs for b in member_bodies(d))]
+        nodes = sum(1 for b in bodies for _ in walk(b))
+        ctx = preprocess(program)
+        typed.clear()
+        assert check(program, ctx) == [] and len(typed) == nodes
+        for selected in (None, frozenset()):
+            typed.clear()
+            kept = transform(program, selected, ctx)
+            assert typed == []  # read from the context, not typed again
+            assert kept == transform(program, selected)  # a fresh context: typed again
+            assert len(typed) == nodes
+
+
+def test_transform_of_another_program_types_it_for_itself():
+    # the kept typing belongs to the program check passed, not to the context
+    p1 = load("sets_oop")
+    p2 = Program(p1.defs, PrimOp("+", IntLit(1), BoolLit(True)))
+    ctx = preprocess(p1)
+    assert check(p1, ctx) == []
+    with pytest.raises(TransformError) as exc:
+        transform(p2, {"Set"}, ctx)
+    assert [d.message for d in exc.value.diagnostics] == ["true has type Bool, expected Int"]
+    assert [d.message for d in check(p2, ctx)] == ["true has type Bool, expected Int"]
+
+
+def test_only_a_passing_check_keeps_a_typing():
+    p = load("exp_fp")
+    ctx = preprocess(p)
+    transform(p, None, ctx)
+    transform(p, frozenset(), ctx)
+    assert ctx.typings == {}
+    bad = Program(p.defs, Var("nowhere"))
+    assert [d.message for d in check(bad, ctx)] == ["unbound variable 'nowhere'"]
+    assert ctx.typings == {}
+    assert check(p, ctx) == [] and list(ctx.typings) == [id(p)]
+    assert restrict(ctx, frozenset()).typings is ctx.typings
+
+
+# ---------------------------------------------------------------------------
+# The printer, and the typing and translation of transform_expr, folds over
+# syntax.fold, against the recursive code they replaced (reference_recursive):
+# the same text, translation and type, or the same error text, on every input.
+# The translation also renames the receiver of a selected type, which the
+# definition layer did after typing, by substitution: the reference's
+# translation is renamed that way.
 
 
 def typing_inputs(monkeypatch, program):
     """Each (expression, context, environment) that ``transform`` types, with
     every type selected and with none, as ``check`` does."""
     inputs = []
-    real = TRANSFORM.transform_expr
+    real = TRANSFORM.type_expr
 
-    def record(e, ctx, env):
+    def record(e, ctx, env, names=None):
         inputs.append((e, ctx, dict(env)))
-        return real(e, ctx, env)
+        return real(e, ctx, env, names)
 
     with monkeypatch.context() as m:
-        m.setattr(TRANSFORM, "transform_expr", record)
+        m.setattr(TRANSFORM, "type_expr", record)
         for selected in (None, frozenset()):
             try:
                 transform(program, selected)
@@ -319,7 +392,7 @@ def programs(seeds=range(2000)):
     for path in sorted(CORPUS.glob("*.food")):
         yield desugar(parse(path.read_text()))
     for seed in seeds:
-        yield gen_program(GenConfig(seed=seed))
+        yield generated(GenConfig(seed=seed))
 
 
 def test_printer_and_typer_match_the_recursive_reference(monkeypatch):
