@@ -242,7 +242,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     where = getattr(args, "file", args.command)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a write that fails, such as to a full device, fails here at the latest
+        return code
     except _Failure as exc:
         print(exc.message, file=sys.stderr)
         return 1
@@ -254,9 +256,12 @@ def main(argv: list[str] | None = None) -> int:
         # and repr still recurse once per nesting level
         print(f"{where}: input nested too deeply", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader of stdout has gone: print nothing more, and send what is
-        # still buffered to the null device, where the exit's flush cannot fail
+    except OSError as exc:
+        # a write to stdout failed; when its reader has gone, print nothing
+        # more.  What is still buffered goes to the null device, where the
+        # exit's flush cannot fail
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write <stdout>: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

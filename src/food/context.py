@@ -48,8 +48,9 @@ class GlobalCtx:
     # ``csm_body`` answered, None included; filled by those lookups.  It
     # depends on defs alone, so a context with the same defs dict shares it.
     bodies: dict = field(default_factory=dict, compare=False, repr=False)
-    # id(program) -> (program, its ``type_program``), kept by a passing
-    # ``check`` for ``transform``; shared like bodies, as typing reads no selection.
+    # id(program) -> (program, its ``type_program``), kept by ``keep_typing``
+    # (a passing ``check`` calls it) for ``transform``; shared like bodies, as
+    # typing reads no selection.
     typings: dict = field(default_factory=dict, compare=False, repr=False)
 
     def type_names(self) -> tuple[str, ...]:

@@ -10,8 +10,11 @@ deliberately looping ones that exercise the divergence branch.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 from .context import GlobalCtx, preprocess, restrict, translate_ctx
@@ -20,16 +23,16 @@ from .interp import (
     Done,
     FuelExhausted,
     Stuck,
+    _machine,
+    _plug_all,
     csm_body,
     dtr_body,
     format_value,
-    run,
 )
 from .parser import parse
 from .pretty import pretty, pretty_type
 from .syntax import (
     App,
-    Arrow,
     BOOL,
     BoolLit,
     Clause,
@@ -48,6 +51,7 @@ from .syntax import (
     Interface,
     Named,
     New,
+    Obj,
     Param,
     Pattern,
     PrimOp,
@@ -60,11 +64,22 @@ from .syntax import (
     Var,
     WILDCARD,
     canonicalize,
+    children,
     rewrite_first,
+    same,
+    walk,
 )
-from .transform import transform, transform_expr, type_expr, typecheck
-# check is unused here, but bound for the benchmark's tracer to wrap
-from .wellformed import check, check_structure  # noqa: F401
+# transform_expr is unused here, but bound for the benchmark's tracer to wrap
+from .transform import (  # noqa: F401
+    _translated,
+    _typing,
+    keep_typing,
+    kept_typing,
+    transform,
+    transform_expr,
+    type_expr,
+)
+from .wellformed import check, check_structure
 
 _MAX_FIELD_ARITY = 2
 _RECURSION_BIAS = 0.6  # probability a body recurses on a field
@@ -392,38 +407,116 @@ class FuzzReport:
 
 
 def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
-    """Evaluate the main expression, typing every reached expression.
+    """Evaluate the main expression, typing every reached state.
 
-    Returns (outcome, type_failure_detail).  Evaluation is deterministic, so
-    once a state repeats the run is periodic until the fuel runs out, and no
-    state in the cycle is a value or stuck.  Typing is a pure function of the
-    state, so every later state would type as the one it repeats already did:
-    the run stops at the first repeat with the state the fuel would end on,
-    and the verdict is the one the whole run would give.
+    Returns (outcome, type_failure_detail).  State 0, the main expression,
+    takes its type from the typing ``keep_typing`` kept on ``ctx``, or is
+    typed whole.  After that, each step types only its redex and its
+    contractum, read from ``_machine``'s focus and frames, and no state is
+    plugged.  FOOD has no binders, so every subterm of a closed state is
+    closed, and the typer is one rule per form over ``fold``: a contractum
+    that types as its redex leaves the state's type as it was.  This is the
+    replacement argument of Wright and Felleisen, "A Syntactic Approach to
+    Type Soundness" (1994).  A value can be as deep as the run is long, and
+    every redex that uses it holds it, so each object is typed once per run,
+    keyed by identity, and a call's contractum costs what its body does.  On
+    any difference or error the state is plugged and typed whole, so a
+    failure's text is the whole state's.
+
+    Evaluation is deterministic, so once a state repeats the run is periodic
+    until the fuel runs out, and no state in the cycle is a value or stuck.
+    Every later state types as the one it repeats already did.  Repeats are
+    found by Brent's cycle detection ("An improved Monte Carlo factorization
+    algorithm", BIT 20, 1980), which compares each state with one saved
+    state: by cheap keys (node count, frame count, the focus's class and
+    name) and, only when they match, in full, at any depth.  The run stops
+    one period on, with the state the fuel would end on, and the verdict is
+    the one the whole run would give.
     """
-    states: list[Expr] = []
-    first: dict[Expr, int] = {}  # each state's index of first appearance
-    expected = None  # the type of state 0, the main expression
-    for state in run(program.main, ctx, fuel):
-        if not isinstance(state, Expr):
-            return state, None
-        i = first.setdefault(state, len(states))
-        if i < len(states):
-            return FuelExhausted(states[i + (fuel - i) % (len(states) - i)]), None
-        states.append(state)
+    typing = kept_typing(program, ctx)
+    if typing is not None:
+        expected = typing[1]
+    else:
         try:
-            t = type_expr(state, ctx, {})
+            expected = type_expr(program.main, ctx, {})
         except FoodError as exc:
-            if expected is None:
-                return None, f"main expression does not type: {exc}"
-            return None, f"step result fails to type: {exc}"
-        if expected is None:
-            expected = t
-        elif t != expected:
-            return None, (
-                f"type changed from {pretty_type(expected)} to {pretty_type(t)} "
-                "during evaluation"
-            )
+            return None, f"main expression does not type: {exc}"
+    known: dict[int, tuple[Expr, tuple]] = {}  # id of an object -> (it, its measure)
+    rule = partial(_typing, ctx, {}, deque(maxlen=0))  # the call types that typing lists are dropped
+
+    def measure(e: Expr) -> tuple:
+        """(type or error, node count) of closed ``e``."""
+        if (hit := known.get(id(e))) is not None:
+            return hit[1]
+        if not children(e):
+            return rule(e, ()), 1
+        types, sizes, todo = [], [], [e]
+        while todo:
+            x = todo.pop()
+            if type(x) is tuple:  # (node, n): the measures of its n children end the lists
+                x, n = x
+                t, size = rule(x, types[-n:]), 1 + sum(sizes[-n:])
+                del types[-n:], sizes[-n:]
+                if type(x) is Obj:
+                    known[id(x)] = x, (t, size)
+            elif (hit := known.get(id(x))) is not None:
+                t, size = hit[1]
+            elif kids := children(x):
+                todo.append((x, len(kids)))
+                todo += reversed(kids)
+                continue
+            else:
+                t, size = rule(x, ()), 1
+            types.append(t)
+            sizes.append(size)
+        return types[0], sizes[0]
+
+    machine = _machine(program.main, ctx, fuel)
+    focus, frames = next(machine)
+    size = sum(1 for _ in walk(program.main))
+    saved, saved_key = (focus, tuple(frames)), (size, len(frames), type(focus), getattr(focus, "name", None))
+    power = lam = 1
+    for i in itertools.count(1):
+        redex, depth, top = focus, len(frames), frames[-1] if frames else None
+        out = next(machine)
+        if type(out) is not tuple:
+            return out, None
+        focus, frames = out
+        # the contractum: refocusing descends from it, pushing frames onto
+        # the redex's, or plugs it, a value, into the redex's top frame
+        if depth == 0 or len(frames) >= depth and frames[depth - 1] is top:
+            contractum = frames[depth][0] if len(frames) > depth else focus
+        else:
+            contractum = children(frames[depth - 1][0] if len(frames) >= depth else focus)[top[1]]
+        kids = children(redex)
+        measures = [measure(kid) for kid in kids]
+        t_redex, n_redex = rule(redex, [m[0] for m in measures]), 1 + sum([m[1] for m in measures])
+        for kid, (t, n) in zip(kids, measures):
+            if kid is contractum:  # a branch of an if, or the right operand of && or ||
+                break
+        else:
+            t, n = measure(contractum)
+        size += n - n_redex
+        if callable(t) or t is not t_redex and t != t_redex:
+            try:
+                t = type_expr(_plug_all(focus, frames), ctx, {})
+            except FoodError as exc:
+                return None, f"step result fails to type: {exc}"
+            if t != expected:
+                return None, (
+                    f"type changed from {pretty_type(expected)} to {pretty_type(t)} "
+                    "during evaluation"
+                )
+        key = (size, len(frames), type(focus), getattr(focus, "name", None))
+        if key == saved_key and same(_plug_all(focus, frames), _plug_all(*saved)):
+            # the run has period lam from here on: go on to the state the fuel ends on
+            for _ in range((fuel - i) % lam):
+                focus, frames = next(machine)
+            return FuelExhausted(_plug_all(focus, frames)), None
+        if lam == power:
+            saved, saved_key = (focus, tuple(frames)), key
+            power, lam = 2 * power, 0
+        lam += 1
 
 
 def _hygiene_failures(p2: Program) -> list[str]:
@@ -445,14 +538,16 @@ def _hygiene_failures(p2: Program) -> list[str]:
 
 
 def _lookup_duality_failures(
-    rctx: GlobalCtx, ctx2: GlobalCtx
+    rctx: GlobalCtx, ctx2: GlobalCtx, translations: dict[int, Expr]
 ) -> list[str]:
-    """Check that body lookup commutes with translation for every (f, C)."""
+    """Check that body lookup commutes with translation for every (f, C).
+
+    ``translations`` maps each member body, by identity, to its translation.
+    """
     out = []
     # destructor before == consumer after, then consumer before == destructor after
     for oo in (True, False):
         lookup, lookup_after = (dtr_body, csm_body) if oo else (csm_body, dtr_body)
-        recv = THIS if oo else SELF
         for d_name in rctx.it if oo else rctx.dt:
             for c_name in (rctx.gen if oo else rctx.ctr)[d_name]:
                 for f in (rctx.dtr if oo else rctx.csm)[d_name]:
@@ -465,12 +560,7 @@ def _lookup_duality_failures(
                         )
                         continue
                     ys, xs, body = before
-                    fields = {p.name: p.type for p in rctx.defs[c_name].fields} if ys else {}
-                    sig = rctx.dtr_sig[(f, d_name)] if oo else rctx.sig[(f, d_name)].ret
-                    assert isinstance(sig, Arrow)
-                    env = {recv: Named(d_name), **fields, **dict(zip(xs, sig.params))}
-                    translated = transform_expr(body, rctx, env)[0]
-                    if lookup_after(f, c_name, ctx2) != (ys, xs, translated):
+                    if lookup_after(f, c_name, ctx2) != (ys, xs, translations[id(body)]):
                         member = "destructor" if oo else "consumer"
                         out.append(f"{member} {f} on {c_name} does not survive translation")
     return out
@@ -495,14 +585,10 @@ def check_properties(
         return [PropFail("wellformed", f"preprocess failed: {exc}")]
     if selected is None:
         selected = set(ctx.type_names())
-    diags = check_structure(program, ctx)  # check's typing half is the skip below
-    if not diags:
-        try:
-            skip = transform(program, frozenset(), ctx=ctx)
-        except FoodError as exc:
-            diags = exc.diagnostics
-    if diags:
+    # check keeps its typing on ctx, so the transforms of program only translate
+    if diags := check(program, ctx):
         return [PropFail("wellformed", "; ".join(d.render() for d in diags[:3]))]
+    skip = transform(program, frozenset(), ctx=ctx)
     t0 = skip.program_type
     if skip.program != program:
         fails.append(PropFail("skip-identity", "transform with no selected types changed the program"))
@@ -525,7 +611,7 @@ def check_properties(
         return fails
     diags2 = check_structure(p2, ctx2)
     try:
-        t2: Type | FoodError = typecheck(p2, ctx2)
+        t2: Type | FoodError = keep_typing(p2, ctx2)[1]  # so r2 below only translates
     except FoodError as exc:
         t2, diags2 = exc, diags2 or exc.diagnostics
     if diags2:
@@ -557,11 +643,11 @@ def check_properties(
     except FoodError as exc:
         fails.append(PropFail("ctx-duality", str(exc)))
 
-    try:
-        for problem in _lookup_duality_failures(rctx, ctx2):
-            fails.append(PropFail("lookup-duality", problem))
-    except FoodError as exc:
-        fails.append(PropFail("lookup-duality", str(exc)))
+    # the member bodies translated with their kept typing, as transform translates them
+    *bodies, _main = kept_typing(program, ctx)[0]
+    translations = {id(body): _translated(body, rctx, env, names) for body, env, names in bodies}
+    for problem in _lookup_duality_failures(rctx, ctx2, translations):
+        fails.append(PropFail("lookup-duality", problem))
 
     out1, bad1 = _typed_run(program, ctx, fuel)
     out2, bad2 = _typed_run(p2, ctx2, fuel)

@@ -262,7 +262,7 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
         return Obj(e.name, tuple(vals))
     if cls is Var:
         return f"unbound variable {e.name!r}"
-    return f"no rule applies to {e!r}"
+    return f"no rule applies to {type(e).__name__}"
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,29 @@ def fold(e: Expr, fn):
     return results[0]
 
 
+def same(a: Expr, b: Expr) -> bool:
+    """``a == b``, at any depth: dataclass ``==`` recurses once per nesting level."""
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is y:
+            continue
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is PrimOp:
+            label = x.op == y.op
+        elif cls is IntLit or cls is BoolLit:
+            label = x.value == y.value
+        else:
+            label = cls is If or x.name == y.name
+        kx, ky = children(x), children(y)
+        if not label or len(kx) != len(ky):
+            return False
+        pairs += zip(kx, ky)
+    return True
+
+
 def free_vars(e: Expr) -> set[str]:
     return {x.name for x in walk(e) if isinstance(x, Var)}
 

@@ -68,6 +68,10 @@ _ARITH = {"+", "-", "*"}
 _CMP = {"==", "<=", "<"}
 
 
+# a program's typing: each member body with its environment and call types, and the main expression's type
+Typing = tuple[list[tuple[Expr, TypeEnv, list[str]]], Type]
+
+
 @dataclass(frozen=True)
 class TransformResult:
     program: Program
@@ -147,7 +151,7 @@ def _typing(ctx: GlobalCtx, env: TypeEnv, names: list[str], e: Expr, kids: list)
             return partial(_err, f"object tag {e.name} has no signature")
         return _check_args(e, e.args, kids, sig.params) or sig.ret
     else:
-        return partial(_err, f"unknown expression form {e!r}")
+        return partial(_err, f"unknown expression form {type(e).__name__}")
     if failed := _check_args(e, e.args, kids, sig.params):  # a call: its arguments, then its flip type
         return failed
     names.append(flips_by)
@@ -262,15 +266,14 @@ def _with_bodies(d: Def, bodies) -> Def:
     return d
 
 
-def type_program(program: Program, ctx: GlobalCtx) -> tuple[list[tuple[Expr, TypeEnv, list[str]]], Type]:
+def type_program(program: Program, ctx: GlobalCtx) -> Typing:
     """Each member body, in ``_members`` order and the main expression last, with
     its typing environment and call types (``type_expr``), and the main expression's
-    type: what a passing ``check`` kept on ``ctx`` for this very program, or
+    type: what ``keep_typing`` kept on ``ctx`` for this very program, or
     else a new typing, which raises each definition's first error, at that
     definition, and the main expression's in one ``TransformError``."""
-    kept = ctx.typings.get(id(program))
-    if kept is not None and kept[0] is program:
-        return kept[1]
+    if (kept := kept_typing(program, ctx)) is not None:
+        return kept
     bodies: list[tuple[Expr, TypeEnv, list[str]]] = []
     diags: list[Diagnostic] = []
     for d in program.defs:
@@ -291,6 +294,20 @@ def type_program(program: Program, ctx: GlobalCtx) -> tuple[list[tuple[Expr, Typ
     if diags:
         raise TransformError(diags)
     return bodies, main_type
+
+
+def keep_typing(program: Program, ctx: GlobalCtx) -> Typing:
+    """``type_program(program, ctx)``, kept on ``ctx`` when it passes, so that a
+    later ``transform`` of this very program only translates."""
+    typing = type_program(program, ctx)
+    ctx.typings[id(program)] = program, typing
+    return typing
+
+
+def kept_typing(program: Program, ctx: GlobalCtx) -> Typing | None:
+    """The typing ``keep_typing`` kept on ``ctx`` for this very program, or None."""
+    kept = ctx.typings.get(id(program))
+    return kept[1] if kept is not None and kept[0] is program else None
 
 
 def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx) -> list[Def]:

@@ -30,7 +30,7 @@ from .syntax import (
     Type,
     contains_obj,
 )
-from .transform import type_program
+from .transform import keep_typing
 
 
 def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
@@ -41,7 +41,7 @@ def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
     diags = check_structure(program, ctx)
     if not diags:
         try:
-            ctx.typings[id(program)] = program, type_program(program, ctx)
+            keep_typing(program, ctx)
         except TransformError as exc:
             return list(exc.diagnostics)
     return diags

@@ -262,7 +262,7 @@ def _step(e: Expr, ctx: GlobalCtx) -> Stepped | Stuck | None:
             if not isinstance(cond, BoolLit):
                 return Stuck("condition of if is not a boolean", e)
             return Stepped(then if cond.value else els)
-    return Stuck(f"no rule applies to {e!r}", e)
+    return Stuck(f"no rule applies to {type(e).__name__}", e)
 
 
 def states(e: Expr, ctx: GlobalCtx, fuel: int):

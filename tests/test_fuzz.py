@@ -1,12 +1,14 @@
 """Program generation and the property drivers."""
 
+import importlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, generated, load
+from conftest import GOLDEN_SELECTIONS, eval_source, generated, load
 from reference_step import typed_run as reference_typed_run
 
-from food import FoodError, check, desugar, eval_program, parse, preprocess, transform
+from food import FoodError, check, desugar, eval_program, fuzz, parse, preprocess, transform
 from food.fuzz import (
     GenConfig,
     MUTATORS,
@@ -17,8 +19,24 @@ from food.fuzz import (
     run_properties,
     shrink,
 )
-from food.interp import FuelExhausted
-from food.syntax import App, BoolLit, Consumer, Datatype, IntLit, Interface, Obj, PrimOp, Program, Sel
+from food.interp import Done, FuelExhausted
+from food.syntax import (
+    App,
+    BoolLit,
+    Consumer,
+    Datatype,
+    Generator,
+    IntLit,
+    Interface,
+    Obj,
+    PrimOp,
+    Program,
+    Sel,
+    Var,
+    walk,
+)
+
+TRANSFORM = importlib.import_module("food.transform")  # the module; food.transform is the function
 
 
 def type_names(p):
@@ -110,6 +128,65 @@ def test_properties_hold_on_a_deep_result(style):
     # recurses once per level, so the results are compared as printed text
     program = desugar(parse(PEANO_BUILD[style]))
     assert check_properties(program) == []
+
+
+def member_bodies(p):
+    """Every member body of ``p``, then its main expression."""
+    for d in p.defs:
+        if isinstance(d, Interface):
+            yield from (m.body for m in d.dtrs if m.body is not None)
+        elif isinstance(d, Generator):
+            yield from (f.body for f in d.funs)
+        elif isinstance(d, Consumer):
+            yield from (c.body for c in d.clauses)
+    yield p.main
+
+
+def test_the_battery_types_each_side_once(monkeypatch):
+    # check keeps the source's typing and the battery keeps the transformed
+    # program's, so the transforms, the lookup-duality translations and the
+    # typed runs' state 0 type nothing again.  The typed run types the redexes
+    # it meets, which start as subterms of the main expression, so calls made
+    # inside it are not counted here.
+    typed, sides = Counter(), []
+    real_typing, real_structure, real_run = TRANSFORM._typing, fuzz.check_structure, fuzz._typed_run
+    counting = [True]
+
+    def typing(ctx, env, names, e, kids):
+        typed[id(e)] += counting[0]
+        return real_typing(ctx, env, names, e, kids)
+
+    def check_structure(p, ctx):  # the battery checks the transformed program's structure
+        sides.append(p)
+        return real_structure(p, ctx)
+
+    def typed_run(*args):
+        counting[0] = False
+        try:
+            return real_run(*args)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(TRANSFORM, "_typing", typing)
+    monkeypatch.setattr(fuzz, "check_structure", check_structure)
+    monkeypatch.setattr(fuzz, "_typed_run", typed_run)
+    cases = [(load(name), selected) for name, selected in GOLDEN_SELECTIONS.items()]
+    cases += [(generated(GenConfig(seed=seed)), None) for seed in range(20)]
+    for program, selected in cases:
+        typed.clear()
+        sides[:] = [program]
+        assert check_properties(program, selected) == []
+        assert len(sides) == 2
+        expected = Counter(id(x) for side in sides for body in member_bodies(side) for x in walk(body))
+        assert +typed == expected
+
+
+@pytest.mark.parametrize("name", ["peano_fp", "peano_oo"])
+def test_typed_run_takes_a_4000_deep_peano_run(name):
+    # 28,005 states, whose Peano number grows to 4,000 objects deep; each step
+    # types its redex and contractum only, and no compare or hash recurses
+    p = desugar(parse(eval_source(name, 4000)))
+    assert _typed_run(p, preprocess(p), 100_000) == (Done(IntLit(4000)), None)
 
 
 @pytest.mark.parametrize(
@@ -292,3 +369,24 @@ def test_typed_run_matches_reference_on_ill_typed_programs():
     bad_step = Program(bad_step.defs, loop_programs("fp", 2)["after one step"].main)
     assert_typed_run_matches_reference(bad_step)
     assert _typed_run(bad_step, preprocess(bad_step), 5)[1] == "type changed from Int to Bool during evaluation"
+
+
+def test_typed_run_matches_reference_on_an_object_in_a_body():
+    # subst leaves a runtime object's fields as they are, so the k inside
+    # f's body stays unbound when f is called, and the step's result does
+    # not type; typing f's body with k bound would miss that
+    p = desugar(parse(OBJECT_IN_A_BODY))
+    f = next(d for d in p.defs if isinstance(d, Consumer) and d.name == "f")
+    body = Obj("A", (Var("k"),))
+    p = Program(tuple(replace(f, clauses=(replace(f.clauses[0], body=body),)) if d is f else d for d in p.defs), p.main)
+    assert_typed_run_matches_reference(p)
+    assert _typed_run(p, preprocess(p), 5)[1] == "step result fails to type: unbound variable 'k'"
+
+
+OBJECT_IN_A_BODY = """
+data T
+case A(n: Int) extends T
+def f(self: T)(k: Int): T = self
+def g(self: T)(): Int = 0
+g(f(A(1))(2))()
+"""

@@ -1,14 +1,19 @@
-"""Hostile input: deep nesting, odd digits, huge literals, empty, truncated and non-UTF-8 files.
+"""Hostile input: deep nesting, odd digits, huge literals, empty, truncated and non-UTF-8 files, and a full device.
 
 Trees are compared node by node over ``walk``: dataclass ``==`` recurses once
 per level, so it cannot compare a 10^5-deep tree.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import zip_longest
 
 import pytest
 from conftest import CORPUS
 
+import food
 from food import parse
 from food.cli import main
 from food.syntax import App, BoolLit, CtrCall, If, IntLit, New, PrimOp, Sel, Var, children, walk
@@ -102,3 +107,16 @@ def test_every_prefix_of_a_program_ends_in_an_exit_code(capsys, tmp_path, comman
     for n in range(len(text) + 1):
         code, out, err = run_cli(capsys, tmp_path, command, text[:n])
         assert code in (0, 1) and "Traceback" not in out + err, n
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+@pytest.mark.parametrize("command", ["ctx", "transform", "eval", "trace", "fuzz"])
+def test_a_full_device_on_stdout_is_a_diagnostic(command):
+    # every write to /dev/full fails with ENOSPC; the output of a small run
+    # sits in stdout's buffer until the flush before exit
+    argv = [sys.executable, "-m", "food.cli", command]
+    argv += ["--trials", "2"] if command == "fuzz" else [str(CORPUS / "exp_fp.food")]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(food.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (1, b"cannot write <stdout>: No space left on device\n")

@@ -348,9 +348,10 @@ def test_fuel_boundary_at_a_depth_the_recursive_step_cannot_reach():
         assert eval_program(p, 7 * n + 5, ctx) == Done(IntV(n))
         out = eval_program(p, 7 * n + 4, ctx)
         assert isinstance(out, FuelExhausted)
-        # keep only the tail: the states of a 2000-deep run are too large to hold
-        last, outcome = deque(run(p.main, ctx, 7 * n + 4), maxlen=2)
-        assert outcome == out and out.last == last
+        # drain the substituting machine and plug only its final (focus,
+        # frames); run would plug every one of the 14,004 states
+        (focus, frames), outcome = deque(food.interp._machine(p.main, ctx, 7 * n + 4), maxlen=2)
+        assert outcome == out and out.last == food.interp._plug_all(focus, frames)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,9 @@ from food.syntax import (
     contains_obj,
     fold,
     free_vars,
+    node,
     rewrite_first,
+    same,
     subst,
     walk,
     with_children,
@@ -324,6 +326,45 @@ def test_subst_takes_any_depth():
     # a runtime object holds values only, and is kept as it is
     obj = Obj("C", (Var("x"),))
     assert subst(obj, {"x": IntLit(7)}) is obj
+
+
+def test_same_is_equality_at_any_depth():
+    for form, (_, tree) in NESTINGS.items():
+        assert same(tree(10_000), tree(10_000)), form
+        # parentheses parse to the same leaf at every depth
+        assert same(tree(10_000), tree(9_999)) == (form == "parentheses"), form
+    e = deep(10_000)
+    assert same(e, subst(e, {"z": IntLit(0)}))
+    assert not same(e, subst(e, {"x": IntLit(7)}))
+    # on shallow terms it agrees with dataclass ==, labels and arities included
+    terms = [
+        IntLit(1), IntLit(2), BoolLit(True), Var("x"), Var("y"), Obj("C", ()), Obj("C", (IntLit(1),)),
+        CtrCall("C", ()), New("C", ()), PrimOp("+", IntLit(1), IntLit(2)), PrimOp("-", IntLit(1), IntLit(2)),
+        If(BoolLit(True), IntLit(1), IntLit(2)), Sel(Var("x"), "f", ()), App("f", Var("x"), ()),
+        App("g", Var("x"), ()), App("f", Var("x"), (IntLit(1),)),
+    ]
+    for a in terms:
+        for b in terms:
+            assert same(a, b) == (a == b), (a, b)
+
+
+@node
+class Wrapped(Expr):
+    """A form no typing or contraction rule knows."""
+
+    inner: Expr
+
+
+def test_an_unknown_form_is_named_by_its_class_at_any_depth():
+    # the messages name the form's class: its repr would recurse once per
+    # level of the term it holds
+    e = Wrapped(nest(10_000, lambda x: PrimOp("+", IntLit(1), x), IntLit(1)))
+    ctx = preprocess(Program((), IntLit(0)))
+    with pytest.raises(TransformError) as exc:
+        transform_expr(e, ctx, {})
+    assert str(exc.value) == "unknown expression form Wrapped"
+    assert interp.step(e, ctx).reason == "no rule applies to Wrapped"
+    assert interp.eval_program(Program((), e), ctx=ctx).reason == "no rule applies to Wrapped"
 
 
 # ---------------------------------------------------------------------------
