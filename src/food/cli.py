@@ -20,7 +20,7 @@ from .fuzz import GenConfig, run_properties
 from .interp import Done, FuelExhausted, Stuck, _machine, _plug_all, eval_program, format_value
 from .parser import parse
 from .pretty import pretty, pretty_expr
-from .syntax import Program, canonicalize, desugar
+from .syntax import Program, canonicalize
 from .transform import transform
 from .wellformed import check
 
@@ -43,7 +43,7 @@ def _read(path: str) -> str:
 
 
 def _load(path: str) -> Program:
-    return desugar(parse(_read(path)))
+    return parse(_read(path))
 
 
 def _checked(path: str) -> tuple[Program, GlobalCtx]:

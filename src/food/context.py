@@ -105,7 +105,7 @@ def _pos(d: Def) -> tuple[int, int]:
 
 
 def preprocess(program: Program) -> GlobalCtx:
-    """Collect the global context of a desugared, parse-valid program."""
+    """Collect the global context of a parse-valid program."""
     diags: list[Diagnostic] = []
     dt: list[str] = []
     it: list[str] = []

@@ -360,7 +360,7 @@ class _Gen:
 
 
 def gen_program(cfg: GenConfig) -> Program:
-    """Generate a desugared program that passes the well-formedness check."""
+    """Generate a program that passes the well-formedness check."""
     return _Gen(cfg).run()
 
 
@@ -523,7 +523,7 @@ def _hygiene_failures(p2: Program) -> list[str]:
     out = []
     for d in p2.defs:
         if isinstance(d, Consumer):
-            for clause in d.clauses or ():
+            for clause in d.clauses:
                 if THIS in free_vars(clause.body):
                     out.append(f"'this' inside consumer {d.name} on {d.self_type}")
         elif isinstance(d, Interface):
@@ -778,7 +778,7 @@ def _first_clause(program: Program, fn) -> Program:
 
     def in_def(d):
         attr = _PARTS.get(type(d))
-        parts = attr and _first(getattr(d, attr) or (), lambda part: fn(d, part))
+        parts = attr and _first(getattr(d, attr), lambda part: fn(d, part))
         return None if parts is None else (replace(d, **{attr: parts}),)
 
     return _first_def(program, in_def)
@@ -812,7 +812,7 @@ def mutate_swap_clause_bodies(program: Program) -> Program:
     """Swap the bodies of the first two clauses of some consumer."""
 
     def fn(d: Def):
-        if isinstance(d, Consumer) and d.clauses and len(d.clauses) >= 2:
+        if isinstance(d, Consumer) and len(d.clauses) >= 2:
             a, b, *rest = d.clauses
             return (replace(d, clauses=(Clause(a.pattern, b.body), Clause(b.pattern, a.body), *rest)),)
         return None

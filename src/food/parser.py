@@ -389,7 +389,8 @@ class _Parser:
                 if c.pattern.is_wildcard and i != len(clauses) - 1:
                     raise _Fail(Diagnostic("wildcard clause must be last", pos[0], pos[1]))
             return Consumer(name, self_type, params, ret, clauses=tuple(clauses), pos=pos)
-        return Consumer(name, self_type, params, ret, body=self.expr(), pos=pos)
+        # a bare body is sugar for one wildcard clause, the only form later layers see
+        return Consumer(name, self_type, params, ret, clauses=(Clause(WILDCARD, self.expr()),), pos=pos)
 
     def clause(self) -> Clause:
         self.keyword("case")

@@ -57,7 +57,7 @@ def pretty_type(t: Type) -> str:
             return "Bool"
         case Arrow(params, ret):
             return "(" + ", ".join(pretty_type(p) for p in params) + ") -> " + pretty_type(ret)
-    raise ValueError(f"unknown type: {t!r}")
+    raise ValueError(f"unknown type {type(t).__name__}")
 
 
 def pretty_expr(e: Expr, *, runtime: bool = False) -> str:
@@ -111,7 +111,7 @@ def _text(runtime: bool, e: Expr, kids: list[tuple]) -> tuple:
         if not runtime:
             raise ValueError("runtime object is not printable source")
         return ("obj(", e.name, *[(", ", text) for text, _ in kids], ")"), _POSTFIX
-    raise ValueError(f"unknown expression: {e!r}")
+    raise ValueError(f"unknown expression {cls.__name__}")
 
 
 def _params(params: tuple[Param, ...]) -> str:
@@ -143,12 +143,10 @@ def pretty_def(d: Def) -> str:
             return f"case {name}{_params(fields)} extends {parent}"
         case Generator(name, fields, parent, funs):
             return f"class {name}{_params(fields)} implements {parent} " + _block([_dtr(m) for m in funs])
-        case Consumer(name, self_type, params, ret, clauses, body):
+        case Consumer(name, self_type, params, ret, clauses):
             head = f"def {name}(self: {self_type}){_params(params)}: {pretty_type(ret)} = "
-            if body is not None:
-                return head + pretty_expr(body)
-            return head + "match " + _block([_clause(c) for c in clauses or ()])
-    raise ValueError(f"unknown definition: {d!r}")
+            return head + "match " + _block([_clause(c) for c in clauses])
+    raise ValueError(f"unknown definition {type(d).__name__}")
 
 
 def pretty(program: Program) -> str:

@@ -1,5 +1,5 @@
-"""Abstract syntax of FOOD programs, the desugaring and canonicalization passes,
-and one stack-safe expression traversal, which takes any depth.  Only the
+"""Abstract syntax of FOOD programs, the canonicalization pass, and one
+stack-safe expression traversal, which takes any depth.  Only the
 evaluator's machines walk expressions by hand, for speed; ``subst``, the
 printer, the typer and the translation each give ``fold`` one rule per form.
 
@@ -257,26 +257,24 @@ class Generator(Def):
 class Consumer(Def):
     """Pattern-matching function on a datatype.
 
-    Exactly one of ``clauses``/``body`` is set; a bare expression body is the
-    sugared form that ``desugar`` rewrites into a single wildcard clause.
+    The parser reads a bare expression body as one wildcard clause.
     """
 
     name: str
     self_type: str
     params: tuple[Param, ...]
     ret: Type
-    clauses: tuple[Clause, ...] | None = None
-    body: Expr | None = None
+    clauses: tuple[Clause, ...]
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def wildcard_clause(self) -> Clause | None:
-        for clause in self.clauses or ():
+        for clause in self.clauses:
             if clause.pattern.is_wildcard:
                 return clause
         return None
 
     def clause_for(self, ctor: str) -> Clause | None:
-        for clause in self.clauses or ():
+        for clause in self.clauses:
             if clause.pattern.name == ctor:
                 return clause
         return None
@@ -298,13 +296,8 @@ RESERVED_BINDERS = (SELF, THIS)
 
 
 def desugar(program: Program) -> Program:
-    """Rewrite every bare-expression consumer body into one wildcard clause."""
-    defs = []
-    for d in program.defs:
-        if isinstance(d, Consumer) and d.body is not None:
-            d = replace(d, clauses=(Clause(WILDCARD, d.body),), body=None)
-        defs.append(d)
-    return Program(tuple(defs), program.main)
+    """``program`` itself: the parser already reads a bare consumer body as a wildcard clause."""
+    return program
 
 
 def canonicalize(program: Program) -> Program:
@@ -325,8 +318,6 @@ def canonicalize(program: Program) -> Program:
             consumers.setdefault(d.self_type, []).append(d)
 
     def sort_clauses(c: Consumer) -> Consumer:
-        if c.clauses is None:
-            return c
         order = ctor_order.get(c.self_type, [])
         named = [cl for cl in c.clauses if not cl.pattern.is_wildcard]
         wild = [cl for cl in c.clauses if cl.pattern.is_wildcard]

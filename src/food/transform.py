@@ -228,9 +228,7 @@ def _members(d: Def, ctx: GlobalCtx):
         for f in d.funs:
             yield f"method {f.name} in class {d.name}", f.body, f.ret, _env(THIS, d.parent, d.fields, f.params)
     elif cls is Consumer:
-        if d.body is not None:
-            raise _err(f"consumer {d.name} must be desugared before transformation", d.pos)
-        for clause in d.clauses or ():
+        for clause in d.clauses:
             binders: tuple[Param, ...] = ()
             if not clause.pattern.is_wildcard:
                 c_sig = ctx.sig.get(clause.pattern.name)
@@ -241,7 +239,7 @@ def _members(d: Def, ctx: GlobalCtx):
             env = _env(SELF, d.self_type, binders, d.params)
             yield f"consumer {d.name} on {d.self_type}", clause.body, d.ret, env
     elif cls is not Datatype and cls is not Constructor:
-        raise _err(f"unknown definition form {d!r}")
+        raise _err(f"unknown definition form {cls.__name__}")
 
 
 def _env(recv: str, self_type: str, *scopes: tuple[Param, ...]) -> TypeEnv:
@@ -261,8 +259,8 @@ def _with_bodies(d: Def, bodies) -> Def:
         funs = [Dtr(f.name, f.params, f.ret, next(bodies)) for f in d.funs]
         return Generator(d.name, d.fields, d.parent, tuple(funs), d.pos)
     if cls is Consumer:
-        clauses = [Clause(c.pattern, next(bodies)) for c in d.clauses or ()]
-        return Consumer(d.name, d.self_type, d.params, d.ret, tuple(clauses), None, d.pos)
+        clauses = [Clause(c.pattern, next(bodies)) for c in d.clauses]
+        return Consumer(d.name, d.self_type, d.params, d.ret, tuple(clauses), d.pos)
     return d
 
 
@@ -365,7 +363,7 @@ def transform(
     selected: set[str] | frozenset[str] | None = None,
     ctx: GlobalCtx | None = None,
 ) -> TransformResult:
-    """Transform all selected types of a desugared, well-formed program.
+    """Transform all selected types of a well-formed program.
 
     ``selected=None`` selects every declared type; an empty set returns the
     program unchanged.  The program is typed first, unless ``check`` passed

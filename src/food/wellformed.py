@@ -3,7 +3,7 @@
 Collects one diagnostic per violation of the structural conditions that
 typing cannot see: declared types in signatures, reserved, duplicate and
 shadowing binders (disjointness keeps the evaluation substitutions well
-defined), exact interface implementation, desugared and non-overlapping
+defined), exact interface implementation, non-overlapping
 clauses that name constructors of their datatype, the pattern/field naming
 restriction, exhaustiveness, and the absence of runtime objects.  Once those
 hold, the typing pass (``transform.type_program``) reports scoping, call kind,
@@ -34,7 +34,7 @@ from .transform import keep_typing
 
 
 def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
-    """Check a desugared program against its unrestricted context.
+    """Check a parsed program against its unrestricted context.
 
     Returns the empty list when the program is well formed.
     """
@@ -147,14 +147,10 @@ class _Checker:
         where = f"consumer {d.name} on {d.self_type}"
         params = self.check_params(d.params, where, d.pos)
         self.check_type(d.ret, where, d.pos)
-        if d.body is not None:
-            self.report(f"{where} has not been desugared", d.pos)
-            self.check_body(d.body, d.pos)
-            return
         ctors = self.ctx.ctr.get(d.self_type, ())
         wildcard = d.wildcard_clause() is not None
         seen: list[str] = []
-        for i, clause in enumerate(d.clauses or ()):
+        for i, clause in enumerate(d.clauses):
             if clause.pattern.is_wildcard:
                 if i != len(d.clauses) - 1:
                     self.report(f"{where}: wildcard clause must be last", d.pos)

@@ -1,7 +1,7 @@
 import functools
 import pathlib
 
-from food import desugar, parse
+from food import parse
 from food.fuzz import GenConfig, gen_program
 from food.syntax import Program
 
@@ -25,12 +25,7 @@ def corpus_text(name: str) -> str:
 
 
 def load(name: str) -> Program:
-    """Parse and desugar one corpus program."""
-    return desugar(parse(corpus_text(name)))
-
-
-def load_raw(name: str) -> Program:
-    """Parse without desugaring (keeps bare-expression consumer bodies)."""
+    """Parse one corpus program."""
     return parse(corpus_text(name))
 
 

@@ -266,7 +266,7 @@ class _Parser:
                 if c.pattern.is_wildcard and i != len(clauses) - 1:
                     raise _Fail(Diagnostic("wildcard clause must be last", pos[0], pos[1]))
             return Consumer(name, self_type, params, ret, clauses=tuple(clauses), pos=pos)
-        return Consumer(name, self_type, params, ret, body=self.expr(), pos=pos)
+        return Consumer(name, self_type, params, ret, clauses=(Clause(WILDCARD, self.expr()),), pos=pos)
 
     def clause(self) -> Clause:
         kw = self.expect("kw", "'case'")

@@ -8,7 +8,7 @@ import pytest
 from conftest import GOLDEN_SELECTIONS, eval_source, generated, load
 from reference_step import typed_run as reference_typed_run
 
-from food import FoodError, check, desugar, eval_program, fuzz, parse, preprocess, transform
+from food import FoodError, check, eval_program, fuzz, parse, preprocess, transform
 from food.fuzz import (
     GenConfig,
     MUTATORS,
@@ -126,7 +126,7 @@ PEANO_BUILD = {
 def test_properties_hold_on_a_deep_result(style):
     # both sides end in a 300-deep S(...) object; dataclass == on them
     # recurses once per level, so the results are compared as printed text
-    program = desugar(parse(PEANO_BUILD[style]))
+    program = parse(PEANO_BUILD[style])
     assert check_properties(program) == []
 
 
@@ -185,7 +185,7 @@ def test_the_battery_types_each_side_once(monkeypatch):
 def test_typed_run_takes_a_4000_deep_peano_run(name):
     # 28,005 states, whose Peano number grows to 4,000 objects deep; each step
     # types its redex and contractum only, and no compare or hash recurses
-    p = desugar(parse(eval_source(name, 4000)))
+    p = parse(eval_source(name, 4000))
     assert _typed_run(p, preprocess(p), 100_000) == (Done(IntLit(4000)), None)
 
 
@@ -252,8 +252,8 @@ def g(self: T)(b: Bool): Bool = b
     [("flip-comparison", "n == k", "n <= k"), ("swap-prim-operands", "k - n", "n - k")],
 )
 def test_prim_mutators_hit_the_first_target_in_pre_order(kind, before, after):
-    p = desugar(parse(PRIM_TARGETS))
-    assert MUTATORS[kind](p) == desugar(parse(PRIM_TARGETS.replace(before, after)))
+    p = parse(PRIM_TARGETS)
+    assert MUTATORS[kind](p) == parse(PRIM_TARGETS.replace(before, after))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def loop_programs(style: str, period: int) -> dict[str, Program]:
     fp = style == "fp"
     template = LOOP_FP if fp else LOOP_OO
     back = {(True, 2): "f(self)", (True, 3): "h(self)", (False, 2): "this.f()", (False, 3): "this.h()"}
-    defs = desugar(parse(template.replace("{back}", back[fp, period]))).defs
+    defs = parse(template.replace("{back}", back[fp, period])).defs
     ctor = parse("Go()" if fp else "new Go()").main
     obj = Obj("Go", ())
 
@@ -365,7 +365,7 @@ def test_typed_run_matches_reference_on_ill_typed_programs():
     assert _typed_run(bad_main, preprocess(bad_main), 5)[1].startswith("main expression does not type")
     # f is declared Int but its body is a Bool, so the second step changes
     # the type of the state
-    bad_step = desugar(parse(LOOP_FP.replace("{back}", "f(self)").replace("= g(self)", "= g(self) == 0")))
+    bad_step = parse(LOOP_FP.replace("{back}", "f(self)").replace("= g(self)", "= g(self) == 0"))
     bad_step = Program(bad_step.defs, loop_programs("fp", 2)["after one step"].main)
     assert_typed_run_matches_reference(bad_step)
     assert _typed_run(bad_step, preprocess(bad_step), 5)[1] == "type changed from Int to Bool during evaluation"
@@ -375,7 +375,7 @@ def test_typed_run_matches_reference_on_an_object_in_a_body():
     # subst leaves a runtime object's fields as they are, so the k inside
     # f's body stays unbound when f is called, and the step's result does
     # not type; typing f's body with k bound would miss that
-    p = desugar(parse(OBJECT_IN_A_BODY))
+    p = parse(OBJECT_IN_A_BODY)
     f = next(d for d in p.defs if isinstance(d, Consumer) and d.name == "f")
     body = Obj("A", (Var("k"),))
     p = Program(tuple(replace(f, clauses=(replace(f.clauses[0], body=body),)) if d is f else d for d in p.defs), p.main)

@@ -16,7 +16,6 @@ from food import (
     Stuck,
     check,
     csm_body,
-    desugar,
     dtr_body,
     eval_program,
     parse,
@@ -165,7 +164,7 @@ def test_contractions_call_subst_and_lookups_through_module_globals(monkeypatch)
         count_calls(reference_step, name)
     for template in EVAL_TEMPLATES:
         for n in (0, 3, 12):
-            p = desugar(parse(eval_source(template, n)))
+            p = parse(eval_source(template, n))
             ctx = preprocess(p)
             counts.clear()
             assert isinstance(eval_program(p, ctx=ctx), Done)
@@ -260,7 +259,7 @@ def test_format_value():
 
 def test_done_carries_the_final_state():
     programs = [load(name) for name in GOLDEN_SELECTIONS] + [
-        desugar(parse(eval_source(name, n))) for name in EVAL_TEMPLATES for n in (0, 3, 12)
+        parse(eval_source(name, n)) for name in EVAL_TEMPLATES for n in (0, 3, 12)
     ]
     assert len(programs) == 20
     for p in programs:
@@ -297,7 +296,7 @@ def test_machine_matches_reference_on_generated_programs():
 def test_machine_matches_reference_on_eval_templates():
     for name in EVAL_TEMPLATES:
         for n in (0, 1, 4, 9):
-            p = desugar(parse(eval_source(name, n)))
+            p = parse(eval_source(name, n))
             assert_same_states(p.main, preprocess(p))
 
 
@@ -343,7 +342,7 @@ def test_machine_matches_reference_on_stuck_terms():
 def test_fuel_boundary_at_a_depth_the_recursive_step_cannot_reach():
     n = 2000
     for name in ("peano_fp", "peano_oo"):
-        p = desugar(parse(eval_source(name, n)))
+        p = parse(eval_source(name, n))
         ctx = preprocess(p)
         assert eval_program(p, 7 * n + 5, ctx) == Done(IntV(n))
         out = eval_program(p, 7 * n + 4, ctx)
@@ -376,7 +375,7 @@ def test_eval_program_matches_the_substituting_machine():
         assert_same_outcome(p, preprocess(p))
     for name in EVAL_TEMPLATES:
         for n in (0, 1, 4, 9):
-            p = desugar(parse(eval_source(name, n)))
+            p = parse(eval_source(name, n))
             assert_same_outcome(p, preprocess(p), range(7 * n + 7))
     for seed in range(300):
         p = generated(GenConfig(seed=seed, diverge_prob=1.0 if seed % 7 == 0 else 0.0))
@@ -394,7 +393,7 @@ def test_eval_program_takes_a_method_body_of_any_depth():
     # the value climbs back through 10^5 frames on a list, not the Python stack
     n = 100_000
     body = "1 + (" * n + "n" + ")" * n
-    p = desugar(parse(f"data D\ncase C() extends D\ndef f(self: D)(n: Int): Int = {body}\nf(C())(1)\n"))
+    p = parse(f"data D\ncase C() extends D\ndef f(self: D)(n: Int): Int = {body}\nf(C())(1)\n")
     ctx = preprocess(p)
     assert check(p, ctx) == []
     assert eval_program(p, 2 * n, ctx) == Done(IntV(n + 1))

@@ -126,7 +126,7 @@ def test_second_argument_list_must_open_on_same_line():
     p = parse(src)
     consumer = p.defs[0]
     assert isinstance(consumer, Consumer)
-    assert consumer.body == App("f", Var("self"), ())
+    assert consumer.clauses[0].body == App("f", Var("self"), ())
     assert isinstance(p.main, PrimOp)
 
 

@@ -1,9 +1,9 @@
-"""Node classes, desugaring, canonicalization, pretty-printing, and the generic traversal."""
+"""Node classes, the bare consumer body, canonicalization, pretty-printing, and the generic traversal."""
 
 import dataclasses
 
 import pytest
-from conftest import generated, load, load_raw
+from conftest import GOLDEN_SELECTIONS, corpus_text, eval_source, generated, load
 from test_hostile_input import NESTINGS, nest
 
 from food import (
@@ -11,16 +11,18 @@ from food import (
     canonicalize,
     check,
     desugar,
+    eval_program,
     interp,
     parse,
     preprocess,
     pretty,
     syntax,
+    transform,
     transform_expr,
 )
-from food.fuzz import GenConfig
-from food.interp import BoolV, IntV, ObjV
-from food.pretty import pretty_def, pretty_expr
+from food.fuzz import GenConfig, check_properties
+from food.interp import BoolV, Done, IntV, ObjV
+from food.pretty import pretty_def, pretty_expr, pretty_type
 from food.syntax import (
     BOOL,
     INT,
@@ -65,35 +67,38 @@ from food.syntax import (
 )
 
 
-def test_desugar_rewrites_bare_body_to_wildcard_clause():
-    raw = load_raw("sets_fp")
-    insert = next(d for d in raw.defs if isinstance(d, Consumer) and d.name == "insert")
-    assert insert.body is not None and insert.clauses is None
-
-    sugar_free = desugar(raw)
-    insert2 = next(d for d in sugar_free.defs if isinstance(d, Consumer) and d.name == "insert")
-    assert insert2.body is None
-    assert len(insert2.clauses) == 1
-    assert insert2.clauses[0].pattern.is_wildcard
-    assert insert2.clauses[0].body == insert.body
+def test_parse_reads_a_bare_body_as_one_wildcard_clause():
+    head = "data D\ncase C() extends D\ndef f(self: D)(): Int = "
+    sugared = parse(head + "1 + 2\nf(C())")
+    assert sugared == parse(head + "match { case _ => 1 + 2 }\nf(C())")
+    assert sugared.defs[2].clauses == (Clause(WILDCARD, PrimOp("+", IntLit(1), IntLit(2))),)
+    assert "body" not in {f.name for f in dataclasses.fields(Consumer)}
+    insert = next(d for d in load("sets_fp").defs if isinstance(d, Consumer) and d.name == "insert")
+    assert [c.pattern for c in insert.clauses] == [WILDCARD]
 
 
-def test_desugar_leaves_clause_form_and_other_defs_alone():
-    raw = load_raw("sets_fp")
-    out = desugar(raw)
-    for before, after in zip(raw.defs, out.defs):
-        if not (isinstance(before, Consumer) and before.body is not None):
-            assert before == after
+def test_desugar_is_the_identity_on_parse_output():
+    # the benchmark still calls it between parse and check
+    for name in GOLDEN_SELECTIONS:
+        p = load(name)
+        assert desugar(p) is p
 
 
-def test_desugar_identity_without_consumers():
-    p = load("exp_oop")
-    assert desugar(p) == p
+# the corpus programs with a bare consumer body, and each template's answer at n = 5
+BARE_BODIES = ("sets_fp", "setlist_fp", "boolnorm_ctx_fp", "boolnorm_ctx_oop")
+TEMPLATE_ANSWERS = {"peano_fp": 5, "peano_oo": 5, "countdown_fp": 15, "countdown_oo": 15}
 
 
-def test_desugar_idempotent():
-    p = load_raw("sets_fp")
-    assert desugar(desugar(p)) == desugar(p)
+@pytest.mark.parametrize("name", [*BARE_BODIES, *TEMPLATE_ANSWERS])
+def test_parse_output_goes_through_every_layer(name):
+    p = parse(eval_source(name, 5) if name in TEMPLATE_ANSWERS else corpus_text(name))
+    assert check(p, preprocess(p)) == []
+    transform(p)
+    assert check_properties(p) == []
+    result = eval_program(p)
+    assert isinstance(result, Done)
+    if name in TEMPLATE_ANSWERS:
+        assert result.value == IntLit(TEMPLATE_ANSWERS[name])
 
 
 def test_canonicalize_moves_displaced_consumer_back():
@@ -273,9 +278,7 @@ def deep(depth):
 # A context for the nesting forms: S is a constructor of N, f a consumer on N
 # and a destructor of I.  Per form: the variable x's type, and the outcome of
 # typing the 10^5-deep term, a type or the first error.
-DEEP_DEFS = desugar(
-    parse("data N\ncase S(n: N) extends N\ndef f(self: N)(): N = self\ninterface I {\n  def f(): I\n}\n0")
-).defs
+DEEP_DEFS = parse("data N\ncase S(n: N) extends N\ndef f(self: N)(): N = self\ninterface I {\n  def f(): I\n}\n0").defs
 DEEP_TYPING = {
     "parentheses": (INT, INT),
     "sums": (INT, INT),
@@ -355,6 +358,16 @@ class Wrapped(Expr):
     inner: Expr
 
 
+@node
+class WrappedType(Type):
+    inner: Expr
+
+
+@node
+class WrappedDef(Def):
+    inner: Expr
+
+
 def test_an_unknown_form_is_named_by_its_class_at_any_depth():
     # the messages name the form's class: its repr would recurse once per
     # level of the term it holds
@@ -365,6 +378,17 @@ def test_an_unknown_form_is_named_by_its_class_at_any_depth():
     assert str(exc.value) == "unknown expression form Wrapped"
     assert interp.step(e, ctx).reason == "no rule applies to Wrapped"
     assert interp.eval_program(Program((), e), ctx=ctx).reason == "no rule applies to Wrapped"
+    with pytest.raises(ValueError, match="^unknown expression Wrapped$"):
+        pretty_expr(e)
+    with pytest.raises(ValueError, match="^unknown expression Wrapped$"):
+        pretty(Program((), e))
+    with pytest.raises(ValueError, match="^unknown type WrappedType$"):
+        pretty_type(WrappedType(e))
+    with pytest.raises(ValueError, match="^unknown definition WrappedDef$"):
+        pretty_def(WrappedDef(e))
+    with pytest.raises(TransformError) as exc:
+        transform(Program((WrappedDef(e),), IntLit(0)), ctx=ctx)
+    assert str(exc.value) == "unknown definition form WrappedDef"
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +562,6 @@ def test_node_class_pattern_example():
 def test_node_defaults_apply_when_omitted():
     assert Pattern("C").vars == () and WILDCARD == Pattern(None, ())
     assert Dtr("f", (), INT).body is None
-    assert Consumer("f", "D", (), INT).clauses is None and Consumer("f", "D", (), INT).pos is None
     with pytest.raises(TypeError):
         Var()
     with pytest.raises(TypeError):

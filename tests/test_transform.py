@@ -45,7 +45,6 @@ from food.syntax import (
     THIS,
     Var,
     children,
-    desugar,
     fold,
     free_vars,
     subst,
@@ -208,11 +207,9 @@ def test_unknown_selected_type_is_rejected():
 def test_clause_naming_no_constructor_is_rejected_under_a_selection():
     # the clause is typed where it stands, so E is reported even though the
     # consumer is eliminated and its clauses move into the classes
-    p = desugar(
-        parse(
-            "data D\ncase C() extends D\n"
-            "def f(self: D)(): Int = match { case C() => 1  case E() => 2 }\nf(C())"
-        )
+    p = parse(
+        "data D\ncase C() extends D\n"
+        "def f(self: D)(): Int = match { case C() => 1  case E() => 2 }\nf(C())"
     )
     with pytest.raises(TransformError) as exc:
         transform(p, {"D"})
@@ -222,14 +219,12 @@ def test_clause_naming_no_constructor_is_rejected_under_a_selection():
 
 
 def test_every_definitions_typing_error_is_raised_at_its_definition():
-    p = desugar(
-        parse(
-            "interface I { def m(): Int = true }\n"
-            "class K() implements I { def m(): Int = this.m() + false }\n"
-            "data D\ncase C() extends D\n"
-            "def f(self: D)(): Bool = match { case C() => 1 }\n"
-            "f(C())"
-        )
+    p = parse(
+        "interface I { def m(): Int = true }\n"
+        "class K() implements I { def m(): Int = this.m() + false }\n"
+        "data D\ncase C() extends D\n"
+        "def f(self: D)(): Bool = match { case C() => 1 }\n"
+        "f(C())"
     )
     with pytest.raises(TransformError) as exc:
         transform(p, set())
@@ -390,7 +385,7 @@ def ill_typed_variants(e):
 def programs(seeds=range(2000)):
     """The corpus, then ``gen_program`` at each seed."""
     for path in sorted(CORPUS.glob("*.food")):
-        yield desugar(parse(path.read_text()))
+        yield parse(path.read_text())
     for seed in seeds:
         yield generated(GenConfig(seed=seed))
 
@@ -421,7 +416,7 @@ def test_error_order_matches_the_recursive_reference(monkeypatch):
 def test_run_states_print_and_type_as_the_recursive_reference(template):
     # runtime objects occur only in run states; the fuzzer types each state
     # in the context with no type selected
-    program = desugar(parse(eval_source(template, 4)))
+    program = parse(eval_source(template, 4))
     ctx = restrict(preprocess(program), frozenset())
     states = [s for s in run(program.main, ctx, 1000) if isinstance(s, Expr)]
     assert len(states) > 20

@@ -5,12 +5,12 @@ from dataclasses import replace
 import pytest
 from conftest import GOLDEN_SELECTIONS, load
 
-from food import canonicalize, check, desugar, parse, preprocess, transform
+from food import canonicalize, check, parse, preprocess, transform
 from food.syntax import Consumer, Obj, Program
 
 
 def check_src(src: str):
-    p = desugar(parse(src))
+    p = parse(src)
     return check(p, preprocess(p))
 
 
@@ -38,7 +38,7 @@ def test_pattern_variables_must_match_field_names():
         "case Insert(s, n) => n == i || contains(s)(i)",
         "case Insert(t, n) => n == i || contains(t)(i)",
     )
-    p = desugar(parse(src))
+    p = parse(src)
     diags = check(p, preprocess(p))
     assert any("must bind the field names" in d.message for d in diags)
 
