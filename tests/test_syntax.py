@@ -77,11 +77,30 @@ def test_parse_reads_a_bare_body_as_one_wildcard_clause():
     assert [c.pattern for c in insert.clauses] == [WILDCARD]
 
 
-def test_desugar_is_the_identity_on_parse_output():
+def test_desugar_rewrites_bare_body_to_wildcard_clause():
+    head = "data D\ncase C() extends D\ndef f(self: D)(): Int = "
+    out = desugar(parse(head + "1 + 2\nf(C())"))
+    assert out == parse(head + "match { case _ => 1 + 2 }\nf(C())")
+    insert = next(d for d in desugar(load("sets_fp")).defs if isinstance(d, Consumer) and d.name == "insert")
+    assert len(insert.clauses) == 1
+    assert insert.clauses[0].pattern.is_wildcard
+
+
+def test_desugar_leaves_clause_form_and_other_defs_alone():
     # the benchmark still calls it between parse and check
     for name in GOLDEN_SELECTIONS:
         p = load(name)
         assert desugar(p) is p
+
+
+def test_desugar_identity_without_consumers():
+    p = load("exp_oop")
+    assert desugar(p) == p
+
+
+def test_desugar_idempotent():
+    p = load("sets_fp")
+    assert desugar(desugar(p)) == desugar(p)
 
 
 # the corpus programs with a bare consumer body, and each template's answer at n = 5
