@@ -48,9 +48,9 @@ class GlobalCtx:
     # ``csm_body`` answered, None included; filled by those lookups.  It
     # depends on defs alone, so a context with the same defs dict shares it.
     bodies: dict = field(default_factory=dict, compare=False, repr=False)
-    # id(program) -> (program, its ``type_program``), kept by ``keep_typing``
-    # (a passing ``check`` calls it) for ``transform``; shared like bodies, as
-    # typing reads no selection.
+    # id(program) -> (program, its typing): the cache of ``transform.type_program``,
+    # which alone reads and writes it; shared like bodies, as typing reads no
+    # selection.
     typings: dict = field(default_factory=dict, compare=False, repr=False)
 
     def type_names(self) -> tuple[str, ...]:
@@ -79,12 +79,6 @@ class GlobalCtx:
         def key_text(k: DefKey) -> str:
             return f"{k[0]}@{k[1]}" if isinstance(k, tuple) else k
 
-        def type_text(t: Type) -> str:
-            if isinstance(t, Arrow) and isinstance(t.ret, Arrow):
-                # consumer signatures read better curried: D -> (T...) -> T
-                return "(" + ", ".join(pretty_type(p) for p in t.params) + ") -> " + type_text(t.ret)
-            return pretty_type(t)
-
         lines = [
             "dt: " + (", ".join(self.dt) if self.dt else "-"),
             "it: " + (", ".join(self.it) if self.it else "-"),
@@ -94,7 +88,7 @@ class GlobalCtx:
                 lines.append(f"{label}[{name}]: " + (", ".join(mapping[name]) or "-"))
         for label, sigmap in (("sig", self.sig), ("dtrSig", self.dtr_sig)):
             for k in sorted(sigmap, key=key_text):
-                lines.append(f"{label}[{key_text(k)}]: {type_text(sigmap[k])}")
+                lines.append(f"{label}[{key_text(k)}]: {pretty_type(sigmap[k])}")
         for k in sorted(self.defs, key=key_text):
             lines.append(f"def[{key_text(k)}]: {type(self.defs[k]).__name__.lower()}")
         return "\n".join(lines) + "\n"

@@ -27,7 +27,6 @@ from .interp import (
     _plug_all,
     csm_body,
     dtr_body,
-    format_value,
 )
 from .parser import parse
 from .pretty import pretty, pretty_type
@@ -70,15 +69,7 @@ from .syntax import (
     walk,
 )
 # transform_expr is unused here, but bound for the benchmark's tracer to wrap
-from .transform import (  # noqa: F401
-    _translated,
-    _typing,
-    keep_typing,
-    kept_typing,
-    transform,
-    transform_expr,
-    type_expr,
-)
+from .transform import _typing, transform, transform_expr, type_expr, type_program  # noqa: F401
 from .wellformed import check, check_structure
 
 _MAX_FIELD_ARITY = 2
@@ -410,10 +401,11 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     """Evaluate the main expression, typing every reached state.
 
     Returns (outcome, type_failure_detail).  State 0, the main expression,
-    takes its type from the typing ``keep_typing`` kept on ``ctx``, or is
-    typed whole.  After that, each step types only its redex and its
-    contractum, read from ``_machine``'s focus and frames, and no state is
-    plugged.  FOOD has no binders, so every subterm of a closed state is
+    takes its type from ``type_program``, a lookup once ``check`` has typed
+    the program on ``ctx``; only in a program that does not type is the main
+    expression typed alone.  After that, each step types only its redex and
+    its contractum, read from ``_machine``'s focus and frames, and no state
+    is plugged.  FOOD has no binders, so every subterm of a closed state is
     closed, and the typer is one rule per form over ``fold``: a contractum
     that types as its redex leaves the state's type as it was.  This is the
     replacement argument of Wright and Felleisen, "A Syntactic Approach to
@@ -433,10 +425,9 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     one period on, with the state the fuel would end on, and the verdict is
     the one the whole run would give.
     """
-    typing = kept_typing(program, ctx)
-    if typing is not None:
-        expected = typing[1]
-    else:
+    try:
+        expected = type_program(program, ctx)[1]
+    except FoodError:
         try:
             expected = type_expr(program.main, ctx, {})
         except FoodError as exc:
@@ -611,7 +602,7 @@ def check_properties(
         return fails
     diags2 = check_structure(p2, ctx2)
     try:
-        t2: Type | FoodError = keep_typing(p2, ctx2)[1]  # so r2 below only translates
+        t2: Type | FoodError = type_program(p2, ctx2)[1]  # kept, so r2 below only translates
     except FoodError as exc:
         t2, diags2 = exc, diags2 or exc.diagnostics
     if diags2:
@@ -643,9 +634,7 @@ def check_properties(
     except FoodError as exc:
         fails.append(PropFail("ctx-duality", str(exc)))
 
-    # the member bodies translated with their kept typing, as transform translates them
-    *bodies, _main = kept_typing(program, ctx)[0]
-    translations = {id(body): _translated(body, rctx, env, names) for body, env, names in bodies}
+    translations = {id(body): out for body, out in r1.translations}
     for problem in _lookup_duality_failures(rctx, ctx2, translations):
         fails.append(PropFail("lookup-duality", problem))
 
@@ -660,7 +649,7 @@ def check_properties(
     if out1 is not None and out2 is not None and not isinstance(out1, Stuck) and not isinstance(out2, Stuck):
         if isinstance(out1, Done) != isinstance(out2, Done):
             fails.append(PropFail("eval-agreement", "only one side terminated within fuel"))
-        elif isinstance(out1, Done) and format_value(out1.value) != format_value(out2.value):
+        elif isinstance(out1, Done) and not same(out1.value, out2.value):
             fails.append(PropFail("eval-agreement", "terminating results differ"))
 
     for label, q in (("source", program), ("transformed", p2)):

@@ -8,12 +8,14 @@ type, or its constructor's parent, is selected.  So this takes three steps:
 - Typing (``type_program``) types each member body where it stands and builds
   no node.  It raises each definition's first error, at that definition, and
   the main expression's: it is ``check``'s typing half.  It lists the type
-  each call flips by, per body; a passing ``check`` keeps the lists for
-  ``transform``.
+  each call flips by, per body.  A typing that passes is kept on the context,
+  so a program that ``check`` or ``transform`` typed is not typed again.  No
+  other module reads or writes that cache.
 - Translation (``_translated``) makes no type check.  Sel2App/App2Sel and
   Obj2New/New2Obj flip by the listed types, and a selected type's receiver,
   which moves with its body, takes the other style's name.  A body with
-  nothing to flip or rename is kept as it is.
+  nothing to flip or rename is kept as it is.  Each body is translated once,
+  and ``TransformResult.translations`` pairs it with its translation.
 - Regrouping (``_regroup``) moves the translated bodies between consumers and classes.
 
 Typing and translation are each one rule per form over ``syntax.fold``.  The
@@ -23,7 +25,7 @@ the node's own, then the arguments'.  Errors are functions that build them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .context import DefKey, GlobalCtx, TypeEnv, preprocess, restrict
@@ -76,6 +78,8 @@ Typing = tuple[list[tuple[Expr, TypeEnv, list[str]]], Type]
 class TransformResult:
     program: Program
     program_type: Type
+    # each member body of the input, in ``_members`` order, with its translation
+    translations: tuple[tuple[Expr, Expr], ...] = field(compare=False, repr=False)
 
 
 def _err(message: str, pos: tuple[int, int] | None = None) -> TransformError:
@@ -142,7 +146,7 @@ def _typing(ctx: GlobalCtx, env: TypeEnv, names: list[str], e: Expr, kids: list)
         _, t1, t2 = kids
         if t1 is not t2 and t1 != t2:
             types = f" have different types {pretty_type(t1)} and {pretty_type(t2)}"
-            return _printing("branches of ", e, types, runtime=False)
+            return _printing("branches of ", e, types)
         return t1
     elif cls is Obj:
         # runtime objects appear only when typing evaluation traces
@@ -175,9 +179,10 @@ def _check_args(call: Expr, args: tuple[Expr, ...], kids: list, params: tuple[Ty
     return next(filter(None, map(_expect, args, kids, params)), None)
 
 
-def _printing(prefix: str, e: Expr, suffix: str, runtime: bool = True):
-    """The error ``prefix``, ``e`` printed, ``suffix``, built only when it is raised."""
-    return lambda: _err(prefix + pretty_expr(e, runtime=runtime) + suffix)
+def _printing(prefix: str, e: Expr, suffix: str):
+    """The error ``prefix``, ``e`` printed, ``suffix``, built only when it is raised.
+    Evaluation states hold runtime objects, so ``e`` prints in runtime form."""
+    return lambda: _err(prefix + pretty_expr(e, runtime=True) + suffix)
 
 
 def _translated(e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str]) -> Expr:
@@ -267,11 +272,13 @@ def _with_bodies(d: Def, bodies) -> Def:
 def type_program(program: Program, ctx: GlobalCtx) -> Typing:
     """Each member body, in ``_members`` order and the main expression last, with
     its typing environment and call types (``type_expr``), and the main expression's
-    type: what ``keep_typing`` kept on ``ctx`` for this very program, or
-    else a new typing, which raises each definition's first error, at that
-    definition, and the main expression's in one ``TransformError``."""
-    if (kept := kept_typing(program, ctx)) is not None:
-        return kept
+    type.  The typing kept on ``ctx`` for this very program is returned as it is;
+    otherwise the program is typed, and the typing is kept if it passes.  A
+    failing typing raises each definition's first error, at that definition,
+    and the main expression's in one ``TransformError``."""
+    kept = ctx.typings.get(id(program))
+    if kept is not None and kept[0] is program:
+        return kept[1]
     bodies: list[tuple[Expr, TypeEnv, list[str]]] = []
     diags: list[Diagnostic] = []
     for d in program.defs:
@@ -291,21 +298,8 @@ def type_program(program: Program, ctx: GlobalCtx) -> Typing:
         diags.extend(exc.diagnostics)
     if diags:
         raise TransformError(diags)
+    ctx.typings[id(program)] = program, (bodies, main_type)
     return bodies, main_type
-
-
-def keep_typing(program: Program, ctx: GlobalCtx) -> Typing:
-    """``type_program(program, ctx)``, kept on ``ctx`` when it passes, so that a
-    later ``transform`` of this very program only translates."""
-    typing = type_program(program, ctx)
-    ctx.typings[id(program)] = program, typing
-    return typing
-
-
-def kept_typing(program: Program, ctx: GlobalCtx) -> Typing | None:
-    """The typing ``keep_typing`` kept on ``ctx`` for this very program, or None."""
-    kept = ctx.typings.get(id(program))
-    return kept[1] if kept is not None and kept[0] is program else None
 
 
 def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx) -> list[Def]:
@@ -366,20 +360,21 @@ def transform(
     """Transform all selected types of a well-formed program.
 
     ``selected=None`` selects every declared type; an empty set returns the
-    program unchanged.  The program is typed first, unless ``check`` passed
-    this very program on ``ctx``; ``type_program``'s errors are raised.
+    program unchanged.  The program is typed by ``type_program``, which raises
+    its errors and reads a typing kept on ``ctx``.
     """
     full = ctx if ctx is not None else preprocess(program)
     if selected is None:
         selected = set(full.type_names())
     rctx = restrict(full, selected)
     bodies, main_type = type_program(program, rctx)
-    translated = iter([_translated(body, rctx, env, names) for body, env, names in bodies])
+    translations = tuple((body, _translated(body, rctx, env, names)) for body, env, names in bodies)
+    translated = (out for _, out in translations)
     typed: dict[DefKey, Def] = {}
     for d in program.defs:
         typed[(d.name, d.self_type) if type(d) is Consumer else d.name] = _with_bodies(d, translated)
     defs = [out for d in program.defs for out in _regroup(d, typed, rctx)]
-    return TransformResult(Program(tuple(defs), next(translated)), main_type)
+    return TransformResult(Program(tuple(defs), next(translated)), main_type, translations[:-1])
 
 
 def typecheck(program: Program, ctx: GlobalCtx | None = None) -> Type:

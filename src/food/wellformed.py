@@ -8,7 +8,8 @@ clauses that name constructors of their datatype, the pattern/field naming
 restriction, exhaustiveness, and the absence of runtime objects.  Once those
 hold, the typing pass (``transform.type_program``) reports scoping, call kind,
 member names and arity, so that a clean check guarantees the transformation
-cannot fail.  A passing check keeps its typing on the context for ``transform``.
+cannot fail.  ``type_program`` keeps a passing typing on the context, so a
+later ``transform`` of the same program on it only translates.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .syntax import (
     Type,
     contains_obj,
 )
-from .transform import keep_typing
+from .transform import type_program
 
 
 def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
@@ -41,7 +42,7 @@ def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
     diags = check_structure(program, ctx)
     if not diags:
         try:
-            keep_typing(program, ctx)
+            type_program(program, ctx)
         except TransformError as exc:
             return list(exc.diagnostics)
     return diags

@@ -136,7 +136,7 @@ def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
             els2, t2 = transform_expr(els, ctx, env)
             if t1 is not t2 and t1 != t2:
                 raise _err(
-                    f"branches of {pretty_expr(e)} have different types "
+                    f"branches of {pretty_expr(e, runtime=True)} have different types "
                     f"{pretty_type(t1)} and {pretty_type(t2)}"
                 )
             return If(cond2, then2, els2), t1

@@ -181,6 +181,44 @@ def test_the_battery_types_each_side_once(monkeypatch):
         assert +typed == expected
 
 
+def test_the_battery_translates_each_body_once(monkeypatch):
+    # transform translates every member body and the main expression once,
+    # and returns the member bodies' translations for lookup-duality, so the
+    # battery translates nothing itself; fuzz binds no _translated of its own
+    # that the count below would miss
+    assert not hasattr(fuzz, "_translated")
+    translated, bodies = [0], [0]
+    real_translated, real_transform = TRANSFORM._translated, fuzz.transform
+
+    def counted(*args):
+        translated[0] += 1
+        return real_translated(*args)
+
+    def transform(program, *args, **kwargs):
+        bodies[0] += sum(1 for _ in member_bodies(program))
+        return real_transform(program, *args, **kwargs)
+
+    monkeypatch.setattr(TRANSFORM, "_translated", counted)
+    monkeypatch.setattr(fuzz, "transform", transform)
+    for seed in range(20):
+        translated[0] = bodies[0] = 0
+        assert check_properties(generated(GenConfig(seed=seed))) == []
+        assert translated[0] == bodies[0] > 0
+
+
+def test_typed_run_prints_a_state_with_objects_in_an_error():
+    # the ill-typed if holds a runtime object once f's body is entered
+    p = parse(
+        "data D\ncase C(n: Int) extends D\n"
+        "def f(self: D)(): Int = match { case C(n) => if (true) self else n }\n"
+        "f(C(1))"
+    )
+    assert _typed_run(p, preprocess(p), 100) == (
+        None,
+        "step result fails to type: branches of if (true) obj(C, 1) else 1 have different types D and Int",
+    )
+
+
 @pytest.mark.parametrize("name", ["peano_fp", "peano_oo"])
 def test_typed_run_takes_a_4000_deep_peano_run(name):
     # 28,005 states, whose Peano number grows to 4,000 objects deep; each step

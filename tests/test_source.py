@@ -113,7 +113,6 @@ def test_no_function_recurses_on_its_input():
     # deep; walks over expressions use syntax.fold, walk or rewrite_first
     allowed = {
         "pretty.pretty_type",  # types nest only as deep as a signature
-        "context.type_text",  # the same, for a consumer's curried signature
         # the generator's own recursion is bounded by GenConfig.max_expr_depth
         *(f"fuzz.{name}" for name in ("expr", "construct", "render_call", "minimal", "minimal_of")),
     }
@@ -139,7 +138,7 @@ def test_no_function_recurses_on_its_input():
             if name in reached:
                 found.append(f"{path.stem}.{name}")
     assert len(SOURCES) >= 10 and sorted(set(found) - allowed) == []
-    assert {"pretty.pretty_type", "context.type_text"} <= set(found)
+    assert {"pretty.pretty_type"} <= set(found)
 
 
 def test_only_syntax_names_desugar():
@@ -152,5 +151,18 @@ def test_only_syntax_names_desugar():
         if path.name not in ("syntax.py", "__init__.py")
         for i, line in enumerate(path.read_text().splitlines(), 1)
         if "desugar" in line
+    ]
+    assert len(SOURCES) >= 10 and found == []
+
+
+def test_only_transform_names_the_typing_cache():
+    # type_program keeps a passing typing on the context and reads it back;
+    # every other module types through type_program and never sees the cache
+    found = [
+        f"{path.name}:{i}"
+        for path in SOURCES
+        if path.name not in ("context.py", "transform.py")
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "typings" in line
     ]
     assert len(SOURCES) >= 10 and found == []

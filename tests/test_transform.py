@@ -284,15 +284,16 @@ def test_transform_of_another_program_types_it_for_itself():
     assert [d.message for d in check(p2, ctx)] == ["true has type Bool, expected Int"]
 
 
-def test_only_a_passing_check_keeps_a_typing():
+def test_only_a_passing_typing_is_kept():
     p = load("exp_fp")
     ctx = preprocess(p)
-    transform(p, None, ctx)
-    transform(p, frozenset(), ctx)
-    assert ctx.typings == {}
     bad = Program(p.defs, Var("nowhere"))
     assert [d.message for d in check(bad, ctx)] == ["unbound variable 'nowhere'"]
+    with pytest.raises(TransformError):
+        transform(bad, None, ctx)
     assert ctx.typings == {}
+    transform(p, frozenset(), ctx)
+    assert list(ctx.typings) == [id(p)]
     assert check(p, ctx) == [] and list(ctx.typings) == [id(p)]
     assert restrict(ctx, frozenset()).typings is ctx.typings
 
