@@ -1,0 +1,8 @@
+"""``python -m food``: the food command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

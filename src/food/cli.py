@@ -249,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
         print(exc.message, file=sys.stderr)
         return 1
     except FoodError as exc:  # parse, context, check and transform diagnostics, after the file name
-        print("\n".join(f"{where}:{d.render()}" for d in exc.diagnostics), file=sys.stderr)
+        lines = (f"{where}:{d.render()}" if d.line else f"{where}: {d.message}" for d in exc.diagnostics)
+        print("\n".join(lines), file=sys.stderr)
         return 1
     except RecursionError:
         # a backstop: every pass is a fold or a loop, but dataclass ==, hash

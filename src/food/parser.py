@@ -1,11 +1,11 @@
 """Parser for the FOOD concrete syntax.
 
-The lexer is one ``findall`` pass of a compiled regular expression.  Each
-match is a token and the whitespace and comments (the gap) before it; tokens
-carry no position.  A token's line and column are worked out from the gap
-and text lengths only where one is needed, for a diagnostic or a
-definition's position, through a cursor that moves forward, so a whole parse
-stays linear.  Positions are 1-based.
+The lexer is one ``re.split`` on a one-group pattern, giving the gaps (the
+whitespace and comments between tokens) and the token texts in turn, and a
+table of the kinds of the source's distinct texts.  Tokens carry no position:
+a token's line and column are worked out from the gap and text lengths only
+where needed, for a diagnostic or a definition's position, through a cursor
+that moves forward, so a whole parse stays linear.  Positions are 1-based.
 
 Definitions are parsed by recursive descent, which nests only a fixed few
 calls deep.  Expressions are parsed in one loop over an explicit stack of
@@ -81,19 +81,18 @@ _INT64_MAX = 2**63 - 1
 
 _SYMBOLS = ["=>", "==", "<=", "&&", "||", "(", ")", "{", "}", ":", ",", ";", ".", "=", "<", "+", "-", "*", "_"]
 
-# One match per token: (gap, int, ident, sym, bad).  The gap is the whitespace
-# and comments before the token; at the end of the source every token group is
-# empty.  Integers are ASCII digits only: \d would also accept other decimal
+# re.split on its one group gives the gaps (whitespace) and token texts in
+# turn.  Integers are ASCII digits only: \d would also accept other decimal
 # digits, such as '٣'.  \s is exactly str.isspace and \w exactly str.isalnum
 # or '_'.  A lone underscore is the wildcard symbol, so an identifier starts
-# with a letter.  After the gap one alternative always matches, so the gap is
-# never backtracked into.
+# with a letter.  The one-character symbols are one class, tried in one step.
 _TOKEN = re.compile(
-    r"((?:\s+|//[^\n]*)*)(?:([0-9]+)|([^\W\d_]\w*)|("
-    + "|".join(map(re.escape, _SYMBOLS))
-    + r")|(.)|\Z)",
-    re.S,
+    r"(//[^\n]*|[0-9]+|[^\W\d_]\w*|"
+    + "".join(re.escape(s) + "|" for s in _SYMBOLS if len(s) > 1)
+    + "[" + re.escape("".join(s for s in _SYMBOLS if len(s) == 1)) + r"]|\S)"
 )
+
+_KIND = {**{s: s for s in _SYMBOLS}, **dict.fromkeys(KEYWORDS, "kw")}
 
 
 def _line_start(src: str, begin: int, end: int, line: int, start: int) -> tuple[int, int]:
@@ -104,6 +103,11 @@ def _line_start(src: str, begin: int, end: int, line: int, start: int) -> tuple[
     return line, start
 
 
+def _kind(text: str) -> str | None:
+    # [^\W\d_] also accepts characters such as '²' that are not letters
+    return _KIND.get(text) or ("ident" if text[0].isalpha() else "int" if "0" <= text[0] <= "9" else None)
+
+
 def _tokens(src: str) -> tuple[list[str], list[str], list[str]]:
     """The kinds, texts and gaps of the tokens of ``src``, ending with "eof".
 
@@ -111,30 +115,25 @@ def _tokens(src: str) -> tuple[list[str], list[str], list[str]]:
     position: a token's offset is the length of every gap and text before it
     plus its own gap.
     """
-    kinds: list[str] = []
-    texts: list[str] = []
-    gaps: list[str] = []
-    for gap, num, name, sym, bad in _TOKEN.findall(src):
-        gaps.append(gap)
-        if sym:
-            kinds.append(sym)
-            texts.append(sym)
-        elif name:
-            # [^\W\d_] also accepts characters such as '²' that are not letters
-            if not name[0].isalpha():
-                bad = name[0]
-                break
-            kinds.append("kw" if name in KEYWORDS else "ident")
-            texts.append(name)
-        elif num:
-            kinds.append("int")
-            texts.append(num)
-        else:
-            break
-    if bad:
-        offset = sum(map(len, gaps)) + sum(map(len, texts))
+    parts = _TOKEN.split(src)
+    gaps, texts = parts[0::2], parts[1::2]
+    if "//" in src:  # fold each comment, and the gap after it, into the gap before it
+        gaps, texts, pending = [], [], [parts[0]]
+        for j in range(1, len(parts), 2):
+            if parts[j].startswith("//"):
+                pending += parts[j : j + 2]
+            else:
+                gaps.append("".join(pending))
+                texts.append(parts[j])
+                pending = [parts[j + 1]]
+        gaps.append("".join(pending))
+    table = {text: _kind(text) for text in set(texts)}
+    kinds = list(map(table.__getitem__, texts))
+    if None in table.values():
+        j = kinds.index(None)
+        offset = sum(map(len, gaps[: j + 1])) + sum(map(len, texts[:j]))
         line, start = _line_start(src, 0, offset, 1, 0)
-        raise ParseError([Diagnostic(f"unexpected character {bad!r}", line, offset - start + 1)])
+        raise ParseError([Diagnostic(f"unexpected character {texts[j][0]!r}", line, offset - start + 1)])
     kinds.append("eof")
     texts.append("")
     return kinds, texts, gaps

@@ -282,7 +282,23 @@ def test_ctx_diagnostics_name_the_file(capsys, tmp_path):
 def test_unknown_selected_type_names_the_file(capsys, command):
     path = CORPUS / "sets_fp.food"
     code, out, err = run(capsys, command, str(path), "--types", "Nope")
-    assert (code, out, err) == (1, "", f"{path}:unknown selected type Nope\n")
+    assert (code, out, err) == (1, "", f"{path}: unknown selected type Nope\n")
+
+
+@pytest.mark.parametrize(
+    "main, message", [("x", "unbound variable 'x'"), ("1 + true", "true has type Bool, expected Int")]
+)
+def test_a_main_expression_type_error_names_the_file(capsys, tmp_path, main, message):
+    path = tmp_path / "t.food"
+    path.write_text(main + "\n")
+    assert run(capsys, "check", str(path)) == (1, "", f"{path}: {message}\n")
+
+
+def test_python_m_food_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "food", "eval", str(CORPUS / "sets_oop.food")]
+    done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"false\n", b"")
 
 
 def test_stdin_input(capsys, monkeypatch):

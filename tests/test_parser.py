@@ -173,7 +173,7 @@ def test_accepted_inputs_carry_no_diagnostics():
 
 
 # ---------------------------------------------------------------------------
-# The findall lexer against the character-at-a-time reference, and the
+# The split lexer against the character-at-a-time reference, and the
 # explicit-stack parser against the recursive-descent reference.
 
 
@@ -293,6 +293,47 @@ def test_parser_matches_reference_on_hostile_input(src):
 def test_parser_matches_reference_on_generated_programs():
     for src in generated_sources():
         assert assert_parses_as_reference(src)
+
+
+# comments, put after the last token of a line or of the input: two in a row,
+# one holding a character that is no letter or ASCII digit, and empty ones
+COMMENTS = ("// a note", "// a\n// b", " // \u00b2 \u0663", "//")
+
+
+def commented(src: str, seed: int) -> str:
+    """src with comments at one to three seeded line ends, the end of input among them."""
+    rng = random.Random(seed)
+    ends = [at for at, c in enumerate(src) if c == "\n"] + [len(src)]
+    for at in sorted(rng.sample(ends, min(len(ends), rng.randint(1, 3))), reverse=True):
+        src = src[:at] + rng.choice(COMMENTS) + src[at:]
+    return src
+
+
+def test_comments_at_line_ends_change_nothing():
+    sources = generated_sources()
+    for seed in range(500):
+        plain = sources[seed * 7 % len(sources)]
+        src = commented(plain, seed)
+        assert_lexes_as_reference(src)
+        assert assert_parses_as_reference(src)
+        assert parse(src) == parse(plain), src
+
+
+@pytest.mark.parametrize(
+    "src, plain",
+    [
+        ("x // a\n// b\n", "x"),
+        ("f(1) // no newline at the end", "f(1)"),
+        ("1 + // \u00b2\n2", "1 + 2"),
+        ("f(x) // c\n(1)", "f(x)\n(1)"),
+        ("f(x) // c (1)", "f(x)"),
+        ("f(x)(// c\n1)", "f(x)(1)"),
+    ],
+)
+def test_comment_cases_lex_and_parse_as_without_them(src, plain):
+    assert_lexes_as_reference(src)
+    assert assert_parses_as_reference(src)
+    assert parsed(parse, src) == parsed(parse, plain)
 
 
 # the characters an edit inserts: some of every token kind, and those of the
