@@ -167,7 +167,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # O(depth), so only the states printed are plugged into whole terms
     for i, out in enumerate(_machine(program.main, ctx, _fuel(args))):
         if isinstance(out, tuple) and (args.limit is None or i < args.limit):
-            print(f"{i:4}  {pretty_expr(_plug_all(*out), runtime=True)}")
+            print(f"{i:4}  {pretty_expr(_plug_all(out[0], out[1]), runtime=True)}")
     match out:
         case Done(value):
             print(f"   => {format_value(value)}")

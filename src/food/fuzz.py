@@ -404,7 +404,7 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     takes its type from ``type_program``, a lookup once ``check`` has typed
     the program on ``ctx``; only in a program that does not type is the main
     expression typed alone.  After that, each step types only its redex and
-    its contractum, read from ``_machine``'s focus and frames, and no state
+    its contractum, which ``_machine`` yields with the state, and no state
     is plugged.  FOOD has no binders, so every subterm of a closed state is
     closed, and the typer is one rule per form over ``fold``: a contractum
     that types as its redex leaves the state's type as it was.  This is the
@@ -463,22 +463,16 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
         return types[0], sizes[0]
 
     machine = _machine(program.main, ctx, fuel)
-    focus, frames = next(machine)
+    focus, frames, _ = next(machine)
     size = sum(1 for _ in walk(program.main))
     saved, saved_key = (focus, tuple(frames)), (size, len(frames), type(focus), getattr(focus, "name", None))
     power = lam = 1
     for i in itertools.count(1):
-        redex, depth, top = focus, len(frames), frames[-1] if frames else None
+        redex = focus
         out = next(machine)
         if type(out) is not tuple:
             return out, None
-        focus, frames = out
-        # the contractum: refocusing descends from it, pushing frames onto
-        # the redex's, or plugs it, a value, into the redex's top frame
-        if depth == 0 or len(frames) >= depth and frames[depth - 1] is top:
-            contractum = frames[depth][0] if len(frames) > depth else focus
-        else:
-            contractum = children(frames[depth - 1][0] if len(frames) >= depth else focus)[top[1]]
+        focus, frames, contractum = out
         kids = children(redex)
         measures = [measure(kid) for kid in kids]
         t_redex, n_redex = rule(redex, [m[0] for m in measures]), 1 + sum([m[1] for m in measures])
@@ -502,7 +496,7 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
         if key == saved_key and same(_plug_all(focus, frames), _plug_all(*saved)):
             # the run has period lam from here on: go on to the state the fuel ends on
             for _ in range((fuel - i) % lam):
-                focus, frames = next(machine)
+                focus, frames, _ = next(machine)
             return FuelExhausted(_plug_all(focus, frames)), None
         if lam == power:
             saved, saved_key = (focus, tuple(frames)), key

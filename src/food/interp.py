@@ -334,17 +334,21 @@ def _refocus(e: Expr, frames: Frames) -> Expr:
         e = sub
 
 
-def _machine(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[tuple[Expr, Frames] | Done | FuelExhausted | Stuck]:
-    """Yield (focus, frames) for each state from e on, then the outcome.
+def _machine(
+    e: Expr, ctx: GlobalCtx, fuel: int
+) -> Iterator[tuple[Expr, Frames, Expr | None] | Done | FuelExhausted | Stuck]:
+    """Yield (focus, frames, contractum) for each state from e on, then the outcome.
 
-    The focus is the state's redex, or its value at the end.  The frames
-    change in place, so a caller plugs a state before asking for the next.
+    The focus is the state's redex, or its value at the end.  The contractum
+    is what the last step contracted its redex to, None in the first state:
+    the state was refocused from it in the same frames.  The frames change
+    in place, so a caller plugs a state before asking for the next.
     A redex is contracted, and may be stuck, before the fuel is looked at.
     """
     frames: Frames = []
-    e = _refocus(e, frames)
+    e, out = _refocus(e, frames), None
     while True:
-        yield e, frames
+        yield e, frames, out
         if is_value(e):
             yield Done(e)
             return
@@ -367,13 +371,13 @@ def step(e: Expr, ctx: GlobalCtx) -> Stepped | Done | Stuck:
     machine = _machine(e, ctx, 1)
     next(machine)
     out = next(machine)
-    return Stepped(_plug_all(*out)) if isinstance(out, tuple) else out
+    return Stepped(_plug_all(out[0], out[1])) if isinstance(out, tuple) else out
 
 
 def run(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[Expr | Done | FuelExhausted | Stuck]:
     """Yield each state from e on, then the outcome; at most fuel steps are taken."""
     for out in _machine(e, ctx, fuel):
-        yield _plug_all(*out) if isinstance(out, tuple) else out
+        yield _plug_all(out[0], out[1]) if isinstance(out, tuple) else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Parser for the FOOD concrete syntax.
 
-The lexer is one ``re.split`` on a one-group pattern, giving the gaps (the
-whitespace and comments between tokens) and the token texts in turn, and a
+The lexer blanks each comment to spaces, which keeps every offset, line and
+column, and then makes one ``re.split`` on a one-group pattern, giving the
+gaps (the whitespace between tokens) and the token texts in turn, and a
 table of the kinds of the source's distinct texts.  Tokens carry no position:
 a token's line and column are worked out from the gap and text lengths only
 where needed, for a diagnostic or a definition's position, through a cursor
@@ -81,13 +82,14 @@ _INT64_MAX = 2**63 - 1
 
 _SYMBOLS = ["=>", "==", "<=", "&&", "||", "(", ")", "{", "}", ":", ",", ";", ".", "=", "<", "+", "-", "*", "_"]
 
-# re.split on its one group gives the gaps (whitespace) and token texts in
-# turn.  Integers are ASCII digits only: \d would also accept other decimal
-# digits, such as '٣'.  \s is exactly str.isspace and \w exactly str.isalnum
-# or '_'.  A lone underscore is the wildcard symbol, so an identifier starts
-# with a letter.  The one-character symbols are one class, tried in one step.
+# re.split on its one group gives the gaps (whitespace, comments being
+# blanked before the split) and token texts in turn.  Integers are ASCII
+# digits only: \d would also accept other decimal digits, such as '٣'.  \s is
+# exactly str.isspace and \w exactly str.isalnum or '_'.  A lone underscore is
+# the wildcard symbol, so an identifier starts with a letter.  The
+# one-character symbols are one class, tried in one step.
 _TOKEN = re.compile(
-    r"(//[^\n]*|[0-9]+|[^\W\d_]\w*|"
+    r"([0-9]+|[^\W\d_]\w*|"
     + "".join(re.escape(s) + "|" for s in _SYMBOLS if len(s) > 1)
     + "[" + re.escape("".join(s for s in _SYMBOLS if len(s) == 1)) + r"]|\S)"
 )
@@ -108,32 +110,21 @@ def _kind(text: str) -> str | None:
     return _KIND.get(text) or ("ident" if text[0].isalpha() else "int" if "0" <= text[0] <= "9" else None)
 
 
-def _tokens(src: str) -> tuple[list[str], list[str], list[str]]:
+def _tokens(src: str) -> tuple[list[str | None], list[str], list[str]]:
     """The kinds, texts and gaps of the tokens of ``src``, ending with "eof".
 
-    A kind is "ident", "int", "kw" or the symbol itself.  Tokens carry no
-    position: a token's offset is the length of every gap and text before it
-    plus its own gap.
+    A kind is "ident", "int", "kw", the symbol itself, or None for a bad
+    character.  Tokens carry no position: a token's offset is the length of
+    every gap and text before it plus its own gap.  A comment is whitespace,
+    blanked to as many spaces, so no offset moves; FOOD has no string literal
+    and no token holding '/', so '//' always starts one.
     """
+    if "//" in src:
+        src = re.sub(r"//[^\n]*", lambda m: " " * len(m[0]), src)
     parts = _TOKEN.split(src)
     gaps, texts = parts[0::2], parts[1::2]
-    if "//" in src:  # fold each comment, and the gap after it, into the gap before it
-        gaps, texts, pending = [], [], [parts[0]]
-        for j in range(1, len(parts), 2):
-            if parts[j].startswith("//"):
-                pending += parts[j : j + 2]
-            else:
-                gaps.append("".join(pending))
-                texts.append(parts[j])
-                pending = [parts[j + 1]]
-        gaps.append("".join(pending))
     table = {text: _kind(text) for text in set(texts)}
     kinds = list(map(table.__getitem__, texts))
-    if None in table.values():
-        j = kinds.index(None)
-        offset = sum(map(len, gaps[: j + 1])) + sum(map(len, texts[:j]))
-        line, start = _line_start(src, 0, offset, 1, 0)
-        raise ParseError([Diagnostic(f"unexpected character {texts[j][0]!r}", line, offset - start + 1)])
     kinds.append("eof")
     texts.append("")
     return kinds, texts, gaps
@@ -167,6 +158,9 @@ class _Parser:
         # (token, its offset, its line, the offset where that line starts)
         self._first = (0, first, *_line_start(source, 0, first, 1, 0))
         self._cursor = self._first
+        if None in self.kinds:
+            j = self.kinds.index(None)
+            raise ParseError([Diagnostic(f"unexpected character {self.texts[j][0]!r}", *self.where(j))])
 
     # -- token helpers
 
@@ -230,12 +224,9 @@ class _Parser:
         return text
 
     def binder(self, what: str) -> str:
-        t = self.expect("ident", what)
-        text = self.texts[t]
+        text = self.lower_ident(what)  # the reserved names are lowercase
         if text in RESERVED_BINDERS:
-            raise self.fail(f"{text!r} is reserved and cannot be declared", t)
-        if not text[0].islower():
-            raise self.fail(f"{what} must start with a lowercase letter", t)
+            raise self.fail(f"{text!r} is reserved and cannot be declared", self.i - 1)
         return text
 
     def keyword(self, text: str) -> None:
@@ -321,13 +312,7 @@ class _Parser:
         if text == "interface":
             self.next()
             name = self.upper_ident("interface name")
-            self.expect("{")
-            dtrs = []
-            while not self.at("}"):
-                dtrs.append(self.dtr(body_required=False))
-                self.skip_separators()
-            self.expect("}")
-            return Interface(name, tuple(dtrs), pos=pos)
+            return Interface(name, self.members(body_required=False), pos=pos)
         if text == "case":
             self.next()
             name = self.upper_ident("constructor name")
@@ -340,15 +325,19 @@ class _Parser:
             fields = self.params()
             self.keyword("implements")
             parent = self.upper_ident("interface name")
-            self.expect("{")
-            funs = []
-            while not self.at("}"):
-                funs.append(self.dtr(body_required=True))
-                self.skip_separators()
-            self.expect("}")
-            return Generator(name, fields, parent, tuple(funs), pos=pos)
+            return Generator(name, fields, parent, self.members(body_required=True), pos=pos)
         self.next()  # def: the caller saw a definition keyword
         return self.consumer(pos)
+
+    def members(self, body_required: bool) -> tuple[Dtr, ...]:
+        """The braced block of ``def`` members of an interface or a class."""
+        self.expect("{")
+        out = []
+        while not self.at("}"):
+            out.append(self.dtr(body_required))
+            self.skip_separators()
+        self.expect("}")
+        return tuple(out)
 
     def dtr(self, body_required: bool) -> Dtr:
         self.keyword("def")

@@ -349,7 +349,7 @@ def test_fuel_boundary_at_a_depth_the_recursive_step_cannot_reach():
         assert isinstance(out, FuelExhausted)
         # drain the substituting machine and plug only its final (focus,
         # frames); run would plug every one of the 14,004 states
-        (focus, frames), outcome = deque(food.interp._machine(p.main, ctx, 7 * n + 4), maxlen=2)
+        (focus, frames, _), outcome = deque(food.interp._machine(p.main, ctx, 7 * n + 4), maxlen=2)
         assert outcome == out and out.last == food.interp._plug_all(focus, frames)
 
 

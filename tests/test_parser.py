@@ -266,6 +266,9 @@ HOSTILE_SOURCES = [
     "==>=<=<&&||&|",
     "caf\u00e9 \u00e9t\u00e9 \u03bb",
     "data Set // \u00b2 in a comment\n\u00b2",
+    "x // \r\x0b\u2028\x85\n  $",
+    "1 ///2\n/",
+    "a //\n\n // b\n\u00b2",
 ]
 
 

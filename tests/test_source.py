@@ -166,3 +166,16 @@ def test_only_transform_names_the_typing_cache():
         if "typings" in line
     ]
     assert len(SOURCES) >= 10 and found == []
+
+
+def test_only_interp_reads_the_machine_frames():
+    # how refocusing pushes and plugs frames is the machine's business; a
+    # caller plugs a state whole and takes the contractum the machine yields
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "interp.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "frames"
+    ]
+    assert len(SOURCES) >= 10 and found == []
