@@ -252,11 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         lines = (f"{where}:{d.render()}" if d.line else f"{where}: {d.message}" for d in exc.diagnostics)
         print("\n".join(lines), file=sys.stderr)
         return 1
-    except RecursionError:
-        # a backstop: every pass is a fold or a loop, but dataclass ==, hash
-        # and repr still recurse once per nesting level
-        print(f"{where}: input nested too deeply", file=sys.stderr)
-        return 1
     except OSError as exc:
         # a write to stdout failed; when its reader has gone, print nothing
         # more.  What is still buffered goes to the null device, where the

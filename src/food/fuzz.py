@@ -545,7 +545,7 @@ def _lookup_duality_failures(
                         )
                         continue
                     ys, xs, body = before
-                    if lookup_after(f, c_name, ctx2) != (ys, xs, translations[id(body)]):
+                    if not same(lookup_after(f, c_name, ctx2), (ys, xs, translations[id(body)])):
                         member = "destructor" if oo else "consumer"
                         out.append(f"{member} {f} on {c_name} does not survive translation")
     return out
@@ -575,7 +575,7 @@ def check_properties(
         return [PropFail("wellformed", "; ".join(d.render() for d in diags[:3]))]
     skip = transform(program, frozenset(), ctx=ctx)
     t0 = skip.program_type
-    if skip.program != program:
+    if not same(skip.program, program):
         fails.append(PropFail("skip-identity", "transform with no selected types changed the program"))
 
     try:
@@ -612,7 +612,7 @@ def check_properties(
 
     try:
         r2 = transform(p2, selected, ctx=ctx2)
-        if canonicalize(r2.program) != canonicalize(program):
+        if not same(canonicalize(r2.program), canonicalize(program)):
             fails.append(PropFail("round-trip", "double transform is not the canonicalized input"))
         elif r2.program_type != t0:
             fails.append(PropFail("round-trip", "double transform reports a different type"))
@@ -648,7 +648,7 @@ def check_properties(
 
     for label, q in (("source", program), ("transformed", p2)):
         try:
-            if parse(pretty(q)) != q:
+            if not same(parse(pretty(q)), q):
                 fails.append(PropFail("parse-pretty", f"{label} program does not round-trip"))
         except FoodError as exc:
             fails.append(PropFail("parse-pretty", f"{label} program reparse failed: {exc}"))
@@ -719,7 +719,7 @@ def shrink(
     while improved:
         improved = False
         for candidate in _shrink_candidates(current):
-            if len(candidate.defs) >= len(current.defs) and candidate.main == current.main:
+            if len(candidate.defs) >= len(current.defs) and same(candidate.main, current.main):
                 continue
             try:
                 fails = rerun(candidate)

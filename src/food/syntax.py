@@ -3,8 +3,8 @@ stack-safe expression traversal, which takes any depth.  Only the
 evaluator's machines walk expressions by hand, for speed; ``subst``, the
 printer, the typer and the translation each give ``fold`` one rule per form.
 
-All nodes are immutable; structural equality is dataclass equality and ignores
-the (non-compared) source positions attached to definitions.
+All nodes are immutable; structural equality is ``same``, dataclass equality at
+any depth, which ignores the (non-compared) source positions of definitions.
 
 Every layer builds nodes: the parser and the transformation build programs,
 and each step of the substituting machine builds a few (``subst`` rebuilds a
@@ -19,7 +19,7 @@ one afterwards raises ``FrozenInstanceError``, and equality, hashing,
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 
 def node(cls):
@@ -435,9 +435,13 @@ def fold(e: Expr, fn):
     return results[0]
 
 
-def same(a: Expr, b: Expr) -> bool:
-    """``a == b``, at any depth: dataclass ``==`` recurses once per nesting level."""
-    pairs = [(a, b)]
+def same(a, b) -> bool:
+    """Dataclass ``a == b`` on nodes or tuples of them, at any depth: where ``==``
+    recurses too deep, the pairs of compared fields go on an explicit stack."""
+    try:
+        return a == b
+    except RecursionError:
+        pairs = [(a, b)]
     while pairs:
         x, y = pairs.pop()
         if x is y:
@@ -445,16 +449,14 @@ def same(a: Expr, b: Expr) -> bool:
         cls = type(x)
         if cls is not type(y):
             return False
-        if cls is PrimOp:
-            label = x.op == y.op
-        elif cls is IntLit or cls is BoolLit:
-            label = x.value == y.value
-        else:
-            label = cls is If or x.name == y.name
-        kx, ky = children(x), children(y)
-        if not label or len(kx) != len(ky):
+        if cls is tuple:
+            if len(x) != len(y):
+                return False
+            pairs += zip(x, y)
+        elif is_dataclass(cls):
+            pairs += [(getattr(x, f.name), getattr(y, f.name)) for f in fields(cls) if f.compare]
+        elif x != y:
             return False
-        pairs += zip(kx, ky)
     return True
 
 

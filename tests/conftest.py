@@ -86,3 +86,9 @@ EVAL_TEMPLATES = {
 
 def eval_source(template: str, n: int) -> str:
     return EVAL_TEMPLATES[template].replace("{n}", str(n))
+
+
+def deep_body_source(n: int, leaf: str = "n") -> str:
+    """A program whose one method body is ``1 + (1 + (… leaf))``, ``n`` sums deep."""
+    body = "1 + (" * n + leaf + ")" * n
+    return f"data D\ncase C() extends D\ndef f(self: D)(n: Int): Int = {body}\nf(C())(0)\n"

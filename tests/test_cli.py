@@ -160,7 +160,7 @@ def nested_sum(depth, inner):
 
 
 @pytest.mark.parametrize("command", ["check", "ctx", "transform", "roundtrip", "eval", "trace"])
-def test_deeply_nested_input_is_a_diagnostic(capsys, tmp_path, command):
+def test_deeply_nested_input_gives_its_real_output(capsys, tmp_path, command):
     # every subcommand gives its real output at any depth of expression; the
     # trace stops after two 3,000-deep states, as all 3,001 print 27 MB
     source = tmp_path / "deep.food"
@@ -177,7 +177,7 @@ def test_deeply_nested_input_is_a_diagnostic(capsys, tmp_path, command):
     assert (code, out, err) == (0, expected[command], "")
 
 
-def test_trace_of_a_deep_state_is_a_diagnostic(capsys, tmp_path):
+def test_trace_prints_every_deep_state(capsys, tmp_path):
     # the states of count(build(Z())(400)) grow 400 deep before counting down;
     # every one prints, 7n + 5 = 2,805 steps
     source = tmp_path / "peano.food"
@@ -190,7 +190,7 @@ def test_trace_of_a_deep_state_is_a_diagnostic(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["eval", "transform", "roundtrip"])
-def test_a_deep_method_body_is_still_a_diagnostic(capsys, tmp_path, command):
+def test_a_deep_method_body_gives_its_real_output(capsys, tmp_path, command):
     # the environment machine evaluates a method body on a stack of frames,
     # and the transformation renames the receiver as it types the body, in
     # one fold: both take any depth

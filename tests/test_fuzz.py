@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, eval_source, generated, load
+from conftest import GOLDEN_SELECTIONS, deep_body_source, eval_source, generated, load
 from reference_step import typed_run as reference_typed_run
 
 from food import FoodError, check, eval_program, fuzz, parse, preprocess, transform
@@ -122,11 +122,15 @@ PEANO_BUILD = {
 }
 
 
-@pytest.mark.parametrize("style", sorted(PEANO_BUILD))
+DEEP_PROGRAMS = {**PEANO_BUILD, "deep-body": deep_body_source(3000)}
+
+
+@pytest.mark.parametrize("style", sorted(DEEP_PROGRAMS))
 def test_properties_hold_on_a_deep_result(style):
-    # both sides end in a 300-deep S(...) object; dataclass == on them
-    # recurses once per level, so the results are compared as printed text
-    program = parse(PEANO_BUILD[style])
+    # the Peano programs end in a 300-deep S(...) object on both sides, and
+    # the deep body makes whole programs 3,000 deep; dataclass == recurses
+    # once per level, so results and programs are compared with same
+    program = parse(DEEP_PROGRAMS[style])
     assert check_properties(program) == []
 
 

@@ -11,7 +11,7 @@ import sys
 from itertools import zip_longest
 
 import pytest
-from conftest import CORPUS
+from conftest import CORPUS, deep_body_source
 
 import food
 from food import parse
@@ -75,6 +75,7 @@ COMMANDS = ["check", "ctx", "transform", "roundtrip", "eval", "trace"]
 HOSTILE_FILES = {
     "deep sums": NESTINGS["sums"][0](10**4),
     "deep constructors": NESTINGS["constructors"][0](10**4),
+    "deep method body": deep_body_source(10**4),
     "arabic-indic digit": "٣",
     "superscript two": "²",
     "5000-digit literal": "1" * 5000,

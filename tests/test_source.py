@@ -27,9 +27,9 @@ def test_no_function_level_imports():
 
 
 def test_no_recursion_limit_or_stack_size_changes():
-    # a higher limit turns RecursionError into a crash in the C-level
-    # recursion of dataclass ==, hash and repr; depth is handled with
-    # explicit stacks instead
+    # dataclass ==, hash and repr recurse in C as well as in Python frames; a
+    # higher limit turns their RecursionError into a crash, so syntax.same
+    # could not fall back.  Depth is handled with explicit stacks instead
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -179,3 +179,21 @@ def test_only_interp_reads_the_machine_frames():
         if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "frames"
     ]
     assert len(SOURCES) >= 10 and found == []
+
+
+def test_only_same_names_recursion_error():
+    # every pass is a fold or a loop; only syntax.same catches RecursionError,
+    # from dataclass ==, and compares again on an explicit stack.  A catch
+    # anywhere else would hide a pass that recurses on its input
+    def named(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "RecursionError"]
+
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "syntax.py"
+        for line in named(ast.parse(path.read_text(), str(path)))
+    ]
+    tree = ast.parse(pathlib.Path(syntax.__file__).read_text())
+    same = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "same")
+    assert len(SOURCES) >= 10 and found == [] and named(tree) == named(same) != []

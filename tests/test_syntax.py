@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, corpus_text, eval_source, generated, load
+from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, generated, load
 from test_hostile_input import NESTINGS, nest
 
 from food import (
@@ -358,7 +358,10 @@ def test_same_is_equality_at_any_depth():
     e = deep(10_000)
     assert same(e, subst(e, {"z": IntLit(0)}))
     assert not same(e, subst(e, {"x": IntLit(7)}))
-    # on shallow terms it agrees with dataclass ==, labels and arities included
+    # it agrees with dataclass ==, labels and arities included; behind an equal
+    # first element deeper than the recursion limit == raises, and the whole
+    # compare runs on the explicit stack
+    pad1, pad2 = deep(3_000), deep(3_000)
     terms = [
         IntLit(1), IntLit(2), BoolLit(True), Var("x"), Var("y"), Obj("C", ()), Obj("C", (IntLit(1),)),
         CtrCall("C", ()), New("C", ()), PrimOp("+", IntLit(1), IntLit(2)), PrimOp("-", IntLit(1), IntLit(2)),
@@ -367,7 +370,18 @@ def test_same_is_equality_at_any_depth():
     ]
     for a in terms:
         for b in terms:
-            assert same(a, b) == (a == b), (a, b)
+            assert same(a, b) == (a == b) == same((pad1, a), (pad2, b)), (a, b)
+    # whole programs: a definition's pos is not compared, at any depth
+    text = deep_body_source(10_000)
+    p, shifted = parse(text), parse("\n" + text)
+    assert p.defs[2].pos != shifted.defs[2].pos and same(p.defs[2], shifted.defs[2]) and same(p, shifted)
+    assert not same(p, parse(deep_body_source(10_000, leaf="m")))
+    # and on the corpus programs and their transforms
+    programs = [load(name) for name in sorted(GOLDEN_SELECTIONS)]
+    programs += [transform(q, GOLDEN_SELECTIONS[name]).program for name, q in zip(sorted(GOLDEN_SELECTIONS), programs)]
+    for a in programs:
+        for b in programs:
+            assert same(a, b) == (a == b) == same((pad1, a), (pad2, b))
 
 
 @node
