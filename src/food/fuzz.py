@@ -65,7 +65,6 @@ from .syntax import (
     canonicalize,
     children,
     rewrite_first,
-    same,
     walk,
 )
 # transform_expr is unused here, but bound for the benchmark's tracer to wrap
@@ -493,7 +492,7 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
                     "during evaluation"
                 )
         key = (size, len(frames), type(focus), getattr(focus, "name", None))
-        if key == saved_key and same(_plug_all(focus, frames), _plug_all(*saved)):
+        if key == saved_key and _plug_all(focus, frames) == _plug_all(*saved):
             # the run has period lam from here on: go on to the state the fuel ends on
             for _ in range((fuel - i) % lam):
                 focus, frames, _ = next(machine)
@@ -545,7 +544,7 @@ def _lookup_duality_failures(
                         )
                         continue
                     ys, xs, body = before
-                    if not same(lookup_after(f, c_name, ctx2), (ys, xs, translations[id(body)])):
+                    if lookup_after(f, c_name, ctx2) != (ys, xs, translations[id(body)]):
                         member = "destructor" if oo else "consumer"
                         out.append(f"{member} {f} on {c_name} does not survive translation")
     return out
@@ -575,7 +574,7 @@ def check_properties(
         return [PropFail("wellformed", "; ".join(d.render() for d in diags[:3]))]
     skip = transform(program, frozenset(), ctx=ctx)
     t0 = skip.program_type
-    if not same(skip.program, program):
+    if skip.program != program:
         fails.append(PropFail("skip-identity", "transform with no selected types changed the program"))
 
     try:
@@ -612,7 +611,7 @@ def check_properties(
 
     try:
         r2 = transform(p2, selected, ctx=ctx2)
-        if not same(canonicalize(r2.program), canonicalize(program)):
+        if canonicalize(r2.program) != canonicalize(program):
             fails.append(PropFail("round-trip", "double transform is not the canonicalized input"))
         elif r2.program_type != t0:
             fails.append(PropFail("round-trip", "double transform reports a different type"))
@@ -643,12 +642,12 @@ def check_properties(
     if out1 is not None and out2 is not None and not isinstance(out1, Stuck) and not isinstance(out2, Stuck):
         if isinstance(out1, Done) != isinstance(out2, Done):
             fails.append(PropFail("eval-agreement", "only one side terminated within fuel"))
-        elif isinstance(out1, Done) and not same(out1.value, out2.value):
+        elif isinstance(out1, Done) and out1.value != out2.value:
             fails.append(PropFail("eval-agreement", "terminating results differ"))
 
     for label, q in (("source", program), ("transformed", p2)):
         try:
-            if not same(parse(pretty(q)), q):
+            if parse(pretty(q)) != q:
                 fails.append(PropFail("parse-pretty", f"{label} program does not round-trip"))
         except FoodError as exc:
             fails.append(PropFail("parse-pretty", f"{label} program reparse failed: {exc}"))
@@ -719,7 +718,7 @@ def shrink(
     while improved:
         improved = False
         for candidate in _shrink_candidates(current):
-            if len(candidate.defs) >= len(current.defs) and same(candidate.main, current.main):
+            if len(candidate.defs) >= len(current.defs) and candidate.main == current.main:
                 continue
             try:
                 fails = rerun(candidate)

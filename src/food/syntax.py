@@ -3,8 +3,8 @@ stack-safe expression traversal, which takes any depth.  Only the
 evaluator's machines walk expressions by hand, for speed; ``subst``, the
 printer, the typer and the translation each give ``fold`` one rule per form.
 
-All nodes are immutable; structural equality is ``same``, dataclass equality at
-any depth, which ignores the (non-compared) source positions of definitions.
+All nodes are immutable; ``==`` is dataclass equality at any depth, which
+ignores the (non-compared) source positions of definitions.
 
 Every layer builds nodes: the parser and the transformation build programs,
 and each step of the substituting machine builds a few (``subst`` rebuilds a
@@ -13,21 +13,23 @@ method body, the machine plugs a parent).  So node classes are declared with
 through its slot's descriptor, bound once per class.  The ``__init__`` a
 frozen dataclass generates calls ``object.__setattr__`` per field and costs
 about twice as much.  Only ``__init__`` writes a field; assigning or deleting
-one afterwards raises ``FrozenInstanceError``, and equality, hashing,
-``repr``, class patterns and ``dataclasses.replace`` are the dataclass's own.
+one afterwards raises ``FrozenInstanceError``, and hashing, ``repr``, class
+patterns and ``dataclasses.replace`` are the dataclass's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+
+_COMPARED: dict[type, tuple[str, ...]] = {}  # each node class's compared fields
 
 
 def node(cls):
-    """``cls`` as a frozen, slotted dataclass with a constructor that writes its slots directly.
+    """``cls`` as a frozen, slotted dataclass whose constructor writes its slots and whose ``==`` takes any depth.
 
     A field may have a plain default, such as ``pos=None``, but no default factory.
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = dataclass(frozen=True, slots=True, init=False, eq=False, unsafe_hash=True)(cls)
     names, defaults = [], {}
     for f in fields(cls):
         if f.default_factory is not MISSING or f.kw_only:
@@ -35,23 +37,47 @@ def node(cls):
         names.append(f.name)
         if f.default is not MISSING:
             defaults[f.name] = f.default
+    compared = _COMPARED[cls] = tuple(f.name for f in fields(cls) if f.compare)
     params = [f"{x}=_default_{x}" if x in defaults else x for x in names]
     # the setters and defaults are arguments of an outer function, so the
     # constructor reads them as closure cells
     outer = [f"_set_{x}" for x in names] + [f"_default_{x}" for x in defaults]
     body = "".join(f"  _set_{x}(self, {x})\n" for x in names) or "  pass\n"
+    mine, theirs = ("".join(f"{side}.{x}," for x in compared) for side in ("self", "other"))
     src = (
         f"def outer({', '.join(outer)}):\n"
         f" def __init__({', '.join(['self', *params])}):\n{body}"
-        " return __init__\n"
+        " def __eq__(self, other):\n"
+        "  if other.__class__ is not self.__class__:\n   return NotImplemented\n"
+        f"  try:\n   return ({mine}) == ({theirs})\n"
+        "  except RecursionError:\n   return _deep_eq(self, other)\n"
+        " return __init__, __eq__\n"
     )
-    scope: dict = {}
+    scope: dict = {"_deep_eq": _deep_eq}
     exec(src, scope)
-    init = scope["outer"](*(cls.__dict__[x].__set__ for x in names), *defaults.values())
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    cls.__init__ = init
+    for fn in scope["outer"](*(cls.__dict__[x].__set__ for x in names), *defaults.values()):
+        fn.__qualname__, fn.__module__ = f"{cls.__qualname__}.{fn.__name__}", cls.__module__
+        setattr(cls, fn.__name__, fn)
     return cls
+
+
+def _deep_eq(a, b) -> bool:
+    """``a == b`` on an explicit stack of compared field pairs, where a node's ``==`` recursed too deep."""
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is y:
+            continue
+        cls = type(x)
+        if cls is type(y) is tuple:
+            if len(x) != len(y):
+                return False
+            pairs += zip(x, y)
+        elif cls is type(y) and cls in _COMPARED:
+            pairs += [(getattr(x, name), getattr(y, name)) for name in _COMPARED[cls]]
+        elif x != y:  # leaves, and operands of two classes, as == compares them
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -433,31 +459,6 @@ def fold(e: Expr, fn):
         else:
             push(fn(x, ()))
     return results[0]
-
-
-def same(a, b) -> bool:
-    """Dataclass ``a == b`` on nodes or tuples of them, at any depth: where ``==``
-    recurses too deep, the pairs of compared fields go on an explicit stack."""
-    try:
-        return a == b
-    except RecursionError:
-        pairs = [(a, b)]
-    while pairs:
-        x, y = pairs.pop()
-        if x is y:
-            continue
-        cls = type(x)
-        if cls is not type(y):
-            return False
-        if cls is tuple:
-            if len(x) != len(y):
-                return False
-            pairs += zip(x, y)
-        elif is_dataclass(cls):
-            pairs += [(getattr(x, f.name), getattr(y, f.name)) for f in fields(cls) if f.compare]
-        elif x != y:
-            return False
-    return True
 
 
 def free_vars(e: Expr) -> set[str]:

@@ -128,8 +128,8 @@ DEEP_PROGRAMS = {**PEANO_BUILD, "deep-body": deep_body_source(3000)}
 @pytest.mark.parametrize("style", sorted(DEEP_PROGRAMS))
 def test_properties_hold_on_a_deep_result(style):
     # the Peano programs end in a 300-deep S(...) object on both sides, and
-    # the deep body makes whole programs 3,000 deep; dataclass == recurses
-    # once per level, so results and programs are compared with same
+    # the deep body makes whole programs 3,000 deep; results and programs are
+    # compared with ==, which falls back to an explicit stack that deep
     program = parse(DEEP_PROGRAMS[style])
     assert check_properties(program) == []
 

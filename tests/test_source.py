@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import tokenize
 
 import food
 from food import interp, syntax
@@ -27,9 +28,9 @@ def test_no_function_level_imports():
 
 
 def test_no_recursion_limit_or_stack_size_changes():
-    # dataclass ==, hash and repr recurse in C as well as in Python frames; a
-    # higher limit turns their RecursionError into a crash, so syntax.same
-    # could not fall back.  Depth is handled with explicit stacks instead
+    # node ==, hash and repr recurse in C as well as in Python frames; a higher
+    # limit turns their RecursionError into a crash, so == could not fall back
+    # to syntax._deep_eq.  Depth is handled with explicit stacks instead
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -181,19 +182,27 @@ def test_only_interp_reads_the_machine_frames():
     assert len(SOURCES) >= 10 and found == []
 
 
-def test_only_same_names_recursion_error():
-    # every pass is a fold or a loop; only syntax.same catches RecursionError,
-    # from dataclass ==, and compares again on an explicit stack.  A catch
-    # anywhere else would hide a pass that recurses on its input
-    def named(tree):
-        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "RecursionError"]
-
-    found = [
-        f"{path.name}:{line}"
-        for path in SOURCES
-        if path.name != "syntax.py"
-        for line in named(ast.parse(path.read_text(), str(path)))
-    ]
-    tree = ast.parse(pathlib.Path(syntax.__file__).read_text())
-    same = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "same")
-    assert len(SOURCES) >= 10 and found == [] and named(tree) == named(same) != []
+def test_only_node_equality_names_recursion_error():
+    # every pass is a fold or a loop; only the __eq__ that syntax.node generates
+    # catches RecursionError, from its recursive compare, and hands the compare
+    # to syntax._deep_eq.  A catch anywhere else would hide a pass that
+    # recurses on its input.  Every token is searched, strings and comments
+    # too, so a name inside generated source text counts
+    spans = {
+        fn.name: range(fn.lineno, fn.end_lineno + 1)
+        for fn in ast.parse(pathlib.Path(syntax.__file__).read_text()).body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    named, found = [], []
+    for path in SOURCES:
+        with path.open("rb") as f:
+            for tok in tokenize.tokenize(f.readline):
+                if "RecursionError" in tok.string:
+                    line = tok.start[0]
+                    named.append(line)
+                    if path.name != "syntax.py" or not (
+                        line in spans["_deep_eq"] or tok.type == tokenize.STRING and line in spans["node"]
+                    ):
+                        found.append(f"{path.name}:{line}")
+    assert len(SOURCES) >= 10 and found == [] and named != []
+    assert "RecursionError" in syntax.Var.__eq__.__code__.co_names

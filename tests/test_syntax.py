@@ -60,7 +60,6 @@ from food.syntax import (
     free_vars,
     node,
     rewrite_first,
-    same,
     subst,
     walk,
     with_children,
@@ -350,38 +349,43 @@ def test_subst_takes_any_depth():
     assert subst(obj, {"x": IntLit(7)}) is obj
 
 
-def test_same_is_equality_at_any_depth():
+def test_node_equality_takes_any_depth():
     for form, (_, tree) in NESTINGS.items():
-        assert same(tree(10_000), tree(10_000)), form
+        assert tree(10_000) == tree(10_000), form
         # parentheses parse to the same leaf at every depth
-        assert same(tree(10_000), tree(9_999)) == (form == "parentheses"), form
+        assert (tree(10_000) != tree(9_999)) == (form != "parentheses"), form
     e = deep(10_000)
-    assert same(e, subst(e, {"z": IntLit(0)}))
-    assert not same(e, subst(e, {"x": IntLit(7)}))
-    # it agrees with dataclass ==, labels and arities included; behind an equal
-    # first element deeper than the recursion limit == raises, and the whole
-    # compare runs on the explicit stack
-    pad1, pad2 = deep(3_000), deep(3_000)
+    assert e == subst(e, {"z": IntLit(0)})
+    assert e != subst(e, {"x": IntLit(7)})
+    # the recursive compare and the explicit stack agree, labels and arities
+    # included: at the bottom of a chain deeper than the recursion limit only
+    # the stack reaches a pair of terms
+    def chains(terms):
+        return [nest(3_000, Wrapped, x) for x in terms], [nest(3_000, Wrapped, x) for x in terms]
+
     terms = [
         IntLit(1), IntLit(2), BoolLit(True), Var("x"), Var("y"), Obj("C", ()), Obj("C", (IntLit(1),)),
         CtrCall("C", ()), New("C", ()), PrimOp("+", IntLit(1), IntLit(2)), PrimOp("-", IntLit(1), IntLit(2)),
         If(BoolLit(True), IntLit(1), IntLit(2)), Sel(Var("x"), "f", ()), App("f", Var("x"), ()),
         App("g", Var("x"), ()), App("f", Var("x"), (IntLit(1),)),
     ]
-    for a in terms:
-        for b in terms:
-            assert same(a, b) == (a == b) == same((pad1, a), (pad2, b)), (a, b)
+    low, high = chains(terms)
+    for i, a in enumerate(terms):
+        for j, b in enumerate(terms):
+            assert (a == b) == (low[i] == high[j]) != (low[i] != high[j]), (a, b)
     # whole programs: a definition's pos is not compared, at any depth
-    text = deep_body_source(10_000)
-    p, shifted = parse(text), parse("\n" + text)
-    assert p.defs[2].pos != shifted.defs[2].pos and same(p.defs[2], shifted.defs[2]) and same(p, shifted)
-    assert not same(p, parse(deep_body_source(10_000, leaf="m")))
+    for depth in (10_000, 100_000):
+        text = deep_body_source(depth)
+        p, shifted = parse(text), parse("\n" + text)
+        assert p.defs[2].pos != shifted.defs[2].pos and p.defs[2] == shifted.defs[2] and p == shifted
+        assert p != parse(deep_body_source(depth, leaf="m"))
     # and on the corpus programs and their transforms
     programs = [load(name) for name in sorted(GOLDEN_SELECTIONS)]
     programs += [transform(q, GOLDEN_SELECTIONS[name]).program for name, q in zip(sorted(GOLDEN_SELECTIONS), programs)]
-    for a in programs:
-        for b in programs:
-            assert same(a, b) == (a == b) == same((pad1, a), (pad2, b))
+    low, high = chains(programs)
+    for i, a in enumerate(programs):
+        for j, b in enumerate(programs):
+            assert (a == b) == (low[i] == high[j]) != (low[i] != high[j])
 
 
 @node
