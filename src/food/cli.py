@@ -103,6 +103,20 @@ def _emit(text: str, out_path: str | None) -> None:
             raise _Failure(f"cannot write {out_path}: {exc.strerror}")
 
 
+def _report(outcome: Done | FuelExhausted | Stuck, prefix: str, fuel_exit: int) -> int:
+    """Print how evaluation ended, the value after prefix, and return the exit code."""
+    match outcome:
+        case Done(value):
+            print(prefix + format_value(value))
+            return 0
+        case FuelExhausted():
+            print("fuel exhausted", file=sys.stderr)
+            return fuel_exit
+        case Stuck(reason, _):
+            print(f"stuck: {reason}", file=sys.stderr)
+    return 1
+
+
 # -- subcommands
 
 
@@ -147,18 +161,7 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     program, ctx = _checked(args.file)
-    outcome = eval_program(program, _fuel(args), ctx)
-    match outcome:
-        case Done(value):
-            print(format_value(value))
-            return 0
-        case FuelExhausted():
-            print("fuel exhausted", file=sys.stderr)
-            return 1
-        case Stuck(reason, _):
-            print(f"stuck: {reason}", file=sys.stderr)
-            return 1
-    return 1
+    return _report(eval_program(program, _fuel(args), ctx), "", fuel_exit=1)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -168,17 +171,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     for i, out in enumerate(_machine(program.main, ctx, _fuel(args))):
         if isinstance(out, tuple) and (args.limit is None or i < args.limit):
             print(f"{i:4}  {pretty_expr(_plug_all(out[0], out[1]), runtime=True)}")
-    match out:
-        case Done(value):
-            print(f"   => {format_value(value)}")
-            return 0
-        case FuelExhausted():
-            print("fuel exhausted", file=sys.stderr)
-            return 0
-        case Stuck(reason, _):
-            print(f"stuck: {reason}", file=sys.stderr)
-            return 1
-    return 1
+    return _report(out, "   => ", fuel_exit=0)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:

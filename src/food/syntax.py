@@ -3,33 +3,41 @@ stack-safe expression traversal, which takes any depth.  Only the
 evaluator's machines walk expressions by hand, for speed; ``subst``, the
 printer, the typer and the translation each give ``fold`` one rule per form.
 
-All nodes are immutable; ``==`` is dataclass equality at any depth, which
+All nodes are immutable; ``==`` is structural equality at any depth, which
 ignores the (non-compared) source positions of definitions.
 
 Every layer builds nodes: the parser and the transformation build programs,
 and each step of the substituting machine builds a few (``subst`` rebuilds a
 method body, the machine plugs a parent).  So node classes are declared with
-``@node``: a frozen dataclass with slots, whose ``__init__`` stores each field
-through its slot's descriptor, bound once per class.  The ``__init__`` a
-frozen dataclass generates calls ``object.__setattr__`` per field and costs
-about twice as much.  Only ``__init__`` writes a field; assigning or deleting
-one afterwards raises ``FrozenInstanceError``, and hashing, ``repr``, class
-patterns and ``dataclasses.replace`` are the dataclass's own.
+``@node``, which builds each one once: a slotted class whose ``__init__``
+stores each field through its slot's descriptor, bound once per class (the
+``__init__`` a frozen dataclass generates calls ``object.__setattr__`` per
+field and costs about twice as much).  Only ``__init__`` writes a field;
+assigning or deleting one raises ``FrozenInstanceError``.  ``hash`` and
+``repr`` match a frozen dataclass's, and ``dataclasses.fields``,
+``dataclasses.replace`` and class patterns work.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
+from sys import _getframe
 
 _COMPARED: dict[type, tuple[str, ...]] = {}  # each node class's compared fields
+_EQ_CODES: set = set()  # the code of each generated __eq__, whose frame marks a compare as nested
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def node(cls):
-    """``cls`` as a frozen, slotted dataclass whose constructor writes its slots and whose ``==`` takes any depth.
+    """``cls`` built once, frozen and slotted, with a constructor that writes its slots and an ``==`` at any depth.
 
-    A field may have a plain default, such as ``pos=None``, but no default factory.
+    A field may have a plain default, such as ``pos=None``, but no default factory.  Only the outermost
+    node compare of an ``==`` falls back to ``_deep_eq`` on RecursionError, so it runs at most once.
     """
-    cls = dataclass(frozen=True, slots=True, init=False, eq=False, unsafe_hash=True)(cls)
+    cls = dataclass(init=False, repr=False, eq=False)(cls)  # records the fields; writes no method
     names, defaults = [], {}
     for f in fields(cls):
         if f.default_factory is not MISSING or f.kw_only:
@@ -37,6 +45,10 @@ def node(cls):
         names.append(f.name)
         if f.default is not MISSING:
             defaults[f.name] = f.default
+    # the slotted class replaces cls, whose default class attributes would clash with the slots
+    space = {k: v for k, v in vars(cls).items() if k not in defaults and k not in ("__dict__", "__weakref__")}
+    space.update(__slots__=tuple(names), __qualname__=cls.__qualname__, __setattr__=_frozen, __delattr__=_frozen)
+    cls = type(cls)(cls.__name__, cls.__bases__, space)
     compared = _COMPARED[cls] = tuple(f.name for f in fields(cls) if f.compare)
     params = [f"{x}=_default_{x}" if x in defaults else x for x in names]
     # the setters and defaults are arguments of an outer function, so the
@@ -44,20 +56,24 @@ def node(cls):
     outer = [f"_set_{x}" for x in names] + [f"_default_{x}" for x in defaults]
     body = "".join(f"  _set_{x}(self, {x})\n" for x in names) or "  pass\n"
     mine, theirs = ("".join(f"{side}.{x}," for x in compared) for side in ("self", "other"))
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields(cls) if f.repr)
     src = (
         f"def outer({', '.join(outer)}):\n"
         f" def __init__({', '.join(['self', *params])}):\n{body}"
         " def __eq__(self, other):\n"
         "  if other.__class__ is not self.__class__:\n   return NotImplemented\n"
         f"  try:\n   return ({mine}) == ({theirs})\n"
-        "  except RecursionError:\n   return _deep_eq(self, other)\n"
-        " return __init__, __eq__\n"
+        "  except RecursionError:\n   if _getframe(1).f_code in _EQ_CODES:\n    raise\n"
+        "   return _deep_eq(self, other)\n"
+        f" def __hash__(self):\n  return hash(({mine}))\n"
+        f" def __repr__(self):\n  return f'{{self.__class__.__qualname__}}({shown})'\n"
+        " return __init__, __eq__, __hash__, __repr__\n"
     )
-    scope: dict = {"_deep_eq": _deep_eq}
-    exec(src, scope)
+    exec(src, globals(), scope := {})
     for fn in scope["outer"](*(cls.__dict__[x].__set__ for x in names), *defaults.values()):
         fn.__qualname__, fn.__module__ = f"{cls.__qualname__}.{fn.__name__}", cls.__module__
         setattr(cls, fn.__name__, fn)
+    _EQ_CODES.add(cls.__eq__.__code__)
     return cls
 
 

@@ -1,6 +1,8 @@
 """Node classes, the bare consumer body, canonicalization, pretty-printing, and the generic traversal."""
 
+import builtins
 import dataclasses
+import gc
 
 import pytest
 from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, generated, load
@@ -388,6 +390,32 @@ def test_node_equality_takes_any_depth():
             assert (a == b) == (low[i] == high[j]) != (low[i] != high[j])
 
 
+def test_deep_equality_falls_back_once_per_compare(monkeypatch):
+    # only the outermost node compare runs the explicit stack, at any depth of
+    # its caller's stack; a nested one passes the overflow up.  Caught lower,
+    # a sibling compared after the deep field (If.els, Sel.args) could
+    # overflow again, and an ancestor would run it over its subtree once more
+    deep_eq, runs = syntax._deep_eq, []
+
+    def counted(a, b):
+        runs.append(None)
+        return deep_eq(a, b)
+
+    monkeypatch.setitem(Var.__eq__.__globals__, "_deep_eq", counted)
+    a, b = deep(10_000), deep(10_000)
+    callers = {
+        "no wrapper": lambda: a == b,
+        "one wrapper": lambda: (lambda: a == b)(),
+        "two wrappers": lambda: (lambda: (lambda: a == b)())(),
+        "!=": lambda: not a != b,
+        # a dataclass __eq__ is not a node compare: the node below it falls back
+        "dataclass ==": lambda: Done(a) == Done(b),
+    }
+    for name, equal in callers.items():
+        runs.clear()
+        assert equal() and len(runs) == 1, (name, len(runs))
+
+
 @node
 class Wrapped(Expr):
     """A form no typing or contraction rule knows."""
@@ -429,7 +457,7 @@ def test_an_unknown_form_is_named_by_its_class_at_any_depth():
 
 
 # ---------------------------------------------------------------------------
-# Node classes: frozen, slotted dataclasses built by ``@node``
+# Node classes: frozen, slotted classes, each built once by ``@node``
 
 # positional constructor arguments of one instance of every node class
 SAMPLES = {
@@ -508,15 +536,36 @@ def bind_positionally(a):
 
 
 def test_samples_cover_every_node_class():
-    # a slotted dataclass is a new class; the class it replaced stays a
-    # subclass of the base, but is no longer what the module binds
-    subclasses = {
-        c
-        for base in (Type, Expr, Def)
-        for c in base.__subclasses__()
-        if c is vars(syntax).get(c.__name__) or c is vars(interp).get(c.__name__)
-    }
+    # @node builds each form once: no class it was given survives as a second
+    # subclass of the base.  The bases also hold this module's Wrapped forms
+    gc.collect()
+    every = [c for base in (Type, Expr, Def) for c in base.__subclasses__()]
+    assert len({(c.__module__, c.__qualname__) for c in every}) == len(every)
+    subclasses = {c for c in every if c is vars(syntax).get(c.__name__) or c is vars(interp).get(c.__name__)}
     assert subclasses | {Param, Pattern, Clause, Dtr, Program} == set(SAMPLES)
+
+
+def test_node_runs_one_exec_per_class(monkeypatch):
+    # dataclass only records the fields; one exec writes __init__, __eq__,
+    # __hash__ and __repr__
+    calls, real_exec = [], builtins.exec
+
+    def counted(*args):
+        calls.append(args)
+        return real_exec(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "exec", counted)
+
+        @node
+        class Throwaway:
+            name: str
+            pos: tuple[int, int] | None = dataclasses.field(default=None, compare=False, repr=False)
+
+    assert len(calls) == 1
+    a = Throwaway("x", (1, 2))
+    assert a == Throwaway("x") and hash(a) == hash(("x",)) and a.pos == (1, 2)
+    assert repr(a) == f"{Throwaway.__qualname__}(name='x')"
 
 
 @pytest.mark.parametrize(("cls", "args"), NODE_CASES)
