@@ -2,7 +2,8 @@
 
 Program text goes to stdout, diagnostics to stderr.  Exit code 0 means the
 subcommand's semantic result is success, 1 a pipeline failure, 2 a usage
-error.
+error.  ``eval`` and ``trace`` exit 1 when the fuel runs out or evaluation gets
+stuck.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _emit(text: str, out_path: str | None) -> None:
             raise _Failure(f"cannot write {out_path}: {exc.strerror}")
 
 
-def _report(outcome: Done | FuelExhausted | Stuck, prefix: str, fuel_exit: int) -> int:
+def _report(outcome: Done | FuelExhausted | Stuck, prefix: str) -> int:
     """Print how evaluation ended, the value after prefix, and return the exit code."""
     match outcome:
         case Done(value):
@@ -111,7 +112,6 @@ def _report(outcome: Done | FuelExhausted | Stuck, prefix: str, fuel_exit: int) 
             return 0
         case FuelExhausted():
             print("fuel exhausted", file=sys.stderr)
-            return fuel_exit
         case Stuck(reason, _):
             print(f"stuck: {reason}", file=sys.stderr)
     return 1
@@ -161,7 +161,7 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     program, ctx = _checked(args.file)
-    return _report(eval_program(program, _fuel(args), ctx), "", fuel_exit=1)
+    return _report(eval_program(program, _fuel(args), ctx), "")
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -171,7 +171,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     for i, out in enumerate(_machine(program.main, ctx, _fuel(args))):
         if isinstance(out, tuple) and (args.limit is None or i < args.limit):
             print(f"{i:4}  {pretty_expr(_plug_all(out[0], out[1]), runtime=True)}")
-    return _report(out, "   => ", fuel_exit=0)
+    return _report(out, "   => ")
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:

@@ -57,14 +57,12 @@ from .syntax import (
     Program,
     SELF,
     Sel,
-    subst,
     THIS,
     Type,
     Var,
     WILDCARD,
     canonicalize,
     children,
-    rewrite_first,
     walk,
 )
 # transform_expr is unused here, but bound for the benchmark's tracer to wrap
@@ -554,13 +552,13 @@ def check_properties(
     program: Program,
     selected: set[str] | frozenset[str] | None = None,
     fuel: int = 100_000,
-    mutate: "Mutator | None" = None,
+    mutate: Callable[[Program], Program] | None = None,
 ) -> list[PropFail]:
     """Run the whole property battery against one (program, selection) pair.
 
     ``mutate``, when given, perturbs the transformed program before the
-    properties run; the mutation harness uses it to confirm the properties
-    have teeth.
+    properties run; the mutation harness in ``tests/mutators.py`` uses it to
+    confirm the properties have teeth.
     """
     fails: list[PropFail] = []
     try:
@@ -658,6 +656,8 @@ def check_properties(
 # ---------------------------------------------------------------------------
 # Shrinking
 
+_PARTS = {Consumer: "clauses", Interface: "dtrs", Generator: "funs"}  # the parts a shrink drops one by one
+
 
 def _without_def(program: Program, index: int) -> Program:
     victim = program.defs[index]
@@ -732,162 +732,6 @@ def shrink(
 
 
 # ---------------------------------------------------------------------------
-# Program mutators (used by the mutation-sensitivity harness)
-
-Mutator = Callable[[Program], Program]
-
-# Each mutator changes the first place it applies to and returns the program
-# unchanged when there is none.  A rewriter returns None to pass on an item,
-# or the tuple of items that replace it (empty to delete it).
-_PARTS = {Consumer: "clauses", Interface: "dtrs", Generator: "funs"}
-
-
-def _first(items: tuple, fn) -> tuple | None:
-    for i, item in enumerate(items):
-        new = fn(item)
-        if new is not None:
-            return items[:i] + new + items[i + 1 :]
-    return None
-
-
-def _first_def(program: Program, fn) -> Program:
-    defs = _first(program.defs, fn)
-    return program if defs is None else Program(defs, program.main)
-
-
-def _first_clause(program: Program, fn) -> Program:
-    """Rewrite the first consumer clause or method that ``fn(def, part)`` rewrites."""
-
-    def in_def(d):
-        attr = _PARTS.get(type(d))
-        parts = attr and _first(getattr(d, attr), lambda part: fn(d, part))
-        return None if parts is None else (replace(d, **{attr: parts}),)
-
-    return _first_def(program, in_def)
-
-
-def _first_prim(program: Program, op: str, fn) -> Program:
-    """Rewrite the first ``op``, in pre-order, in a consumer clause to ``fn(lhs, rhs)``."""
-
-    def at(e: Expr):
-        return fn(e.lhs, e.rhs) if isinstance(e, PrimOp) and e.op == op else None
-
-    def in_clause(d: Def, c):
-        body = rewrite_first(c.body, at) if isinstance(c, Clause) else None
-        return None if body is None else (Clause(c.pattern, body),)
-
-    return _first_clause(program, in_clause)
-
-
-def _resubst(kind: type, old: str, new: str):
-    """Rewrite ``old`` to ``new`` in the first ``kind`` body that mentions it."""
-
-    def rewrite(d, part):
-        if isinstance(part, kind) and part.body is not None and old in free_vars(part.body):
-            return (replace(part, body=subst(part.body, {old: Var(new)})),)
-        return None
-
-    return rewrite
-
-
-def mutate_swap_clause_bodies(program: Program) -> Program:
-    """Swap the bodies of the first two clauses of some consumer."""
-
-    def fn(d: Def):
-        if isinstance(d, Consumer) and len(d.clauses) >= 2:
-            a, b, *rest = d.clauses
-            return (replace(d, clauses=(Clause(a.pattern, b.body), Clause(b.pattern, a.body), *rest)),)
-        return None
-
-    return _first_def(program, fn)
-
-
-def mutate_drop_wildcard(program: Program) -> Program:
-    """Delete the wildcard clause of the first consumer that has one."""
-
-    def fn(d: Def):
-        if isinstance(d, Consumer) and d.wildcard_clause() and len(d.clauses) > 1:
-            return (replace(d, clauses=tuple(c for c in d.clauses if not c.pattern.is_wildcard)),)
-        return None
-
-    return _first_def(program, fn)
-
-
-def mutate_wrong_substitution(program: Program) -> Program:
-    """Rewrite self to this in the first consumer clause that mentions it."""
-    return _first_clause(program, _resubst(Clause, SELF, THIS))
-
-
-def mutate_wrong_substitution_oo(program: Program) -> Program:
-    """Rewrite this to self in the first destructor body that mentions it."""
-    return _first_clause(program, _resubst(Dtr, THIS, SELF))
-
-
-def mutate_rename_pattern_var(program: Program) -> Program:
-    """Rename the first bound pattern variable without touching the body."""
-
-    def fn(d: Def, c):
-        if isinstance(c, Clause) and c.pattern.vars:
-            name, (first, *rest) = c.pattern.name, c.pattern.vars
-            return (Clause(Pattern(name, ("z" + first, *rest)), c.body),)
-        return None
-
-    return _first_clause(program, fn)
-
-
-def mutate_drop_consumer(program: Program) -> Program:
-    """Delete the first consumer definition outright."""
-    return _first_def(program, lambda d: () if isinstance(d, Consumer) else None)
-
-
-def mutate_swap_ctor_fields(program: Program) -> Program:
-    """Reverse the field list of the first constructor with two or more fields."""
-
-    def fn(d: Def):
-        if isinstance(d, Constructor) and len(d.fields) >= 2:
-            return (replace(d, fields=d.fields[::-1]),)
-        return None
-
-    return _first_def(program, fn)
-
-
-def mutate_flip_comparison(program: Program) -> Program:
-    """Turn the first == in a consumer clause into <=."""
-    return _first_prim(program, "==", lambda lhs, rhs: PrimOp("<=", lhs, rhs))
-
-
-def mutate_swap_prim_operands(program: Program) -> Program:
-    """Swap the operands of the first subtraction in a consumer clause."""
-    return _first_prim(program, "-", lambda lhs, rhs: PrimOp("-", rhs, lhs))
-
-
-def mutate_drop_override(program: Program) -> Program:
-    """Remove the first generator method that overrides an interface default."""
-    defaults = {
-        (d.name, m.name) for d in program.defs if isinstance(d, Interface) for m in d.dtrs if m.body is not None
-    }
-
-    def fn(d: Def, m):
-        return () if isinstance(d, Generator) and (d.parent, m.name) in defaults else None
-
-    return _first_clause(program, fn)
-
-
-MUTATORS = {
-    "swap-clause-bodies": mutate_swap_clause_bodies,
-    "drop-wildcard": mutate_drop_wildcard,
-    "wrong-substitution-fp": mutate_wrong_substitution,
-    "wrong-substitution-oo": mutate_wrong_substitution_oo,
-    "rename-pattern-var": mutate_rename_pattern_var,
-    "drop-consumer": mutate_drop_consumer,
-    "swap-ctor-fields": mutate_swap_ctor_fields,
-    "flip-comparison": mutate_flip_comparison,
-    "swap-prim-operands": mutate_swap_prim_operands,
-    "drop-override": mutate_drop_override,
-}
-
-
-# ---------------------------------------------------------------------------
 # Driver
 
 
@@ -906,7 +750,7 @@ def run_properties(
     cfg: GenConfig,
     trials: int,
     fuel: int = 100_000,
-    mutate: "Mutator | None" = None,
+    mutate: Callable[[Program], Program] | None = None,
 ) -> FuzzReport:
     """Generate trial programs and run the full property battery on each.
 

@@ -439,23 +439,6 @@ def walk(e: Expr):
         stack.extend(reversed(children(e)))
 
 
-def rewrite_first(e: Expr, fn) -> Expr | None:
-    """``e`` with its first subexpression, in pre-order, that ``fn`` maps to an
-    expression (not None) replaced by that expression; None if there is none."""
-    stack = [(e, None)]  # (node, up): up is (parent, slot, the parent's up), None at e
-    while stack:
-        node, up = stack.pop()
-        new = fn(node)
-        if new is not None:
-            while up is not None:
-                parent, slot, up = up
-                kids = children(parent)
-                new = with_children(parent, (*kids[:slot], new, *kids[slot + 1 :]))
-            return new
-        stack.extend((kid, (node, i, up)) for i, kid in reversed(tuple(enumerate(children(node)))))
-    return None
-
-
 def fold(e: Expr, fn):
     """``fn(node, results of its children, left to right)`` at ``e``, computed
     bottom-up over every subexpression, at any depth."""

@@ -10,9 +10,10 @@ import time
 
 import pytest
 from conftest import CORPUS, GOLDEN_SELECTIONS, load
+from mutators import MUTATORS
 
 from food import canonicalize, eval_program, pretty, transform
-from food.fuzz import GenConfig, MUTATORS, check_properties, run_properties
+from food.fuzz import GenConfig, check_properties, run_properties
 from food.interp import Done, IntV
 
 FUEL = 100_000

@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 from conftest import CORPUS, eval_source
+from mutators import mutate_drop_consumer
 
 from food import cli, fuzz, interp
 from food.cli import main
@@ -109,6 +110,14 @@ def test_eval_fuel_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("FOOD_FUEL", "100000")
     code, out, _ = run(capsys, "eval", str(CORPUS / "sets_fp.food"))
     assert code == 0 and out == "false\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_fuel_exhaustion_exits_1(capsys, command):
+    code, out, err = run(capsys, command, str(CORPUS / "sets_fp.food"), "--fuel", "1")
+    assert code == 1 and err == "fuel exhausted\n"
+    # trace still prints each state it reached: the start and the one step taken
+    assert out.count("\n") == (2 if command == "trace" else 0)
 
 
 def test_trace_prints_numbered_steps(capsys):
@@ -350,7 +359,7 @@ def test_fuzz_reports_json_lines(capsys):
 def test_fuzz_summary_counts_failures_by_property(capsys, monkeypatch):
     # a mutation of every transformed program makes trials fail; the summary
     # counts each property's failures over the trial lines
-    mutated = functools.partial(fuzz.run_properties, mutate=fuzz.mutate_drop_consumer)
+    mutated = functools.partial(fuzz.run_properties, mutate=mutate_drop_consumer)
     monkeypatch.setattr(cli, "run_properties", mutated)
     code, out, _ = run(capsys, "fuzz", "--trials", "5", "--seed", "11", "--fuel", "5000")
     *trials, summary = [json.loads(l) for l in out.splitlines()]

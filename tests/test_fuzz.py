@@ -6,16 +6,15 @@ from dataclasses import replace
 
 import pytest
 from conftest import GOLDEN_SELECTIONS, deep_body_source, eval_source, generated, load
+from mutators import MUTATORS, mutate_swap_clause_bodies
 from reference_step import typed_run as reference_typed_run
 
 from food import FoodError, check, eval_program, fuzz, parse, preprocess, transform
 from food.fuzz import (
     GenConfig,
-    MUTATORS,
     _typed_run,
     check_properties,
     gen_program,
-    mutate_swap_clause_bodies,
     run_properties,
     shrink,
 )

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import reference_step
 from conftest import EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, generated, load
+from mutators import MUTATORS
 from reference_step import states as reference_states
 
 from food import (
@@ -27,7 +28,7 @@ from food import (
     transform_expr,
     translate_ctx,
 )
-from food.fuzz import MUTATORS, GenConfig
+from food.fuzz import GenConfig
 import food.interp
 from food.interp import Stepped, format_value, run
 from food.syntax import (

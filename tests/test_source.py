@@ -43,17 +43,46 @@ def test_no_recursion_limit_or_stack_size_changes():
     assert found == []
 
 
-def test_parser_imports_nothing_from_the_tests():
-    # the test oracles (reference_lexer, reference_parser) stay test-only
+def test_package_imports_nothing_from_the_tests():
+    # the test oracles (reference_*) and the mutation harness (mutators) stay
+    # test-only: no module of the package imports a module of tests/
     test_modules = {p.stem for p in pathlib.Path(__file__).parent.glob("*.py")} | {"tests"}
-    parser = pathlib.Path(food.__file__).parent / "parser.py"
-    imported = set()
-    for node in ast.walk(ast.parse(parser.read_text())):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.add(node.module.split(".")[0])
-    assert "re" in imported and imported.isdisjoint(test_modules)
+    imported = {}
+    for path in SOURCES:
+        names = imported[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    found = sorted(f"{stem} imports {name}" for stem, names in imported.items() for name in names & test_modules)
+    assert {"mutators", "reference_parser"} <= test_modules and "re" in imported["parser"] and found == []
+
+
+def test_every_import_is_used():
+    # no linter runs on the package, so an import that a move leaves behind
+    # would go unseen.  An imported name must be read in its module or listed
+    # in __all__; syntax.node's generated methods read syntax's globals by
+    # name, so the names they read count for syntax.  fuzz binds
+    # transform_expr, unused, for the benchmark's tracer to wrap
+    methods = ("__init__", "__eq__", "__hash__", "__repr__")
+    generated = {name for method in methods for name in getattr(syntax.Var, method).__code__.co_names}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= generated if path.name == "syntax.py" else set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                used |= set(ast.literal_eval(node.value))
+        found += [
+            f"{path.stem}.{(alias.asname or alias.name).split('.')[0]}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in used
+        ]
+    assert len(SOURCES) >= 10 and sorted(set(found) - {"fuzz.transform_expr"}) == []
 
 
 def test_node_classes_use_the_slotted_constructor():
@@ -111,7 +140,7 @@ def test_transform_names_no_subst():
 def test_no_function_recurses_on_its_input():
     # a function that calls itself, directly or through others in its module,
     # takes one Python frame per nesting level and fails a few hundred levels
-    # deep; walks over expressions use syntax.fold, walk or rewrite_first
+    # deep; walks over expressions use syntax.fold or walk
     allowed = {
         "pretty.pretty_type",  # types nest only as deep as a signature
         # the generator's own recursion is bounded by GenConfig.max_expr_depth

@@ -6,6 +6,7 @@ import gc
 
 import pytest
 from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, generated, load
+from mutators import rewrite_first
 from test_hostile_input import NESTINGS, nest
 
 from food import (
@@ -61,7 +62,6 @@ from food.syntax import (
     fold,
     free_vars,
     node,
-    rewrite_first,
     subst,
     walk,
     with_children,
