@@ -2,12 +2,10 @@
 
 ``parse(pretty(p))`` is structurally equal to ``p`` for any program free of
 runtime objects; the fuzz suite exercises that round trip.  Expressions print
-at any depth, by one rule per form over ``syntax.fold``.
+at any depth, in one pre-order pass over a stack of nodes and literal text.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from .syntax import (
     App,
@@ -37,7 +35,6 @@ from .syntax import (
     Sel,
     Type,
     Var,
-    fold,
 )
 
 # Precedence levels, loosest first, with the binary operators' ``PREC``
@@ -62,56 +59,63 @@ def pretty_type(t: Type) -> str:
 
 def pretty_expr(e: Expr, *, runtime: bool = False) -> str:
     """Render one expression; with ``runtime`` set, objects print as obj(...)."""
-    out, todo = [], [fold(e, partial(_text, runtime))[0]]
-    while todo:  # the text is a tree of strings, flattened here in order
-        piece = todo.pop()
-        if type(piece) is str:
-            out.append(piece)
+    out, todo = [], [e]
+    push = todo.append
+    while todo:  # in pre-order: a string is output, a node pushes its pieces last first
+        x = todo.pop()
+        cls = type(x)
+        if cls is str:
+            out.append(x)
+        elif cls is Var:
+            out.append(x.name)
+        elif cls is IntLit:
+            out.append(str(x.value))
+        elif cls is PrimOp:
+            prec = PREC[x.op]
+            _operand(todo, x.rhs, prec + 1)
+            push(f" {x.op} ")
+            _operand(todo, x.lhs, prec)
+        elif cls is Sel:
+            _args(todo, x.args)
+            push("." + x.name)
+            _operand(todo, x.recv, _POSTFIX)
+        elif cls is App:
+            if x.args:
+                _args(todo, x.args)
+            todo += (")", x.recv, x.name + "(")
+        elif cls is CtrCall:
+            _args(todo, x.args)
+            push(x.name)
+        elif cls is New:
+            _args(todo, x.args)
+            push("new " + x.name)
+        elif cls is BoolLit:
+            out.append("true" if x.value else "false")
+        elif cls is If:
+            todo += (x.els, " else ", x.then, ") ", x.cond, "if (")
+        elif cls is Obj:
+            if not runtime:
+                raise ValueError("runtime object is not printable source")
+            push(")")
+            for a in reversed(x.args):
+                todo += (a, ", ")
+            push("obj(" + x.name)
         else:
-            todo.extend(reversed(piece))
+            raise ValueError(f"unknown expression {cls.__name__}")
     return "".join(out)
 
 
-# A rule's text is a string or a sequence of texts, so no level copies its
-# children's text: joined level by level, a chain n deep prints in n^2 time.
-def _at(kid: tuple, prec: int):
-    """A child's text, parenthesized when its level is below ``prec``."""
-    text, level = kid
-    return text if level >= prec else ("(", text, ")")
+def _operand(todo: list, kid: Expr, prec: int) -> None:
+    """Push ``kid``, in parentheses when its level is below ``prec``."""
+    cls = type(kid)
+    level = PREC[kid.op] if cls is PrimOp else _IF if cls is If else _POSTFIX
+    todo += (")", kid, "(") if level < prec else (kid,)
 
 
-def _args(kids: list[tuple]) -> list:
-    pieces = [piece for text, _ in kids for piece in (", ", text)]
-    return ["(", *pieces[1:], ")"]
-
-
-def _text(runtime: bool, e: Expr, kids: list[tuple]) -> tuple:
-    """The text and precedence level of ``e``, given those of its children."""
-    cls = type(e)
-    if cls is Var:
-        return e.name, _POSTFIX
-    if cls is IntLit:
-        return str(e.value), _POSTFIX
-    if cls is Sel:
-        return (_at(kids[0], _POSTFIX), ".", e.name, _args(kids[1:])), _POSTFIX
-    if cls is App:
-        return (e.name, "(", kids[0][0], ")", _args(kids[1:]) if e.args else ""), _POSTFIX
-    if cls is PrimOp:
-        prec = PREC[e.op]
-        return (_at(kids[0], prec), f" {e.op} ", _at(kids[1], prec + 1)), prec
-    if cls is CtrCall:
-        return (e.name, _args(kids)), _POSTFIX
-    if cls is New:
-        return ("new ", e.name, _args(kids)), _POSTFIX
-    if cls is BoolLit:
-        return ("true" if e.value else "false"), _POSTFIX
-    if cls is If:
-        return ("if (", kids[0][0], ") ", kids[1][0], " else ", kids[2][0]), _IF
-    if cls is Obj:
-        if not runtime:
-            raise ValueError("runtime object is not printable source")
-        return ("obj(", e.name, *[(", ", text) for text, _ in kids], ")"), _POSTFIX
-    raise ValueError(f"unknown expression {cls.__name__}")
+def _args(todo: list, args: tuple[Expr, ...]) -> None:
+    """Push ``(a, b, …)``, last piece first."""
+    pieces = [piece for a in reversed(args) for piece in (a, ", ")]
+    todo += (")", *pieces[:-1], "(")
 
 
 def _params(params: tuple[Param, ...]) -> str:

@@ -1,7 +1,8 @@
 """Abstract syntax of FOOD programs, the canonicalization pass, and one
-stack-safe expression traversal, which takes any depth.  Only the
-evaluator's machines walk expressions by hand, for speed; ``subst``, the
-printer, the typer and the translation each give ``fold`` one rule per form.
+stack-safe expression traversal, which takes any depth.  The evaluator's
+machines, the printer, ``free_vars`` and ``contains_obj`` walk expressions by
+hand on a list, for speed; ``subst``, the typer and the translation each give
+``fold`` one rule per form.
 
 All nodes are immutable; ``==`` is structural equality at any depth, which
 ignores the (non-compared) source positions of definitions.
@@ -461,8 +462,21 @@ def fold(e: Expr, fn):
 
 
 def free_vars(e: Expr) -> set[str]:
-    return {x.name for x in walk(e) if isinstance(x, Var)}
+    names, todo = set(), [e]
+    while todo:
+        x = todo.pop()
+        if type(x) is Var:
+            names.add(x.name)
+        else:
+            todo += children(x)
+    return names
 
 
 def contains_obj(e: Expr) -> bool:
-    return any(isinstance(x, Obj) for x in walk(e))
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if type(x) is Obj:
+            return True
+        todo += children(x)
+    return False

@@ -140,7 +140,8 @@ def test_transform_names_no_subst():
 def test_no_function_recurses_on_its_input():
     # a function that calls itself, directly or through others in its module,
     # takes one Python frame per nesting level and fails a few hundred levels
-    # deep; walks over expressions use syntax.fold or walk
+    # deep; walks over expressions use syntax.fold or walk, or loop over an
+    # explicit stack, as the printer, free_vars, contains_obj and the machines do
     allowed = {
         "pretty.pretty_type",  # types nest only as deep as a signature
         # the generator's own recursion is bounded by GenConfig.max_expr_depth

@@ -264,6 +264,45 @@ def test_walk_is_pre_order():
     ]  # fmt: skip
 
 
+def body_exprs(program):
+    """The main expression and every method and clause body of ``program``."""
+    found = [program.main]
+    for d in program.defs:
+        if isinstance(d, Consumer):
+            found += [c.body for c in d.clauses]
+        elif isinstance(d, (Interface, Generator)):
+            found += [m.body for m in (d.dtrs if isinstance(d, Interface) else d.funs) if m.body is not None]
+    return found
+
+
+def test_free_vars_and_contains_obj_agree_with_walk():
+    corpus = [load(name) for name in sorted(GOLDEN_SELECTIONS)]
+    programs = corpus + [generated(GenConfig(seed=seed)) for seed in range(500)]
+    programs += [transform(p, selected).program for p, name in zip(corpus, sorted(GOLDEN_SELECTIONS))
+                 for selected in (GOLDEN_SELECTIONS[name], None)]
+    exprs = [e for p in programs for e in body_exprs(p)]
+    # source bodies hold no object: nest one in the arguments of every call form
+    calls = [
+        lambda *args: Sel(Var("r"), "f", args),
+        lambda *args: App("f", Var("r"), args),
+        lambda *args: CtrCall("C", args),
+        lambda *args: New("C", args),
+        lambda *args: Obj("C", args),
+    ]
+    obj = Obj("S", (Var("v"), Obj("Z", ())))
+    for outer in calls:
+        for inner in calls:
+            exprs.append(outer(Var("a"), inner(Var("b"))))
+            for slot in range(2):
+                args = [Var("a"), IntLit(1)]
+                args[slot] = inner(Var("b"), obj)
+                exprs += [outer(*args), PrimOp("+", IntLit(0), If(Var("c"), IntLit(1), outer(*args)))]
+    for e in exprs:
+        assert free_vars(e) == {x.name for x in walk(e) if isinstance(x, Var)}
+        assert contains_obj(e) == any(isinstance(x, Obj) for x in walk(e))
+    assert len(exprs) > 4_000 and 100 < sum(map(contains_obj, exprs)) < len(exprs)
+
+
 def test_rewrite_first_replaces_only_the_first_match_in_pre_order():
     def bump(e):
         return IntLit(e.value + 10) if isinstance(e, IntLit) else None

@@ -32,12 +32,15 @@ from food.syntax import (
     Consumer,
     Expr,
     Generator,
+    If,
     INT,
     Interface,
     IntLit,
     IntT,
     Named,
     New,
+    Obj,
+    PREC,
     PrimOp,
     Program,
     SELF,
@@ -45,6 +48,7 @@ from food.syntax import (
     THIS,
     Var,
     children,
+    contains_obj,
     fold,
     free_vars,
     subst,
@@ -299,9 +303,10 @@ def test_only_a_passing_typing_is_kept():
 
 
 # ---------------------------------------------------------------------------
-# The printer, and the typing and translation of transform_expr, folds over
-# syntax.fold, against the recursive code they replaced (reference_recursive):
-# the same text, translation and type, or the same error text, on every input.
+# The printer, a pre-order loop, and the typing and translation of
+# transform_expr, folds over syntax.fold, against the recursive code they
+# replaced (reference_recursive): the same text, translation and type, or the
+# same error text, on every input.
 # The translation also renames the receiver of a selected type, which the
 # definition layer did after typing, by substitution: the reference's
 # translation is renamed that way.
@@ -398,6 +403,42 @@ def test_printer_and_typer_match_the_recursive_reference(monkeypatch):
             assert_prints_and_types_as_reference(e, ctx, env)
             count += 1
     assert count > 20_000
+
+
+# Every expression form, as a label, its number of children and a builder
+# from them; each call form takes two arguments, so that a separator shows.
+FORMS = [
+    *[(op, 2, lambda lhs, rhs, op=op: PrimOp(op, lhs, rhs)) for op in PREC],
+    ("if", 3, If),
+    ("Sel", 3, lambda recv, *args: Sel(recv, "f", args)),
+    ("App", 1, lambda recv: App("f", recv, ())),
+    ("App with arguments", 3, lambda recv, *args: App("f", recv, args)),
+    ("CtrCall", 2, lambda *args: CtrCall("C", args)),
+    ("New", 2, lambda *args: New("C", args)),
+    ("Obj", 2, lambda *args: Obj("C", args)),
+    ("Var", 0, lambda: Var("x")),
+    ("IntLit", 0, lambda: IntLit(7)),
+    ("BoolLit", 0, lambda: BoolLit(False)),
+    ("CtrCall()", 0, lambda: CtrCall("D", ())),
+    ("New()", 0, lambda: New("D", ())),
+    ("Obj()", 0, lambda: Obj("D", ())),
+]
+
+
+def test_printer_parenthesizes_every_form_in_every_slot_as_the_reference():
+    # the precedence rule, exhaustively: each form in each child slot of each
+    # form, its own children and the other slots filled with variables
+    for outer, arity, build in FORMS:
+        for slot in range(arity):
+            for inner, inner_arity, inner_build in FORMS:
+                kids = [Var(f"a{i}") for i in range(arity)]
+                kids[slot] = inner_build(*[Var(f"b{i}") for i in range(inner_arity)])
+                e = build(*kids)
+                for runtime in (False, True):
+                    want = outcome(ref.pretty_expr, e, runtime=runtime)
+                    assert outcome(pretty_expr, e, runtime=runtime) == want, (outer, slot, inner, runtime)
+                if not contains_obj(e):
+                    assert parse(pretty_expr(e)).main == e, (outer, slot, inner)
 
 
 def test_error_order_matches_the_recursive_reference(monkeypatch):
