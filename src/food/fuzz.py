@@ -63,7 +63,6 @@ from .syntax import (
     WILDCARD,
     canonicalize,
     children,
-    walk,
 )
 # transform_expr is unused here, but bound for the benchmark's tracer to wrap
 from .transform import _typing, transform, transform_expr, type_expr, type_program  # noqa: F401
@@ -397,20 +396,19 @@ class FuzzReport:
 def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     """Evaluate the main expression, typing every reached state.
 
-    Returns (outcome, type_failure_detail).  State 0, the main expression,
-    takes its type from ``type_program``, a lookup once ``check`` has typed
-    the program on ``ctx``; only in a program that does not type is the main
-    expression typed alone.  After that, each step types only its redex and
-    its contractum, which ``_machine`` yields with the state, and no state
-    is plugged.  FOOD has no binders, so every subterm of a closed state is
-    closed, and the typer is one rule per form over ``fold``: a contractum
-    that types as its redex leaves the state's type as it was.  This is the
-    replacement argument of Wright and Felleisen, "A Syntactic Approach to
-    Type Soundness" (1994).  A value can be as deep as the run is long, and
-    every redex that uses it holds it, so each object is typed once per run,
-    keyed by identity, and a call's contractum costs what its body does.  On
-    any difference or error the state is plugged and typed whole, so a
-    failure's text is the whole state's.
+    Returns (outcome, type_failure_detail).  State 0, the main expression, is
+    typed and its nodes counted in one pass.  After that, each step types only
+    its redex and its contractum, which ``_machine`` yields with the state,
+    and no state is plugged but the ones cycle detection keeps.  FOOD has no
+    binders, so every subterm of a closed state is closed, and the typer is
+    one rule per form over ``fold``: a contractum that types as its redex
+    leaves the state's type as it was.  This is the replacement argument of
+    Wright and Felleisen, "A Syntactic Approach to Type Soundness" (1994).  A
+    value can be as deep as the run is long, and every redex that uses it
+    holds it, so each object is typed once per run, keyed by identity, and a
+    call's contractum costs what its body does.  On any difference or error
+    the state is plugged and typed whole, so a failure's text is the whole
+    state's.
 
     Evaluation is deterministic, so once a state repeats the run is periodic
     until the fuel runs out, and no state in the cycle is a value or stuck.
@@ -422,13 +420,6 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     one period on, with the state the fuel would end on, and the verdict is
     the one the whole run would give.
     """
-    try:
-        expected = type_program(program, ctx)[1]
-    except FoodError:
-        try:
-            expected = type_expr(program.main, ctx, {})
-        except FoodError as exc:
-            return None, f"main expression does not type: {exc}"
     known: dict[int, tuple[Expr, tuple]] = {}  # id of an object -> (it, its measure)
     rule = partial(_typing, ctx, {}, deque(maxlen=0))  # the call types that typing lists are dropped
 
@@ -459,10 +450,12 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
             sizes.append(size)
         return types[0], sizes[0]
 
+    expected, size = measure(program.main)
+    if callable(expected):
+        return None, f"main expression does not type: {expected()}"
     machine = _machine(program.main, ctx, fuel)
     focus, frames, _ = next(machine)
-    size = sum(1 for _ in walk(program.main))
-    saved, saved_key = (focus, tuple(frames)), (size, len(frames), type(focus), getattr(focus, "name", None))
+    saved, saved_key = _plug_all(focus, frames), (size, len(frames), type(focus), getattr(focus, "name", None))
     power = lam = 1
     for i in itertools.count(1):
         redex = focus
@@ -490,13 +483,13 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
                     "during evaluation"
                 )
         key = (size, len(frames), type(focus), getattr(focus, "name", None))
-        if key == saved_key and _plug_all(focus, frames) == _plug_all(*saved):
+        if key == saved_key and _plug_all(focus, frames) == saved:
             # the run has period lam from here on: go on to the state the fuel ends on
             for _ in range((fuel - i) % lam):
                 focus, frames, _ = next(machine)
             return FuelExhausted(_plug_all(focus, frames)), None
         if lam == power:
-            saved, saved_key = (focus, tuple(frames)), key
+            saved, saved_key = _plug_all(focus, frames), key
             power, lam = 2 * power, 0
         lam += 1
 

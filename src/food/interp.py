@@ -1,34 +1,38 @@
-"""Call-by-value small-step semantics, run under fuel by two machines.
+"""Call-by-value small-step semantics, run under fuel by one machine.
 
 A step contracts the leftmost redex: receiver before arguments, arguments left
 to right.  Boolean operators short-circuit, consuming one step; integers wrap
-to 64 bits.  ``_contract`` holds every contraction rule, once, for both
-machines.
+to 64 bits.  ``_contract`` holds every contraction rule, once.
 
-The substituting machine, ``_machine``, is the semantics and the oracle:
-``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` use it.  A
-method call substitutes its bindings into the body (``subst``).  The redex's
-context is a stack of (parent node, hole slot) frames, so no depth of term
-recurses.  After a contraction the machine refocuses from the contractum in
-the same frames, not from the root (Danvy and Nielsen, "Refocusing in
-Reduction Semantics", BRICS RS-04-26, 2004).  Plugging the focus into every
-frame gives the state, at O(depth) per state.
+The machine, ``_machine``, keeps the redex's context as a stack of frames on
+a list, so no depth of term recurses.  A frame is a compound node, its
+environment, its slots and the values of those evaluated so far; it is
+contracted when it has them all, and the value it contracts to goes to the
+frame below.  So no term is searched from its root and nothing is plugged on
+the way to a value.  At a method call the machine has two binding
+disciplines, one per entry point:
 
-``eval_program`` runs an environment machine, ``_eval``, derived from the
-same reduction semantics as in Biernacka and Danvy, "A Concrete Framework
-for Environment Machines", ACM TOCL 9(1), 2007; its target is the CEK
-machine of Felleisen and Friedman (1986).  Code is evaluated in the
-bindings of its method call, and frames on a list collect the values of
-their slots, so nothing is substituted or plugged on the way to a value.  A
-method body binds nothing, so a call's environment is exactly the mapping
-the substituting machine substitutes, and code read back in its environment
-is ``subst(code, env)``: the term the substituting machine holds.  That is
-how ``Stuck.expr`` and ``FuelExhausted.last`` are built, once, at O(size).
+* ``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` substitute
+  the bindings into the body (``subst``), so every state is a closed term.
+  The machine yields each state as its redex and frames; plugging the redex
+  into every frame gives the state, at O(depth) per state.  Going on from
+  the contractum in the same frames, not from the root, is refocusing
+  (Danvy and Nielsen, "Refocusing in Reduction Semantics", BRICS RS-04-26,
+  2004).
+* ``eval_program`` evaluates the body with the bindings as its environment,
+  and yields only the outcome: the environment machine that Biernacka and
+  Danvy, "A Concrete Framework for Environment Machines", ACM TOCL 9(1),
+  2007, derive from the same reduction semantics; its target is the CEK
+  machine of Felleisen and Friedman (1986).  A method body binds nothing, so
+  a call's environment is exactly the mapping a substituting call
+  substitutes, and code read back in its environment is ``subst(code,
+  env)``.  That is how ``Stuck.expr`` and ``FuelExhausted.last`` are built,
+  once, at O(size).
 
-Both machines dispatch on each node's exact class, as ``children`` does, and
-look method bodies up once per context, in its body table.  Values are
+The machine dispatches on each node's exact class, as ``children`` does, and
+looks method bodies up once per context, in its body table.  Values are
 expressions in value form (``IntLit``, ``BoolLit`` and ``Obj``), and ``Done``
-carries the final value itself.  The nodes the machines build are ``@node``
+carries the final value itself.  The nodes the machine builds are ``@node``
 classes, whose constructors write their slots directly (see ``syntax``).
 """
 
@@ -207,13 +211,14 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
 
 
-# The machines test exact classes, most frequent first, as ``children`` does:
+# The machine tests exact classes, most frequent first, as ``children`` does:
 # class patterns cost about a microsecond more per node, isinstance less.
 def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Expr, dict[str, Expr] | None] | str:
     """What the redex e contracts to, given the values of its slots.
 
-    vals starts with those values, numbered as by ``_refocus``: the receiver
-    and then the arguments, or the operands, or the condition.  The answer is
+    vals starts with those values, in the order in which ``_machine``
+    evaluates the slots: the receiver and then the arguments, or the
+    operands, or the condition.  The answer is
     a value; or (code, mapping), the body of a call and its bindings, or
     (code, None), a subterm of e; or a str, why e is stuck.
     """
@@ -266,143 +271,76 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
 
 
 # ---------------------------------------------------------------------------
-# The substituting machine
+# The machine
+
+# a frame: (node, env, its slots, values of those evaluated)
+Frames = list[tuple[Expr, dict[str, Expr], tuple[Expr, ...], list[Expr]]]
 
 
-def _plug(node: Expr, slot: int, v: Expr) -> Expr:
-    """node with v in its hole at slot, numbered as by _refocus."""
-    cls = type(node)
-    if cls is PrimOp:
-        return PrimOp(node.op, v, node.rhs) if slot == 0 else PrimOp(node.op, node.lhs, v)
-    if cls is If:
-        return If(v, node.then, node.els)
-    if cls is Sel or cls is App:
-        recv = v if slot == 0 else node.recv
-        args = node.args if slot == 0 else node.args[: slot - 1] + (v,) + node.args[slot:]
-        return Sel(recv, node.name, args) if cls is Sel else App(node.name, recv, args)
-    return cls(node.name, node.args[:slot] + (v,) + node.args[slot + 1 :])  # CtrCall or New
-
-
-Frames = list[tuple[Expr, int]]
+def _read_back(node: Expr, env: dict[str, Expr], done: list[Expr]) -> Expr:
+    """node as a substituting run holds it: done in its first slots, the rest its code in env."""
+    return with_children(node, (*done, *[subst(kid, env) for kid in children(node)[len(done) :]]))
 
 
 def _plug_all(e: Expr, frames: Frames) -> Expr:
     """The whole term: e plugged into every frame, innermost first."""
-    for node, slot in reversed(frames):
-        e = _plug(node, slot, e)
+    for node, env, _, vals in reversed(frames):
+        cls = type(node)
+        if env:  # a run with environments reads its stuck or fuel-exhausted state back
+            e = _read_back(node, env, [*vals, e])
+        elif cls is PrimOp:
+            e = PrimOp(node.op, vals[0], e) if vals else PrimOp(node.op, e, node.rhs)
+        elif cls is If:
+            e = If(e, node.then, node.els)
+        elif cls is Sel or cls is App:
+            recv, args = (vals[0], (*vals[1:], e, *node.args[len(vals) :])) if vals else (e, node.args)
+            e = Sel(recv, node.name, args) if cls is Sel else App(node.name, recv, args)
+        else:  # CtrCall or New
+            e = cls(node.name, (*vals, e, *node.args[len(vals) + 1 :]))
     return e
 
 
-def _refocus(e: Expr, frames: Frames) -> Expr:
-    """The next redex from e on, with frames updated to its context; or the final value.
-
-    A value in focus is plugged into the top frame, whose node is searched
-    again.  A node's slots number its subterms in evaluation order: receiver,
-    then arguments.  The right operand of && and || is no slot, as it belongs
-    to the contractum.  A descent to the first non-value slot pushes a frame.
-    """
-    while True:
-        cls = type(e)
-        if cls in _VALUE_FORMS:
-            if not frames:
-                return e
-            node, slot = frames.pop()
-            e = _plug(node, slot, e)
-            cls = type(e)
-        if cls is PrimOp:
-            slot = 1 if e.op not in ("&&", "||") and type(e.lhs) in _VALUE_FORMS else 0
-            sub = e.rhs if slot else e.lhs
-        elif cls is If:
-            slot, sub = 0, e.cond
-        elif cls is Sel or cls is App:
-            slot, sub = 0, e.recv
-            if type(sub) in _VALUE_FORMS:
-                for slot, sub in enumerate(e.args, 1):
-                    if type(sub) not in _VALUE_FORMS:
-                        break
-        elif cls is CtrCall or cls is New:
-            for slot, sub in enumerate(e.args):
-                if type(sub) not in _VALUE_FORMS:
-                    break
-            else:
-                return e
-        else:
-            return e
-        if type(sub) in _VALUE_FORMS:
-            return e
-        frames.append((e, slot))
-        e = sub
+def _redex(node: Expr, env: dict[str, Expr], slots: tuple[Expr, ...], vals: list[Expr]) -> Expr:
+    """node with the values of all its slots, as a substituting run holds it."""
+    if env:
+        return _read_back(node, env, vals)
+    if all(map(operator.is_, vals, slots)):
+        return node  # after subst, every value usually sits in its slot already
+    cls = type(node)
+    if cls is PrimOp:
+        return PrimOp(node.op, vals[0], vals[1] if len(vals) == 2 else node.rhs)
+    if cls is If:
+        return If(vals[0], node.then, node.els)
+    if cls is Sel:
+        return Sel(vals[0], node.name, tuple(vals[1:]))
+    if cls is App:
+        return App(node.name, vals[0], tuple(vals[1:]))
+    return cls(node.name, tuple(vals))  # CtrCall or New
 
 
 def _machine(
-    e: Expr, ctx: GlobalCtx, fuel: int
+    e: Expr, ctx: GlobalCtx, fuel: int, states: bool = True
 ) -> Iterator[tuple[Expr, Frames, Expr | None] | Done | FuelExhausted | Stuck]:
     """Yield (focus, frames, contractum) for each state from e on, then the outcome.
 
+    A compound term pushes a frame, which takes the values of its slots one
+    by one, in evaluation order, and is contracted when it has them all.  A
+    node's slots are its receiver, then its arguments; or its operands, or
+    its condition.  The right operand of && and || is no slot, as it belongs
+    to the contractum.  A method call either substitutes its bindings into
+    the body (``subst``), so that every state is a closed term; or, with
+    states False, evaluates the body in the bindings as its environment, and
+    yields only the outcome.
+
     The focus is the state's redex, or its value at the end.  The contractum
-    is what the last step contracted its redex to, None in the first state:
-    the state was refocused from it in the same frames.  The frames change
-    in place, so a caller plugs a state before asking for the next.
-    A redex is contracted, and may be stuck, before the fuel is looked at.
+    is what the last step contracted its redex to, None in the first state.
+    The frames change in place, so a caller plugs a state (``_plug_all``)
+    before asking for the next.  A redex is contracted, and may be stuck,
+    before the fuel is looked at.
     """
     frames: Frames = []
-    e, out = _refocus(e, frames), None
-    while True:
-        yield e, frames, out
-        if is_value(e):
-            yield Done(e)
-            return
-        out = _contract(e, children(e), ctx)
-        if type(out) is str:
-            yield Stuck(out, e)
-            return
-        if fuel <= 0:
-            yield FuelExhausted(_plug_all(e, frames))
-            return
-        fuel -= 1
-        if type(out) is tuple:
-            code, mapping = out
-            out = code if mapping is None else subst(code, mapping)
-        e = _refocus(out, frames)
-
-
-def step(e: Expr, ctx: GlobalCtx) -> Stepped | Done | Stuck:
-    """Reduce exactly one redex, or report the value / stuck state: the machine's first transition."""
-    machine = _machine(e, ctx, 1)
-    next(machine)
-    out = next(machine)
-    return Stepped(_plug_all(out[0], out[1])) if isinstance(out, tuple) else out
-
-
-def run(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[Expr | Done | FuelExhausted | Stuck]:
-    """Yield each state from e on, then the outcome; at most fuel steps are taken."""
-    for out in _machine(e, ctx, fuel):
-        yield _plug_all(out[0], out[1]) if isinstance(out, tuple) else out
-
-
-# ---------------------------------------------------------------------------
-# The environment machine
-
-# frames of the environment machine: (node, env, its slots, values of those evaluated)
-EnvFrames = list[tuple[Expr, dict[str, Expr], tuple[Expr, ...], list[Expr]]]
-
-
-def _read_back(node: Expr, env: dict[str, Expr], done: list[Expr]) -> Expr:
-    """node as the substituting machine holds it: its first slots are done, the rest substituted."""
-    kids = children(node)
-    return with_children(node, (*done, *[subst(kid, env) for kid in kids[len(done) :]]))
-
-
-def _eval(e: Expr, ctx: GlobalCtx, fuel: int) -> Done | FuelExhausted | Stuck:
-    """The outcome of ``_machine`` from e, reached without substituting.
-
-    Code is evaluated in an environment, the bindings of the method call
-    whose body it is part of.  A compound term pushes a frame, which takes
-    the values of its slots one by one, in ``_refocus`` order, and is
-    contracted when it has them all.
-    """
-    frames: EnvFrames = []
     env: dict[str, Expr] = {}
+    out = None
     while True:
         # e in env: a compound term is pushed, a value goes to the top frame
         cls = type(e)
@@ -415,19 +353,20 @@ def _eval(e: Expr, ctx: GlobalCtx, fuel: int) -> Done | FuelExhausted | Stuck:
         elif cls is CtrCall or cls is New:
             frames.append((e, env, e.args, []))
         else:
-            if cls is Var:
-                v = env.get(e.name)
-                if v is None:
-                    return Stuck(_contract(e, (), ctx), e)
-                if type(v) not in _VALUE_FORMS:  # an unevaluated field of a hand-built object
-                    e, env = v, {}
-                    continue
-            elif cls in _VALUE_FORMS:
-                v = e
-            else:
-                return Stuck(_contract(e, (), ctx), e)
+            v = env.get(e.name) if cls is Var else e if cls in _VALUE_FORMS else None
+            if v is None:
+                if states:
+                    yield e, frames, out
+                yield Stuck(_contract(e, (), ctx), e)
+                return
+            if type(v) not in _VALUE_FORMS:  # an unevaluated field of a hand-built object
+                e, env = v, {}
+                continue
             if not frames:
-                return Done(v)
+                if states:
+                    yield v, frames, out
+                yield Done(v)
+                return
             frames[-1][3].append(v)
         # the top frame takes its next slot, a value in place, or is
         # contracted; a value it contracts to goes to the frame below
@@ -447,24 +386,46 @@ def _eval(e: Expr, ctx: GlobalCtx, fuel: int) -> Done | FuelExhausted | Stuck:
                     continue
                 break
             frames.pop()
+            if states:
+                yield _redex(node, env, slots, vals), frames, out
             out = _contract(node, vals, ctx)
             if type(out) is str:
-                return Stuck(out, _read_back(node, env, vals))
+                yield Stuck(out, _redex(node, env, slots, vals))
+                return
             if fuel <= 0:
-                last = _read_back(node, env, vals)
-                for node, env, _, vals in reversed(frames):
-                    last = _read_back(node, env, [*vals, last])
-                return FuelExhausted(last)
+                yield FuelExhausted(_plug_all(_redex(node, env, slots, vals), frames))
+                return
             fuel -= 1
             if type(out) is tuple:
                 e, mapping = out
                 if mapping is not None:
-                    env = mapping
+                    if states:
+                        e = subst(e, mapping)
+                    else:
+                        env = mapping
+                out = e
                 break
             if not frames:
-                return Done(out)
+                if states:
+                    yield out, frames, out
+                yield Done(out)
+                return
             node, env, slots, vals = frames[-1]
             vals.append(out)
+
+
+def step(e: Expr, ctx: GlobalCtx) -> Stepped | Done | Stuck:
+    """Reduce exactly one redex, or report the value / stuck state: the machine's first transition."""
+    machine = _machine(e, ctx, 1)
+    next(machine)
+    out = next(machine)
+    return Stepped(_plug_all(out[0], out[1])) if isinstance(out, tuple) else out
+
+
+def run(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[Expr | Done | FuelExhausted | Stuck]:
+    """Yield each state from e on, then the outcome; at most fuel steps are taken."""
+    for out in _machine(e, ctx, fuel):
+        yield _plug_all(out[0], out[1]) if isinstance(out, tuple) else out
 
 
 def eval_program(
@@ -472,16 +433,16 @@ def eval_program(
 ) -> Done | FuelExhausted | Stuck:
     """The outcome of iterating the step relation on the main expression at most fuel times.
 
-    The environment machine computes it: the contractions of ``run``, in
-    the same order, each counted against the fuel.  ``Stuck.expr`` and
+    The machine computes it with environments: the contractions of ``run``,
+    in the same order, each counted against the fuel.  ``Stuck.expr`` and
     ``FuelExhausted.last`` are read back into the states ``run`` ends on:
     an evaluated slot holds its value, as in the substituted term, and any
-    other subterm is its code substituted with its environment, as the
-    substituting machine's call put it there.
+    other subterm is its code substituted with its environment, as a
+    substituting call put it there.
     """
     if ctx is None:
         ctx = preprocess(program)
-    return _eval(program.main, ctx, fuel)
+    return next(_machine(program.main, ctx, fuel, states=False))
 
 
 def trace(program: Program, fuel: int = 100_000, ctx: GlobalCtx | None = None) -> Trace:

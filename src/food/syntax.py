@@ -1,22 +1,22 @@
 """Abstract syntax of FOOD programs, the canonicalization pass, and one
 stack-safe expression traversal, which takes any depth.  The evaluator's
-machines, the printer, ``free_vars`` and ``contains_obj`` walk expressions by
-hand on a list, for speed; ``subst``, the typer and the translation each give
-``fold`` one rule per form.
+one machine, the printer, ``free_vars`` and ``contains_obj`` walk expressions
+by hand on a list, for speed; ``subst``, the typer and the translation each
+give ``fold`` one rule per form.
 
 All nodes are immutable; ``==`` is structural equality at any depth, which
 ignores the (non-compared) source positions of definitions.
 
 Every layer builds nodes: the parser and the transformation build programs,
-and each step of the substituting machine builds a few (``subst`` rebuilds a
-method body, the machine plugs a parent).  So node classes are declared with
-``@node``, which builds each one once: a slotted class whose ``__init__``
-stores each field through its slot's descriptor, bound once per class (the
-``__init__`` a frozen dataclass generates calls ``object.__setattr__`` per
-field and costs about twice as much).  Only ``__init__`` writes a field;
-assigning or deleting one raises ``FrozenInstanceError``.  ``hash`` and
-``repr`` match a frozen dataclass's, and ``dataclasses.fields``,
-``dataclasses.replace`` and class patterns work.
+and each step of the machine that substitutes at calls builds a few (``subst``
+rebuilds a method body, a state plugs its redex's parents).  So node classes
+are declared with ``@node``, which builds each one once: a slotted class whose
+``__init__`` stores each field through its slot's descriptor, bound once per
+class (the ``__init__`` a frozen dataclass generates calls
+``object.__setattr__`` per field and costs about twice as much).  Only
+``__init__`` writes a field; assigning or deleting one raises
+``FrozenInstanceError``.  ``hash`` and ``repr`` match a frozen dataclass's,
+and ``dataclasses.fields``, ``dataclasses.replace`` and class patterns work.
 """
 
 from __future__ import annotations
@@ -351,24 +351,21 @@ def canonicalize(program: Program) -> Program:
     order of the datatype's constructors (any wildcard stays last).  The
     relative order of all other definitions is preserved.
     """
-    ctor_order: dict[str, list[str]] = {}
+    ctor_rank: dict[str, dict[str, int]] = {}  # datatype -> constructor -> its first declaration's rank
     consumers: dict[str, list[Consumer]] = {}
     datatypes = {d.name for d in program.defs if isinstance(d, Datatype)}
     for d in program.defs:
         if isinstance(d, Constructor):
-            ctor_order.setdefault(d.parent, []).append(d.name)
+            rank = ctor_rank.setdefault(d.parent, {})
+            rank.setdefault(d.name, len(rank))
         elif isinstance(d, Consumer) and d.self_type in datatypes:
             consumers.setdefault(d.self_type, []).append(d)
 
     def sort_clauses(c: Consumer) -> Consumer:
-        order = ctor_order.get(c.self_type, [])
+        rank = ctor_rank.get(c.self_type, {})
         named = [cl for cl in c.clauses if not cl.pattern.is_wildcard]
         wild = [cl for cl in c.clauses if cl.pattern.is_wildcard]
-        named.sort(
-            key=lambda cl: order.index(cl.pattern.name)
-            if cl.pattern.name in order
-            else len(order)
-        )
+        named.sort(key=lambda cl: rank.get(cl.pattern.name, len(rank)))
         return replace(c, clauses=tuple(named + wild))
 
     defs: list[Def] = []
@@ -386,8 +383,8 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
     FOOD expressions contain no binders, so no capture is possible.
     """
-    # the substituting machine's call rule; the environment machine reads a
-    # stopped state back with it
+    # the machine's call rule when it yields states; with environments it
+    # reads a stopped state back with it
     if not mapping:
         return e
 

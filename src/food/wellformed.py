@@ -149,8 +149,9 @@ class _Checker:
         params = self.check_params(d.params, where, d.pos)
         self.check_type(d.ret, where, d.pos)
         ctors = self.ctx.ctr.get(d.self_type, ())
+        ctor_set = set(ctors)
         wildcard = d.wildcard_clause() is not None
-        seen: list[str] = []
+        seen: set[str] = set()
         for i, clause in enumerate(d.clauses):
             if clause.pattern.is_wildcard:
                 if i != len(d.clauses) - 1:
@@ -160,8 +161,8 @@ class _Checker:
             c = clause.pattern.name
             if c in seen:
                 self.report(f"{where} has two clauses for {c}", d.pos)
-            seen.append(c)
-            if c not in ctors:
+            seen.add(c)
+            if c not in ctor_set:
                 self.report(f"{where} matches {c}, which is not a constructor of {d.self_type}", d.pos)
                 continue
             ctor = self.ctx.defs[c]

@@ -2,8 +2,8 @@
 
 Each step searches from the root for the redex and rebuilds every node on the
 way back up.  ``states`` iterates it with the fuel accounting of
-``food.interp.run``, so tests can compare the refocusing machine against it
-state by state.  Its substitution, body lookup, value test, binding and
+``food.interp.run``, so tests can compare the machine, substituting at each
+call, against it state by state.  Its substitution, body lookup, value test, binding and
 64-bit wrapping are its own: copies of the ``match``-based ``subst``, the
 table-less ``dtr_body`` / ``csm_body`` and the ``isinstance``-based
 ``is_value`` that ``food`` used before it dispatched on exact types and kept a

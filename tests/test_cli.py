@@ -200,7 +200,7 @@ def test_trace_prints_every_deep_state(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["eval", "transform", "roundtrip"])
 def test_a_deep_method_body_gives_its_real_output(capsys, tmp_path, command):
-    # the environment machine evaluates a method body on a stack of frames,
+    # eval binds a call's environment and evaluates its body on a stack of frames,
     # and the transformation renames the receiver as it types the body, in
     # one fold: both take any depth
     source = tmp_path / "deep_body.food"

@@ -145,8 +145,8 @@ def test_body_table_matches_the_table_less_lookup():
 
 def test_contractions_call_subst_and_lookups_through_module_globals(monkeypatch):
     # the benchmark's tracer counts these calls by rebinding the three names
-    # in food.interp, so a contraction must call each of them there; the
-    # environment machine substitutes only to read a state back, and a run
+    # in food.interp, so a contraction must call each of them there; with
+    # environments the machine substitutes only to read a state back, and a run
     # that ends in a value reads none back
     counts = Counter()
 
@@ -278,7 +278,7 @@ def test_an_object_is_a_value_whatever_its_arguments():
 
 
 # ---------------------------------------------------------------------------
-# The refocusing machine against the recursive reference step
+# The substituting discipline against the recursive reference step
 
 FUEL_LADDER = (0, 1, 3, 17, 200)
 
@@ -348,18 +348,18 @@ def test_fuel_boundary_at_a_depth_the_recursive_step_cannot_reach():
         assert eval_program(p, 7 * n + 5, ctx) == Done(IntV(n))
         out = eval_program(p, 7 * n + 4, ctx)
         assert isinstance(out, FuelExhausted)
-        # drain the substituting machine and plug only its final (focus,
+        # drain the machine, substituting, and plug only its final (focus,
         # frames); run would plug every one of the 14,004 states
         (focus, frames, _), outcome = deque(food.interp._machine(p.main, ctx, 7 * n + 4), maxlen=2)
         assert outcome == out and out.last == food.interp._plug_all(focus, frames)
 
 
 # ---------------------------------------------------------------------------
-# The environment machine against the substituting machine
+# The environment discipline against the substituting one
 
 
 def drained(e, ctx, fuel):
-    """The outcome of the substituting machine, which ``run`` and ``trace`` step."""
+    """The outcome of the machine substituting at calls, as ``run`` and ``trace`` step it."""
     for out in food.interp._machine(e, ctx, fuel):
         pass
     return out
@@ -399,3 +399,39 @@ def test_eval_program_takes_a_method_body_of_any_depth():
     assert check(p, ctx) == []
     assert eval_program(p, 2 * n, ctx) == Done(IntV(n + 1))
     assert isinstance(eval_program(p, n // 2, ctx), FuelExhausted)
+
+
+def test_both_disciplines_contract_the_same_redexes_in_the_same_order(monkeypatch):
+    # the outcomes agree above; here every contraction does, by its redex's
+    # form, the values of its slots and what it contracts to.  A call's body
+    # is the same object in both, its bindings equal; a branch or right
+    # operand is code only the substituting discipline has substituted
+    calls = []
+    contract = food.interp._contract
+
+    def recorded(e, vals, ctx):
+        out = contract(e, vals, ctx)
+        label = getattr(e, "name", getattr(e, "op", None))
+        calls.append((type(e), label, tuple(vals), out[1] if type(out) is tuple else out))
+        return out
+
+    monkeypatch.setattr(food.interp, "_contract", recorded)
+
+    def contractions(run_it):
+        calls.clear()
+        outcome = run_it()
+        return outcome, calls[:]
+
+    programs = [load(name) for name in GOLDEN_SELECTIONS]
+    programs += [parse(eval_source(name, n)) for name in EVAL_TEMPLATES for n in (0, 1, 4, 9)]
+    programs += [generated(GenConfig(seed=seed, diverge_prob=1.0 if seed % 7 == 0 else 0.0)) for seed in range(300)]
+    cases = [(p.main, preprocess(p)) for p in programs]
+    ctx, terms = stuck_terms()
+    cases += [(e, ctx) for e in terms]
+    counted = 0
+    for e, ctx in cases:
+        by_env = contractions(lambda: eval_program(Program((), e), 2_000, ctx))
+        by_subst = contractions(lambda: drained(e, ctx, 2_000))
+        assert by_env == by_subst, e
+        counted += len(by_env[1])
+    assert counted > 50_000, counted

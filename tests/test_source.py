@@ -141,7 +141,7 @@ def test_no_function_recurses_on_its_input():
     # a function that calls itself, directly or through others in its module,
     # takes one Python frame per nesting level and fails a few hundred levels
     # deep; walks over expressions use syntax.fold or walk, or loop over an
-    # explicit stack, as the printer, free_vars, contains_obj and the machines do
+    # explicit stack, as the printer, free_vars, contains_obj and the machine do
     allowed = {
         "pretty.pretty_type",  # types nest only as deep as a signature
         # the generator's own recursion is bounded by GenConfig.max_expr_depth
@@ -200,14 +200,29 @@ def test_only_transform_names_the_typing_cache():
 
 
 def test_only_interp_reads_the_machine_frames():
-    # how refocusing pushes and plugs frames is the machine's business; a
-    # caller plugs a state whole and takes the contractum the machine yields
+    # how the machine pushes and plugs frames is its own business; a caller
+    # plugs a state whole and takes the contractum the machine yields.  The
+    # frames change in place, so a copy of the list still shares them: a
+    # state is kept only by plugging it
+    def is_frames(node):
+        return isinstance(node, ast.Name) and node.id == "frames"
+
+    def reads(node):
+        if isinstance(node, (ast.Subscript, ast.Starred)):
+            return is_frames(node.value)  # frames[i], frames[:], [*frames]
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in ("tuple", "list"):
+                return any(map(is_frames, node.args))
+            return isinstance(f, ast.Attribute) and f.attr == "copy" and is_frames(f.value)
+        return False
+
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         if path.name != "interp.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "frames"
+        if reads(node)
     ]
     assert len(SOURCES) >= 10 and found == []
 

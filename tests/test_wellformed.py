@@ -1,11 +1,14 @@
 """Static well-formedness checks."""
 
+import random
+import time
 from dataclasses import replace
 
 import pytest
 from conftest import GOLDEN_SELECTIONS, load
 
 from food import canonicalize, check, parse, preprocess, transform
+from food.pretty import pretty_expr
 from food.syntax import Consumer, Obj, Program
 
 
@@ -200,3 +203,30 @@ def test_check_ok_implies_transform_succeeds():
         assert check(p, preprocess(p)) == []
         transform(p, selected)  # must not raise
         transform(p)  # all types selected
+
+
+def test_a_wide_consumer_checks_and_canonicalizes_in_linear_time():
+    # clauses used to be ranked with list.index and looked up in lists, so
+    # 16,000 constructors took about 11 s; ranking and membership are by hash
+    names = [f"C{i}" for i in range(16_000)]
+    clauses = [f"case {c}() => {i}" for i, c in enumerate(names)]
+    random.Random(0).shuffle(clauses)
+    clauses += ["case C7() => 16000", "case Nope() => 16001", "case _ => 16002"]
+    p = parse(
+        "data D\n"
+        + "".join(f"case {c}() extends D\n" for c in names)
+        + "def f(self: D)(): Int = match {\n" + "\n".join(clauses) + "\n}\nf(C0())\n"
+    )
+    ctx = preprocess(p)
+    start = time.perf_counter()
+    diags = check(p, ctx)
+    (consumer,) = [d for d in canonicalize(p).defs if isinstance(d, Consumer)]
+    assert time.perf_counter() - start < 2.0
+    assert [d.message for d in diags] == [
+        "consumer f on D has two clauses for C7",
+        "consumer f on D matches Nope, which is not a constructor of D",
+    ]
+    # the order list.index gives: declaration order, ties and unknown names in source order
+    order = [(cl.pattern.name, pretty_expr(cl.body)) for cl in consumer.clauses]
+    want = [(c, str(i)) for i, c in enumerate(names)]
+    assert order == want[:8] + [("C7", "16000")] + want[8:] + [("Nope", "16001"), (None, "16002")]
