@@ -48,6 +48,9 @@ class GlobalCtx:
     # ``csm_body`` answered, None included; filled by those lookups.  It
     # depends on defs alone, so a context with the same defs dict shares it.
     bodies: dict = field(default_factory=dict, compare=False, repr=False)
+    # (consumer, datatype) -> the consumer's ``first_clauses``, which
+    # ``interp.csm_body`` looks each constructor up in; shared like bodies.
+    first_clauses: dict = field(default_factory=dict, compare=False, repr=False)
     # id(program) -> (program, its typing): the cache of ``transform.type_program``,
     # which alone reads and writes it; shared like bodies, as typing reads no
     # selection.

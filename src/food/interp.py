@@ -2,7 +2,10 @@
 
 A step contracts the leftmost redex: receiver before arguments, arguments left
 to right.  Boolean operators short-circuit, consuming one step; integers wrap
-to 64 bits.  ``_contract`` holds every contraction rule, once.
+to 64 bits.  ``_contract`` holds every contraction rule, once, and keeps the
+common case cheap: an arithmetic result in int64 is not wrapped, every
+boolean it computes is one of two shared ``BoolLit`` nodes, and a call binds
+its receiver, fields and parameters in one dict, built in place.
 
 The machine, ``_machine``, keeps the redex's context as a stack of frames on
 a list, so no depth of term recurses.  A frame is a compound node, its
@@ -167,14 +170,17 @@ def csm_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str
     ctor = ctx.defs.get(c)
     if not isinstance(ctor, Constructor):
         return None
-    consumer = ctx.defs.get((f, ctor.parent))
+    consumer = ctx.defs.get(key := (f, ctor.parent))
     if not isinstance(consumer, Consumer):
         return None
+    clauses = ctx.first_clauses.get(key)
+    if clauses is None:  # indexed once per consumer, so a wide datatype costs linear time
+        clauses = ctx.first_clauses[key] = consumer.first_clauses()
     params = tuple(p.name for p in consumer.params)
-    clause = consumer.clause_for(c)
+    clause = clauses.get(c)
     if clause is not None:
         return clause.pattern.vars, params, clause.body
-    wild = consumer.wildcard_clause()
+    wild = clauses.get(None)
     if wild is not None:
         return (), params, wild.body
     return None
@@ -188,31 +194,18 @@ def _wrap64(n: int) -> int:
     return (n + 2**63) % 2**64 - 2**63
 
 
-def _bind(
-    fields: tuple[str, ...],
-    field_vals: tuple[Expr, ...],
-    params: tuple[str, ...],
-    args: tuple[Expr, ...],
-    receiver: tuple[str, Expr],
-) -> dict[str, Expr] | None:
-    # defaults and wildcard clauses bind no fields, so an empty field list is
-    # fine regardless of how many field values the object carries
-    if fields and len(fields) != len(field_vals):
-        return None
-    if len(params) != len(args):
-        return None
-    mapping = {receiver[0]: receiver[1]}
-    mapping.update(zip(fields, field_vals))
-    mapping.update(zip(params, args))
-    return mapping
-
-
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# every boolean a contraction computes is one of these two
+_TRUE, _FALSE = BoolLit(True), BoolLit(False)
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
 
 
 # The machine tests exact classes, most frequent first, as ``children`` does:
-# class patterns cost about a microsecond more per node, isinstance less.
+# class patterns cost about a microsecond more per node, isinstance less.  On
+# the way to a value, helper calls and allocations cost more than the rules:
+# so arithmetic wraps only a result outside int64, comparisons, && and ||
+# return _TRUE or _FALSE, and a call checks arity and binds inline.
 def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Expr, dict[str, Expr] | None] | str:
     """What the redex e contracts to, given the values of its slots.
 
@@ -229,15 +222,18 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
             if type(lhs) is not BoolLit:
                 return f"{op} on a non-boolean"
             if op == "&&":
-                return (e.rhs, None) if lhs.value else BoolLit(False)
-            return BoolLit(True) if lhs.value else (e.rhs, None)
+                return (e.rhs, None) if lhs.value else _FALSE
+            return _TRUE if lhs.value else (e.rhs, None)
         rhs = vals[1]
         if type(lhs) is not IntLit or type(rhs) is not IntLit:
             return f"{op} on non-integers"
-        if op in _ARITH:
-            return IntLit(_wrap64(_ARITH[op](lhs.value, rhs.value)))
-        if op in _COMPARE:
-            return BoolLit(_COMPARE[op](lhs.value, rhs.value))
+        arith = _ARITH.get(op)
+        if arith is not None:
+            n = arith(lhs.value, rhs.value)
+            return IntLit(n if _INT64_MIN <= n <= _INT64_MAX else _wrap64(n))
+        compare = _COMPARE.get(op)
+        if compare is not None:
+            return _TRUE if compare(lhs.value, rhs.value) else _FALSE
         return f"unknown operator {op!r}"
     if cls is If:
         if type(vals[0]) is not BoolLit:
@@ -255,10 +251,16 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
             member = f"destructor {f!r} on" if oo else f"consumer {f!r} covers"
             return f"no {member} {recv.name}"
         bound, params, body = found
-        mapping = _bind(bound, recv.args, params, vals[1:], (THIS if oo else SELF, recv))
-        if mapping is None:
+        # defaults and wildcard clauses bind no fields, however many the object carries
+        if len(params) != len(vals) - 1 or (bound and len(bound) != len(recv.args)):
             call = f"invoking {f!r} on" if oo else f"applying {f!r} to"
             return f"arity mismatch {call} {recv.name}"
+        # the receiver, then its fields, then the parameters: a later binding wins
+        mapping = {THIS if oo else SELF: recv}
+        for i, name in enumerate(bound):
+            mapping[name] = recv.args[i]
+        for i, name in enumerate(params, 1):
+            mapping[name] = vals[i]
         return body, mapping
     if cls is CtrCall or cls is New:
         oo = cls is New

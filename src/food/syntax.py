@@ -316,11 +316,9 @@ class Consumer(Def):
                 return clause
         return None
 
-    def clause_for(self, ctor: str) -> Clause | None:
-        for clause in self.clauses:
-            if clause.pattern.name == ctor:
-                return clause
-        return None
+    def first_clauses(self) -> dict[str | None, Clause]:
+        """The first clause naming each constructor, and under None the first wildcard clause."""
+        return {clause.pattern.name: clause for clause in reversed(self.clauses)}
 
 
 @node

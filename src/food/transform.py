@@ -302,15 +302,17 @@ def type_program(program: Program, ctx: GlobalCtx) -> Typing:
     return bodies, main_type
 
 
-def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx) -> list[Def]:
+def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx, kept: set, cases: dict) -> list[Def]:
     """What ``d`` becomes: its translated form, or its part of a selected type's other decomposition.
 
     ``typed`` maps each definition's key in ``ctx.defs`` to its translation;
     the bodies it holds move between consumers and classes unchanged.
+    ``kept`` holds the selected types' names, and ``cases`` the
+    ``first_clauses`` of each consumer on a selected datatype.
     """
     cls = type(d)
     if cls is Datatype:
-        if d.name not in ctx.dt:
+        if d.name not in kept:
             return [d]  # Dt2Dt
         dtrs = []  # Dt2It
         for f in ctx.csm[d.name]:
@@ -319,7 +321,7 @@ def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx) -> list[Def]:
             dtrs.append(Dtr(f, c.params, c.ret, None if wild is None else wild.body))
         return [Interface(d.name, tuple(dtrs), d.pos)]
     if cls is Interface:
-        if d.name not in ctx.it:
+        if d.name not in kept:
             return [typed[d.name]]  # It2It
         out: list[Def] = [Datatype(d.name, d.pos)]  # It2Dt
         for m in typed[d.name].dtrs:
@@ -334,20 +336,20 @@ def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx) -> list[Def]:
             out.append(Consumer(m.name, d.name, m.params, m.ret, tuple(clauses)))
         return out
     if cls is Constructor:
-        if d.name not in ctx.ctr.get(d.parent, ()):
+        if d.parent not in kept:
             return [d]  # Ctr2Ctr
         funs = []  # Ctr2Gen
         for f in ctx.csm[d.parent]:
             c = typed[(f, d.parent)]
-            clause = c.clause_for(d.name)
+            clause = cases[(f, d.parent)].get(d.name)
             if clause is not None:  # Case2Fun
                 funs.append(Dtr(f, c.params, c.ret, clause.body))
         return [Generator(d.name, d.fields, d.parent, tuple(funs), d.pos)]
     if cls is Generator:
-        if d.name in ctx.gen.get(d.parent, ()):
+        if d.parent in kept:
             return [Constructor(d.name, d.fields, d.parent, d.pos)]  # Gen2Ctr
         return [typed[d.name]]  # Gen2Gen
-    if d.self_type in ctx.dt:
+    if d.self_type in kept:
         return []  # CsmElim
     return [typed[(d.name, d.self_type)]]  # Csm2Csm
 
@@ -373,7 +375,10 @@ def transform(
     typed: dict[DefKey, Def] = {}
     for d in program.defs:
         typed[(d.name, d.self_type) if type(d) is Consumer else d.name] = _with_bodies(d, translated)
-    defs = [out for d in program.defs for out in _regroup(d, typed, rctx)]
+    # indexed once, so that regrouping takes linear time in the constructors and clauses
+    kept = {*rctx.dt, *rctx.it}
+    cases = {(f, dt): typed[(f, dt)].first_clauses() for dt in rctx.dt for f in rctx.csm[dt]}
+    defs = [out for d in program.defs for out in _regroup(d, typed, rctx, kept, cases)]
     return TransformResult(Program(tuple(defs), next(translated)), main_type, translations[:-1])
 
 

@@ -7,8 +7,9 @@ call, against it state by state.  Its substitution, body lookup, value test, bin
 64-bit wrapping are its own: copies of the ``match``-based ``subst``, the
 table-less ``dtr_body`` / ``csm_body`` and the ``isinstance``-based
 ``is_value`` that ``food`` used before it dispatched on exact types and kept a
-body table per context, so a fault in those fast paths cannot hide in the
-oracle.  It shares only the outcome classes with ``food.interp``.
+body table and a clause index per context, so a fault in those fast paths
+cannot hide in the oracle.  It shares only the outcome classes with
+``food.interp``.
 
 ``typed_run`` is the fuzzer's typed run as it was before it closed cycles: it
 follows ``food.interp.run`` until the fuel runs out, typing each distinct
@@ -112,9 +113,9 @@ def csm_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str
     if not isinstance(consumer, Consumer):
         return None
     params = tuple(p.name for p in consumer.params)
-    clause = consumer.clause_for(c)
-    if clause is not None:
-        return clause.pattern.vars, params, clause.body
+    for clause in consumer.clauses:  # the first clause naming C
+        if clause.pattern.name == c:
+            return clause.pattern.vars, params, clause.body
     wild = consumer.wildcard_clause()
     if wild is not None:
         return (), params, wild.body

@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import itertools
+import random
+import time
 
 import pytest
 import reference_recursive as ref
@@ -15,6 +17,7 @@ from food import (
     check,
     preprocess,
     parse,
+    pretty,
     restrict,
     transform,
     transform_expr,
@@ -286,6 +289,30 @@ def test_transform_of_another_program_types_it_for_itself():
         transform(p2, {"Set"}, ctx)
     assert [d.message for d in exc.value.diagnostics] == ["true has type Bool, expected Int"]
     assert [d.message for d in check(p2, ctx)] == ["true has type Bool, expected Int"]
+
+
+def test_a_wide_datatype_transforms_in_linear_time():
+    # constructor membership and each consumer's clauses are indexed once per
+    # transform; a tuple and clause scan per constructor took 2.2 s at 8,000
+    names = [f"C{i}" for i in range(16_000)]
+    clauses = [f"case {c}() => {i}" for i, c in enumerate(names)]
+    random.Random(0).shuffle(clauses)
+    p = parse(
+        "data D\n"
+        + "".join(f"case {c}() extends D\n" for c in names)
+        + "def f(self: D)(): Int = match {\n" + "\n".join(clauses) + "\n}\n"
+        + "def g(self: D)(): Int = match {\n  case C7() => 7\n  case _ => 0\n}\n"
+        + "f(C0())\n"
+    )
+    ctx = preprocess(p)
+    assert check(p, ctx) == []  # which keeps the typing for transform
+    start = time.perf_counter()
+    out = transform(p, {"D"}, ctx).program
+    assert time.perf_counter() - start < 2.0
+    members = {c: f"  def f(): Int = {i}\n" for i, c in enumerate(names)}
+    members["C7"] += "  def g(): Int = 7\n"
+    classes = "".join(f"class {c}() implements D {{\n{members[c]}}}\n" for c in names)
+    assert pretty(out) == "interface D {\n  def f(): Int\n  def g(): Int = 0\n}\n" + classes + "new C0().f()\n"
 
 
 def test_only_a_passing_typing_is_kept():
