@@ -3,11 +3,16 @@
 Consumers are keyed by (name, datatype) pairs so that the same name may be
 overloaded across different first-argument types; dispatch picks the entry for
 the receiver's type.
+
+Each context also holds the decomposition matrix of its definitions
+(``matrix``): the body a call of each member runs on each class or
+constructor.  No other module decides which body runs where.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .diagnostics import ContextError, Diagnostic
 from .pretty import pretty_type
@@ -17,9 +22,11 @@ from .syntax import (
     Consumer,
     Datatype,
     Def,
+    Expr,
     Generator,
     Interface,
     Named,
+    Param,
     Program,
     Type,
 )
@@ -33,6 +40,20 @@ DefKey = str | tuple[str, str]
 TypeEnv = dict[str, Type]
 
 
+class Cell(NamedTuple):
+    """A matrix cell: the names a call binds from the object, its parameter names and its body."""
+
+    bound: tuple[str, ...]
+    params: tuple[str, ...]
+    body: Expr
+    kind = "own"  # the class's first method, or the first clause naming the constructor
+
+
+class Fallback(Cell):
+    __slots__ = ()
+    kind = "fallback"  # the interface default, or the first wildcard clause: it binds no fields
+
+
 @dataclass(frozen=True)
 class GlobalCtx:
     dt: tuple[str, ...]
@@ -44,15 +65,10 @@ class GlobalCtx:
     sig: dict[DefKey, Arrow]
     dtr_sig: dict[tuple[str, str], Arrow]
     defs: dict[DefKey, Def]
-    # (member, class or constructor, lookup) -> what ``interp.dtr_body`` or
-    # ``csm_body`` answered, None included; filled by those lookups.  It
-    # depends on defs alone, so a context with the same defs dict shares it.
-    bodies: dict = field(default_factory=dict, compare=False, repr=False)
-    # (consumer, datatype) -> the consumer's ``first_clauses``, which
-    # ``interp.csm_body`` looks each constructor up in; shared like bodies.
-    first_clauses: dict = field(default_factory=dict, compare=False, repr=False)
+    # the decomposition matrix of defs; a context with the same defs shares it
+    cells: dict[tuple[str, str], Cell] = field(compare=False, repr=False)
     # id(program) -> (program, its typing): the cache of ``transform.type_program``,
-    # which alone reads and writes it; shared like bodies, as typing reads no
+    # which alone reads and writes it; shared like cells, as typing reads no
     # selection.
     typings: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -95,6 +111,40 @@ class GlobalCtx:
         for k in sorted(self.defs, key=key_text):
             lines.append(f"def[{key_text(k)}]: {type(self.defs[k]).__name__.lower()}")
         return "\n".join(lines) + "\n"
+
+
+def _names(params: tuple[Param, ...]) -> tuple[str, ...]:
+    return tuple([p.name for p in params])
+
+
+def matrix(defs: dict[DefKey, Def]) -> dict[tuple[str, str], Cell]:
+    """The cells of a def map, keyed (member, class or constructor): its own body,
+    or else the type's fallback, which is also keyed (member, type)."""
+    table: dict[tuple[str, str], Cell] = {}
+    ctors: dict[str, list[str]] = {}
+    for d in defs.values():
+        if type(d) is Constructor:
+            ctors.setdefault(d.parent, []).append(d.name)
+    for key, d in defs.items():  # each loop runs backwards, so that the first body wins
+        cls = type(d)
+        if cls is Interface or cls is Generator:
+            parent = d if cls is Interface else defs.get(d.parent)
+            for m in reversed(parent.dtrs) if type(parent) is Interface else ():
+                if m.body is not None:
+                    table[m.name, key] = Fallback((), _names(m.params), m.body)
+            for fun in reversed(d.funs) if cls is Generator else ():
+                if fun.body is not None:
+                    table[fun.name, key] = Cell(_names(d.fields), _names(fun.params), fun.body)
+        elif cls is Consumer:
+            (f, t), params = key, _names(d.params)
+            wild = next((clause for clause in d.clauses if clause.pattern.name is None), None)
+            if wild is not None:
+                table[key] = fallback = Fallback((), params, wild.body)
+                table.update(((f, c), fallback) for c in ctors.get(t, ()))
+            for clause in reversed(d.clauses):
+                if type(ctor := defs.get(c := clause.pattern.name)) is Constructor and ctor.parent == t:
+                    table[f, c] = Cell(clause.pattern.vars, params, clause.body)
+    return table
 
 
 def _pos(d: Def) -> tuple[int, int]:
@@ -178,6 +228,7 @@ def preprocess(program: Program) -> GlobalCtx:
         sig=sig,
         dtr_sig=dtr_sig,
         defs=defs,
+        cells=matrix(defs),
     )
 
 
@@ -209,7 +260,7 @@ def translate_ctx(ctx: GlobalCtx) -> GlobalCtx:
 
     Datatypes and interfaces swap roles, as do their member lists; consumer
     signatures become destructor signatures with the leading self type dropped
-    and vice versa.  The def map is carried over unchanged.
+    and vice versa.  The def map, and so the cells, are carried over unchanged.
     """
     sig: dict[DefKey, Arrow] = {}
     dtr_sig: dict[tuple[str, str], Arrow] = {}
@@ -232,4 +283,5 @@ def translate_ctx(ctx: GlobalCtx) -> GlobalCtx:
         sig=sig,
         dtr_sig=dtr_sig,
         defs=dict(ctx.defs),
+        cells=ctx.cells,
     )

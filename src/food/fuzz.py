@@ -512,31 +512,22 @@ def _hygiene_failures(p2: Program) -> list[str]:
     return out
 
 
-def _lookup_duality_failures(
-    rctx: GlobalCtx, ctx2: GlobalCtx, translations: dict[int, Expr]
-) -> list[str]:
-    """Check that body lookup commutes with translation for every (f, C).
-
-    ``translations`` maps each member body, by identity, to its translation.
-    """
+def _lookup_duality_failures(rctx: GlobalCtx, ctx2: GlobalCtx, translations: dict[int, Expr]) -> list[str]:
+    """Check that body lookup commutes with translation for every (f, C): each cell
+    before, its body translated (``translations`` maps each member body, by
+    identity, to its translation), is what the other style looks up after."""
     out = []
     # destructor before == consumer after, then consumer before == destructor after
     for oo in (True, False):
-        lookup, lookup_after = (dtr_body, csm_body) if oo else (csm_body, dtr_body)
+        lookup_after, member = (csm_body, "destructor") if oo else (dtr_body, "consumer")
+        missing = "no body for destructor {f} on {c}" if oo else "no clause covers {c} in consumer {f}"
         for d_name in rctx.it if oo else rctx.dt:
             for c_name in (rctx.gen if oo else rctx.ctr)[d_name]:
                 for f in (rctx.dtr if oo else rctx.csm)[d_name]:
-                    before = lookup(f, c_name, rctx)
-                    if before is None:
-                        out.append(
-                            f"no body for destructor {f} on {c_name}"
-                            if oo
-                            else f"no clause covers {c_name} in consumer {f}"
-                        )
-                        continue
-                    ys, xs, body = before
-                    if lookup_after(f, c_name, ctx2) != (ys, xs, translations[id(body)]):
-                        member = "destructor" if oo else "consumer"
+                    cell = rctx.cells.get((f, c_name))
+                    if cell is None:
+                        out.append(missing.format(f=f, c=c_name))
+                    elif lookup_after(f, c_name, ctx2) != (cell.bound, cell.params, translations[id(cell.body)]):
                         out.append(f"{member} {f} on {c_name} does not survive translation")
     return out
 

@@ -33,15 +33,15 @@ disciplines, one per entry point:
   once, at O(size).
 
 The machine dispatches on each node's exact class, as ``children`` does, and
-looks method bodies up once per context, in its body table.  Values are
-expressions in value form (``IntLit``, ``BoolLit`` and ``Obj``), and ``Done``
-carries the final value itself.  The nodes the machine builds are ``@node``
-classes, whose constructors write their slots directly (see ``syntax``).
+reads each method body off its cell in the context's decomposition matrix
+(``context.matrix``).  Values are expressions in value form (``IntLit``,
+``BoolLit`` and ``Obj``), and ``Done`` carries the final value itself.  The
+nodes the machine builds are ``@node`` classes, whose constructors write their
+slots directly (see ``syntax``).
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -53,13 +53,11 @@ from .syntax import (
     BoolLit,
     children,
     Constructor,
-    Consumer,
     CtrCall,
     Expr,
     Generator,
     If,
     IntLit,
-    Interface,
     New,
     Obj,
     PrimOp,
@@ -122,68 +120,16 @@ def format_value(v: Expr) -> str:
 # Body lookup
 
 
-_MISSING = object()  # a lookup that found nothing is tabled as None
-
-
-def _tabled(lookup):
-    """lookup answered from the context's body table, which it fills on first use."""
-
-    @functools.wraps(lookup)
-    def tabled(f: str, c: str, ctx: GlobalCtx):
-        key = (f, c, lookup)
-        found = ctx.bodies.get(key, _MISSING)
-        if found is _MISSING:
-            found = ctx.bodies[key] = lookup(f, c, ctx)
-        return found
-
-    return tabled
-
-
-@_tabled
 def dtr_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str, ...], Expr] | None:
-    """Field names, parameter names, and body for destructor f on class C.
-
-    The class's own definition wins; otherwise the interface default applies
-    with no fields in scope.  None when neither exists.
-    """
-    g = ctx.defs.get(c)
-    if not isinstance(g, Generator):
-        return None
-    for fun in g.funs:
-        if fun.name == f and fun.body is not None:
-            return tuple(p.name for p in g.fields), tuple(p.name for p in fun.params), fun.body
-    parent = ctx.defs.get(g.parent)
-    if isinstance(parent, Interface):
-        for m in parent.dtrs:
-            if m.name == f and m.body is not None:
-                return (), tuple(p.name for p in m.params), m.body
-    return None
+    """Field names, parameter names and body of destructor f's cell on class C; None without one."""
+    cell = ctx.cells.get((f, c))
+    return None if cell is None or type(ctx.defs.get(c)) is not Generator else cell
 
 
-@_tabled
 def csm_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str, ...], Expr] | None:
-    """Pattern variables, parameter names, and body for consumer f on constructor C.
-
-    A clause naming C wins; otherwise the wildcard clause applies with no
-    pattern variables.  None when neither exists.
-    """
-    ctor = ctx.defs.get(c)
-    if not isinstance(ctor, Constructor):
-        return None
-    consumer = ctx.defs.get(key := (f, ctor.parent))
-    if not isinstance(consumer, Consumer):
-        return None
-    clauses = ctx.first_clauses.get(key)
-    if clauses is None:  # indexed once per consumer, so a wide datatype costs linear time
-        clauses = ctx.first_clauses[key] = consumer.first_clauses()
-    params = tuple(p.name for p in consumer.params)
-    clause = clauses.get(c)
-    if clause is not None:
-        return clause.pattern.vars, params, clause.body
-    wild = clauses.get(None)
-    if wild is not None:
-        return (), params, wild.body
-    return None
+    """Pattern variables, parameter names and body of consumer f's cell on constructor C; None without one."""
+    cell = ctx.cells.get((f, c))
+    return None if cell is None or type(ctx.defs.get(c)) is not Constructor else cell
 
 
 # ---------------------------------------------------------------------------

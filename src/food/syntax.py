@@ -310,16 +310,6 @@ class Consumer(Def):
     clauses: tuple[Clause, ...]
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
-    def wildcard_clause(self) -> Clause | None:
-        for clause in self.clauses:
-            if clause.pattern.is_wildcard:
-                return clause
-        return None
-
-    def first_clauses(self) -> dict[str | None, Clause]:
-        """The first clause naming each constructor, and under None the first wildcard clause."""
-        return {clause.pattern.name: clause for clause in reversed(self.clauses)}
-
 
 @node
 class Program:

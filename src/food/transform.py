@@ -16,7 +16,8 @@ type, or its constructor's parent, is selected.  So this takes three steps:
   which moves with its body, takes the other style's name.  A body with
   nothing to flip or rename is kept as it is.  Each body is translated once,
   and ``TransformResult.translations`` pairs it with its translation.
-- Regrouping (``_regroup``) moves the translated bodies between consumers and classes.
+- Regrouping (``_regroup``) transposes the matrix of the translated definitions
+  (``context.matrix``): it moves each body between consumers and classes.
 
 Typing and translation are each one rule per form over ``syntax.fold``.  The
 typing rule returns the error a recursive pass meets first: the receiver's,
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .context import DefKey, GlobalCtx, TypeEnv, preprocess, restrict
+from .context import DefKey, GlobalCtx, TypeEnv, matrix, preprocess, restrict
 from .diagnostics import Diagnostic, TransformError
 from .pretty import pretty_expr, pretty_type
 from .syntax import (
@@ -302,13 +303,12 @@ def type_program(program: Program, ctx: GlobalCtx) -> Typing:
     return bodies, main_type
 
 
-def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx, kept: set, cases: dict) -> list[Def]:
+def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx, kept: set, cells: dict) -> list[Def]:
     """What ``d`` becomes: its translated form, or its part of a selected type's other decomposition.
 
-    ``typed`` maps each definition's key in ``ctx.defs`` to its translation;
-    the bodies it holds move between consumers and classes unchanged.
-    ``kept`` holds the selected types' names, and ``cases`` the
-    ``first_clauses`` of each consumer on a selected datatype.
+    ``typed`` maps each definition's key in ``ctx.defs`` to its translation,
+    and ``cells`` is the matrix of ``typed``: the bodies it holds move between
+    consumers and classes unchanged.  ``kept`` holds the selected types' names.
     """
     cls = type(d)
     if cls is Datatype:
@@ -316,8 +316,7 @@ def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx, kept: set, cases:
             return [d]  # Dt2Dt
         dtrs = []  # Dt2It
         for f in ctx.csm[d.name]:
-            c = typed[(f, d.name)]
-            wild = c.wildcard_clause()  # Csm2Dec without one, Csm2Fun with one
+            c, wild = typed[(f, d.name)], cells.get((f, d.name))  # Csm2Dec without a wildcard, Csm2Fun with one
             dtrs.append(Dtr(f, c.params, c.ret, None if wild is None else wild.body))
         return [Interface(d.name, tuple(dtrs), d.pos)]
     if cls is Interface:
@@ -327,10 +326,9 @@ def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx, kept: set, cases:
         for m in typed[d.name].dtrs:
             clauses = []
             for c_name in ctx.gen[d.name]:
-                g = typed[c_name]
-                impl = next((fun for fun in g.funs if fun.name == m.name), None)
-                if impl is not None:  # Fun2Case
-                    clauses.append(Clause(Pattern(c_name, tuple(p.name for p in g.fields)), impl.body))
+                cell = cells.get((m.name, c_name))
+                if cell is not None and cell.kind == "own":  # Fun2Case
+                    clauses.append(Clause(Pattern(c_name, cell.bound), cell.body))
             if m.body is not None:  # Fun2Csm
                 clauses.append(Clause(WILDCARD, m.body))
             out.append(Consumer(m.name, d.name, m.params, m.ret, tuple(clauses)))
@@ -340,10 +338,9 @@ def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx, kept: set, cases:
             return [d]  # Ctr2Ctr
         funs = []  # Ctr2Gen
         for f in ctx.csm[d.parent]:
-            c = typed[(f, d.parent)]
-            clause = cases[(f, d.parent)].get(d.name)
-            if clause is not None:  # Case2Fun
-                funs.append(Dtr(f, c.params, c.ret, clause.body))
+            c, cell = typed[(f, d.parent)], cells.get((f, d.name))
+            if cell is not None and cell.kind == "own":  # Case2Fun
+                funs.append(Dtr(f, c.params, c.ret, cell.body))
         return [Generator(d.name, d.fields, d.parent, tuple(funs), d.pos)]
     if cls is Generator:
         if d.parent in kept:
@@ -375,10 +372,9 @@ def transform(
     typed: dict[DefKey, Def] = {}
     for d in program.defs:
         typed[(d.name, d.self_type) if type(d) is Consumer else d.name] = _with_bodies(d, translated)
-    # indexed once, so that regrouping takes linear time in the constructors and clauses
     kept = {*rctx.dt, *rctx.it}
-    cases = {(f, dt): typed[(f, dt)].first_clauses() for dt in rctx.dt for f in rctx.csm[dt]}
-    defs = [out for d in program.defs for out in _regroup(d, typed, rctx, kept, cases)]
+    cells = matrix(typed) if kept else {}  # only a selected type's definitions read the cells
+    defs = [out for d in program.defs for out in _regroup(d, typed, rctx, kept, cells)]
     return TransformResult(Program(tuple(defs), next(translated)), main_type, translations[:-1])
 
 

@@ -150,7 +150,7 @@ class _Checker:
         self.check_type(d.ret, where, d.pos)
         ctors = self.ctx.ctr.get(d.self_type, ())
         ctor_set = set(ctors)
-        wildcard = d.wildcard_clause() is not None
+        wildcard = any(clause.pattern.is_wildcard for clause in d.clauses)
         seen: set[str] = set()
         for i, clause in enumerate(d.clauses):
             if clause.pattern.is_wildcard:

@@ -118,7 +118,7 @@ def mutate_drop_wildcard(program: Program) -> Program:
     """Delete the wildcard clause of the first consumer that has one."""
 
     def fn(d: Def):
-        if isinstance(d, Consumer) and d.wildcard_clause() and len(d.clauses) > 1:
+        if isinstance(d, Consumer) and any(c.pattern.is_wildcard for c in d.clauses) and len(d.clauses) > 1:
             return (replace(d, clauses=tuple(c for c in d.clauses if not c.pattern.is_wildcard)),)
         return None
 

@@ -6,8 +6,8 @@ way back up.  ``states`` iterates it with the fuel accounting of
 call, against it state by state.  Its substitution, body lookup, value test, binding and
 64-bit wrapping are its own: copies of the ``match``-based ``subst``, the
 table-less ``dtr_body`` / ``csm_body`` and the ``isinstance``-based
-``is_value`` that ``food`` used before it dispatched on exact types and kept a
-body table and a clause index per context, so a fault in those fast paths
+``is_value`` that ``food`` used before it dispatched on exact types and read
+bodies off a decomposition matrix per context, so a fault in those fast paths
 cannot hide in the oracle.  It shares only the outcome classes with
 ``food.interp``.
 
@@ -116,9 +116,9 @@ def csm_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str
     for clause in consumer.clauses:  # the first clause naming C
         if clause.pattern.name == c:
             return clause.pattern.vars, params, clause.body
-    wild = consumer.wildcard_clause()
-    if wild is not None:
-        return (), params, wild.body
+    for clause in consumer.clauses:  # otherwise the first wildcard
+        if clause.pattern.is_wildcard:
+            return (), params, clause.body
     return None
 
 

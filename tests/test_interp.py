@@ -38,6 +38,7 @@ from food.syntax import (
     App,
     BoolLit,
     Clause,
+    Constructor,
     CtrCall,
     Expr,
     Generator,
@@ -121,13 +122,17 @@ def lookup_pairs(ctx):
 
 
 def assert_body_table_matches_oracle(ctx):
-    unfilled = replace(ctx, bodies={})
-    pairs = lookup_pairs(ctx)
-    for _ in range(2):  # the first round fills the table, the second reads it
-        for f, c in pairs:
-            assert dtr_body(f, c, ctx) == reference_step.dtr_body(f, c, ctx), (f, c)
-            assert csm_body(f, c, ctx) == reference_step.csm_body(f, c, ctx), (f, c)
-    assert len(ctx.bodies) == 2 * len(pairs)
+    # the cell table is not compared, printed or dumped, and holds a cell on a
+    # class or constructor exactly where a lookup finds a body
+    unfilled = replace(ctx, cells={})
+    found = set()
+    for f, c in lookup_pairs(ctx):
+        assert dtr_body(f, c, ctx) == reference_step.dtr_body(f, c, ctx), (f, c)
+        assert csm_body(f, c, ctx) == reference_step.csm_body(f, c, ctx), (f, c)
+        if dtr_body(f, c, ctx) or csm_body(f, c, ctx):
+            found.add((f, c))
+    variants = {k for k, d in ctx.defs.items() if isinstance(d, (Generator, Constructor))}
+    assert {key for key in ctx.cells if key[1] in variants} == found
     assert ctx == unfilled and repr(ctx) == repr(unfilled)
     assert ctx.duality_parts() == unfilled.duality_parts()
     assert ctx.dump() == unfilled.dump()
@@ -143,15 +148,16 @@ def test_body_table_matches_the_table_less_lookup():
         ctx = preprocess(p)
         narrowed = restrict(ctx, selected)
         translated = translate_ctx(narrowed)
-        assert translated.bodies is not narrowed.bodies
+        # both keep the def map, so they carry its cells
+        assert translated.cells is narrowed.cells is ctx.cells
         for c in (ctx, narrowed, translated, preprocess(transform(p, selected).program)):
             assert_body_table_matches_oracle(c)
 
 
 def test_a_wide_consumer_looks_every_constructor_up_in_linear_time():
-    # csm_body indexes a consumer's clauses once; a scan per constructor took
-    # 1.46 s at 8,000 constructors.  An unchecked consumer keeps the first
-    # clause naming C, and otherwise the first wildcard
+    # the context's matrix is built once per def map; a clause scan per
+    # constructor took 1.46 s at 8,000 constructors.  An unchecked consumer
+    # keeps the first clause naming C, and otherwise the first wildcard
     names = [f"C{i}" for i in range(16_000)]
     clauses = [f"case {c}(x) => {i}" for i, c in enumerate(names) if c != "C3"]
     random.Random(0).shuffle(clauses)
@@ -163,12 +169,11 @@ def test_a_wide_consumer_looks_every_constructor_up_in_linear_time():
     )
     consumer = p.defs[-1]
     p = Program((*p.defs[:-1], replace(consumer, clauses=(*consumer.clauses, Clause(WILDCARD, IntLit(-1))))), p.main)
-    ctx = preprocess(p)
     start = time.perf_counter()
+    ctx = preprocess(p)
     found = [csm_body("f", c, ctx) for c in names]
     assert time.perf_counter() - start < 2.0
-    assert found == [reference_step.csm_body("f", c, ctx) for c in names]
-    assert found[3] == ((), (), IntLit(16001)) and found[7] == (("x",), (), IntLit(7))
+    assert found == [((), (), IntLit(16001)) if c == "C3" else (("x",), (), IntLit(i)) for i, c in enumerate(names)]
 
 
 def test_contractions_call_subst_and_lookups_through_module_globals(monkeypatch):

@@ -199,6 +199,48 @@ def test_only_transform_names_the_typing_cache():
     assert len(SOURCES) >= 10 and found == []
 
 
+def test_only_context_decides_which_body_runs():
+    # context.matrix builds the cells of a def map: the body a member runs on
+    # each class or constructor.  The interpreter, the transformation and the
+    # fuzzer read those cells; no other module builds a cell, or searches a
+    # definition's methods, defaults or clauses for a body: by comparing names,
+    # by returning or taking the next match, or by indexing them in a dict
+    parts = ("funs", "dtrs", "clauses")
+
+    def over_parts(loop):
+        return any(isinstance(n, ast.Attribute) and n.attr in parts for n in ast.walk(loop.iter))
+
+    def compares_a_name(n):
+        operands = (n.left, *n.comparators) if isinstance(n, ast.Compare) and ast.Eq in map(type, n.ops) else ()
+        return any(isinstance(x, ast.Attribute) and x.attr == "name" for x in operands)
+
+    def searches(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "next":
+                return any(isinstance(a, ast.GeneratorExp) and any(map(over_parts, a.generators)) for a in node.args)
+            return node.func.id in ("Cell", "Fallback")
+        if isinstance(node, ast.For) and over_parts(node):
+            inner = [n for stmt in node.body for n in ast.walk(stmt)]
+        elif isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)):
+            if not any(map(over_parts, node.generators)):
+                return False
+            if isinstance(node, ast.DictComp):
+                return True
+            inner = list(ast.walk(node))
+        else:
+            return False
+        return any(isinstance(n, ast.Return) or compares_a_name(n) for n in inner)
+
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if searches(node)
+    }
+    assert len(SOURCES) >= 10 and {f for f in found if not f.startswith("context.py:")} == set()
+    assert found  # context builds the cells
+
+
 def test_only_interp_reads_the_machine_frames():
     # how the machine pushes and plugs frames is its own business; a caller
     # plugs a state whole and takes the contractum the machine yields.  The
