@@ -7,13 +7,16 @@ common case cheap: an arithmetic result in int64 is not wrapped, every
 boolean it computes is one of two shared ``BoolLit`` nodes, and a call binds
 its receiver, fields and parameters in one dict, built in place.
 
-The machine, ``_machine``, keeps the redex's context as a stack of frames on
-a list, so no depth of term recurses.  A frame is a compound node, its
-environment, its slots and the values of those evaluated so far; it is
-contracted when it has them all, and the value it contracts to goes to the
-frame below.  So no term is searched from its root and nothing is plugged on
-the way to a value.  At a method call the machine has two binding
-disciplines, one per entry point:
+The machine, ``_machine``, keeps the redex's context as a stack of frames,
+so no depth of term recurses.  A frame is a compound node, its environment,
+its slots and the values of those evaluated so far; it is contracted when it
+has them all, and the value it contracts to goes to the frame below.  The top
+frame is held in locals and the frames below it on a list; it is pushed only
+while one of its slots is evaluated, so a redex whose slots are values in
+place is contracted with no push (top-of-stack caching: Ertl, "Stack Caching
+for Interpreters", PLDI 1995).  So no term is searched from its root and
+nothing is plugged on the way to a value.  At a method call the machine has
+two binding disciplines, one per entry point:
 
 * ``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` substitute
   the bindings into the body (``subst``), so every state is a closed term.
@@ -221,7 +224,8 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
 # ---------------------------------------------------------------------------
 # The machine
 
-# a frame: (node, env, its slots, values of those evaluated)
+# the frames below the top one, which ``_machine`` holds in locals: each is
+# (node, env, its slots, values of those evaluated)
 Frames = list[tuple[Expr, dict[str, Expr], tuple[Expr, ...], list[Expr]]]
 
 
@@ -271,14 +275,15 @@ def _machine(
 ) -> Iterator[tuple[Expr, Frames, Expr | None] | Done | FuelExhausted | Stuck]:
     """Yield (focus, frames, contractum) for each state from e on, then the outcome.
 
-    A compound term pushes a frame, which takes the values of its slots one
-    by one, in evaluation order, and is contracted when it has them all.  A
-    node's slots are its receiver, then its arguments; or its operands, or
-    its condition.  The right operand of && and || is no slot, as it belongs
-    to the contractum.  A method call either substitutes its bindings into
-    the body (``subst``), so that every state is a closed term; or, with
-    states False, evaluates the body in the bindings as its environment, and
-    yields only the outcome.
+    A compound term becomes the top frame, held in locals, which takes the
+    values of its slots one by one, in evaluation order, and is contracted
+    when it has them all; it goes on the list of frames below only while one
+    of its slots is evaluated.  A node's slots are its receiver, then its
+    arguments; or its operands, or its condition.  The right operand of &&
+    and || is no slot, as it belongs to the contractum.  A method call
+    either substitutes its bindings into the body (``subst``), so that every
+    state is a closed term; or, with states False, evaluates the body in the
+    bindings as its environment, and yields only the outcome.
 
     The focus is the state's redex, or its value at the end.  The contractum
     is what the last step contracted its redex to, None in the first state.
@@ -290,16 +295,24 @@ def _machine(
     env: dict[str, Expr] = {}
     out = None
     while True:
-        # e in env: a compound term is pushed, a value goes to the top frame
+        # e in env: a compound term becomes the top frame, a value goes to the one popped
         cls = type(e)
         if cls is Sel or cls is App:
-            frames.append((e, env, (e.recv, *e.args), []))
+            node, slots, vals = e, (e.recv, *e.args), []
         elif cls is PrimOp:
-            frames.append((e, env, (e.lhs,) if e.op in ("&&", "||") else (e.lhs, e.rhs), []))
+            node, vals = e, []
+            if e.op in ("&&", "||"):
+                slots = (e.lhs,)
+            else:
+                slots = lhs, rhs = e.lhs, e.rhs
+                lhs = env.get(lhs.name) if type(lhs) is Var else lhs
+                rhs = env.get(rhs.name) if type(rhs) is Var else rhs
+                if type(lhs) is IntLit and type(rhs) is IntLit:  # integers in place: the slots are full
+                    vals = [lhs, rhs]
         elif cls is If:
-            frames.append((e, env, (e.cond,), []))
+            node, slots, vals = e, (e.cond,), []
         elif cls is CtrCall or cls is New:
-            frames.append((e, env, e.args, []))
+            node, slots, vals = e, e.args, []
         else:
             v = env.get(e.name) if cls is Var else e if cls in _VALUE_FORMS else None
             if v is None:
@@ -315,10 +328,10 @@ def _machine(
                     yield v, frames, out
                 yield Done(v)
                 return
-            frames[-1][3].append(v)
-        # the top frame takes its next slot, a value in place, or is
-        # contracted; a value it contracts to goes to the frame below
-        node, env, slots, vals = frames[-1]
+            node, env, slots, vals = frames.pop()
+            vals.append(v)
+        # the top frame takes its next slot, a value in place, or is pushed while
+        # the slot is evaluated, or is contracted; a value goes to the frame popped
         while True:
             k = len(vals)
             if k < len(slots):
@@ -332,8 +345,8 @@ def _machine(
                 elif cls in _VALUE_FORMS:
                     vals.append(e)
                     continue
+                frames.append((node, env, slots, vals))
                 break
-            frames.pop()
             if states:
                 yield _redex(node, env, slots, vals), frames, out
             out = _contract(node, vals, ctx)
@@ -358,7 +371,7 @@ def _machine(
                     yield out, frames, out
                 yield Done(out)
                 return
-            node, env, slots, vals = frames[-1]
+            node, env, slots, vals = frames.pop()
             vals.append(out)
 
 

@@ -135,7 +135,9 @@ class _Checker:
             overlap = set(params) & set(fields)
             if overlap:
                 self.report(f"{mwhere} shadows field(s) {', '.join(sorted(overlap))}", d.pos)
-            if fun.body is not None:
+            if fun.body is None:
+                self.report(f"{mwhere} has no body", d.pos)
+            else:
                 self.check_body(fun.body, d.pos)
         for name in sorted(required - seen):
             self.report(f"class {d.name} does not implement {name!r}", d.pos)

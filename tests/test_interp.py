@@ -478,6 +478,40 @@ def test_eval_program_takes_a_method_body_of_any_depth():
     assert isinstance(eval_program(p, n // 2, ctx), FuelExhausted)
 
 
+def test_operands_that_are_not_integers_in_place_fill_their_slots_one_by_one():
+    # a binary operator whose operands are integers in place starts with both
+    # values; these operands are not, so the machine falls back to filling
+    # the slots in order: a variable bound to a boolean (the program is not
+    # checked), a field or pattern variable bound to an unevaluated argument
+    # of a hand-built object, an unbound variable
+    p = parse(
+        "interface I { def m(b: Bool, n: Int): Int def r(b: Bool, n: Int): Bool"
+        " def g(n: Int): Int def h(n: Int): Bool def u(n: Int): Int def w(n: Int): Bool }\n"
+        "class A(x: Int) implements I { def m(b: Bool, n: Int): Int = b + n"
+        " def r(b: Bool, n: Int): Bool = n < b def g(n: Int): Int = x * n def h(n: Int): Bool = n <= x"
+        " def u(n: Int): Int = n - z def w(n: Int): Bool = z == n }\n"
+        "data D\ncase C(y: Int) extends D\n"
+        "def f(self: D)(n: Int): Int = match { case C(y) => y - n }\n"
+        "def k(self: D)(n: Int): Bool = match { case C(y) => n == y }\n1"
+    )
+    ctx = preprocess(p)
+    a, c = Obj("A", (PrimOp("+", IntLit(2), IntLit(3)),)), Obj("C", (PrimOp("*", IntLit(2), IntLit(3)),))
+    cases = [
+        (Sel(a, "m", (BoolLit(True), IntLit(1))), Stuck("+ on non-integers", PrimOp("+", BoolLit(True), IntLit(1)))),
+        (Sel(a, "r", (BoolLit(False), IntLit(1))), Stuck("< on non-integers", PrimOp("<", IntLit(1), BoolLit(False)))),
+        (Sel(a, "g", (IntLit(4),)), Done(IntV(20))),
+        (Sel(a, "h", (IntLit(4),)), Done(BoolV(True))),
+        (App("f", c, (IntLit(4),)), Done(IntV(2))),
+        (App("k", c, (IntLit(6),)), Done(BoolV(True))),
+        (Sel(a, "u", (IntLit(4),)), Stuck("unbound variable 'z'", Var("z"))),
+        (Sel(a, "w", (IntLit(4),)), Stuck("unbound variable 'z'", Var("z"))),
+    ]
+    for e, outcome in cases:
+        assert eval_program(Program((), e), 200, ctx) == outcome, e
+        assert_same_outcome(Program((), e), ctx)
+        assert_same_states(e, ctx)
+
+
 def test_both_disciplines_contract_the_same_redexes_in_the_same_order(monkeypatch):
     # the outcomes agree above; here every contraction does, by its redex's
     # form, the values of its slots and what it contracts to.  A call's body

@@ -269,6 +269,19 @@ def test_only_interp_reads_the_machine_frames():
     assert len(SOURCES) >= 10 and found == []
 
 
+def test_only_contract_names_the_contraction_rules():
+    # _contract holds every contraction rule once, and the machine calls it
+    # for every redex: no rule is written again beside it, and every body
+    # lookup goes through the names the benchmark's tracer rebinds
+    rules = {"_ARITH", "_COMPARE", "_wrap64", "_TRUE", "_FALSE", "dtr_body", "csm_body"}
+    tree = ast.parse(pathlib.Path(interp.__file__).read_text())
+    contract = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_contract")
+    inside = set(map(id, ast.walk(contract)))
+    named = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in rules and isinstance(n.ctx, ast.Load)]
+    found = [f"interp.py:{n.lineno} {n.id}" for n in named if id(n) not in inside]
+    assert found == [] and {n.id for n in named} == rules
+
+
 def test_only_node_equality_names_recursion_error():
     # every pass is a fold or a loop; only the __eq__ that syntax.node generates
     # catches RecursionError, from its recursive compare, and hands the compare

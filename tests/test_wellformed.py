@@ -7,9 +7,9 @@ from dataclasses import replace
 import pytest
 from conftest import GOLDEN_SELECTIONS, load
 
-from food import canonicalize, check, parse, preprocess, transform
+from food import Stuck, canonicalize, check, eval_program, parse, preprocess, transform
 from food.pretty import pretty_expr
-from food.syntax import Consumer, Obj, Program
+from food.syntax import Consumer, Generator, Obj, Program, Sel
 
 
 def check_src(src: str):
@@ -71,6 +71,17 @@ def test_generator_must_implement_exactly_the_interface():
         "interface I { def f(): Int = 1 }\nclass C() implements I {}\nnew C().f()"
     )
     assert defaulted == []
+
+
+def test_a_method_without_a_body_is_reported_before_typing():
+    # only a hand-built class reaches this: the parser gives every method a body
+    p = parse("interface I { def m(): Int }\nclass A() implements I { def m(): Int = 1 }\nnew A().m()")
+    a = next(d for d in p.defs if isinstance(d, Generator))
+    bodiless = replace(a, funs=(replace(a.funs[0], body=None),))
+    q = Program(tuple(bodiless if d is a else d for d in p.defs), p.main)
+    ctx = preprocess(q)
+    assert [(d.message, d.line, d.column) for d in check(q, ctx)] == [("method m of class A has no body", *a.pos)]
+    assert eval_program(q, ctx=ctx) == Stuck("no destructor 'm' on A", Sel(Obj("A", ()), "m", ()))
 
 
 def test_override_requires_exact_signature():
