@@ -56,6 +56,8 @@ class Fallback(Cell):
 
 @dataclass(frozen=True)
 class GlobalCtx:
+    """The global context of a program: its types, members, signatures, definitions and cells."""
+
     dt: tuple[str, ...]
     it: tuple[str, ...]
     ctr: dict[str, tuple[str, ...]]

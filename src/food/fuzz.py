@@ -92,6 +92,8 @@ class GenConfig:
 
 @dataclass
 class _Op:
+    """A generated member: its signature and each variant's body, or a default."""
+
     name: str
     params: tuple[Param, ...]
     ret: Type
@@ -102,6 +104,8 @@ class _Op:
 
 @dataclass
 class _TypeModel:
+    """A generated type, its style, its variants and its members."""
+
     name: str
     oo: bool
     ctors: list[tuple[str, tuple[Param, ...]]] = field(default_factory=list)
@@ -110,6 +114,8 @@ class _TypeModel:
 
 @dataclass(frozen=True)
 class _Binding:
+    """A name in scope while a body is generated, with its type."""
+
     name: str
     type: Type
     is_field: bool
@@ -357,12 +363,16 @@ def gen_program(cfg: GenConfig) -> Program:
 
 @dataclass(frozen=True)
 class PropFail:
+    """A property that failed, and the detail of how."""
+
     prop: str
     detail: str
 
 
 @dataclass(frozen=True)
 class TrialReport:
+    """The outcome of one trial: its seed, selection, failures and witness."""
+
     seed: int
     selected: tuple[str, ...]
     failures: tuple[PropFail, ...]
@@ -375,6 +385,8 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class FuzzReport:
+    """The trial reports of a run of the battery."""
+
     trials: tuple[TrialReport, ...]
 
     @property

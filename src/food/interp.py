@@ -82,27 +82,37 @@ IntV, BoolV, ObjV = IntLit, BoolLit, Obj
 
 @dataclass(frozen=True)
 class Stepped:
+    """One step taken: the next state."""
+
     next: Expr
 
 
 @dataclass(frozen=True)
 class Done:
+    """Evaluation ended in a value."""
+
     value: Expr
 
 
 @dataclass(frozen=True)
 class Stuck:
+    """No rule applies: why, and the expression that is stuck."""
+
     reason: str
     expr: Expr | None = None
 
 
 @dataclass(frozen=True)
 class FuelExhausted:
+    """The fuel ran out: the last state reached."""
+
     last: Expr
 
 
 @dataclass(frozen=True)
 class Trace:
+    """Every state of a run, in order, and how it ended."""
+
     steps: tuple[Expr, ...]
     outcome: Done | FuelExhausted | Stuck
 

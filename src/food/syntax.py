@@ -109,16 +109,22 @@ class Type:
 
 @node
 class Named(Type):
+    """A declared datatype or interface, by name."""
+
     name: str
 
 
 @node
 class IntT(Type):
+    """The type of 64-bit integers."""
+
     pass
 
 
 @node
 class BoolT(Type):
+    """The type of booleans."""
+
     pass
 
 
@@ -145,6 +151,8 @@ class Expr:
 
 @node
 class Var(Expr):
+    """A variable: a parameter, field, pattern variable, ``self`` or ``this``."""
+
     name: str
 
 
@@ -192,16 +200,22 @@ class Obj(Expr):
 
 @node
 class IntLit(Expr):
+    """An integer literal."""
+
     value: int
 
 
 @node
 class BoolLit(Expr):
+    """A boolean literal."""
+
     value: bool
 
 
 @node
 class PrimOp(Expr):
+    """A binary operator ``lhs op rhs``; ``op`` is a key of ``PREC``."""
+
     op: str
     lhs: Expr
     rhs: Expr
@@ -214,6 +228,8 @@ PREC = {"||": 1, "&&": 2, "==": 3, "<=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
 
 @node
 class If(Expr):
+    """The conditional ``if (cond) then else els``."""
+
     cond: Expr
     then: Expr
     els: Expr
@@ -225,6 +241,8 @@ class If(Expr):
 
 @node
 class Param:
+    """A typed binder: a parameter or a field."""
+
     name: str
     type: Type
 
@@ -246,6 +264,8 @@ WILDCARD = Pattern(None)
 
 @node
 class Clause:
+    """One ``case pattern => body`` of a consumer."""
+
     pattern: Pattern
     body: Expr
 
@@ -268,12 +288,16 @@ class Def:
 
 @node
 class Datatype(Def):
+    """The declaration ``data D``; its constructors name it as their parent."""
+
     name: str
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @node
 class Interface(Def):
+    """The declaration ``interface I { ... }`` with its members."""
+
     name: str
     dtrs: tuple[Dtr, ...]
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
@@ -281,6 +305,8 @@ class Interface(Def):
 
 @node
 class Constructor(Def):
+    """A constructor ``case C(fields) extends D`` of a datatype."""
+
     name: str
     fields: tuple[Param, ...]
     parent: str
@@ -289,6 +315,8 @@ class Constructor(Def):
 
 @node
 class Generator(Def):
+    """A class ``class C(fields) implements I { ... }`` with its methods."""
+
     name: str
     fields: tuple[Param, ...]
     parent: str
@@ -313,6 +341,8 @@ class Consumer(Def):
 
 @node
 class Program:
+    """The definitions of a program and its main expression."""
+
     defs: tuple[Def, ...]
     main: Expr
 

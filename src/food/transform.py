@@ -77,6 +77,8 @@ Typing = tuple[list[tuple[Expr, TypeEnv, list[str]]], Type]
 
 @dataclass(frozen=True)
 class TransformResult:
+    """The transformed program, its type, and the translation of each member body."""
+
     program: Program
     program_type: Type
     # each member body of the input, in ``_members`` order, with its translation

@@ -5,7 +5,8 @@ typing cannot see: declared types in signatures, reserved, duplicate and
 shadowing binders (disjointness keeps the evaluation substitutions well
 defined), exact interface implementation, non-overlapping
 clauses that name constructors of their datatype, the pattern/field naming
-restriction, exhaustiveness, and the absence of runtime objects.  Once those
+restriction, exhaustiveness, and the absence of runtime objects; coverage is
+read off the decomposition matrix that ``context.matrix`` builds.  Once those
 hold, the typing pass (``transform.type_program``) reports scoping, call kind,
 member names and arity, so that a clean check guarantees the transformation
 cannot fail.  ``type_program`` keeps a passing typing on the context, so a
@@ -118,7 +119,6 @@ class _Checker:
         if d.parent not in self.ctx.it:
             return  # reported by preprocessing
         declared = {m.name: m for m in self.interface_members(d.parent)}
-        required = {name for name, m in declared.items() if m.body is None}
         seen: set[str] = set()
         for fun in d.funs:
             mwhere = f"method {fun.name} of class {d.name}"
@@ -139,7 +139,7 @@ class _Checker:
                 self.report(f"{mwhere} has no body", d.pos)
             else:
                 self.check_body(fun.body, d.pos)
-        for name in sorted(required - seen):
+        for name in sorted(n for n in declared if n not in seen and (n, d.name) not in self.ctx.cells):
             self.report(f"class {d.name} does not implement {name!r}", d.pos)
 
     def interface_members(self, name: str) -> tuple[Dtr, ...]:
@@ -152,7 +152,6 @@ class _Checker:
         self.check_type(d.ret, where, d.pos)
         ctors = self.ctx.ctr.get(d.self_type, ())
         ctor_set = set(ctors)
-        wildcard = any(clause.pattern.is_wildcard for clause in d.clauses)
         seen: set[str] = set()
         for i, clause in enumerate(d.clauses):
             if clause.pattern.is_wildcard:
@@ -180,7 +179,6 @@ class _Checker:
             if overlap:
                 self.report(f"{where}: pattern for {c} shadows parameter(s) {', '.join(sorted(overlap))}", d.pos)
             self.check_body(clause.body, d.pos)
-        if not wildcard:
-            for c in ctors:
-                if c not in seen:
-                    self.report(f"{where} has no clause for constructor {c}", d.pos)
+        for c in ctors:
+            if (d.name, c) not in self.ctx.cells:
+                self.report(f"{where} has no clause for constructor {c}", d.pos)

@@ -586,7 +586,9 @@ def test_samples_cover_every_node_class():
 
 def test_node_runs_one_exec_per_class(monkeypatch):
     # dataclass only records the fields; one exec writes __init__, __eq__,
-    # __hash__ and __repr__
+    # __hash__ and __repr__.  Only the exec of @node's own source (the one that
+    # defines outer) is counted: from Python 3.13 dataclass runs one of its own
+    # even with init, repr and eq off.
     calls, real_exec = [], builtins.exec
 
     def counted(*args):
@@ -601,7 +603,7 @@ def test_node_runs_one_exec_per_class(monkeypatch):
             name: str
             pos: tuple[int, int] | None = dataclasses.field(default=None, compare=False, repr=False)
 
-    assert len(calls) == 1
+    assert len([args for args in calls if isinstance(args[0], str) and args[0].startswith("def outer(")]) == 1
     a = Throwaway("x", (1, 2))
     assert a == Throwaway("x") and hash(a) == hash(("x",)) and a.pos == (1, 2)
     assert repr(a) == f"{Throwaway.__qualname__}(name='x')"

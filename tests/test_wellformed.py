@@ -5,11 +5,13 @@ import time
 from dataclasses import replace
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, load
+from conftest import GOLDEN_SELECTIONS, generated, load
 
 from food import Stuck, canonicalize, check, eval_program, parse, preprocess, transform
+from food.fuzz import GenConfig
 from food.pretty import pretty_expr
-from food.syntax import Consumer, Generator, Obj, Program, Sel
+from food.syntax import Constructor, Consumer, Generator, Interface, Obj, Program, Sel
+from food.wellformed import check_structure
 
 
 def check_src(src: str):
@@ -241,3 +243,92 @@ def test_a_wide_consumer_checks_and_canonicalizes_in_linear_time():
     order = [(cl.pattern.name, pretty_expr(cl.body)) for cl in consumer.clauses]
     want = [(c, str(i)) for i, c in enumerate(names)]
     assert order == want[:8] + [("C7", "16000")] + want[8:] + [("Nope", "16001"), (None, "16002")]
+
+
+def _replaced(p: Program, old, new) -> Program:
+    return Program(tuple(new if d is old else d for d in p.defs), p.main)
+
+
+def test_a_bodiless_method_with_an_interface_default_is_reported_once():
+    # the default's fallback fills the (m, A) cell, so no "does not implement" joins it
+    p = parse("interface I { def m(): Int = 2 }\nclass A() implements I { def m(): Int = 1 }\nnew A().m()")
+    a = next(d for d in p.defs if isinstance(d, Generator))
+    q = _replaced(p, a, replace(a, funs=(replace(a.funs[0], body=None),)))
+    assert [(d.message, d.line, d.column) for d in check(q, preprocess(q))] == [
+        ("method m of class A has no body", *a.pos)
+    ]
+
+
+def test_a_wildcard_that_is_not_last_still_covers_every_constructor():
+    p = parse(
+        "data D\ncase A() extends D\ncase B() extends D\n"
+        "def f(self: D)(): Int = match { case A() => 1 case _ => 2 }\n1"
+    )
+    f = next(d for d in p.defs if isinstance(d, Consumer))
+    q = _replaced(p, f, replace(f, clauses=f.clauses[::-1]))
+    assert [(d.message, d.line, d.column) for d in check(q, preprocess(q))] == [
+        ("consumer f on D: wildcard clause must be last", *f.pos)
+    ]
+
+
+def test_a_wildcard_on_another_datatype_covers_none_of_this_ones_constructors():
+    # f's wildcard on D1 fills the (f, A) cell, yet A is foreign to D2, and Y has no clause
+    diags = check_src(
+        "data D1\ncase A() extends D1\ncase B() extends D1\n"
+        "data D2\ncase X() extends D2\ncase Y() extends D2\n"
+        "def f(self: D1)(): Int = match { case A() => 1 case _ => 2 }\n"
+        "def f(self: D2)(): Int = match { case X() => 1 case A() => 2 }\n1"
+    )
+    assert [d.render() for d in diags] == [
+        "8:1: consumer f on D2 matches A, which is not a constructor of D2",
+        "8:1: consumer f on D2 has no clause for constructor Y",
+    ]
+
+
+def _drop_one(p: Program):
+    """Each program with one method, clause, interface member or constructor of ``p`` removed."""
+    for i, d in enumerate(p.defs):
+        items = {Generator: "funs", Consumer: "clauses", Interface: "dtrs"}.get(type(d))
+        if items:
+            seq = getattr(d, items)
+            for j in range(len(seq)):
+                yield _replaced(p, d, replace(d, **{items: seq[:j] + seq[j + 1 :]}))
+        elif isinstance(d, Constructor):
+            yield Program(p.defs[:i] + p.defs[i + 1 :], p.main)
+
+
+def _coverage_by_definitions(p: Program, ctx) -> list[tuple[str, int, int]]:
+    """Coverage worked out from the definitions: a class implements its interface's
+    members without a default, a consumer with no wildcard names every constructor."""
+    out = []
+    for d in p.defs:
+        pos = d.pos or (0, 0)  # generated definitions have no position
+        if isinstance(d, Generator) and d.parent in ctx.it:
+            required = {m.name for m in ctx.defs[d.parent].dtrs if m.body is None}
+            missing = sorted(required - {fun.name for fun in d.funs})
+            out += [(f"class {d.name} does not implement {name!r}", *pos) for name in missing]
+        elif isinstance(d, Consumer) and not any(cl.pattern.is_wildcard for cl in d.clauses):
+            named = {cl.pattern.name for cl in d.clauses}
+            out += [
+                (f"consumer {d.name} on {d.self_type} has no clause for constructor {c}", *pos)
+                for c in ctx.ctr[d.self_type]
+                if c not in named
+            ]
+    return out
+
+
+def test_coverage_read_off_the_cells_matches_the_definitions():
+    programs = [load(name) for name in GOLDEN_SELECTIONS]
+    programs += [generated(GenConfig(seed=seed, style_mix=mix)) for seed in range(120) for mix in (0.0, 0.5, 1.0)]
+    kinds = set()
+    for p in programs:
+        for q in _drop_one(p):
+            ctx = preprocess(q)
+            got = [
+                (d.message, d.line, d.column)
+                for d in check_structure(q, ctx)
+                if " does not implement " in d.message or " has no clause for constructor " in d.message
+            ]
+            assert got == _coverage_by_definitions(q, ctx)
+            kinds.update("class" if m.startswith("class") else "consumer" for m, *_ in got)
+    assert kinds == {"class", "consumer"}
