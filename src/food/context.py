@@ -11,7 +11,7 @@ constructor.  No other module decides which body runs where.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import NamedTuple
 
 from .diagnostics import ContextError, Diagnostic
@@ -29,6 +29,7 @@ from .syntax import (
     Param,
     Program,
     Type,
+    node,
 )
 
 # Keys of sig/def maps: a constructor/generator name, a type name, or a
@@ -54,7 +55,7 @@ class Fallback(Cell):
     kind = "fallback"  # the interface default, or the first wildcard clause: it binds no fields
 
 
-@dataclass(frozen=True)
+@node
 class GlobalCtx:
     """The global context of a program: its types, members, signatures, definitions and cells."""
 
@@ -72,7 +73,7 @@ class GlobalCtx:
     # id(program) -> (program, its typing): the cache of ``transform.type_program``,
     # which alone reads and writes it; shared like cells, as typing reads no
     # selection.
-    typings: dict = field(default_factory=dict, compare=False, repr=False)
+    typings: dict = field(compare=False, repr=False)
 
     def type_names(self) -> tuple[str, ...]:
         return self.dt + self.it
@@ -231,6 +232,7 @@ def preprocess(program: Program) -> GlobalCtx:
         dtr_sig=dtr_sig,
         defs=defs,
         cells=matrix(defs),
+        typings={},
     )
 
 
@@ -286,4 +288,5 @@ def translate_ctx(ctx: GlobalCtx) -> GlobalCtx:
         dtr_sig=dtr_sig,
         defs=dict(ctx.defs),
         cells=ctx.cells,
+        typings={},
     )

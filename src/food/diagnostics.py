@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .syntax import node
 
 
-@dataclass(frozen=True)
+@node
 class Diagnostic:
     """A message anchored to a 1-based source position (0 when unknown)."""
 

@@ -63,6 +63,7 @@ from .syntax import (
     WILDCARD,
     canonicalize,
     children,
+    node,
 )
 # transform_expr is unused here, but bound for the benchmark's tracer to wrap
 from .transform import _typing, transform, transform_expr, type_expr, type_program  # noqa: F401
@@ -72,7 +73,7 @@ _MAX_FIELD_ARITY = 2
 _RECURSION_BIAS = 0.6  # probability a body recurses on a field
 
 
-@dataclass(frozen=True)
+@node
 class GenConfig:
     """Knobs for the program generator; generation is a pure function of seed."""
 
@@ -112,7 +113,7 @@ class _TypeModel:
     ops: list[_Op] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@node
 class _Binding:
     """A name in scope while a body is generated, with its type."""
 
@@ -361,7 +362,7 @@ def gen_program(cfg: GenConfig) -> Program:
 # Property battery
 
 
-@dataclass(frozen=True)
+@node
 class PropFail:
     """A property that failed, and the detail of how."""
 
@@ -369,7 +370,7 @@ class PropFail:
     detail: str
 
 
-@dataclass(frozen=True)
+@node
 class TrialReport:
     """The outcome of one trial: its seed, selection, failures and witness."""
 
@@ -383,7 +384,7 @@ class TrialReport:
         return not self.failures
 
 
-@dataclass(frozen=True)
+@node
 class FuzzReport:
     """The trial reports of a run of the battery."""
 

@@ -46,7 +46,6 @@ slots directly (see ``syntax``).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .context import GlobalCtx, preprocess
@@ -62,6 +61,7 @@ from .syntax import (
     If,
     IntLit,
     New,
+    node,
     Obj,
     PrimOp,
     Program,
@@ -80,21 +80,21 @@ from .syntax import (
 IntV, BoolV, ObjV = IntLit, BoolLit, Obj
 
 
-@dataclass(frozen=True)
+@node
 class Stepped:
     """One step taken: the next state."""
 
     next: Expr
 
 
-@dataclass(frozen=True)
+@node
 class Done:
     """Evaluation ended in a value."""
 
     value: Expr
 
 
-@dataclass(frozen=True)
+@node
 class Stuck:
     """No rule applies: why, and the expression that is stuck."""
 
@@ -102,14 +102,14 @@ class Stuck:
     expr: Expr | None = None
 
 
-@dataclass(frozen=True)
+@node
 class FuelExhausted:
     """The fuel ran out: the last state reached."""
 
     last: Expr
 
 
-@dataclass(frozen=True)
+@node
 class Trace:
     """Every state of a run, in order, and how it ended."""
 

@@ -15,17 +15,18 @@ are declared with ``@node``, which builds each one once: a slotted class whose
 class (the ``__init__`` a frozen dataclass generates calls
 ``object.__setattr__`` per field and costs about twice as much).  Only
 ``__init__`` writes a field; assigning or deleting one raises
-``FrozenInstanceError``.  ``hash`` and ``repr`` match a frozen dataclass's,
-and ``dataclasses.fields``, ``dataclasses.replace`` and class patterns work.
+``FrozenInstanceError``.  ``==``, ``hash``, ``repr``, ``dataclasses.fields``
+and ``replace``, copies and class patterns act as on a frozen dataclass.
+Only ``__init__`` is compiled per class; other frozen records use ``@node`` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
+from operator import attrgetter
 from sys import _getframe
 
 _COMPARED: dict[type, tuple[str, ...]] = {}  # each node class's compared fields
-_EQ_CODES: set = set()  # the code of each generated __eq__, whose frame marks a compare as nested
 
 
 def _frozen(self, name, *value):
@@ -35,8 +36,9 @@ def _frozen(self, name, *value):
 def node(cls):
     """``cls`` built once, frozen and slotted, with a constructor that writes its slots and an ``==`` at any depth.
 
-    A field may have a plain default, such as ``pos=None``, but no default factory.  Only the outermost
-    node compare of an ``==`` falls back to ``_deep_eq`` on RecursionError, so it runs at most once.
+    Only the constructor is compiled per class; ``==``, ``hash``, ``repr`` and copying are written once, here,
+    over the class's fields.  A field may have a plain default, such as ``pos=None``, but no default
+    factory.  Only the outermost node compare of an ``==`` falls back to ``_deep_eq`` past the recursion limit.
     """
     cls = dataclass(init=False, repr=False, eq=False)(cls)  # records the fields; writes no method
     names, defaults = [], {}
@@ -51,30 +53,41 @@ def node(cls):
     space.update(__slots__=tuple(names), __qualname__=cls.__qualname__, __setattr__=_frozen, __delattr__=_frozen)
     cls = type(cls)(cls.__name__, cls.__bases__, space)
     compared = _COMPARED[cls] = tuple(f.name for f in fields(cls) if f.compare)
+    # attrgetter gives a tuple only for two names or more: == compares a lone field bare, as a 1-tuple
+    # does for any field whose == is reflexive, and hash takes the tuple of compared fields at any count
+    get = attrgetter(*compared) if compared else lambda x: ()
+    values = get if len(compared) != 1 else lambda x: (get(x),)
+    text = ", ".join(f"{f.name}={{0.{f.name}!r}}" for f in fields(cls) if f.repr)  # repr reads its fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        try:
+            return get(self) == get(other)
+        except RecursionError:
+            if _getframe(1).f_code is __eq__.__code__:  # a nested node compare passes it up
+                raise
+            return _deep_eq(self, other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({text.format(self)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor, as __setattr__ refuses
+        return self.__class__, tuple(getattr(self, x) for x in names)
+
     params = [f"{x}=_default_{x}" if x in defaults else x for x in names]
-    # the setters and defaults are arguments of an outer function, so the
-    # constructor reads them as closure cells
+    # the setters and defaults are arguments of an outer function, read by the constructor as closure cells
     outer = [f"_set_{x}" for x in names] + [f"_default_{x}" for x in defaults]
     body = "".join(f"  _set_{x}(self, {x})\n" for x in names) or "  pass\n"
-    mine, theirs = ("".join(f"{side}.{x}," for x in compared) for side in ("self", "other"))
-    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields(cls) if f.repr)
-    src = (
-        f"def outer({', '.join(outer)}):\n"
-        f" def __init__({', '.join(['self', *params])}):\n{body}"
-        " def __eq__(self, other):\n"
-        "  if other.__class__ is not self.__class__:\n   return NotImplemented\n"
-        f"  try:\n   return ({mine}) == ({theirs})\n"
-        "  except RecursionError:\n   if _getframe(1).f_code in _EQ_CODES:\n    raise\n"
-        "   return _deep_eq(self, other)\n"
-        f" def __hash__(self):\n  return hash(({mine}))\n"
-        f" def __repr__(self):\n  return f'{{self.__class__.__qualname__}}({shown})'\n"
-        " return __init__, __eq__, __hash__, __repr__\n"
-    )
+    src = f"def outer({', '.join(outer)}):\n def __init__({', '.join(['self', *params])}):\n{body} return __init__\n"
     exec(src, globals(), scope := {})
-    for fn in scope["outer"](*(cls.__dict__[x].__set__ for x in names), *defaults.values()):
+    __init__ = scope["outer"](*(cls.__dict__[x].__set__ for x in names), *defaults.values())
+    for fn in (__init__, __eq__, __hash__, __repr__, __reduce__):
         fn.__qualname__, fn.__module__ = f"{cls.__qualname__}.{fn.__name__}", cls.__module__
         setattr(cls, fn.__name__, fn)
-    _EQ_CODES.add(cls.__eq__.__code__)
     return cls
 
 

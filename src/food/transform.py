@@ -26,7 +26,7 @@ the node's own, then the arguments'.  Errors are functions that build them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 
 from .context import DefKey, GlobalCtx, TypeEnv, matrix, preprocess, restrict
@@ -64,6 +64,7 @@ from .syntax import (
     Var,
     WILDCARD,
     fold,
+    node,
     with_children,
 )
 
@@ -75,7 +76,7 @@ _CMP = {"==", "<=", "<"}
 Typing = tuple[list[tuple[Expr, TypeEnv, list[str]]], Type]
 
 
-@dataclass(frozen=True)
+@node
 class TransformResult:
     """The transformed program, its type, and the translation of each member body."""
 

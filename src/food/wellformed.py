@@ -21,7 +21,6 @@ from .syntax import (
     Constructor,
     Consumer,
     Datatype,
-    Dtr,
     Expr,
     Generator,
     Interface,
@@ -118,7 +117,9 @@ class _Checker:
         fields = self.check_params(d.fields, where, d.pos)
         if d.parent not in self.ctx.it:
             return  # reported by preprocessing
-        declared = {m.name: m for m in self.interface_members(d.parent)}
+        # the interface's declared signatures, compared with each method's: this map picks
+        # no body (the matrix does), so it is the one lookup of members outside context
+        declared = {m.name: m for m in self.ctx.defs[d.parent].dtrs}
         seen: set[str] = set()
         for fun in d.funs:
             mwhere = f"method {fun.name} of class {d.name}"
@@ -141,10 +142,6 @@ class _Checker:
                 self.check_body(fun.body, d.pos)
         for name in sorted(n for n in declared if n not in seen and (n, d.name) not in self.ctx.cells):
             self.report(f"class {d.name} does not implement {name!r}", d.pos)
-
-    def interface_members(self, name: str) -> tuple[Dtr, ...]:
-        d = self.ctx.defs.get(name)
-        return d.dtrs if isinstance(d, Interface) else ()
 
     def check_consumer(self, d: Consumer) -> None:
         where = f"consumer {d.name} on {d.self_type}"

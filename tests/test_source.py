@@ -62,16 +62,13 @@ def test_package_imports_nothing_from_the_tests():
 def test_every_import_is_used():
     # no linter runs on the package, so an import that a move leaves behind
     # would go unseen.  An imported name must be read in its module or listed
-    # in __all__; syntax.node's generated methods read syntax's globals by
-    # name, so the names they read count for syntax.  fuzz binds
-    # transform_expr, unused, for the benchmark's tracer to wrap
-    methods = ("__init__", "__eq__", "__hash__", "__repr__")
-    generated = {name for method in methods for name in getattr(syntax.Var, method).__code__.co_names}
+    # in __all__; the __init__ that syntax.node compiles reads no global.  fuzz
+    # binds transform_expr, unused, for the benchmark's tracer to wrap
+    assert syntax.Var.__init__.__code__.co_names == ()
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        used |= generated if path.name == "syntax.py" else set()
         for node in tree.body:
             if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
                 used |= set(ast.literal_eval(node.value))
@@ -87,22 +84,37 @@ def test_every_import_is_used():
 
 def test_node_classes_use_the_slotted_constructor():
     # a node class declared with a plain frozen dataclass would still pass
-    # every other test, at twice the price per node built
-    package = pathlib.Path(food.__file__).parent
-
-    def classes(module):
-        tree = ast.parse((package / module).read_text())
-        return [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+    # every other test, at twice the price per node built, and every import
+    # would compile four methods for it where @node compiles one
+    def classes(path):
+        return [c for c in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(c, ast.ClassDef)]
 
     def decorators(c):
         return [ast.unparse(d) for d in c.decorator_list]
 
-    # in syntax.py every class but the three bases is a node class; values
-    # are syntax's value forms, so interp.py declares none
-    nodes = [c for c in classes("syntax.py") if c.name not in ("Type", "Expr", "Def")]
-    assert len(nodes) >= 24 and [c.name for c in classes("interp.py") if "node" in decorators(c)] == []
+    def frozen_dataclass(d):
+        return isinstance(d, ast.Call) and ast.unparse(d.func).endswith("dataclass") and any(
+            k.arg == "frozen" and ast.unparse(k.value) == "True" for k in d.keywords
+        )
+
+    # in syntax.py every class but the three bases is a node class.  interp.py
+    # declares node classes for its outcomes, but no expression form: values
+    # are syntax's value forms
+    package = pathlib.Path(food.__file__).parent
+    nodes = [c for c in classes(package / "syntax.py") if c.name not in ("Type", "Expr", "Def")]
+    outcomes = [c.name for c in classes(package / "interp.py") if "node" in decorators(c)]
+    assert len(nodes) >= 24 and len(outcomes) >= 5
+    assert [name for name in outcomes if issubclass(getattr(interp, name), syntax.Expr)] == []
     assert interp.IntV is syntax.IntLit and interp.BoolV is syntax.BoolLit and interp.ObjV is syntax.Obj
     assert [c.name for c in nodes if decorators(c) != ["node"]] == []
+    # the package's frozen records are node classes too
+    found = [f"{path.name}:{d.lineno}" for path in SOURCES for c in classes(path) for d in c.decorator_list if frozen_dataclass(d)]
+    assert len(SOURCES) >= 10 and found == []
+    # and every node class shares one ==, hash and repr: only __init__ is compiled per class
+    declared = {c.name for path in SOURCES for c in classes(path) if "node" in decorators(c)}
+    assert len(declared) >= 37 and declared <= {c.__name__ for c in syntax._COMPARED}
+    codes = [(c.__eq__.__code__, c.__hash__.__code__, c.__repr__.__code__) for c in syntax._COMPARED]
+    assert all(mine is shared for three in codes for mine, shared in zip(three, codes[0]))
 
 
 def test_transform_builds_nodes_with_their_constructors():
@@ -204,7 +216,10 @@ def test_only_context_decides_which_body_runs():
     # each class or constructor.  The interpreter, the transformation and the
     # fuzzer read those cells; no other module builds a cell, or searches a
     # definition's methods, defaults or clauses for a body: by comparing names,
-    # by returning or taking the next match, or by indexing them in a dict
+    # by returning or taking the next match, or by indexing them in a dict.
+    # The one lookup allowed outside context is wellformed's map of an
+    # interface's declared signatures, which check_generator compares with
+    # each method's: it picks no body
     parts = ("funs", "dtrs", "clauses")
 
     def over_parts(loop):
@@ -231,12 +246,20 @@ def test_only_context_decides_which_body_runs():
             return False
         return any(isinstance(n, ast.Return) or compares_a_name(n) for n in inner)
 
+    wellformed = pathlib.Path(food.__file__).parent / "wellformed.py"
+    checker = next(c for c in ast.parse(wellformed.read_text()).body if isinstance(c, ast.ClassDef))
+    check_generator = next(fn for fn in checker.body if getattr(fn, "name", None) == "check_generator")
+    assigned = {ast.unparse(n.targets[0]): n.value for n in ast.walk(check_generator) if isinstance(n, ast.Assign)}
+    signatures = assigned["declared"]
+    assert ast.unparse(signatures) == "{m.name: m for m in self.ctx.defs[d.parent].dtrs}"
     found = {
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if searches(node)
     }
+    assert f"wellformed.py:{signatures.lineno}" in found
+    found.remove(f"wellformed.py:{signatures.lineno}")
     assert len(SOURCES) >= 10 and {f for f in found if not f.startswith("context.py:")} == set()
     assert found  # context builds the cells
 
@@ -283,16 +306,15 @@ def test_only_contract_names_the_contraction_rules():
 
 
 def test_only_node_equality_names_recursion_error():
-    # every pass is a fold or a loop; only the __eq__ that syntax.node generates
-    # catches RecursionError, from its recursive compare, and hands the compare
-    # to syntax._deep_eq.  A catch anywhere else would hide a pass that
-    # recurses on its input.  Every token is searched, strings and comments
-    # too, so a name inside generated source text counts
-    spans = {
-        fn.name: range(fn.lineno, fn.end_lineno + 1)
-        for fn in ast.parse(pathlib.Path(syntax.__file__).read_text()).body
-        if isinstance(fn, ast.FunctionDef)
-    }
+    # every pass is a fold or a loop; only the __eq__ that syntax.node shares
+    # among node classes catches RecursionError, from its recursive compare,
+    # and hands the compare to syntax._deep_eq.  A catch anywhere else would
+    # hide a pass that recurses on its input.  Every token is searched,
+    # strings and comments too, so a name inside generated source text counts
+    tree = ast.parse(pathlib.Path(syntax.__file__).read_text())
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    eq = next(fn for fn in functions["node"].body if isinstance(fn, ast.FunctionDef) and fn.name == "__eq__")
+    allowed = {line for fn in (eq, functions["_deep_eq"]) for line in range(fn.lineno, fn.end_lineno + 1)}
     named, found = [], []
     for path in SOURCES:
         with path.open("rb") as f:
@@ -300,9 +322,7 @@ def test_only_node_equality_names_recursion_error():
                 if "RecursionError" in tok.string:
                     line = tok.start[0]
                     named.append(line)
-                    if path.name != "syntax.py" or not (
-                        line in spans["_deep_eq"] or tok.type == tokenize.STRING and line in spans["node"]
-                    ):
+                    if path.name != "syntax.py" or line not in allowed:
                         found.append(f"{path.name}:{line}")
     assert len(SOURCES) >= 10 and found == [] and named != []
     assert "RecursionError" in syntax.Var.__eq__.__code__.co_names

@@ -1,6 +1,7 @@
 """Node classes, the bare consumer body, canonicalization, pretty-printing, and the generic traversal."""
 
 import builtins
+import copy
 import dataclasses
 import gc
 
@@ -23,8 +24,10 @@ from food import (
     transform,
     transform_expr,
 )
-from food.fuzz import GenConfig, check_properties
-from food.interp import BoolV, Done, IntV, ObjV
+from food.context import GlobalCtx
+from food.diagnostics import Diagnostic
+from food.fuzz import FuzzReport, GenConfig, PropFail, TrialReport, _Binding, check_properties
+from food.interp import BoolV, Done, FuelExhausted, IntV, ObjV, Stepped, Stuck, Trace
 from food.pretty import pretty_def, pretty_expr, pretty_type
 from food.syntax import (
     BOOL,
@@ -66,6 +69,7 @@ from food.syntax import (
     walk,
     with_children,
 )
+from food.transform import TransformResult
 
 
 def test_parse_reads_a_bare_body_as_one_wildcard_clause():
@@ -447,8 +451,10 @@ def test_deep_equality_falls_back_once_per_compare(monkeypatch):
         "one wrapper": lambda: (lambda: a == b)(),
         "two wrappers": lambda: (lambda: (lambda: a == b)())(),
         "!=": lambda: not a != b,
-        # a dataclass __eq__ is not a node compare: the node below it falls back
-        "dataclass ==": lambda: Done(a) == Done(b),
+        # a tuple's == is not a node compare: the node inside it falls back
+        "tuple ==": lambda: (a,) == (b,),
+        # a record's == is the outermost node compare, and falls back itself
+        "record ==": lambda: Done(a) == Done(b),
     }
     for name, equal in callers.items():
         runs.clear()
@@ -536,6 +542,24 @@ VALUE_SAMPLES = {
 NODE_CASES = [pytest.param(c, args, id=c.__name__) for c, args in SAMPLES.items()] + [
     pytest.param(c, args, id=name) for name, (c, args) in VALUE_SAMPLES.items()
 ]
+# the package's frozen records are node classes too
+CTX = preprocess(Program((Datatype("D"), Constructor("C", (), "D")), IntLit(1)))
+RECORD_SAMPLES = {
+    Stepped: (IntLit(1),),
+    Done: (IntLit(1),),
+    Stuck: ("no rule applies", Var("x")),
+    FuelExhausted: (IntLit(1),),
+    Trace: ((IntLit(1),), Done(IntLit(1))),
+    Diagnostic: ("boom", 1, 2),
+    TransformResult: (Program((), IntLit(1)), INT, ((Var("x"), Var("y")),)),
+    GlobalCtx: tuple(getattr(CTX, f.name) for f in dataclasses.fields(GlobalCtx)),
+    GenConfig: (1, 2, 3, 4, 5, 0.5, 0.25, 0.125),
+    _Binding: ("x", INT, True),
+    PropFail: ("round-trip", "detail"),
+    TrialReport: (1, ("D",), (PropFail("p", "d"),), "witness"),
+    FuzzReport: ((TrialReport(1, (), (), ""),),),
+}
+BUILT_CASES = NODE_CASES + [pytest.param(c, args, id=c.__name__) for c, args in RECORD_SAMPLES.items()]
 
 
 def field_names(cls):
@@ -585,8 +609,8 @@ def test_samples_cover_every_node_class():
 
 
 def test_node_runs_one_exec_per_class(monkeypatch):
-    # dataclass only records the fields; one exec writes __init__, __eq__,
-    # __hash__ and __repr__.  Only the exec of @node's own source (the one that
+    # dataclass only records the fields; one exec writes __init__, and ==,
+    # hash and repr are shared.  Only the exec of @node's own source (the one that
     # defines outer) is counted: from Python 3.13 dataclass runs one of its own
     # even with init, repr and eq off.
     calls, real_exec = [], builtins.exec
@@ -609,7 +633,7 @@ def test_node_runs_one_exec_per_class(monkeypatch):
     assert repr(a) == f"{Throwaway.__qualname__}(name='x')"
 
 
-@pytest.mark.parametrize(("cls", "args"), NODE_CASES)
+@pytest.mark.parametrize(("cls", "args"), BUILT_CASES)
 def test_node_fields_cannot_be_set_or_deleted(cls, args):
     a, _ = both_ways(cls, args)
     for name in field_names(cls):
@@ -620,17 +644,22 @@ def test_node_fields_cannot_be_set_or_deleted(cls, args):
     assert a == both_ways(cls, args)[0]
 
 
-@pytest.mark.parametrize(("cls", "args"), NODE_CASES)
+@pytest.mark.parametrize(("cls", "args"), BUILT_CASES)
 def test_node_instances_have_no_dict(cls, args):
     a, _ = both_ways(cls, args)
     assert not hasattr(a, "__dict__")
     assert set(cls.__slots__) == set(field_names(cls))
 
 
-@pytest.mark.parametrize(("cls", "args"), NODE_CASES)
+@pytest.mark.parametrize(("cls", "args"), BUILT_CASES)
 def test_node_equality_and_hash_agree_across_constructions(cls, args):
     a, b = both_ways(cls, args)
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is not b and a == b and a.__eq__(args) is NotImplemented
+    compared = tuple(getattr(a, f.name) for f in dataclasses.fields(cls) if f.compare)
+    if cls is GlobalCtx:  # its maps are dicts, so it is unhashable, as a frozen dataclass is
+        pytest.raises(TypeError, hash, a)
+    else:
+        assert hash(a) == hash(b) == hash(compared)
     assert [getattr(a, x) for x in field_names(cls)] == [getattr(b, x) for x in field_names(cls)]
 
 
@@ -644,18 +673,21 @@ def test_node_equality_ignores_pos(cls):
     assert moved == a and hash(moved) == hash(a)
 
 
-@pytest.mark.parametrize(("cls", "args"), NODE_CASES)
+@pytest.mark.parametrize(("cls", "args"), BUILT_CASES)
 def test_node_replace_rebuilds_with_changed_fields(cls, args):
     a, _ = both_ways(cls, args)
-    copy = dataclasses.replace(a)
-    assert type(copy) is cls and copy == a and copy is not a
+    rebuilt = dataclasses.replace(a)
+    assert type(rebuilt) is cls and rebuilt == a and rebuilt is not a
+    # copies rebuild through the constructor too
+    for rebuilt in (copy.copy(a), copy.deepcopy(a)):
+        assert type(rebuilt) is cls and rebuilt == a and repr(rebuilt) == repr(a)
     for name in field_names(cls):
         changed = dataclasses.replace(a, **{name: "changed"})
         assert getattr(changed, name) == "changed"
         assert all(getattr(changed, x) is getattr(a, x) for x in field_names(cls) if x != name)
 
 
-@pytest.mark.parametrize(("cls", "args"), NODE_CASES)
+@pytest.mark.parametrize(("cls", "args"), BUILT_CASES)
 def test_node_repr_is_the_dataclass_repr(cls, args):
     a, _ = both_ways(cls, args)
     shown = [f"{f.name}={getattr(a, f.name)!r}" for f in dataclasses.fields(cls) if f.repr]
@@ -669,6 +701,17 @@ def test_node_repr_examples():
     shown = "PrimOp(op='+', lhs=IntLit(value=1), rhs=Var(name='y'))"
     assert repr(PrimOp("+", IntLit(1), Var("y"))) == shown
     assert repr(ObjV("C", (BoolV(True),))) == "Obj(name='C', args=(BoolLit(value=True),))"
+
+
+def test_context_equality_and_repr_ignore_its_cells_and_typings():
+    other = dataclasses.replace(CTX, cells={}, typings={id(CTX): None})
+    assert other == CTX and repr(other) == repr(CTX) and "cells" not in repr(CTX) and "typings" not in repr(CTX)
+    assert dataclasses.replace(CTX, dt=()) != CTX
+
+
+def test_gen_config_replace_keeps_the_other_knobs():
+    cfg = dataclasses.replace(GenConfig(seed=1), seed=2)
+    assert cfg == GenConfig(seed=2) and cfg != GenConfig(seed=1) and repr(cfg).startswith("GenConfig(seed=2, max_types=3,")
 
 
 @pytest.mark.parametrize(("cls", "args"), NODE_CASES)
