@@ -1,8 +1,9 @@
-"""Abstract syntax of FOOD programs, the canonicalization pass, and one
-stack-safe expression traversal, which takes any depth.  The evaluator's
-one machine, the printer, ``free_vars`` and ``contains_obj`` walk expressions
-by hand on a list, for speed; ``subst``, the typer and the translation each
-give ``fold`` one rule per form.
+"""Abstract syntax of FOOD programs, the canonicalization pass, and stack-safe
+expression traversals, which take any depth.  The evaluator's one machine, the
+printer, ``free_vars``, ``contains_obj`` and ``rebuild`` (which ``subst`` and
+the translation share) walk expressions by hand on a list, dispatching on each
+node's exact class, for speed; ``fold`` does too, and serves the typer, which
+gives it one rule per form.
 
 All nodes are immutable; ``==`` is structural equality at any depth, which
 ignores the (non-compared) source positions of definitions.
@@ -416,15 +417,60 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
     """
     # the machine's call rule when it yields states; with environments it
     # reads a stopped state back with it
-    if not mapping:
-        return e
+    return rebuild(e, mapping) if mapping else e
 
-    def rule(x: Expr, kids: list) -> Expr:
-        if not kids:
-            return mapping.get(x.name, x) if type(x) is Var else x
-        return x if type(x) is Obj else with_children(x, tuple(kids))  # runtime objects hold values only
 
-    return fold(e, rule)
+_FLIPPED = {Sel: App, App: Sel, CtrCall: New, New: CtrCall}  # each call form's form in the other style
+
+
+def rebuild(e: Expr, mapping: dict[str, Expr], flip=None) -> Expr:
+    """``e`` rebuilt bottom-up, at any depth, with each variable that ``mapping`` names replaced by its image.
+
+    ``flip(cls, name)``, if given, is asked at each call (of class ``cls``, named ``name``) in post-order
+    whether the call changes style: a selection becomes an application, a constructor call an
+    instantiation, and back.  Literals and runtime objects, which hold values only, are kept as they are.
+    """
+    out: list = []
+    todo: list = [e]
+    pop, push = todo.pop, out.append
+    while todo:  # a node with children pushes itself, their count and them, first child on top
+        x = pop()
+        cls = type(x)
+        if cls is Var:
+            push(mapping.get(x.name, x))
+        elif cls is int:  # the results of the node below's x children end the list
+            n, x = x, pop()
+            cls = type(x)
+            if cls is PrimOp:
+                rhs = out.pop()
+                out[-1] = PrimOp(x.op, out[-1], rhs)
+                continue
+            if cls is If:
+                els, then = out.pop(), out.pop()
+                out[-1] = If(out[-1], then, els)
+                continue
+            k = len(out) - n
+            kids = tuple(out[k:])
+            del out[k:]
+            if flip is not None and flip(cls, x.name):
+                cls = _FLIPPED[cls]
+            if cls is Sel:
+                push(Sel(kids[0], x.name, kids[1:]))
+            elif cls is App:
+                push(App(x.name, kids[0], kids[1:]))
+            else:
+                push(cls(x.name, kids))
+        elif cls is PrimOp:
+            todo += (x, 2, x.rhs, x.lhs)
+        elif cls is Sel or cls is App:
+            todo += (x, len(x.args) + 1, *x.args[::-1], x.recv)
+        elif cls is If:
+            todo += (x, 3, x.els, x.then, x.cond)
+        elif (cls is CtrCall or cls is New) and (x.args or flip is not None):
+            todo += (x, len(x.args), *x.args[::-1])
+        else:  # a literal, a runtime object, or a call with nothing to rebuild
+            push(x)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +520,22 @@ def fold(e: Expr, fn):
     results: list = []
     todo: list = [e]
     pop, push = todo.pop, results.append
-    while todo:
+    while todo:  # a node with children pushes itself, their count and them, first child on top
         x = pop()
-        if type(x) is tuple:  # (node, n): the results of its n children end the list
-            x, n = x
-            kids = results[-n:]
-            del results[-n:]
-            push(fn(x, kids))
-        elif kids := children(x):
-            todo.append((x, len(kids)))
-            todo += reversed(kids)
+        cls = type(x)
+        if cls is int:  # the results of the node below's x children end the list
+            k = len(results) - x
+            kids = results[k:]
+            del results[k:]
+            push(fn(pop(), kids))
+        elif cls is PrimOp:
+            todo += (x, 2, x.rhs, x.lhs)
+        elif cls is Sel or cls is App:
+            todo += (x, len(x.args) + 1, *x.args[::-1], x.recv)
+        elif cls is If:
+            todo += (x, 3, x.els, x.then, x.cond)
+        elif (cls is CtrCall or cls is New or cls is Obj) and x.args:
+            todo += (x, len(x.args), *x.args[::-1])
         else:
             push(fn(x, ()))
     return results[0]
@@ -493,10 +545,18 @@ def free_vars(e: Expr) -> set[str]:
     names, todo = set(), [e]
     while todo:
         x = todo.pop()
-        if type(x) is Var:
+        cls = type(x)
+        if cls is Var:
             names.add(x.name)
-        else:
-            todo += children(x)
+        elif cls is PrimOp:
+            todo += (x.lhs, x.rhs)
+        elif cls is Sel or cls is App:
+            todo.append(x.recv)
+            todo += x.args
+        elif cls is If:
+            todo += (x.cond, x.then, x.els)
+        elif cls is CtrCall or cls is New or cls is Obj:
+            todo += x.args
     return names
 
 
@@ -504,7 +564,16 @@ def contains_obj(e: Expr) -> bool:
     todo = [e]
     while todo:
         x = todo.pop()
-        if type(x) is Obj:
+        cls = type(x)
+        if cls is Obj:
             return True
-        todo += children(x)
+        if cls is PrimOp:
+            todo += (x.lhs, x.rhs)
+        elif cls is Sel or cls is App:
+            todo.append(x.recv)
+            todo += x.args
+        elif cls is If:
+            todo += (x.cond, x.then, x.els)
+        elif cls is CtrCall or cls is New:
+            todo += x.args
     return False

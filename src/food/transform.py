@@ -19,9 +19,12 @@ type, or its constructor's parent, is selected.  So this takes three steps:
 - Regrouping (``_regroup``) transposes the matrix of the translated definitions
   (``context.matrix``): it moves each body between consumers and classes.
 
-Typing and translation are each one rule per form over ``syntax.fold``.  The
-typing rule returns the error a recursive pass meets first: the receiver's,
-the node's own, then the arguments'.  Errors are functions that build them.
+Typing is one rule per form over ``syntax.fold``, and returns the error a
+recursive pass meets first: the receiver's, the node's own, then the
+arguments'.  Errors are functions that build them.  Translation, like the
+printer and the machine, is a hand-written loop: ``syntax.rebuild``, which
+``subst`` shares, rebuilds each node by its exact class and asks at each call
+whether it flips.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .syntax import (
     WILDCARD,
     fold,
     node,
-    with_children,
+    rebuild,
 )
 
 _ARITH = {"+", "-", "*"}
@@ -106,7 +109,7 @@ def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
     ``this`` of an interface in ``ctx.it`` to ``self``, ``self`` of a datatype in ``ctx.dt`` to ``this``."""
     names: list[str] = []
     t = type_expr(e, ctx, env, names)
-    return _translated(e, ctx, env, names), t
+    return _translated(e, ctx, env, names, {*ctx.dt, *ctx.it}), t
 
 
 def _typing(ctx: GlobalCtx, env: TypeEnv, names: list[str], e: Expr, kids: list):
@@ -189,37 +192,21 @@ def _printing(prefix: str, e: Expr, suffix: str):
     return lambda: _err(prefix + pretty_expr(e, runtime=True) + suffix)
 
 
-def _translated(e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str]) -> Expr:
-    """``e``, typed in ``env`` with the call types ``names``, translated under ``ctx``."""
+def _translated(e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str], kept: set[str]) -> Expr:
+    """``e``, typed in ``env`` with the call types ``names``, translated under ``ctx``, whose
+    selected types are ``kept``."""
     # a selected type's receiver moves with its member body to the other style, and takes its name
     renames = {
         recv: Var(other)
         for recv, other, selected in ((THIS, SELF, ctx.it), (SELF, THIS, ctx.dt))
         if type(t := env.get(recv)) is Named and t.name in selected
     }
-    if not renames and {*ctx.dt, *ctx.it}.isdisjoint(names):
-        return e  # every rule would keep its node
-    return fold(e, partial(_translation, ctx, renames, iter(names)))
-
-
-def _translation(ctx: GlobalCtx, renames: dict[str, Var], names, e: Expr, kids: list) -> Expr:
-    """The translation of ``e`` from its children's; ``names`` yields the next call's type."""
-    cls = type(e)
-    if cls is Var:
-        return renames.get(e.name, e)
-    if cls is Sel or cls is App:
-        oo, f = cls is Sel, e.name
-        flip = f in (ctx.dtr if oo else ctx.csm).get(next(names), ())
-        if oo != flip:  # a selection kept, or App2Sel
-            return Sel(kids[0], f, tuple(kids[1:]))
-        return App(f, kids[0], tuple(kids[1:]))  # an application kept, or Sel2App
-    if cls is CtrCall or cls is New:
-        oo, c = cls is New, e.name
-        flip = c in (ctx.gen if oo else ctx.ctr).get(next(names), ())
-        if oo != flip:  # an instantiation kept, or Obj2New
-            return New(c, tuple(kids))
-        return CtrCall(c, tuple(kids))  # a constructor call kept, or New2Obj
-    return e if cls is Obj or not kids else with_children(e, kids)  # runtime objects are never rewritten
+    if not renames and kept.isdisjoint(names):
+        return e  # no call flips and no receiver moves
+    # a call flips when its name is among its listed type's members of its form: the typing
+    # listed the types in the post-order in which the rebuild asks
+    tables, types = {Sel: ctx.dtr, App: ctx.csm, New: ctx.gen, CtrCall: ctx.ctr}, iter(names)
+    return rebuild(e, renames, lambda cls, name: name in tables[cls].get(next(types), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +357,12 @@ def transform(
         selected = set(full.type_names())
     rctx = restrict(full, selected)
     bodies, main_type = type_program(program, rctx)
-    translations = tuple((body, _translated(body, rctx, env, names)) for body, env, names in bodies)
+    kept = {*rctx.dt, *rctx.it}
+    translations = tuple((body, _translated(body, rctx, env, names, kept)) for body, env, names in bodies)
     translated = (out for _, out in translations)
     typed: dict[DefKey, Def] = {}
     for d in program.defs:
         typed[(d.name, d.self_type) if type(d) is Consumer else d.name] = _with_bodies(d, translated)
-    kept = {*rctx.dt, *rctx.it}
     cells = matrix(typed) if kept else {}  # only a selected type's definitions read the cells
     defs = [out for d in program.defs for out in _regroup(d, typed, rctx, kept, cells)]
     return TransformResult(Program(tuple(defs), next(translated)), main_type, translations[:-1])

@@ -135,9 +135,9 @@ def test_transform_builds_nodes_with_their_constructors():
 
 
 def test_transform_names_no_subst():
-    # a selected type's receiver is renamed where _translation translates
-    # it, in the body's one translating fold; a subst after translating would
-    # be a second pass over every moved body
+    # a selected type's receiver is renamed where _translated translates
+    # it, in the body's one translating rebuild; a subst after translating
+    # would be a second pass over every moved body
     tree = ast.parse((pathlib.Path(food.__file__).parent / "transform.py").read_text())
     found = [
         node.lineno

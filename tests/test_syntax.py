@@ -20,6 +20,7 @@ from food import (
     parse,
     preprocess,
     pretty,
+    restrict,
     syntax,
     transform,
     transform_expr,
@@ -392,6 +393,56 @@ def test_subst_takes_any_depth():
     # a runtime object holds values only, and is kept as it is
     obj = Obj("C", (Var("x"),))
     assert subst(obj, {"x": IntLit(7)}) is obj
+
+
+# Per nesting form: definitions that type its tree with the leaf 1 as a
+# variable x, x's type, which is the selected type where it is named, one
+# level of the tree, and that level translated (None: kept as it is).
+DEEP_STYLES = {
+    "parentheses": ("0", INT, lambda e: e, None),
+    "sums": ("0", INT, lambda e: PrimOp("+", IntLit(1), e), None),
+    "constructors": (
+        "data N\ncase S(n: N) extends N\n0",
+        Named("N"),
+        lambda e: CtrCall("S", (e,)),
+        lambda e: New("S", (e,)),
+    ),
+    "objects": (
+        "interface N {}\nclass S(n: N) implements N {}\n0",
+        Named("N"),
+        lambda e: New("S", (e,)),
+        lambda e: CtrCall("S", (e,)),
+    ),
+    "selections": (
+        "interface I {\n  def f(): I\n}\n0",
+        Named("I"),
+        lambda e: Sel(e, "f", ()),
+        lambda e: App("f", e, ()),
+    ),
+    "receivers": (
+        "data N\ndef f(self: N)(): N = self\n0",
+        Named("N"),
+        lambda e: App("f", e, ()),
+        lambda e: Sel(e, "f", ()),
+    ),
+    "ifs": ("0", INT, lambda e: If(BoolLit(True), e, IntLit(2)), None),
+}
+
+
+def test_translation_and_subst_take_every_nesting_form_at_any_depth():
+    # translated 10^5 deep with x's type selected, then back, at the default recursion limit
+    assert DEEP_STYLES.keys() == NESTINGS.keys()
+    for form, (source, x_type, level, flipped) in DEEP_STYLES.items():
+        program, env = parse(source), {"x": x_type}
+        selected = {x_type.name} if isinstance(x_type, Named) else set()
+        e, want = nest(100_000, level, Var("x")), nest(100_000, flipped or level, Var("x"))
+        # the form's leaf substituted for x gives its tree; each translated level is another form's
+        tree = NESTINGS[form][1]
+        assert subst(e, {"x": tree(0)}) == tree(100_000), form
+        out, t = transform_expr(e, restrict(preprocess(program), selected), env)
+        assert t == x_type and out == want, form
+        back = restrict(preprocess(transform(program, selected).program), selected)
+        assert transform_expr(out, back, env) == (e, x_type), form
 
 
 def test_node_equality_takes_any_depth():

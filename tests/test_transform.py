@@ -369,9 +369,9 @@ def test_only_a_passing_typing_is_kept():
 
 # ---------------------------------------------------------------------------
 # The printer, a pre-order loop, and the typing and translation of
-# transform_expr, folds over syntax.fold, against the recursive code they
-# replaced (reference_recursive): the same text, translation and type, or the
-# same error text, on every input.
+# transform_expr, a fold over syntax.fold and a rebuild loop, against the
+# recursive code they replaced (reference_recursive): the same text,
+# translation and type, or the same error text, on every input.
 # The translation also renames the receiver of a selected type, which the
 # definition layer did after typing, by substitution: the reference's
 # translation is renamed that way.
@@ -517,6 +517,26 @@ def test_error_order_matches_the_recursive_reference(monkeypatch):
                 assert_prints_and_types_as_reference(variant, ctx, env)
                 errors += isinstance(outcome(transform_expr, variant, ctx, env)[0], str)
     assert errors > 25_000
+
+
+def test_single_type_selections_translate_as_the_recursive_reference():
+    # with every type selected or none, every call flips or none does; with
+    # one type selected, calls that flip sit beside calls that are kept, each
+    # decided by its own listed type in the translation's post-order
+    bodies = flips = 0
+    for program in programs(range(200)):
+        ctx = preprocess(program)
+        typed = [(e, env) for e, env, _ in TRANSFORM.type_program(program, ctx)[0]]
+        variants = [(v, env) for e, env in typed for v in ill_typed_variants(e)]
+        for t in sorted(ctx.type_names()):
+            rctx = restrict(ctx, {t})
+            for e, env in typed:
+                out, _ = transform_expr(e, rctx, env)
+                assert (out, _) == reference_typed(e, rctx, env), (t, e)
+                bodies, flips = bodies + 1, flips + (out != e)
+            for v, env in variants:
+                assert outcome(transform_expr, v, rctx, env) == outcome(reference_typed, v, rctx, env), (t, v)
+    assert bodies > 4_000 and flips > 1_000
 
 
 @pytest.mark.parametrize("template", sorted(EVAL_TEMPLATES))
