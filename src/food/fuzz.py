@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
-from .context import GlobalCtx, preprocess, restrict, translate_ctx
+from .context import Cell, GlobalCtx, preprocess, restrict, translate_ctx
 from .diagnostics import FoodError
 from .interp import (
     Done,
@@ -525,10 +525,9 @@ def _hygiene_failures(p2: Program) -> list[str]:
     return out
 
 
-def _lookup_duality_failures(rctx: GlobalCtx, ctx2: GlobalCtx, translations: dict[int, Expr]) -> list[str]:
-    """Check that body lookup commutes with translation for every (f, C): each cell
-    before, its body translated (``translations`` maps each member body, by
-    identity, to its translation), is what the other style looks up after."""
+def _lookup_duality_failures(rctx: GlobalCtx, ctx2: GlobalCtx, cells: dict[tuple[str, str], Cell]) -> list[str]:
+    """Check that body lookup commutes with translation for every (f, C): each cell of
+    the translated definitions (``cells``) is what the other style looks up after."""
     out = []
     # destructor before == consumer after, then consumer before == destructor after
     for oo in (True, False):
@@ -537,10 +536,10 @@ def _lookup_duality_failures(rctx: GlobalCtx, ctx2: GlobalCtx, translations: dic
         for d_name in rctx.it if oo else rctx.dt:
             for c_name in (rctx.gen if oo else rctx.ctr)[d_name]:
                 for f in (rctx.dtr if oo else rctx.csm)[d_name]:
-                    cell = rctx.cells.get((f, c_name))
+                    cell = cells.get((f, c_name))
                     if cell is None:
                         out.append(missing.format(f=f, c=c_name))
-                    elif lookup_after(f, c_name, ctx2) != (cell.bound, cell.params, translations[id(cell.body)]):
+                    elif lookup_after(f, c_name, ctx2) != cell:
                         out.append(f"{member} {f} on {c_name} does not survive translation")
     return out
 
@@ -622,8 +621,7 @@ def check_properties(
     except FoodError as exc:
         fails.append(PropFail("ctx-duality", str(exc)))
 
-    translations = {id(body): out for body, out in r1.translations}
-    for problem in _lookup_duality_failures(rctx, ctx2, translations):
+    for problem in _lookup_duality_failures(rctx, ctx2, r1.cells):
         fails.append(PropFail("lookup-duality", problem))
 
     out1, bad1 = _typed_run(program, ctx, fuel)

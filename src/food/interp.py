@@ -99,7 +99,7 @@ class Stuck:
     """No rule applies: why, and the expression that is stuck."""
 
     reason: str
-    expr: Expr | None = None
+    expr: Expr
 
 
 @node
@@ -247,19 +247,22 @@ def _read_back(node: Expr, env: dict[str, Expr], done: list[Expr]) -> Expr:
 def _plug_all(e: Expr, frames: Frames) -> Expr:
     """The whole term: e plugged into every frame, innermost first."""
     for node, env, _, vals in reversed(frames):
-        cls = type(node)
-        if env:  # a run with environments reads its stuck or fuel-exhausted state back
-            e = _read_back(node, env, [*vals, e])
-        elif cls is PrimOp:
-            e = PrimOp(node.op, vals[0], e) if vals else PrimOp(node.op, e, node.rhs)
-        elif cls is If:
-            e = If(e, node.then, node.els)
-        elif cls is Sel or cls is App:
-            recv, args = (vals[0], (*vals[1:], e, *node.args[len(vals) :])) if vals else (e, node.args)
-            e = Sel(recv, node.name, args) if cls is Sel else App(node.name, recv, args)
-        else:  # CtrCall or New
-            e = cls(node.name, (*vals, e, *node.args[len(vals) + 1 :]))
+        # a run with environments reads its stuck or fuel-exhausted state back
+        e = _read_back(node, env, [*vals, e]) if env else _plug(node, vals, e)
     return e
+
+
+def _plug(node: Expr, vals: list[Expr], e: Expr) -> Expr:
+    """node with vals in its first slots, e in the next, and its code in the rest."""
+    cls = type(node)
+    if cls is PrimOp:
+        return PrimOp(node.op, vals[0], e) if vals else PrimOp(node.op, e, node.rhs)
+    if cls is If:
+        return If(e, node.then, node.els)
+    if cls is Sel or cls is App:
+        recv, args = (vals[0], (*vals[1:], e, *node.args[len(vals) :])) if vals else (e, node.args)
+        return Sel(recv, node.name, args) if cls is Sel else App(node.name, recv, args)
+    return cls(node.name, (*vals, e, *node.args[len(vals) + 1 :]))  # CtrCall or New
 
 
 def _redex(node: Expr, env: dict[str, Expr], slots: tuple[Expr, ...], vals: list[Expr]) -> Expr:
@@ -268,16 +271,7 @@ def _redex(node: Expr, env: dict[str, Expr], slots: tuple[Expr, ...], vals: list
         return _read_back(node, env, vals)
     if all(map(operator.is_, vals, slots)):
         return node  # after subst, every value usually sits in its slot already
-    cls = type(node)
-    if cls is PrimOp:
-        return PrimOp(node.op, vals[0], vals[1] if len(vals) == 2 else node.rhs)
-    if cls is If:
-        return If(vals[0], node.then, node.els)
-    if cls is Sel:
-        return Sel(vals[0], node.name, tuple(vals[1:]))
-    if cls is App:
-        return App(node.name, vals[0], tuple(vals[1:]))
-    return cls(node.name, tuple(vals))  # CtrCall or New
+    return _plug(node, vals[:-1], vals[-1])
 
 
 def _machine(

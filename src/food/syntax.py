@@ -423,11 +423,11 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
 _FLIPPED = {Sel: App, App: Sel, CtrCall: New, New: CtrCall}  # each call form's form in the other style
 
 
-def rebuild(e: Expr, mapping: dict[str, Expr], flip=None) -> Expr:
+def rebuild(e: Expr, mapping: dict[str, Expr], flips=None) -> Expr:
     """``e`` rebuilt bottom-up, at any depth, with each variable that ``mapping`` names replaced by its image.
 
-    ``flip(cls, name)``, if given, is asked at each call (of class ``cls``, named ``name``) in post-order
-    whether the call changes style: a selection becomes an application, a constructor call an
+    ``flips``, if given, is an iterator of booleans, advanced once at each call in post-order: a call
+    whose flip is true changes style, a selection becoming an application, a constructor call an
     instantiation, and back.  Literals and runtime objects, which hold values only, are kept as they are.
     """
     out: list = []
@@ -452,7 +452,7 @@ def rebuild(e: Expr, mapping: dict[str, Expr], flip=None) -> Expr:
             k = len(out) - n
             kids = tuple(out[k:])
             del out[k:]
-            if flip is not None and flip(cls, x.name):
+            if flips is not None and next(flips):
                 cls = _FLIPPED[cls]
             if cls is Sel:
                 push(Sel(kids[0], x.name, kids[1:]))
@@ -466,7 +466,7 @@ def rebuild(e: Expr, mapping: dict[str, Expr], flip=None) -> Expr:
             todo += (x, len(x.args) + 1, *x.args[::-1], x.recv)
         elif cls is If:
             todo += (x, 3, x.els, x.then, x.cond)
-        elif (cls is CtrCall or cls is New) and (x.args or flip is not None):
+        elif (cls is CtrCall or cls is New) and (x.args or flips is not None):
             todo += (x, len(x.args), *x.args[::-1])
         else:  # a literal, a runtime object, or a call with nothing to rebuild
             push(x)

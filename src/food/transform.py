@@ -12,19 +12,20 @@ type, or its constructor's parent, is selected.  So this takes three steps:
   so a program that ``check`` or ``transform`` typed is not typed again.  No
   other module reads or writes that cache.
 - Translation (``_translated``) makes no type check.  Sel2App/App2Sel and
-  Obj2New/New2Obj flip by the listed types, and a selected type's receiver,
-  which moves with its body, takes the other style's name.  A body with
-  nothing to flip or rename is kept as it is.  Each body is translated once,
-  and ``TransformResult.translations`` pairs it with its translation.
-- Regrouping (``_regroup``) transposes the matrix of the translated definitions
-  (``context.matrix``): it moves each body between consumers and classes.
+  Obj2New/New2Obj flip a call exactly when its listed type is selected, and a
+  selected type's receiver, which moves with its body, takes the other
+  style's name.  A body with nothing to flip or rename is kept as it is.
+  Each body is translated once.
+- Regrouping (``_regroup``) keeps each translated definition whose type is
+  not selected, and transposes their matrix (``context.matrix``, kept as
+  ``TransformResult.cells``): it moves each body between consumers and classes.
 
 Typing is one rule per form over ``syntax.fold``, and returns the error a
 recursive pass meets first: the receiver's, the node's own, then the
 arguments'.  Errors are functions that build them.  Translation, like the
 printer and the machine, is a hand-written loop: ``syntax.rebuild``, which
-``subst`` shares, rebuilds each node by its exact class and asks at each call
-whether it flips.
+``subst`` shares, rebuilds each node by its exact class and reads at each
+call whether it flips.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import field
 from functools import partial
 
-from .context import DefKey, GlobalCtx, TypeEnv, matrix, preprocess, restrict
+from .context import Cell, DefKey, GlobalCtx, TypeEnv, matrix, preprocess, restrict
 from .diagnostics import Diagnostic, TransformError
 from .pretty import pretty_expr, pretty_type
 from .syntax import (
@@ -81,12 +82,12 @@ Typing = tuple[list[tuple[Expr, TypeEnv, list[str]]], Type]
 
 @node
 class TransformResult:
-    """The transformed program, its type, and the translation of each member body."""
+    """The transformed program, its type, and the matrix of the translated definitions."""
 
     program: Program
     program_type: Type
-    # each member body of the input, in ``_members`` order, with its translation
-    translations: tuple[tuple[Expr, Expr], ...] = field(compare=False, repr=False)
+    # the cells that regrouping transposed (``context.matrix``); empty when no type is selected
+    cells: dict[tuple[str, str], Cell] = field(compare=False, repr=False)
 
 
 def _err(message: str, pos: tuple[int, int] | None = None) -> TransformError:
@@ -203,10 +204,9 @@ def _translated(e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str], kept: s
     }
     if not renames and kept.isdisjoint(names):
         return e  # no call flips and no receiver moves
-    # a call flips when its name is among its listed type's members of its form: the typing
-    # listed the types in the post-order in which the rebuild asks
-    tables, types = {Sel: ctx.dtr, App: ctx.csm, New: ctx.gen, CtrCall: ctx.ctr}, iter(names)
-    return rebuild(e, renames, lambda cls, name: name in tables[cls].get(next(types), ()))
+    # a call flips when its listed type is selected: the typing listed the types in the
+    # post-order in which the rebuild reads the flips
+    return rebuild(e, renames, map(kept.__contains__, names))
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +293,26 @@ def type_program(program: Program, ctx: GlobalCtx) -> Typing:
     return bodies, main_type
 
 
-def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx, kept: set, cells: dict) -> list[Def]:
-    """What ``d`` becomes: its translated form, or its part of a selected type's other decomposition.
+def _regroup(d: Def, ctx: GlobalCtx, kept: set, cells: dict) -> list[Def]:
+    """What translated ``d`` becomes: itself, or its part of a selected type's other decomposition.
 
-    ``typed`` maps each definition's key in ``ctx.defs`` to its translation,
-    and ``cells`` is the matrix of ``typed``: the bodies it holds move between
-    consumers and classes unchanged.  ``kept`` holds the selected types' names.
+    ``cells`` is the matrix of the translated definitions: the bodies it holds
+    move between consumers and classes unchanged.  ``kept`` holds the selected
+    types' names.  Translation keeps signatures, so they are read off ``ctx.defs``.
     """
     cls = type(d)
+    owner = d.name if cls is Datatype or cls is Interface else d.self_type if cls is Consumer else d.parent
+    if owner not in kept:
+        return [d]  # Dt2Dt, It2It, Ctr2Ctr, Gen2Gen, Csm2Csm
     if cls is Datatype:
-        if d.name not in kept:
-            return [d]  # Dt2Dt
         dtrs = []  # Dt2It
         for f in ctx.csm[d.name]:
-            c, wild = typed[(f, d.name)], cells.get((f, d.name))  # Csm2Dec without a wildcard, Csm2Fun with one
+            c, wild = ctx.defs[(f, d.name)], cells.get((f, d.name))  # Csm2Dec without a wildcard, Csm2Fun with one
             dtrs.append(Dtr(f, c.params, c.ret, None if wild is None else wild.body))
         return [Interface(d.name, tuple(dtrs), d.pos)]
     if cls is Interface:
-        if d.name not in kept:
-            return [typed[d.name]]  # It2It
         out: list[Def] = [Datatype(d.name, d.pos)]  # It2Dt
-        for m in typed[d.name].dtrs:
+        for m in d.dtrs:
             clauses = []
             for c_name in ctx.gen[d.name]:
                 cell = cells.get((m.name, c_name))
@@ -324,21 +323,15 @@ def _regroup(d: Def, typed: dict[DefKey, Def], ctx: GlobalCtx, kept: set, cells:
             out.append(Consumer(m.name, d.name, m.params, m.ret, tuple(clauses)))
         return out
     if cls is Constructor:
-        if d.parent not in kept:
-            return [d]  # Ctr2Ctr
         funs = []  # Ctr2Gen
         for f in ctx.csm[d.parent]:
-            c, cell = typed[(f, d.parent)], cells.get((f, d.name))
+            c, cell = ctx.defs[(f, d.parent)], cells.get((f, d.name))
             if cell is not None and cell.kind == "own":  # Case2Fun
                 funs.append(Dtr(f, c.params, c.ret, cell.body))
         return [Generator(d.name, d.fields, d.parent, tuple(funs), d.pos)]
     if cls is Generator:
-        if d.parent in kept:
-            return [Constructor(d.name, d.fields, d.parent, d.pos)]  # Gen2Ctr
-        return [typed[d.name]]  # Gen2Gen
-    if d.self_type in kept:
-        return []  # CsmElim
-    return [typed[(d.name, d.self_type)]]  # Csm2Csm
+        return [Constructor(d.name, d.fields, d.parent, d.pos)]  # Gen2Ctr
+    return []  # CsmElim
 
 
 def transform(
@@ -358,14 +351,13 @@ def transform(
     rctx = restrict(full, selected)
     bodies, main_type = type_program(program, rctx)
     kept = {*rctx.dt, *rctx.it}
-    translations = tuple((body, _translated(body, rctx, env, names, kept)) for body, env, names in bodies)
-    translated = (out for _, out in translations)
+    translated = (_translated(body, rctx, env, names, kept) for body, env, names in bodies)
     typed: dict[DefKey, Def] = {}
     for d in program.defs:
         typed[(d.name, d.self_type) if type(d) is Consumer else d.name] = _with_bodies(d, translated)
     cells = matrix(typed) if kept else {}  # only a selected type's definitions read the cells
-    defs = [out for d in program.defs for out in _regroup(d, typed, rctx, kept, cells)]
-    return TransformResult(Program(tuple(defs), next(translated)), main_type, translations[:-1])
+    defs = [out for d in typed.values() for out in _regroup(d, rctx, kept, cells)]
+    return TransformResult(Program(tuple(defs), next(translated)), main_type, cells)
 
 
 def typecheck(program: Program, ctx: GlobalCtx | None = None) -> Type:

@@ -147,7 +147,7 @@ def member_bodies(p):
 
 def test_the_battery_types_each_side_once(monkeypatch):
     # check keeps the source's typing and the battery keeps the transformed
-    # program's, so the transforms, the lookup-duality translations and the
+    # program's, so the transforms, the lookup-duality cells and the
     # typed runs' state 0 type nothing again.  The typed run types the redexes
     # it meets, which start as subterms of the main expression, so calls made
     # inside it are not counted here.
@@ -186,7 +186,7 @@ def test_the_battery_types_each_side_once(monkeypatch):
 
 def test_the_battery_translates_each_body_once(monkeypatch):
     # transform translates every member body and the main expression once,
-    # and returns the member bodies' translations for lookup-duality, so the
+    # and returns the translated definitions' cells for lookup-duality, so the
     # battery translates nothing itself; fuzz binds no _translated of its own
     # that the count below would miss
     assert not hasattr(fuzz, "_translated")
@@ -239,6 +239,31 @@ def test_lookup_duality_names_the_direction_that_failed(name, kind, member):
     assert [f.detail for f in fails if f.prop == "lookup-duality"] == [
         f"{member} insert on {c} does not survive translation" for c in ("Empty", "Insert", "Union")
     ]
+
+
+SHARED_BODY = """
+interface I1 { def m(): Int }
+class P() implements I1 { def m(): Int = 1 }
+interface I2 { def m(): Int }
+class Q() implements I2 { def m(): Int = 2 }
+interface J { def g(): Int }
+class A(x: I1) implements J { def g(): Int = x.m() }
+class B(x: I2) implements J { def g(): Int = x.m() }
+new A(new P()).g() + new B(new Q()).g()
+"""
+
+
+def test_lookup_duality_holds_where_one_body_sits_in_two_cells():
+    # B's g body becomes A's very object: x is an I1 in A and an I2 in B, so
+    # with I1 selected the one object translates to x.m() in one cell and to
+    # m(x) in the other, and each cell is compared with its own translation
+    p = parse(SHARED_BODY)
+    assert check_properties(p, {"J", "I1"}) == []
+    a, b = (d for d in p.defs if d.name in ("A", "B"))
+    shared = replace(b, funs=(replace(b.funs[0], body=a.funs[0].body),))
+    q = replace(p, defs=tuple(shared if d is b else d for d in p.defs))
+    assert q.defs[-1].funs[0].body is q.defs[-2].funs[0].body
+    assert check_properties(q, {"J", "I1"}) == []
 
 
 def test_zero_trials_gives_empty_passing_report():
