@@ -18,7 +18,7 @@ from . import __version__
 from .context import GlobalCtx, preprocess, restrict
 from .diagnostics import FoodError
 from .fuzz import GenConfig, run_properties
-from .interp import Done, FuelExhausted, Stuck, _machine, _plug_all, eval_program, format_value
+from .interp import Done, FuelExhausted, Stuck, _machine, _plug_all, eval_program
 from .parser import parse
 from .pretty import pretty, pretty_expr
 from .syntax import Program, canonicalize
@@ -108,7 +108,7 @@ def _report(outcome: Done | FuelExhausted | Stuck, prefix: str) -> int:
     """Print how evaluation ended, the value after prefix, and return the exit code."""
     match outcome:
         case Done(value):
-            print(prefix + format_value(value))
+            print(prefix + pretty_expr(value, runtime=True))
             return 0
         case FuelExhausted():
             print("fuel exhausted", file=sys.stderr)

@@ -49,7 +49,6 @@ import operator
 from typing import Iterator, Sequence
 
 from .context import GlobalCtx, preprocess
-from .pretty import pretty_expr
 from .syntax import (
     App,
     BoolLit,
@@ -118,15 +117,6 @@ class Trace:
 
 
 _VALUE_FORMS = frozenset((IntLit, BoolLit, Obj))
-
-
-def is_value(e: Expr) -> bool:
-    return type(e) in _VALUE_FORMS
-
-
-def format_value(v: Expr) -> str:
-    """The printed form of a value, such as ``obj(Insert, obj(Empty), 3)``, at any depth."""
-    return pretty_expr(v, runtime=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The food command line."""
 
 import collections
+import dataclasses
 import functools
 import io
 import json
@@ -16,6 +17,7 @@ from mutators import mutate_drop_consumer
 
 from food import cli, fuzz, interp
 from food.cli import main
+from food.syntax import IntLit, Program
 
 
 def run(capsys, *argv):
@@ -70,6 +72,24 @@ def test_transform_output_file(capsys, tmp_path):
 def test_roundtrip_empty_diff(capsys):
     code, out, err = run(capsys, "roundtrip", str(CORPUS / "sets_fp.food"))
     assert code == 0 and out == "" and err == ""
+
+
+def test_roundtrip_prints_the_diff_and_exits_1(capsys, monkeypatch):
+    # a double transform that loses the main expression shows as a one-line diff
+    real = cli.transform
+
+    def transform(program, selected, ctx=None):
+        result = real(program, selected, ctx)
+        return result if ctx is not None else dataclasses.replace(result, program=Program(result.program.defs, IntLit(0)))
+
+    monkeypatch.setattr(cli, "transform", transform)
+    code, out, err = run(capsys, "roundtrip", str(CORPUS / "exp_oop.food"))
+    assert code == 1 and err == ""
+    assert out.startswith("--- canonicalized input\n+++ double transform\n")
+    assert [line for line in out.splitlines() if line[:1] in "+-" and line[1:2] not in "+-"] == [
+        "-" + (CORPUS / "exp_oop.food").read_text().splitlines()[-1],
+        "+0",
+    ]
 
 
 def test_eval_prints_value(capsys):
@@ -347,6 +367,16 @@ def test_a_closed_pipe_ends_quietly(tmp_path):
     assert (first, code, err) == (b"   0  count(build(Z())(400))\n", 1, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+def test_a_full_device_is_a_diagnostic():
+    # a write error other than a closed pipe is reported once, on stderr
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "food", "eval", str(CORPUS / "sets_oop.food")]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (1, b"cannot write <stdout>: No space left on device\n")
+
+
 def test_fuzz_reports_json_lines(capsys):
     code, out, _ = run(capsys, "fuzz", "--trials", "5", "--seed", "11", "--fuel", "5000")
     assert code == 0
@@ -354,6 +384,13 @@ def test_fuzz_reports_json_lines(capsys):
     assert len(lines) == 6  # one per trial plus a summary
     assert all(l["ok"] for l in lines[:-1])
     assert lines[-1] == {"trials": 5, "failed": 0, "failures_by_prop": {}}
+
+
+def test_fuzz_runs_looping_programs(capsys):
+    code, out, _ = run(capsys, "fuzz", "--trials", "5", "--seed", "1", "--diverge-prob", "1")
+    *trials, summary = [json.loads(l) for l in out.splitlines()]
+    assert code == 0 and len(trials) == 5 and all(t["ok"] for t in trials)
+    assert summary == {"trials": 5, "failed": 0, "failures_by_prop": {}}
 
 
 def test_fuzz_summary_counts_failures_by_property(capsys, monkeypatch):

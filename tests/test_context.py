@@ -52,6 +52,9 @@ def test_duplicate_names_rejected():
                 "def f(self: Set)(): Int = 1\ndef f(self: Set)(): Int = 2\nx"
             )
         )
+    with pytest.raises(ContextError) as exc:
+        preprocess(parse("interface I { def f(): Int def f(): Int }\n1"))
+    assert str(exc.value) == "1:1: duplicate destructor f in interface I"
 
 
 def test_undeclared_parents_rejected():

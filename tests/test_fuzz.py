@@ -12,6 +12,7 @@ from reference_step import typed_run as reference_typed_run
 from food import FoodError, check, eval_program, fuzz, parse, preprocess, transform
 from food.fuzz import (
     GenConfig,
+    PropFail,
     _typed_run,
     check_properties,
     gen_program,
@@ -241,6 +242,16 @@ def test_lookup_duality_names_the_direction_that_failed(name, kind, member):
     ]
 
 
+def test_lookup_duality_compares_a_cells_kind():
+    # the mutator drops class C1's f1, whose body equals the interface
+    # default: the consumer's clause for C1 becomes the default's fallback
+    # cell, equal field by field to the own cell it was
+    report = run_properties(GenConfig(seed=4, style_mix=0.0), 1, fuel=20_000, mutate=MUTATORS["drop-override"])
+    assert [f.detail for f in report.trials[0].failures if f.prop == "lookup-duality"] == [
+        "consumer f1 on C1 does not survive translation"
+    ]
+
+
 SHARED_BODY = """
 interface I1 { def m(): Int }
 class P() implements I1 { def m(): Int = 1 }
@@ -456,3 +467,82 @@ def f(self: T)(k: Int): T = self
 def g(self: T)(): Int = 0
 g(f(A(1))(2))()
 """
+
+
+# ---------------------------------------------------------------------------
+# Every branch of the battery can fire: each case plants a fault that the
+# branch under test reports.  with_main replaces the transformed program's
+# main expression.
+
+
+def with_main(e):
+    return lambda p: Program(p.defs, e)
+
+
+def append_first_def(p):
+    return Program(p.defs + p.defs[:1], p.main)
+
+
+def drop_set_interface(p):
+    # the interface and its classes go, so the selection names no type of p2
+    return fuzz._without_def(p, next(i for i, d in enumerate(p.defs) if d.name == "Set"))
+
+
+BRANCHES = {
+    "reparse failed": (
+        lambda: load("sets_oop"), None, 100_000, with_main(Var("if")),
+        PropFail("parse-pretty", "transformed program reparse failed: 23:1: expected (, found 'end of input'"),
+    ),
+    "no round-trip": (
+        lambda: load("sets_oop"), None, 100_000, with_main(Var("true")),
+        PropFail("parse-pretty", "transformed program does not round-trip"),
+    ),
+    "one side terminates": (
+        lambda: generated(GenConfig(seed=3, diverge_prob=1.0)), None, 2000, with_main(IntLit(0)),
+        PropFail("eval-agreement", "only one side terminated within fuel"),
+    ),
+    "different type": (
+        lambda: load("exp_oop"), None, 100_000, with_main(BoolLit(True)),
+        PropFail("type-preservation", "transformed program has a different type"),
+    ),
+    "no preprocess": (
+        lambda: load("sets_oop"), None, 100_000, append_first_def,
+        PropFail("round-trip", "transformed program does not preprocess: 2:1: duplicate definition of Set"),
+    ),
+    "ctx-duality raises": (
+        lambda: load("sets_oop"), None, 100_000, drop_set_interface,
+        PropFail("ctx-duality", "unknown selected type Set"),
+    ),
+    "source does not preprocess": (
+        lambda: Program((Datatype("D"), Datatype("D")), IntLit(0)), None, 100_000, None,
+        PropFail("wellformed", "preprocess failed: duplicate definition of D"),
+    ),
+    "unknown selected type": (
+        lambda: load("sets_oop"), {"Nope"}, 100_000, None,
+        PropFail("transform", "unknown selected type Nope"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCHES))
+def test_battery_branch_fires(case):
+    program, selected, fuel, mutate, expected = BRANCHES[case]
+    assert expected in check_properties(program(), selected, fuel, mutate)
+
+
+def test_skip_identity_fires_when_the_empty_selection_changes_the_program(monkeypatch):
+    real_transform = fuzz.transform
+
+    def transform(program, selected, *args, **kwargs):
+        result = real_transform(program, selected, *args, **kwargs)
+        return result if selected else replace(result, program=Program(program.defs, IntLit(0)))
+
+    monkeypatch.setattr(fuzz, "transform", transform)
+    assert PropFail("skip-identity", "transform with no selected types changed the program") in check_properties(
+        load("sets_oop")
+    )
+
+
+def test_substitution_hygiene_fires_on_self_in_a_method():
+    report = run_properties(GenConfig(seed=0, style_mix=0.0), 1, fuel=20_000, mutate=MUTATORS["wrong-substitution-oo"])
+    assert PropFail("substitution-hygiene", "'self' inside method f1 of C3") in report.trials[0].failures

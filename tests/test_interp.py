@@ -33,7 +33,8 @@ from food import (
 )
 from food.fuzz import GenConfig
 import food.interp
-from food.interp import Stepped, format_value, run
+from food.interp import Stepped, run
+from food.pretty import pretty_expr
 from food.syntax import (
     App,
     BoolLit,
@@ -330,9 +331,9 @@ def test_semantics_preserved_across_transformation():
 
 
 def test_format_value():
-    assert format_value(IntV(-3)) == "-3"
-    assert format_value(BoolV(True)) == "true"
-    assert format_value(ObjV("Insert", (ObjV("Empty", ()), IntV(3)))) == "obj(Insert, obj(Empty), 3)"
+    assert pretty_expr(IntV(-3), runtime=True) == "-3"
+    assert pretty_expr(BoolV(True), runtime=True) == "true"
+    assert pretty_expr(ObjV("Insert", (ObjV("Empty", ()), IntV(3))), runtime=True) == "obj(Insert, obj(Empty), 3)"
 
 
 def test_done_carries_the_final_state():

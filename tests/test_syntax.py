@@ -380,7 +380,7 @@ def test_traversals_do_not_recurse_on_deep_expressions():
         diagnostics = check(Program(DEEP_DEFS, e), ctx)
         assert [d.message for d in diagnostics] == ([] if isinstance(typing, Type) else [typing]), form
     value = nest(100_000, lambda v: Obj("S", (IntLit(1), v)), Obj("Z", ()))
-    assert interp.format_value(value) == pretty_expr(value, runtime=True)
+    assert pretty_expr(value, runtime=True) == "obj(S, 1, " * 100_000 + "obj(Z)" + ")" * 100_000
 
 
 def test_subst_takes_any_depth():

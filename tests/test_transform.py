@@ -116,6 +116,10 @@ def test_typecheck_examples():
     with pytest.raises(TransformError) as exc:
         typecheck(parse("f(x)(1)"))
     assert "unbound variable 'x'" in str(exc.value)
+    # a runtime object's tag must be a declared constructor or class
+    with pytest.raises(TransformError) as exc:
+        TRANSFORM.type_expr(Obj("Nope", ()), preprocess(parse("1")), {})
+    assert str(exc.value) == "object tag Nope has no signature"
 
 
 @pytest.mark.parametrize(

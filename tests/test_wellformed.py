@@ -10,7 +10,7 @@ from conftest import GOLDEN_SELECTIONS, generated, load
 from food import Stuck, canonicalize, check, eval_program, parse, preprocess, transform
 from food.fuzz import GenConfig
 from food.pretty import pretty_expr
-from food.syntax import Constructor, Consumer, Generator, Interface, Obj, Program, Sel
+from food.syntax import INT, Constructor, Consumer, Datatype, Generator, Interface, IntLit, Obj, Param, Program, Sel
 from food.wellformed import check_structure
 
 
@@ -177,6 +177,9 @@ def test_binder_conflicts_are_rejected():
     )
     diags = check_src(src)
     assert any("shadows field" in d.message for d in diags)
+    # the parser reads no field named self, so only a hand-built program has one
+    p = Program((Datatype("D"), Constructor("C", (Param("self", INT),), "D")), IntLit(0))
+    assert [d.render() for d in check(p, preprocess(p))] == ["constructor C declares reserved name 'self'"]
 
 
 def test_duplicate_parameters():
@@ -197,6 +200,8 @@ def test_duplicate_clause():
         "def f(self: D)(): Int = match { case C() => 1 case C() => 2 }\n1"
     )
     assert any("two clauses for C" in d.message for d in diags)
+    src = "interface I { def f(): Int }\nclass C() implements I { def f(): Int = 1 def f(): Int = 2 }\n1"
+    assert [d.render() for d in check_src(src)] == ["2:1: method f of class C is defined twice"]
 
 
 def test_unknown_types_in_signatures():
