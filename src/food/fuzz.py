@@ -476,14 +476,7 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
         if type(out) is not tuple:
             return out, None
         focus, frames, contractum = out
-        kids = children(redex)
-        measures = [measure(kid) for kid in kids]
-        t_redex, n_redex = rule(redex, [m[0] for m in measures]), 1 + sum([m[1] for m in measures])
-        for kid, (t, n) in zip(kids, measures):
-            if kid is contractum:  # a branch of an if, or the right operand of && or ||
-                break
-        else:
-            t, n = measure(contractum)
+        (t_redex, n_redex), (t, n) = measure(redex), measure(contractum)
         size += n - n_redex
         if callable(t) or t is not t_redex and t != t_redex:
             try:
@@ -550,6 +543,8 @@ def check_properties(
 ) -> list[PropFail]:
     """Run the whole property battery against one (program, selection) pair.
 
+    Each ``FoodError`` of preprocessing, checking, transforming, typing or
+    reparsing is reported as a ``PropFail``, and none is raised.
     ``mutate``, when given, perturbs the transformed program before the
     properties run; the mutation harness in ``tests/mutators.py`` uses it to
     confirm the properties have teeth.
@@ -648,52 +643,47 @@ def check_properties(
 _PARTS = {Consumer: "clauses", Interface: "dtrs", Generator: "funs"}  # the parts a shrink drops one by one
 
 
-def _without_def(program: Program, index: int) -> Program:
-    victim = program.defs[index]
-    drop_types: set[str] = set()
-    drop_ctors: set[str] = set()
-    if isinstance(victim, (Datatype, Interface)):
-        drop_types.add(victim.name)
-    if isinstance(victim, (Constructor, Generator)):
-        drop_ctors.add(victim.name)
-    defs: list[Def] = []
-    for i, d in enumerate(program.defs):
-        if i == index:
-            continue
-        if isinstance(d, (Constructor, Generator)) and d.parent in drop_types:
-            continue
+def _pruned(defs: tuple[Def, ...], main: Expr) -> Program:
+    """The program without whatever names a missing type, constructor or member.
+
+    That is the variants and consumers of a missing type, the clauses of a
+    missing constructor and the class methods of a missing interface member.
+    """
+    types = {d.name for d in defs if isinstance(d, (Datatype, Interface))}
+    # a type names itself, a variant its parent and a consumer its self type
+    kept = [d for d in defs if getattr(d, "parent", getattr(d, "self_type", d.name)) in types]
+    ctors = {d.name for d in kept if isinstance(d, Constructor)} | {None}  # None: a wildcard
+    members = {d.name: {m.name for m in d.dtrs} for d in kept if isinstance(d, Interface)}
+    for i, d in enumerate(kept):
         if isinstance(d, Consumer):
-            if d.self_type in drop_types:
-                continue
-            if drop_ctors and d.clauses:
-                d = replace(
-                    d,
-                    clauses=tuple(c for c in d.clauses if c.pattern.name not in drop_ctors),
-                )
-        defs.append(d)
-    return Program(tuple(defs), program.main)
+            kept[i] = replace(d, clauses=tuple(c for c in d.clauses if c.pattern.name in ctors))
+        elif isinstance(d, Generator):
+            kept[i] = replace(d, funs=tuple(f for f in d.funs if f.name in members.get(d.parent, ())))
+    return Program(tuple(kept), main)
+
+
+def _without_def(program: Program, index: int) -> Program:
+    return _pruned(program.defs[:index] + program.defs[index + 1 :], program.main)
 
 
 def _shrink_candidates(program: Program):
+    """The programs one step smaller than ``program``, in the order a shrink tries them.
+
+    The first ones each drop one definition, the next ones one clause of a
+    consumer, method of a class or member of an interface; each then drops
+    whatever named what it dropped (``_pruned``).  The last, when ``main``
+    is not 0, sets it to 0.
+    """
     for i in range(len(program.defs)):
         yield _without_def(program, i)
     for i, d in enumerate(program.defs):
         attr = _PARTS.get(type(d))
-        parts = (attr and getattr(d, attr)) or ()
-        if isinstance(d, Consumer) and len(parts) == 1:
-            continue
-        for j, gone in enumerate(parts):
+        parts = getattr(d, attr) if attr else ()
+        for j in range(len(parts)):
             smaller = replace(d, **{attr: parts[:j] + parts[j + 1 :]})
-            defs = program.defs[:i] + (smaller,) + program.defs[i + 1 :]
-            if isinstance(d, Interface):  # its classes lose the method with it
-                defs = tuple(
-                    replace(o, funs=tuple(f for f in o.funs if f.name != gone.name))
-                    if isinstance(o, Generator) and o.parent == d.name
-                    else o
-                    for o in defs
-                )
-            yield Program(defs, program.main)
-    yield Program(program.defs, IntLit(0))
+            yield _pruned(program.defs[:i] + (smaller,) + program.defs[i + 1 :], program.main)
+    if program.main != IntLit(0):
+        yield Program(program.defs, IntLit(0))
 
 
 def shrink(
@@ -701,23 +691,21 @@ def shrink(
     prop: str,
     rerun,
 ) -> Program:
-    """Greedy definition/clause deletion keeping the same property failing."""
-    current = program
-    improved = True
-    while improved:
-        improved = False
-        for candidate in _shrink_candidates(current):
-            if len(candidate.defs) >= len(current.defs) and candidate.main == current.main:
-                continue
-            try:
-                fails = rerun(candidate)
-            except FoodError:
-                continue
-            if any(f.prop == prop for f in fails):
-                current = candidate
-                improved = True
+    """Greedy deletion that keeps ``prop`` failing.
+
+    Each round moves to the first of ``_shrink_candidates`` on which
+    ``rerun`` reports ``prop``, so each definition, clause, class method and
+    interface member is dropped while its loss keeps the failure, and ``main``
+    becomes 0 if that keeps it.  A round with no such candidate ends the
+    shrink.  What ``rerun`` raises propagates.
+    """
+    while True:
+        for candidate in _shrink_candidates(program):
+            if any(f.prop == prop for f in rerun(candidate)):
+                program = candidate
                 break
-    return current
+        else:
+            return program
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,44 @@ def test_planted_mutant_fails_eval_and_shrinks_small():
     assert any(f.prop == "eval-agreement" for f in rerun(witness))
 
 
+SHRINK_PARTS = """
+data Exp
+case Lit(n: Int) extends Exp
+case Neg(e: Exp) extends Exp
+def eval(self: Exp)(): Int = match {
+  case Lit(n) => n
+  case _ => 0
+}
+interface Shape {
+  def area(): Int
+  def sides(): Int = 0
+}
+class Square(k: Int) implements Shape {
+  def area(): Int = k * k
+  def sides(): Int = 4
+}
+eval(Lit(1))
+"""
+
+
+def test_shrink_drops_clauses_methods_and_members():
+    p = parse(SHRINK_PARTS)
+    exp, _, _, ev, shape, square = p.defs
+
+    def witness(name):
+        # the stub property fails while the named definition is present
+        return shrink(p, "stub", lambda q: [PropFail("stub", "")] * any(d.name == name for d in q.defs))
+
+    assert witness("eval") == Program((exp, replace(ev, clauses=())), IntLit(0))
+    assert witness("Square") == Program((replace(shape, dtrs=()), replace(square, funs=())), IntLit(0))
+    assert witness("Shape") == Program((replace(shape, dtrs=()),), IntLit(0))
+
+
+def test_shrink_does_not_swallow_a_rerun_error():
+    with pytest.raises(FoodError, match="unknown selected type Nope"):
+        shrink(load("exp_fp"), "stub", lambda q: transform(q, {"Nope"}))
+
+
 def test_every_mutator_leaves_untargeted_programs_alone():
     p = load("exp_oop")
     assert MUTATORS["drop-wildcard"](p) == p  # no consumer at all on the OO side
