@@ -43,12 +43,8 @@ def _read(path: str) -> str:
         raise _Failure(f"cannot read {path}: {exc}")
 
 
-def _load(path: str) -> Program:
-    return parse(_read(path))
-
-
 def _checked(path: str) -> tuple[Program, GlobalCtx]:
-    program = _load(path)
+    program = parse(_read(path))
     ctx = preprocess(program)
     if diags := check(program, ctx):
         raise FoodError(diags)
@@ -126,7 +122,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_ctx(args: argparse.Namespace) -> int:
-    ctx = preprocess(_load(args.file))
+    ctx = preprocess(parse(_read(args.file)))
     if args.types is not None:
         ctx = restrict(ctx, _selected(args.types) or set())
     sys.stdout.write(ctx.dump())

@@ -66,7 +66,7 @@ from .syntax import (
     node,
 )
 # transform_expr is unused here, but bound for the benchmark's tracer to wrap
-from .transform import _typing, transform, transform_expr, type_expr, type_program  # noqa: F401
+from .transform import _typing, transform, transform_expr, type_program  # noqa: F401
 from .wellformed import check, check_structure
 
 _MAX_FIELD_ARITY = 2
@@ -414,14 +414,14 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     its redex and its contractum, which ``_machine`` yields with the state,
     and no state is plugged but the ones cycle detection keeps.  FOOD has no
     binders, so every subterm of a closed state is closed, and the typer is
-    one rule per form over ``fold``: a contractum that types as its redex
+    one rule per form, ``_typing``: a contractum that types as its redex
     leaves the state's type as it was.  This is the replacement argument of
     Wright and Felleisen, "A Syntactic Approach to Type Soundness" (1994).  A
     value can be as deep as the run is long, and every redex that uses it
     holds it, so each object is typed once per run, keyed by identity, and a
     call's contractum costs what its body does.  On any difference or error
-    the state is plugged and typed whole, so a failure's text is the whole
-    state's.
+    the state is plugged and measured whole, reusing the objects typed so
+    far, so a failure's text is the whole state's.
 
     Evaluation is deterministic, so once a state repeats the run is periodic
     until the fuel runs out, and no state in the cycle is a value or stuck.
@@ -479,10 +479,9 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
         (t_redex, n_redex), (t, n) = measure(redex), measure(contractum)
         size += n - n_redex
         if callable(t) or t is not t_redex and t != t_redex:
-            try:
-                t = type_expr(_plug_all(focus, frames), ctx, {})
-            except FoodError as exc:
-                return None, f"step result fails to type: {exc}"
+            t = measure(_plug_all(focus, frames))[0]
+            if callable(t):
+                return None, f"step result fails to type: {t()}"
             if t != expected:
                 return None, (
                     f"type changed from {pretty_type(expected)} to {pretty_type(t)} "
@@ -604,7 +603,7 @@ def check_properties(
     rctx = restrict(ctx, selected)
     try:
         expected_ctx = translate_ctx(rctx)
-        actual_ctx = restrict(ctx2, set(selected))
+        actual_ctx = restrict(ctx2, selected)
         if actual_ctx.duality_parts() != expected_ctx.duality_parts():
             fails.append(PropFail("ctx-duality", "context translation mismatch"))
     except FoodError as exc:

@@ -1,7 +1,8 @@
 """Abstract syntax of FOOD programs, the canonicalization pass, and stack-safe
 expression traversals, which take any depth.  The evaluator's one machine, the
-printer, ``free_vars``, ``contains_obj`` and ``rebuild`` (which ``subst`` and
-the translation share) walk expressions by hand on a list, dispatching on each
+printer, ``_nodes`` (the one search loop, which finds ``free_vars``' variables
+and ``contains_obj``'s objects) and ``rebuild`` (which ``subst`` and the
+translation share) walk expressions by hand on a list, dispatching on each
 node's exact class, for speed; ``fold`` does too, and serves the typer, which
 gives it one rule per form.
 
@@ -541,14 +542,15 @@ def fold(e: Expr, fn):
     return results[0]
 
 
-def free_vars(e: Expr) -> set[str]:
-    names, todo = set(), [e]
+def _nodes(e: Expr, kind: type) -> list:
+    """Every subexpression of ``e`` (``e`` included) whose class is ``kind``, at any depth, in no set order."""
+    found, todo = [], [e]
     while todo:
         x = todo.pop()
         cls = type(x)
-        if cls is Var:
-            names.add(x.name)
-        elif cls is PrimOp:
+        if cls is kind:
+            found.append(x)
+        if cls is PrimOp:
             todo += (x.lhs, x.rhs)
         elif cls is Sel or cls is App:
             todo.append(x.recv)
@@ -557,23 +559,12 @@ def free_vars(e: Expr) -> set[str]:
             todo += (x.cond, x.then, x.els)
         elif cls is CtrCall or cls is New or cls is Obj:
             todo += x.args
-    return names
+    return found
+
+
+def free_vars(e: Expr) -> set[str]:
+    return {x.name for x in _nodes(e, Var)}
 
 
 def contains_obj(e: Expr) -> bool:
-    todo = [e]
-    while todo:
-        x = todo.pop()
-        cls = type(x)
-        if cls is Obj:
-            return True
-        if cls is PrimOp:
-            todo += (x.lhs, x.rhs)
-        elif cls is Sel or cls is App:
-            todo.append(x.recv)
-            todo += x.args
-        elif cls is If:
-            todo += (x.cond, x.then, x.els)
-        elif cls is CtrCall or cls is New:
-            todo += x.args
-    return False
+    return bool(_nodes(e, Obj))

@@ -110,7 +110,7 @@ def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
     ``this`` of an interface in ``ctx.it`` to ``self``, ``self`` of a datatype in ``ctx.dt`` to ``this``."""
     names: list[str] = []
     t = type_expr(e, ctx, env, names)
-    return _translated(e, ctx, env, names, {*ctx.dt, *ctx.it}), t
+    return _translated(e, env, names, {*ctx.dt, *ctx.it}), t
 
 
 def _typing(ctx: GlobalCtx, env: TypeEnv, names: list[str], e: Expr, kids: list):
@@ -193,14 +193,14 @@ def _printing(prefix: str, e: Expr, suffix: str):
     return lambda: _err(prefix + pretty_expr(e, runtime=True) + suffix)
 
 
-def _translated(e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str], kept: set[str]) -> Expr:
-    """``e``, typed in ``env`` with the call types ``names``, translated under ``ctx``, whose
-    selected types are ``kept``."""
-    # a selected type's receiver moves with its member body to the other style, and takes its name
+def _translated(e: Expr, env: TypeEnv, names: list[str], kept: set[str]) -> Expr:
+    """``e``, typed in ``env`` with the call types ``names``, translated with the types ``kept`` selected."""
+    # a selected type's receiver moves with its member body to the other style, and takes its
+    # name: ``this`` is always an interface's and ``self`` a datatype's, and no two types share one
     renames = {
         recv: Var(other)
-        for recv, other, selected in ((THIS, SELF, ctx.it), (SELF, THIS, ctx.dt))
-        if type(t := env.get(recv)) is Named and t.name in selected
+        for recv, other in ((THIS, SELF), (SELF, THIS))
+        if type(t := env.get(recv)) is Named and t.name in kept
     }
     if not renames and kept.isdisjoint(names):
         return e  # no call flips and no receiver moves
@@ -351,7 +351,7 @@ def transform(
     rctx = restrict(full, selected)
     bodies, main_type = type_program(program, rctx)
     kept = {*rctx.dt, *rctx.it}
-    translated = (_translated(body, rctx, env, names, kept) for body, env, names in bodies)
+    translated = (_translated(body, env, names, kept) for body, env, names in bodies)
     typed: dict[DefKey, Def] = {}
     for d in program.defs:
         typed[(d.name, d.self_type) if type(d) is Consumer else d.name] = _with_bodies(d, translated)

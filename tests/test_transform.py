@@ -179,6 +179,48 @@ def test_round_trip_preserves_type_and_syntax():
         assert once.program_type == twice.program_type == typecheck(p), name
 
 
+def assert_selections_compose(p, pairs):
+    """T_B(T_A(P)) is T_{A^B}(P) up to canonicalize, for each (A, B) in ``pairs``:
+    each type's part of the matrix is transposed on its own, so selections compose
+    by symmetric difference, and a choice of style can be revised without regret."""
+    ctx, t = preprocess(p), typecheck(p)
+    firsts, directs = {}, {}
+    for a, b in pairs:
+        if a not in firsts:
+            once = transform(p, a, ctx=ctx).program
+            ctx1 = preprocess(once)
+            assert check(once, ctx1) == [], sorted(a)
+            firsts[a] = once, ctx1
+        if a ^ b not in directs:
+            direct = transform(p, a ^ b, ctx=ctx).program
+            assert typecheck(direct) == t, sorted(a ^ b)
+            directs[a ^ b] = canonicalize(direct)
+        once, ctx1 = firsts[a]
+        twice = transform(once, b, ctx=ctx1).program
+        assert canonicalize(twice) == directs[a ^ b], (sorted(a), sorted(b))
+        assert typecheck(twice) == t, (sorted(a), sorted(b))
+
+
+def test_selections_compose_by_symmetric_difference():
+    corpus_pairs = 0
+    for path in sorted(CORPUS.glob("*.food")):
+        p = parse(path.read_text())
+        types = preprocess(p).type_names()
+        subsets = [frozenset(s) for k in range(len(types) + 1) for s in itertools.combinations(types, k)]
+        pairs = list(itertools.product(subsets, subsets))
+        assert_selections_compose(p, pairs)
+        corpus_pairs += len(pairs)
+    assert corpus_pairs == 560
+    for seed in range(400):
+        for mix in (0, 0.5, 1):
+            p = generated(GenConfig(seed=seed, style_mix=mix))
+            types, rng = preprocess(p).type_names(), random.Random(f"{seed}/{mix}")
+            pairs = [
+                tuple(frozenset(t for t in types if rng.random() < 0.5) for _ in "AB") for _ in range(3)
+            ]
+            assert_selections_compose(p, pairs)
+
+
 def test_type_preservation_across_translation():
     for name, selected in GOLDEN_SELECTIONS.items():
         p = load(name)
