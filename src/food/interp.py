@@ -3,9 +3,11 @@
 A step contracts the leftmost redex: receiver before arguments, arguments left
 to right.  Boolean operators short-circuit, consuming one step; integers wrap
 to 64 bits.  ``_contract`` holds every contraction rule, once, and keeps the
-common case cheap: an arithmetic result in int64 is not wrapped, every
-boolean it computes is one of two shared ``BoolLit`` nodes, and a call binds
-its receiver, fields and parameters in one dict, built in place.
+common case cheap: an arithmetic result in int64 is not wrapped, and one in
+-5..256 is a shared ``IntLit`` node, built once at import; every boolean it
+computes is one of two shared ``BoolLit`` nodes; and a call binds its
+receiver, fields and parameters in one dict, built in place, with no loop
+over a cell that binds no fields or a member with no parameters.
 
 The machine, ``_machine``, keeps the redex's context as a stack of frames,
 so no depth of term recurses.  A frame is a compound node, its environment,
@@ -35,9 +37,10 @@ two binding disciplines, one per entry point:
   env)``.  That is how ``Stuck.expr`` and ``FuelExhausted.last`` are built,
   once, at O(size).
 
-The machine dispatches on each node's exact class, as ``children`` does, and
-reads each method body off its cell in the context's decomposition matrix
-(``context.matrix``).  Values are expressions in value form (``IntLit``,
+The machine dispatches on each node's exact class, as ``children`` does,
+testing ``PrimOp``, the most frequent redex, first; and it reads each method
+body off its cell in the context's decomposition matrix (``context.matrix``).
+Values are expressions in value form (``IntLit``,
 ``BoolLit`` and ``Obj``), and ``Done`` carries the final value itself.  The
 nodes the machine builds are ``@node`` classes, whose constructors write their
 slots directly (see ``syntax``).
@@ -148,13 +151,19 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _TRUE, _FALSE = BoolLit(True), BoolLit(False)
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
+# every arithmetic result in -5..256, CPython's small-int range, is _SMALL[n + 5]
+_SMALL = tuple(map(IntLit, range(-5, 257)))
 
 
 # The machine tests exact classes, most frequent first, as ``children`` does:
 # class patterns cost about a microsecond more per node, isinstance less.  On
-# the way to a value, helper calls and allocations cost more than the rules:
-# so arithmetic wraps only a result outside int64, comparisons, && and ||
-# return _TRUE or _FALSE, and a call checks arity and binds inline.
+# the way to a value, helper calls and allocations cost more than the rules
+# (Ertl and Gregg, "The Structure and Performance of Efficient Interpreters",
+# JILP 5, 2003): so an operator is looked up in _ARITH before && and || are
+# tested, arithmetic returns a node of _SMALL for a result in -5..256 and
+# wraps only one outside int64, comparisons, && and || return _TRUE or
+# _FALSE, and a call checks arity and binds inline, skipping the field loop
+# of a cell that binds none and the parameter loop of a member with none.
 def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Expr, dict[str, Expr] | None] | str:
     """What the redex e contracts to, given the values of its slots.
 
@@ -167,7 +176,8 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
     cls = type(e)
     if cls is PrimOp:
         op, lhs = e.op, vals[0]
-        if op in ("&&", "||"):
+        arith = _ARITH.get(op)
+        if arith is None and op in ("&&", "||"):
             if type(lhs) is not BoolLit:
                 return f"{op} on a non-boolean"
             if op == "&&":
@@ -176,9 +186,10 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
         rhs = vals[1]
         if type(lhs) is not IntLit or type(rhs) is not IntLit:
             return f"{op} on non-integers"
-        arith = _ARITH.get(op)
         if arith is not None:
             n = arith(lhs.value, rhs.value)
+            if -5 <= n <= 256:
+                return _SMALL[n + 5]
             return IntLit(n if _INT64_MIN <= n <= _INT64_MAX else _wrap64(n))
         compare = _COMPARE.get(op)
         if compare is not None:
@@ -206,10 +217,12 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
             return f"arity mismatch {call} {recv.name}"
         # the receiver, then its fields, then the parameters: a later binding wins
         mapping = {THIS if oo else SELF: recv}
-        for i, name in enumerate(bound):
-            mapping[name] = recv.args[i]
-        for i, name in enumerate(params, 1):
-            mapping[name] = vals[i]
+        if bound:
+            for i, name in enumerate(bound):
+                mapping[name] = recv.args[i]
+        if params:
+            for i, name in enumerate(params, 1):
+                mapping[name] = vals[i]
         return body, mapping
     if cls is CtrCall or cls is New:
         oo = cls is New
@@ -291,18 +304,18 @@ def _machine(
     while True:
         # e in env: a compound term becomes the top frame, a value goes to the one popped
         cls = type(e)
-        if cls is Sel or cls is App:
-            node, slots, vals = e, (e.recv, *e.args), []
-        elif cls is PrimOp:
-            node, vals = e, []
+        if cls is PrimOp:
+            node = e
             if e.op in ("&&", "||"):
-                slots = (e.lhs,)
+                slots, vals = (e.lhs,), []
             else:
                 slots = lhs, rhs = e.lhs, e.rhs
                 lhs = env.get(lhs.name) if type(lhs) is Var else lhs
                 rhs = env.get(rhs.name) if type(rhs) is Var else rhs
-                if type(lhs) is IntLit and type(rhs) is IntLit:  # integers in place: the slots are full
-                    vals = [lhs, rhs]
+                # integers in place: the slots are full
+                vals = [lhs, rhs] if type(lhs) is IntLit and type(rhs) is IntLit else []
+        elif cls is Sel or cls is App:
+            node, slots, vals = e, (e.recv, *e.args), []
         elif cls is If:
             node, slots, vals = e, (e.cond,), []
         elif cls is CtrCall or cls is New:

@@ -286,6 +286,49 @@ def test_arithmetic_and_comparisons_agree_with_the_reference_at_the_64_bit_edges
         assert eval_program(Program((), PrimOp(op, IntLit(a), IntLit(b)))) == Done(IntV(-(2**63)))
 
 
+def test_arithmetic_results_in_the_small_int_range_are_shared_nodes():
+    # every + - * result in -5..256 is one node, built at import, in both
+    # disciplines; a result just outside the range is a fresh node
+    ctx = preprocess(Program((), IntLit(0)))
+
+    def results(n):
+        for op, a, b in (("+", n - 3, 3), ("-", n + 7, 7), ("*", n, 1)):
+            e = PrimOp(op, IntLit(a), IntLit(b))
+            yield eval_program(Program((), e), 1, ctx).value, list(run(e, ctx, 1))[-1].value
+
+    for n in range(-5, 257):
+        for first, second in zip(results(n), results(n)):
+            assert first[0] is first[1] is second[0] is second[1] == IntLit(n), n
+    for n in (-6, 257):
+        for first, second in zip(results(n), results(n)):
+            values = {id(v) for v in (*first, *second)}
+            assert len(values) == 4 and first == second == (IntLit(n), IntLit(n)), n
+
+
+def test_calls_that_bind_no_fields_or_no_parameters_agree_across_disciplines():
+    # a consumer's default and wildcard clause and an interface's default
+    # bind no fields, and members with no parameters bind none: the call
+    # binds only its receiver then, and the environment machine agrees with
+    # the substituting one and the reference at every fuel
+    p = parse(
+        "data D\ncase C(x: Int) extends D\ncase E() extends D\n"
+        "def f(self: D)(n: Int): Int = match {\n  case C(x) => x + n\n  case _ => n\n}\n"
+        "def g(self: D)(): Int = match {\n  case C(x) => x\n  case E() => 0\n}\n"
+        "def h(self: D)(n: Int): Int = n + 1\n"
+        "interface I {\n  def d(n: Int): Int = n * 2\n  def z(): Int = 3\n  def m(): Int\n}\n"
+        "class K(y: Int) implements I {\n  def m(): Int = y\n}\n"
+        "f(C(1))(2) + f(E())(3) + g(C(4)) + g(E()) + h(C(8))(9) + new K(5).d(6) + new K(5).z() + new K(7).m()\n"
+    )
+    ctx = preprocess(p)
+    assert check(p, ctx) == []
+    cells = {key: cell[:2] for key, cell in ctx.cells.items()}
+    assert cells[("f", "E")] == cells[("h", "C")] == ((), ("n",)) and cells[("d", "K")] == ((), ("n",))
+    assert cells[("g", "C")] == (("x",), ()) and cells[("z", "K")] == cells[("g", "E")] == ((), ())
+    assert eval_program(p, 200, ctx) == Done(IntV(42))
+    assert_same_outcome(p, ctx, range(60))
+    assert_same_states(p.main, ctx)
+
+
 def test_binding_on_unchecked_contexts():
     # check rejects these binders, so only a hand-built context reaches them:
     # the receiver is bound, then the fields, then the parameters, and the

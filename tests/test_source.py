@@ -296,7 +296,7 @@ def test_only_contract_names_the_contraction_rules():
     # _contract holds every contraction rule once, and the machine calls it
     # for every redex: no rule is written again beside it, and every body
     # lookup goes through the names the benchmark's tracer rebinds
-    rules = {"_ARITH", "_COMPARE", "_wrap64", "_TRUE", "_FALSE", "dtr_body", "csm_body"}
+    rules = {"_ARITH", "_COMPARE", "_SMALL", "_wrap64", "_TRUE", "_FALSE", "dtr_body", "csm_body"}
     tree = ast.parse(pathlib.Path(interp.__file__).read_text())
     contract = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_contract")
     inside = set(map(id, ast.walk(contract)))

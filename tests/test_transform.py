@@ -1,8 +1,10 @@
 """The type-directed bidirectional translation."""
 
 import dataclasses
+import functools
 import importlib
 import itertools
+import operator
 import random
 import time
 
@@ -165,7 +167,7 @@ def test_both_directions_in_one_pass():
     out = result.program
     assert any(isinstance(d, Interface) and d.name == "Expr" for d in out.defs)
     assert any(isinstance(d, Consumer) and d.self_type == "Context" for d in out.defs)
-    back = transform(out.program if hasattr(out, "program") else out, {"Context", "Expr"})
+    back = transform(out, {"Context", "Expr"})
     assert canonicalize(back.program) == canonicalize(p)
     assert back.program_type == result.program_type
 
@@ -179,34 +181,50 @@ def test_round_trip_preserves_type_and_syntax():
         assert once.program_type == twice.program_type == typecheck(p), name
 
 
-def assert_selections_compose(p, pairs):
-    """T_B(T_A(P)) is T_{A^B}(P) up to canonicalize, for each (A, B) in ``pairs``:
-    each type's part of the matrix is transposed on its own, so selections compose
-    by symmetric difference, and a choice of style can be revised without regret."""
-    ctx, t = preprocess(p), typecheck(p)
-    firsts, directs = {}, {}
-    for a, b in pairs:
-        if a not in firsts:
-            once = transform(p, a, ctx=ctx).program
-            ctx1 = preprocess(once)
-            assert check(once, ctx1) == [], sorted(a)
-            firsts[a] = once, ctx1
-        if a ^ b not in directs:
-            direct = transform(p, a ^ b, ctx=ctx).program
-            assert typecheck(direct) == t, sorted(a ^ b)
-            directs[a ^ b] = canonicalize(direct)
-        once, ctx1 = firsts[a]
-        twice = transform(once, b, ctx=ctx1).program
-        assert canonicalize(twice) == directs[a ^ b], (sorted(a), sorted(b))
-        assert typecheck(twice) == t, (sorted(a), sorted(b))
+def assert_selections_compose(p, chains):
+    """T_C(...T_B(T_A(P))) is T_{A^B^...^C}(P) up to canonicalize, and both type
+    as P, for each chain (A, B, ..., C) in ``chains``: each type's part of the
+    matrix is transposed on its own, so selections compose by symmetric
+    difference, and a choice of style can be revised without regret.  Every
+    program a chain passes through is well formed, and made once."""
+    t = typecheck(p)
+    made = {(): (p, preprocess(p))}  # a chain's prefix -> (the program it ends on, its context)
+    directs = {}
+    for chain in chains:
+        for k in range(1, len(chain)):
+            if chain[:k] not in made:
+                prev, ctx = made[chain[: k - 1]]
+                out = transform(prev, chain[k - 1], ctx=ctx).program
+                made[chain[:k]] = out, preprocess(out)
+                assert check(*made[chain[:k]]) == [], [sorted(s) for s in chain[:k]]
+        whole = functools.reduce(operator.xor, chain)
+        if whole not in directs:
+            direct = transform(p, whole, ctx=made[()][1]).program
+            assert typecheck(direct) == t, sorted(whole)
+            directs[whole] = canonicalize(direct)
+        prev, ctx = made[chain[:-1]]
+        last = transform(prev, chain[-1], ctx=ctx).program
+        assert canonicalize(last) == directs[whole], [sorted(s) for s in chain]
+        assert typecheck(last) == t, [sorted(s) for s in chain]
 
 
-def test_selections_compose_by_symmetric_difference():
-    corpus_pairs = 0
+def corpus_selections():
+    """(name, program, its types, every subset of them) for each corpus file."""
     for path in sorted(CORPUS.glob("*.food")):
         p = parse(path.read_text())
         types = preprocess(p).type_names()
         subsets = [frozenset(s) for k in range(len(types) + 1) for s in itertools.combinations(types, k)]
+        yield path.stem, p, types, subsets
+
+
+def seeded_chains(types, rng, steps, count):
+    """count chains of steps selections, each type in each selection with probability 1/2."""
+    return [tuple(frozenset(t for t in types if rng.random() < 0.5) for _ in range(steps)) for _ in range(count)]
+
+
+def test_selections_compose_by_symmetric_difference():
+    corpus_pairs = 0
+    for _, p, _, subsets in corpus_selections():
         pairs = list(itertools.product(subsets, subsets))
         assert_selections_compose(p, pairs)
         corpus_pairs += len(pairs)
@@ -214,11 +232,28 @@ def test_selections_compose_by_symmetric_difference():
     for seed in range(400):
         for mix in (0, 0.5, 1):
             p = generated(GenConfig(seed=seed, style_mix=mix))
-            types, rng = preprocess(p).type_names(), random.Random(f"{seed}/{mix}")
-            pairs = [
-                tuple(frozenset(t for t in types if rng.random() < 0.5) for _ in "AB") for _ in range(3)
-            ]
-            assert_selections_compose(p, pairs)
+            rng = random.Random(f"{seed}/{mix}")
+            assert_selections_compose(p, seeded_chains(preprocess(p).type_names(), rng, 2, 3))
+
+
+def test_three_step_chains_compose_by_symmetric_difference():
+    # every chain of a corpus file with at most 2 types, 300 seeded chains of
+    # each file with 4, and 2 seeded chains of each generated program
+    corpus_triples = wide = 0
+    for name, p, types, subsets in corpus_selections():
+        if len(types) <= 2:
+            triples = list(itertools.product(subsets, repeat=3))
+            corpus_triples += len(triples)
+        else:
+            triples = seeded_chains(types, random.Random(name), 3, 300)
+            wide += 1
+        assert_selections_compose(p, triples)
+    assert (corpus_triples, wide) == (160, 2)
+    for seed in range(200):
+        for mix in (0, 0.5, 1):
+            p = generated(GenConfig(seed=seed, style_mix=mix))
+            rng = random.Random(f"{seed}/{mix}/3")
+            assert_selections_compose(p, seeded_chains(preprocess(p).type_names(), rng, 3, 2))
 
 
 def test_type_preservation_across_translation():
