@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import field, replace
 from typing import NamedTuple
 
-from .diagnostics import ContextError, Diagnostic
+from .diagnostics import ContextError, Diagnostic, at
 from .pretty import pretty_type
 from .syntax import (
     Arrow,
@@ -150,10 +150,6 @@ def matrix(defs: dict[DefKey, Def]) -> dict[tuple[str, str], Cell]:
     return table
 
 
-def _pos(d: Def) -> tuple[int, int]:
-    return d.pos or (0, 0)
-
-
 def preprocess(program: Program) -> GlobalCtx:
     """Collect the global context of a parse-valid program."""
     diags: list[Diagnostic] = []
@@ -170,8 +166,7 @@ def preprocess(program: Program) -> GlobalCtx:
     def declare(key: DefKey, d: Def) -> None:
         if key in defs:
             name = f"{key[0]} on {key[1]}" if isinstance(key, tuple) else key
-            line, col = _pos(d)
-            diags.append(Diagnostic(f"duplicate definition of {name}", line, col))
+            diags.append(at(f"duplicate definition of {name}", d.pos))
         else:
             defs[key] = d
 
@@ -185,11 +180,10 @@ def preprocess(program: Program) -> GlobalCtx:
                 members[d.name] = []
 
     for d in program.defs:
-        line, col = _pos(d)
         if isinstance(d, Interface):
             for m in d.dtrs:
                 if (m.name, d.name) in dtr_sig:
-                    diags.append(Diagnostic(f"duplicate destructor {m.name} in interface {d.name}", line, col))
+                    diags.append(at(f"duplicate destructor {m.name} in interface {d.name}", d.pos))
                     continue
                 dtr[d.name].append(m.name)
                 dtr_sig[(m.name, d.name)] = Arrow(tuple(p.type for p in m.params), m.ret)
@@ -202,16 +196,14 @@ def preprocess(program: Program) -> GlobalCtx:
                     if fp
                     else f"class {d.name} implements {d.parent}, which is not a declared interface"
                 )
-                diags.append(Diagnostic(message, line, col))
+                diags.append(at(message, d.pos))
                 continue
             (ctr if fp else gen)[d.parent].append(d.name)
             sig[d.name] = Arrow(tuple(f.type for f in d.fields), Named(d.parent))
         elif isinstance(d, Consumer):
             key = (d.name, d.self_type)
             if d.self_type not in dt:
-                diags.append(
-                    Diagnostic(f"consumer {d.name} needs a declared datatype, got {d.self_type}", line, col)
-                )
+                diags.append(at(f"consumer {d.name} needs a declared datatype, got {d.self_type}", d.pos))
                 continue
             declare(key, d)
             if key in sig:

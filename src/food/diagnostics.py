@@ -1,4 +1,8 @@
-"""Diagnostics and error types shared by every pipeline stage."""
+"""Diagnostics and error types shared by every pipeline stage.
+
+``at`` is the one rule that places a diagnostic: at a ``(line, column)``, or at
+0:0, which renders as the bare message, when there is no position.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +21,11 @@ class Diagnostic:
         if self.line > 0:
             return f"{self.line}:{self.column}: {self.message}"
         return self.message
+
+
+def at(message: str, pos: tuple[int, int] | None) -> Diagnostic:
+    """``message`` at ``pos``, or at 0:0 when there is no position."""
+    return Diagnostic(message) if pos is None else Diagnostic(message, *pos)
 
 
 class FoodError(Exception):

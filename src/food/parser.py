@@ -18,9 +18,12 @@ nesting depth costs heap, not Python frames.
 
 Error recovery is per definition: after a syntax error the parser skips to
 the next top-level definition keyword and keeps going, so one bad definition
-yields one diagnostic.  The tests compare this module against two oracles:
-the character-at-a-time lexer ``tests/reference_lexer.py`` and the
-recursive-descent parser ``tests/reference_parser.py``.
+yields one diagnostic.  A syntax error is a ``ParseError`` holding one
+diagnostic at the offending token (a misplaced wildcard clause's at its
+consumer); the program collects them all into the one it raises.  The tests
+compare this module against two oracles: the character-at-a-time lexer
+``tests/reference_lexer.py`` and the recursive-descent parser
+``tests/reference_parser.py``.
 """
 
 from __future__ import annotations
@@ -130,11 +133,6 @@ def _tokens(src: str) -> tuple[list[str | None], list[str], list[str]]:
     return kinds, texts, gaps
 
 
-class _Fail(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-
-
 # The frames of the expression loop, each waiting for one expression:
 #   (_PAREN, vals, ops)             the inside of ( ... )
 #   (_ARG, vals, ops, make, args)   the next argument; make(tuple(args)) builds the node
@@ -186,7 +184,7 @@ class _Parser:
         i = self.i
         return self.kinds[i] == kind and (text is None or self.texts[i] == text)
 
-    def expected(self, what: str) -> _Fail:
+    def expected(self, what: str) -> ParseError:
         return self.fail(f"expected {what}, found {self.texts[self.i] or 'end of input'!r}")
 
     def expect(self, kind: str, what: str | None = None) -> int:
@@ -197,9 +195,9 @@ class _Parser:
         self.i = i + 1
         return i
 
-    def fail(self, message: str, j: int | None = None) -> _Fail:
+    def fail(self, message: str, j: int | None = None) -> ParseError:
         """The error at token j, by default the current one."""
-        return _Fail(Diagnostic(message, *self.where(self.i if j is None else j)))
+        return ParseError([Diagnostic(message, *self.where(self.i if j is None else j))])
 
     def skip_separators(self) -> None:
         while self.at(";"):
@@ -272,8 +270,8 @@ class _Parser:
             if self.at("kw") and self.texts[self.i] in DEF_KEYWORDS:
                 try:
                     defs.append(self.definition())
-                except _Fail as f:
-                    self.diags.append(f.diagnostic)
+                except ParseError as exc:
+                    self.diags += exc.diagnostics
                     self.recover()
             else:
                 try:
@@ -281,8 +279,8 @@ class _Parser:
                     self.skip_separators()
                     if not self.at("eof"):
                         raise self.fail(f"unexpected {self.texts[self.i]!r} after the main expression")
-                except _Fail as f:
-                    self.diags.append(f.diagnostic)
+                except ParseError as exc:
+                    self.diags += exc.diagnostics
                 break
             self.skip_separators()
         if self.diags:
@@ -375,7 +373,7 @@ class _Parser:
             self.expect("}")
             for i, c in enumerate(clauses):
                 if c.pattern.is_wildcard and i != len(clauses) - 1:
-                    raise _Fail(Diagnostic("wildcard clause must be last", pos[0], pos[1]))
+                    raise ParseError([Diagnostic("wildcard clause must be last", *pos)])
             return Consumer(name, self_type, params, ret, clauses=tuple(clauses), pos=pos)
         # a bare body is sugar for one wildcard clause, the only form later layers see
         return Consumer(name, self_type, params, ret, clauses=(Clause(WILDCARD, self.expr()),), pos=pos)

@@ -22,10 +22,11 @@ type, or its constructor's parent, is selected.  So this takes three steps:
 
 Typing is one rule per form over ``syntax.fold``, and returns the error a
 recursive pass meets first: the receiver's, the node's own, then the
-arguments'.  Errors are functions that build them.  Translation, like the
-printer and the machine, is a hand-written loop: ``syntax.rebuild``, which
-``subst`` shares, rebuilds each node by its exact class and reads at each
-call whether it flips.
+arguments'.  Errors are functions that build them with no position;
+``type_program`` places each definition's at that definition, and the main
+expression's at none.  Translation, like the printer and the machine, is a
+hand-written loop: ``syntax.rebuild``, which ``subst`` shares, rebuilds each
+node by its exact class and reads at each call whether it flips.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import field
 from functools import partial
 
 from .context import Cell, DefKey, GlobalCtx, TypeEnv, matrix, preprocess, restrict
-from .diagnostics import Diagnostic, TransformError
+from .diagnostics import Diagnostic, TransformError, at
 from .pretty import pretty_expr, pretty_type
 from .syntax import (
     App,
@@ -90,9 +91,8 @@ class TransformResult:
     cells: dict[tuple[str, str], Cell] = field(compare=False, repr=False)
 
 
-def _err(message: str, pos: tuple[int, int] | None = None) -> TransformError:
-    line, col = pos or (0, 0)
-    return TransformError([Diagnostic(message, line, col)])
+def _err(message: str) -> TransformError:
+    return TransformError([Diagnostic(message)])
 
 
 def type_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str] | None = None) -> Type:
@@ -230,7 +230,7 @@ def _members(d: Def, ctx: GlobalCtx):
                 c_sig = ctx.sig.get(clause.pattern.name)
                 if c_sig is None or len(c_sig.params) != len(clause.pattern.vars):
                     pattern = f"pattern {clause.pattern.name} in consumer {d.name}"
-                    raise _err(f"{pattern} does not match a constructor of that arity", d.pos)
+                    raise _err(f"{pattern} does not match a constructor of that arity")
                 binders = tuple(map(Param, clause.pattern.vars, c_sig.params))
             env = _env(SELF, d.self_type, binders, d.params)
             yield f"consumer {d.name} on {d.self_type}", clause.body, d.ret, env
@@ -280,8 +280,7 @@ def type_program(program: Program, ctx: GlobalCtx) -> Typing:
                 if got is not want and got != want:
                     raise _err(f"{what} has type {pretty_type(got)}, declared {pretty_type(want)}")
         except TransformError as exc:
-            line, col = getattr(d, "pos", None) or (0, 0)
-            diags.extend(dg if dg.line else Diagnostic(dg.message, line, col) for dg in exc.diagnostics)
+            diags.extend(dg if dg.line else at(dg.message, getattr(d, "pos", None)) for dg in exc.diagnostics)
     bodies.append((program.main, {}, names := []))
     try:
         main_type = type_expr(program.main, ctx, {}, names)

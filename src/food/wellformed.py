@@ -10,13 +10,15 @@ read off the decomposition matrix that ``context.matrix`` builds.  Once those
 hold, the typing pass (``transform.type_program``) reports scoping, call kind,
 member names and arity, so that a clean check guarantees the transformation
 cannot fail.  ``type_program`` keeps a passing typing on the context, so a
-later ``transform`` of the same program on it only translates.
+later ``transform`` of the same program on it only translates.  Every
+diagnostic of a definition sits at that definition, whose position ``run`` sets
+once; the main expression's have none.
 """
 
 from __future__ import annotations
 
 from .context import GlobalCtx
-from .diagnostics import Diagnostic, TransformError
+from .diagnostics import Diagnostic, TransformError, at
 from .syntax import (
     Constructor,
     Consumer,
@@ -61,60 +63,62 @@ class _Checker:
         self.ctx = ctx
         self.diags: list[Diagnostic] = []
         self.declared = set(ctx.dt) | set(ctx.it)
+        self.pos: tuple[int, int] | None = None  # where report places a diagnostic
 
-    def report(self, message: str, pos: tuple[int, int] | None) -> None:
-        line, col = pos or (0, 0)
-        self.diags.append(Diagnostic(message, line, col))
+    def report(self, message: str) -> None:
+        self.diags.append(at(message, self.pos))
 
     def run(self) -> None:
         for d in self.program.defs:
+            self.pos = getattr(d, "pos", None)  # every diagnostic of d sits at d
             match d:
                 case Interface():
                     self.check_interface(d)
                 case Generator():
                     self.check_generator(d)
                 case Constructor():
-                    self.check_params(d.fields, f"constructor {d.name}", d.pos)
+                    self.check_params(d.fields, f"constructor {d.name}")
                 case Consumer():
                     self.check_consumer(d)
                 case Datatype():
                     pass
-        self.check_body(self.program.main, None)
+        self.pos = None  # the main expression's have no position
+        self.check_body(self.program.main)
 
     # -- helpers
 
-    def check_type(self, t: Type, where: str, pos: tuple[int, int] | None) -> None:
+    def check_type(self, t: Type, where: str) -> None:
         if isinstance(t, Named) and t.name not in self.declared:
-            self.report(f"{where} mentions undeclared type {t.name}", pos)
+            self.report(f"{where} mentions undeclared type {t.name}")
 
-    def check_params(self, params: tuple[Param, ...], where: str, pos: tuple[int, int] | None) -> list[str]:
+    def check_params(self, params: tuple[Param, ...], where: str) -> list[str]:
         seen: list[str] = []
         for p in params:
             if p.name in RESERVED_BINDERS:
-                self.report(f"{where} declares reserved name {p.name!r}", pos)
+                self.report(f"{where} declares reserved name {p.name!r}")
             if p.name in seen:
-                self.report(f"{where} declares {p.name!r} twice", pos)
+                self.report(f"{where} declares {p.name!r} twice")
             seen.append(p.name)
-            self.check_type(p.type, where, pos)
+            self.check_type(p.type, where)
         return seen
 
-    def check_body(self, e: Expr, pos: tuple[int, int] | None) -> None:
+    def check_body(self, e: Expr) -> None:
         if contains_obj(e):
-            self.report("runtime object in source program", pos)
+            self.report("runtime object in source program")
 
     # -- definitions
 
     def check_interface(self, d: Interface) -> None:
         for m in d.dtrs:
             where = f"destructor {m.name} of {d.name}"
-            self.check_params(m.params, where, d.pos)
-            self.check_type(m.ret, where, d.pos)
+            self.check_params(m.params, where)
+            self.check_type(m.ret, where)
             if m.body is not None:
-                self.check_body(m.body, d.pos)
+                self.check_body(m.body)
 
     def check_generator(self, d: Generator) -> None:
         where = f"class {d.name}"
-        fields = self.check_params(d.fields, where, d.pos)
+        fields = self.check_params(d.fields, where)
         if d.parent not in self.ctx.it:
             return  # reported by preprocessing
         # the interface's declared signatures, compared with each method's: this map picks
@@ -124,58 +128,54 @@ class _Checker:
         for fun in d.funs:
             mwhere = f"method {fun.name} of class {d.name}"
             if fun.name in seen:
-                self.report(f"{mwhere} is defined twice", d.pos)
+                self.report(f"{mwhere} is defined twice")
             seen.add(fun.name)
             if fun.name not in declared:
-                self.report(f"{mwhere} is not declared by interface {d.parent}", d.pos)
+                self.report(f"{mwhere} is not declared by interface {d.parent}")
                 continue
             decl = declared[fun.name]
             if fun.params != decl.params or fun.ret != decl.ret:
-                self.report(f"{mwhere} does not match the declared signature", d.pos)
-            params = self.check_params(fun.params, mwhere, d.pos)
+                self.report(f"{mwhere} does not match the declared signature")
+            params = self.check_params(fun.params, mwhere)
             overlap = set(params) & set(fields)
             if overlap:
-                self.report(f"{mwhere} shadows field(s) {', '.join(sorted(overlap))}", d.pos)
+                self.report(f"{mwhere} shadows field(s) {', '.join(sorted(overlap))}")
             if fun.body is None:
-                self.report(f"{mwhere} has no body", d.pos)
+                self.report(f"{mwhere} has no body")
             else:
-                self.check_body(fun.body, d.pos)
+                self.check_body(fun.body)
         for name in sorted(n for n in declared if n not in seen and (n, d.name) not in self.ctx.cells):
-            self.report(f"class {d.name} does not implement {name!r}", d.pos)
+            self.report(f"class {d.name} does not implement {name!r}")
 
     def check_consumer(self, d: Consumer) -> None:
         where = f"consumer {d.name} on {d.self_type}"
-        params = self.check_params(d.params, where, d.pos)
-        self.check_type(d.ret, where, d.pos)
+        params = self.check_params(d.params, where)
+        self.check_type(d.ret, where)
         ctors = self.ctx.ctr.get(d.self_type, ())
         ctor_set = set(ctors)
         seen: set[str] = set()
         for i, clause in enumerate(d.clauses):
             if clause.pattern.is_wildcard:
                 if i != len(d.clauses) - 1:
-                    self.report(f"{where}: wildcard clause must be last", d.pos)
-                self.check_body(clause.body, d.pos)
+                    self.report(f"{where}: wildcard clause must be last")
+                self.check_body(clause.body)
                 continue
             c = clause.pattern.name
             if c in seen:
-                self.report(f"{where} has two clauses for {c}", d.pos)
+                self.report(f"{where} has two clauses for {c}")
             seen.add(c)
             if c not in ctor_set:
-                self.report(f"{where} matches {c}, which is not a constructor of {d.self_type}", d.pos)
+                self.report(f"{where} matches {c}, which is not a constructor of {d.self_type}")
                 continue
             ctor = self.ctx.defs[c]
             assert isinstance(ctor, Constructor)
             field_names = tuple(p.name for p in ctor.fields)
             if clause.pattern.vars != field_names:
-                self.report(
-                    f"{where}: pattern for {c} must bind the field names "
-                    f"({', '.join(field_names)}) in order",
-                    d.pos,
-                )
+                self.report(f"{where}: pattern for {c} must bind the field names ({', '.join(field_names)}) in order")
             overlap = set(clause.pattern.vars) & set(params)
             if overlap:
-                self.report(f"{where}: pattern for {c} shadows parameter(s) {', '.join(sorted(overlap))}", d.pos)
-            self.check_body(clause.body, d.pos)
+                self.report(f"{where}: pattern for {c} shadows parameter(s) {', '.join(sorted(overlap))}")
+            self.check_body(clause.body)
         for c in ctors:
             if (d.name, c) not in self.ctx.cells:
-                self.report(f"{where} has no clause for constructor {c}", d.pos)
+                self.report(f"{where} has no clause for constructor {c}")

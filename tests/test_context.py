@@ -4,7 +4,24 @@ import pytest
 from conftest import load
 
 from food import ContextError, parse, preprocess, restrict, transform, translate_ctx
-from food.syntax import Arrow, BoolT, IntT, Named
+from food.diagnostics import Diagnostic
+from food.syntax import (
+    Arrow,
+    BoolT,
+    Clause,
+    Constructor,
+    Consumer,
+    Datatype,
+    Dtr,
+    Generator,
+    INT,
+    IntLit,
+    IntT,
+    Interface,
+    Named,
+    Program,
+    WILDCARD,
+)
 
 
 def ctx_of(name):
@@ -67,6 +84,53 @@ def test_undeclared_parents_rejected():
     # a consumer on an interface is as bad as on an undeclared type
     with pytest.raises(ContextError):
         preprocess(parse("interface I {}\ndef f(self: I)(): Int = 1\nx"))
+
+
+D = Datatype("D")
+
+# each of preprocess's five diagnostics: a source, the same program built by
+# hand, whose definitions have no position, the message, and where it sits in
+# the source
+PREPROCESS_ERRORS = [
+    ("data D\ndata D\n1", (D, D), "duplicate definition of D", (2, 1)),
+    (
+        "data D\n interface I { def f(): Int def f(): Int }\n1",
+        (D, Interface("I", (Dtr("f", (), INT, None),) * 2)),
+        "duplicate destructor f in interface I",
+        (2, 2),
+    ),
+    (
+        "data D\ncase C() extends Nowhere\n1",
+        (D, Constructor("C", (), "Nowhere")),
+        "constructor C extends Nowhere, which is not a declared datatype",
+        (2, 1),
+    ),
+    (
+        "data D\n\n  class K() implements Nowhere {}\n1",
+        (D, Generator("K", (), "Nowhere", ())),
+        "class K implements Nowhere, which is not a declared interface",
+        (3, 3),
+    ),
+    (
+        "data D\ndata E\n\n\ndef f(self: Nowhere)(): Int = 1\n1",
+        (D, Datatype("E"), Consumer("f", "Nowhere", (), INT, (Clause(WILDCARD, IntLit(1)),))),
+        "consumer f needs a declared datatype, got Nowhere",
+        (5, 1),
+    ),
+]
+
+
+@pytest.mark.parametrize("source, defs, message, pos", PREPROCESS_ERRORS)
+def test_preprocess_places_each_diagnostic_at_its_definition(source, defs, message, pos):
+    built = Program(defs, IntLit(1))
+    assert parse(source) == built  # positions take no part in ==
+    with pytest.raises(ContextError) as exc:
+        preprocess(parse(source))
+    assert exc.value.diagnostics == (Diagnostic(message, *pos),)
+    with pytest.raises(ContextError) as exc:
+        preprocess(built)
+    assert exc.value.diagnostics == (Diagnostic(message, 0, 0),)
+    assert str(exc.value) == message
 
 
 def test_restrict_empties_unselected_types():

@@ -264,6 +264,27 @@ def test_only_context_decides_which_body_runs():
     assert found  # context builds the cells
 
 
+def test_only_diagnostics_places_a_diagnostic():
+    # diagnostics.at is the one rule that places a diagnostic: at a position,
+    # or at 0:0 when there is none.  No other module writes that fallback, and
+    # the parser raises ParseError itself, with no exception class of its own
+    # for program() to unwrap
+    found = [
+        f"{path.name}:{i}"
+        for path in SOURCES
+        if path.name != "diagnostics.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "(0, 0)" in line or "pos or" in line
+    ]
+    parser = pathlib.Path(food.__file__).parent / "parser.py"
+    found += [
+        f"parser.py:{c.lineno} {c.name}"
+        for c in ast.walk(ast.parse(parser.read_text()))
+        if isinstance(c, ast.ClassDef) and any(ast.unparse(b).endswith(("Exception", "Error")) for b in c.bases)
+    ]
+    assert len(SOURCES) >= 10 and found == []
+
+
 def test_only_interp_reads_the_machine_frames():
     # how the machine pushes and plugs frames is its own business; a caller
     # plugs a state whole and takes the contractum the machine yields.  The
