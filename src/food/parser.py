@@ -1,9 +1,10 @@
 """Parser for the FOOD concrete syntax.
 
 The lexer blanks each comment to spaces, which keeps every offset, line and
-column, and then makes one ``re.split`` on a one-group pattern, giving the
-gaps (the whitespace between tokens) and the token texts in turn, and a
-table of the kinds of the source's distinct texts.  Tokens carry no position:
+column, and then makes one ``re.split`` on a one-group pattern whose
+commonest alternatives come first, giving the gaps (the whitespace between
+tokens) and the token texts in turn, and a table of the kinds of the
+source's distinct texts.  Tokens carry no position:
 a token's line and column are worked out from the gap and text lengths only
 where needed, for a diagnostic or a definition's position, through a cursor
 that moves forward, so a whole parse stays linear.  Positions are 1-based.
@@ -14,7 +15,12 @@ frames (parentheses, argument lists, consumer receivers, the parts of an
 if), each expression keeping its operands and operators on two lists
 reduced by precedence (Pratt, "Top Down Operator Precedence", 1973).  The
 loop is the recursive descent with its continuations defunctionalized, so
-nesting depth costs heap, not Python frames.
+nesting depth costs heap, not Python frames.  Its allocations are the work
+per token, so it makes few: ``true``, ``false`` and the integers 0..256 parse
+to nodes built once at import, shared by every occurrence (nodes are
+immutable and compare by value), a call waiting for its arguments is a tuple
+of its node class and leading fields, not a closure, and an expression's
+operand and operator lists are made at its first operator.
 
 Error recovery is per definition: after a syntax error the parser skips to
 the next top-level definition keyword and keeps going, so one bad definition
@@ -29,7 +35,6 @@ compare this module against two oracles: the character-at-a-time lexer
 from __future__ import annotations
 
 import re
-from functools import partial
 
 from .diagnostics import Diagnostic, ParseError
 from .syntax import (
@@ -86,15 +91,21 @@ _INT64_MAX = 2**63 - 1
 _SYMBOLS = ["=>", "==", "<=", "&&", "||", "(", ")", "{", "}", ":", ",", ";", ".", "=", "<", "+", "-", "*", "_"]
 
 # re.split on its one group gives the gaps (whitespace, comments being
-# blanked before the split) and token texts in turn.  Integers are ASCII
-# digits only: \d would also accept other decimal digits, such as '٣'.  \s is
-# exactly str.isspace and \w exactly str.isalnum or '_'.  A lone underscore is
-# the wildcard symbol, so an identifier starts with a letter.  The
-# one-character symbols are one class, tried in one step.
+# blanked before the split) and token texts in turn.  The alternatives are
+# tried in order, so the commonest come first: the one-character symbols that
+# begin no longer symbol, as one class tried in one step, then identifiers,
+# integers, the two-character symbols, and the one-character symbols that do
+# begin one.  No character of the first class can begin an identifier, an
+# integer or another symbol, so the order splits every text as the longest
+# match would.  Integers are ASCII digits only: \d would also accept other
+# decimal digits, such as '٣'.  \s is exactly str.isspace and \w exactly
+# str.isalnum or '_'.  A lone underscore is the wildcard symbol, so an
+# identifier starts with a letter.
+_LONE = "".join(s for s in _SYMBOLS if len(s) == 1 and not any(t != s and t.startswith(s) for t in _SYMBOLS))
 _TOKEN = re.compile(
-    r"([0-9]+|[^\W\d_]\w*|"
+    "([" + re.escape(_LONE) + r"]|[^\W\d_]\w*|[0-9]+|"
     + "".join(re.escape(s) + "|" for s in _SYMBOLS if len(s) > 1)
-    + "[" + re.escape("".join(s for s in _SYMBOLS if len(s) == 1)) + r"]|\S)"
+    + "[" + re.escape("".join(s for s in _SYMBOLS if len(s) == 1 and s not in _LONE)) + r"]|\S)"
 )
 
 _KIND = {**{s: s for s in _SYMBOLS}, **dict.fromkeys(KEYWORDS, "kw")}
@@ -135,7 +146,8 @@ def _tokens(src: str) -> tuple[list[str | None], list[str], list[str]]:
 
 # The frames of the expression loop, each waiting for one expression:
 #   (_PAREN, vals, ops)             the inside of ( ... )
-#   (_ARG, vals, ops, make, args)   the next argument; make(tuple(args)) builds the node
+#   (_ARG, vals, ops, make, args)   the next argument of make[0](*make[1:], args), make
+#                                   being the node's class and its leading fields
 #   (_RECV, vals, ops, name)        the receiver of the consumer application name(...)
 #   (_COND, vals, ops)              the condition of an if
 #   (_THEN, vals, ops, cond)        its then branch
@@ -144,6 +156,11 @@ def _tokens(src: str) -> tuple[list[str | None], list[str], list[str]]:
 _PAREN, _ARG, _RECV, _COND, _THEN, _ELSE = range(6)
 
 _INT64_DIGITS = len(str(_INT64_MAX))
+
+# The literals of the commonest texts, built once: nodes are immutable and
+# compare by value, so every occurrence can share one.  The integers are
+# CPython's small ints, 0..256; any other text, such as 007, builds its own.
+_LITERALS = {"true": BoolLit(True), "false": BoolLit(False), **{str(n): IntLit(n) for n in range(257)}}
 
 
 class _Parser:
@@ -411,10 +428,12 @@ class _Parser:
         kinds, texts = self.kinds, self.texts
         i = self.i
         stack: list[tuple] = []
-        vals: list[Expr] = []  # the operands before atom, and
-        ops: list[str] = []  # the operators between them, in rising precedence
+        # the operands before atom, and the operators between them in rising
+        # precedence: two lists, or () until the expression's first operator
+        vals: list[Expr] | tuple = ()
+        ops: list[str] | tuple = ()
         atom: Expr | None = None
-        make = None  # set where an argument list opens: it builds the node
+        make = None  # set where an argument list opens: the class and leading fields of its node
         while True:
             if make is not None:
                 if kinds[i] != "(":
@@ -422,11 +441,11 @@ class _Parser:
                     raise self.expected("(")
                 i += 1
                 if kinds[i] == ")":
-                    atom = make(())
+                    atom = make[0](*make[1:], ())
                     i += 1
                 else:
                     stack.append((_ARG, vals, ops, make, []))
-                    vals, ops = [], []
+                    vals = ops = ()
                 make = None
             if atom is None:  # at the start of an operand
                 k = kinds[i]
@@ -437,36 +456,39 @@ class _Parser:
                         if name in ("Int", "Bool"):
                             self.i = i - 1
                             raise self.fail(f"{name} is a type, not an expression")
-                        make = partial(CtrCall, name)
+                        make = (CtrCall, name)
                         continue
                     if kinds[i] == "(":
                         if name in RESERVED_BINDERS:
                             self.i = i
                             raise self.fail(f"{name!r} cannot be applied", i - 1)
                         stack.append((_RECV, vals, ops, name))
-                        vals, ops = [], []
+                        vals = ops = ()
                         i += 1
                         continue
                     atom = Var(name)
                 elif k == "(":
                     stack.append((_PAREN, vals, ops))
-                    vals, ops = [], []
+                    vals = ops = ()
                     i += 1
                     continue
                 elif k == "int":
-                    digits = texts[i].lstrip("0") or "0"
+                    text = texts[i]
                     i += 1
-                    # source literals are never negative, so only the upper bound applies
-                    if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
-                        self.i = i
-                        raise self.fail("integer literal does not fit in 64 bits", i - 1)
-                    atom = IntLit(int(digits))
-                elif k == "kw" and texts[i] in ("true", "false"):
-                    atom = BoolLit(texts[i] == "true")
+                    atom = _LITERALS.get(text)
+                    if atom is None:
+                        digits = text.lstrip("0") or "0"
+                        # source literals are never negative, so only the upper bound applies
+                        if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
+                            self.i = i
+                            raise self.fail("integer literal does not fit in 64 bits", i - 1)
+                        atom = IntLit(int(digits))
+                elif k == "kw" and texts[i] in _LITERALS:  # true or false
+                    atom = _LITERALS[texts[i]]
                     i += 1
                 elif k == "kw" and texts[i] == "new":
                     self.i = i + 1
-                    make = partial(New, self.upper_ident("class name"))
+                    make = (New, self.upper_ident("class name"))
                     i = self.i
                     continue
                 elif k == "kw" and texts[i] == "if" and not vals:  # if starts an expression
@@ -474,7 +496,7 @@ class _Parser:
                     self.expect("(")
                     i = self.i
                     stack.append((_COND, vals, ops))
-                    vals, ops = [], []
+                    vals = ops = ()
                     continue
                 else:
                     self.i = i
@@ -483,16 +505,19 @@ class _Parser:
                 k = kinds[i]
                 if k == ".":
                     self.i = i + 1
-                    make = partial(Sel, atom, self.lower_ident("method name"))
+                    make = (Sel, atom, self.lower_ident("method name"))
                     i = self.i
                     atom = None
                     continue
                 prec = PREC.get(k)
                 if prec:
-                    while ops and PREC[ops[-1]] >= prec:
-                        atom = PrimOp(ops.pop(), vals.pop(), atom)
-                    vals.append(atom)
-                    ops.append(k)
+                    if ops:
+                        while ops and PREC[ops[-1]] >= prec:
+                            atom = PrimOp(ops.pop(), vals.pop(), atom)
+                        vals.append(atom)
+                        ops.append(k)
+                    else:  # the expression's first operator
+                        vals, ops = [atom], [k]
                     atom = None
                     i += 1
                     continue
@@ -508,7 +533,7 @@ class _Parser:
                     frame[4].append(atom)
                     if k == ",":
                         stack.append(frame)
-                        vals, ops = [], []
+                        vals = ops = ()
                         atom = None
                         i += 1
                         continue
@@ -516,7 +541,8 @@ class _Parser:
                         self.i = i
                         raise self.expected(",")
                     vals, ops = frame[1], frame[2]
-                    atom = frame[3](tuple(frame[4]))
+                    built = frame[3]
+                    atom = built[0](*built[1:], tuple(frame[4]))
                     i += 1
                     continue
                 if tag is _THEN:
@@ -524,7 +550,8 @@ class _Parser:
                     self.keyword("else")
                     i = self.i
                     stack.append((_ELSE, frame[1], frame[2], frame[3], atom))
-                    vals, ops, atom = [], [], None
+                    vals = ops = ()
+                    atom = None
                     continue
                 if tag is _ELSE:  # the if is the whole expression, so nothing can follow it
                     vals, ops = frame[1], frame[2]
@@ -537,14 +564,15 @@ class _Parser:
                 i += 1
                 if tag is _COND:
                     stack.append((_THEN, frame[1], frame[2], atom))
-                    vals, ops, atom = [], [], None
+                    vals = ops = ()
+                    atom = None
                     continue
                 vals, ops = frame[1], frame[2]
                 # the second argument list of an application must open on the
                 # same line; this keeps a following parenthesized expression
                 # from being swallowed as extra arguments
                 if tag is _RECV and kinds[i] == "(" and "\n" not in self.gaps[i]:
-                    make = partial(App, frame[3], atom)
+                    make = (App, frame[3], atom)
                     atom = None
                 elif tag is _RECV:
                     atom = App(frame[3], atom, ())

@@ -2,7 +2,9 @@
 
 ``parse(pretty(p))`` is structurally equal to ``p`` for any program free of
 runtime objects; the fuzz suite exercises that round trip.  Expressions print
-at any depth, in one pre-order pass over a stack of nodes and literal text.
+at any depth, in one pre-order pass over a stack of nodes and literal text;
+a binary operation places its operands, in parentheses where their level is
+below their place's, inline, with each operator's text from a table.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .syntax import (
 # minimum its position demands.
 _IF = 0
 _POSTFIX = 6
+# each binary operator's text between its operands
+_SPACED = {op: f" {op} " for op in PREC}
 
 
 def pretty_type(t: Type) -> str:
@@ -70,15 +74,23 @@ def pretty_expr(e: Expr, *, runtime: bool = False) -> str:
             out.append(x.name)
         elif cls is IntLit:
             out.append(str(x.value))
-        elif cls is PrimOp:
-            prec = PREC[x.op]
-            _operand(todo, x.rhs, prec + 1)
-            push(f" {x.op} ")
-            _operand(todo, x.lhs, prec)
+        elif cls is PrimOp:  # an operand is parenthesized when its level is below its place's
+            op = x.op
+            prec = PREC[op]
+            kid = x.rhs
+            kind = type(kid)
+            level = PREC[kid.op] if kind is PrimOp else _IF if kind is If else _POSTFIX
+            todo += (")", kid, "(") if level <= prec else (kid,)
+            push(_SPACED[op])
+            kid = x.lhs
+            kind = type(kid)
+            level = PREC[kid.op] if kind is PrimOp else _IF if kind is If else _POSTFIX
+            todo += (")", kid, "(") if level < prec else (kid,)
         elif cls is Sel:
             _args(todo, x.args)
             push("." + x.name)
-            _operand(todo, x.recv, _POSTFIX)
+            kind = type(x.recv)  # only a binary operation or an if is below a postfix level
+            todo += (")", x.recv, "(") if kind is PrimOp or kind is If else (x.recv,)
         elif cls is App:
             if x.args:
                 _args(todo, x.args)
@@ -105,17 +117,13 @@ def pretty_expr(e: Expr, *, runtime: bool = False) -> str:
     return "".join(out)
 
 
-def _operand(todo: list, kid: Expr, prec: int) -> None:
-    """Push ``kid``, in parentheses when its level is below ``prec``."""
-    cls = type(kid)
-    level = PREC[kid.op] if cls is PrimOp else _IF if cls is If else _POSTFIX
-    todo += (")", kid, "(") if level < prec else (kid,)
-
-
 def _args(todo: list, args: tuple[Expr, ...]) -> None:
     """Push ``(a, b, …)``, last piece first."""
-    pieces = [piece for a in reversed(args) for piece in (a, ", ")]
-    todo += (")", *pieces[:-1], "(")
+    if len(args) == 1:
+        todo += (")", args[0], "(")
+    else:
+        pieces = [piece for a in reversed(args) for piece in (a, ", ")]
+        todo += (")", *pieces[:-1], "(")
 
 
 def _params(params: tuple[Param, ...]) -> str:

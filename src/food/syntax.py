@@ -7,7 +7,8 @@ node's exact class, for speed; ``fold`` does too, and serves the typer, which
 gives it one rule per form.
 
 All nodes are immutable; ``==`` is structural equality at any depth, which
-ignores the (non-compared) source positions of definitions.
+ignores the (non-compared) source positions of definitions, and ``repr``
+takes any depth too.
 
 Every layer builds nodes: the parser and the transformation build programs,
 and each step of the machine that substitutes at calls builds a few (``subst``
@@ -29,6 +30,8 @@ from operator import attrgetter
 from sys import _getframe
 
 _COMPARED: dict[type, tuple[str, ...]] = {}  # each node class's compared fields
+# each node class's repr head, "Name(", and its shown fields, each with the text before its value
+_SHOWN: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {}
 
 
 def _frozen(self, name, *value):
@@ -40,7 +43,8 @@ def node(cls):
 
     Only the constructor is compiled per class; ``==``, ``hash``, ``repr`` and copying are written once, here,
     over the class's fields.  A field may have a plain default, such as ``pos=None``, but no default
-    factory.  Only the outermost node compare of an ``==`` falls back to ``_deep_eq`` past the recursion limit.
+    factory.  Only the outermost node compare of an ``==`` falls back to ``_deep_eq`` past the recursion limit;
+    ``repr`` is ``_repr``, which takes any depth.
     """
     cls = dataclass(init=False, repr=False, eq=False)(cls)  # records the fields; writes no method
     names, defaults = [], {}
@@ -59,7 +63,8 @@ def node(cls):
     # does for any field whose == is reflexive, and hash takes the tuple of compared fields at any count
     get = attrgetter(*compared) if compared else lambda x: ()
     values = get if len(compared) != 1 else lambda x: (get(x),)
-    text = ", ".join(f"{f.name}={{0.{f.name}!r}}" for f in fields(cls) if f.repr)  # repr reads its fields
+    shown = [f.name for f in fields(cls) if f.repr]
+    _SHOWN[cls] = cls.__qualname__ + "(", tuple((", " * (k > 0) + x + "=", x) for k, x in enumerate(shown))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -75,7 +80,7 @@ def node(cls):
         return hash(values(self))
 
     def __repr__(self):
-        return f"{self.__class__.__qualname__}({text.format(self)})"
+        return _repr(self)
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor, as __setattr__ refuses
         return self.__class__, tuple(getattr(self, x) for x in names)
@@ -110,6 +115,33 @@ def _deep_eq(a, b) -> bool:
         elif x != y:  # leaves, and operands of two classes, as == compares them
             return False
     return True
+
+
+def _repr(top) -> str:
+    """``repr(top)`` on an explicit stack: nodes and tuples are expanded, any other value takes its own ``repr``."""
+    out, todo = [], [top]
+    while todo:  # in pre-order: a string is output text, a node or a tuple pushes its pieces last first
+        x = todo.pop()
+        cls = x.__class__
+        if cls is str:
+            out.append(x)
+            continue
+        if cls is tuple:
+            todo.append(",)" if len(x) == 1 else ")")
+            for k in range(len(x) - 1, -1, -1):
+                v = x[k]
+                todo.append(v if v.__class__ is tuple or v.__class__ in _SHOWN else repr(v))
+                if k:
+                    todo.append(", ")
+            todo.append("(")
+        else:
+            head, labels = _SHOWN[cls]
+            todo.append(")")
+            for label, name in reversed(labels):
+                v = getattr(x, name)
+                todo += (v if v.__class__ is tuple or v.__class__ in _SHOWN else repr(v), label)
+            todo.append(head)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The recursive printer and typer, kept as test-only references.
+"""The recursive printer, typer and node repr, kept as test-only references.
 
 ``pretty_expr`` (with ``_level`` and ``_expr``) and ``transform_expr`` (with
 ``_expect`` and ``_check_args``) are verbatim copies of the code ``food`` used
-before both became rules over ``food.syntax.fold``: one Python frame per
-nesting level, so they raise ``RecursionError`` a few hundred levels deep.
+before both became rules over ``food.syntax.fold``; ``node_repr`` gives the
+text of the ``repr`` node classes shared before it took an explicit stack.
+All take one Python frame per nesting level, so they raise ``RecursionError``
+a few hundred levels deep.
 Each raises its error where it meets it, so tests can check that the fold's
 carried errors come out in the same order, with the same text.  Error
 messages here print through this module's own ``pretty_expr``.
@@ -11,10 +13,13 @@ messages here print through this module's own ``pretty_expr``.
 
 from __future__ import annotations
 
+import dataclasses
+
 from food.context import GlobalCtx, TypeEnv
 from food.diagnostics import Diagnostic, TransformError
 from food.pretty import pretty_type
 from food.syntax import (
+    _COMPARED,
     App,
     Arrow,
     BOOL,
@@ -34,6 +39,16 @@ from food.syntax import (
     Type,
     Var,
 )
+
+def node_repr(x) -> str:
+    """The node ``repr`` that formatted each shown field with ``!r``: the dataclass repr, recursing into nodes."""
+    if type(x) is tuple:
+        return "(" + ", ".join(map(node_repr, x)) + ("," if len(x) == 1 else "") + ")"
+    if type(x) in _COMPARED:
+        shown = ", ".join(f"{f.name}={node_repr(getattr(x, f.name))}" for f in dataclasses.fields(x) if f.repr)
+        return f"{type(x).__qualname__}({shown})"
+    return repr(x)
+
 
 # Precedence levels, loosest first.  A child is parenthesized whenever its
 # level is below the minimum its position demands.

@@ -91,6 +91,15 @@ def test_integer_literals_fit_in_64_bits():
         assert (d.line, d.column) == (1, 1)
 
 
+def test_common_literals_are_shared_nodes():
+    # true, false and 0..256 map to nodes built once; any other integer text
+    # builds its own node, equal to the one its value gives
+    for text in ("0", "256", "true", "false"):
+        first = parse(f"f(x)({text}, {text})").main.args
+        assert first[0] is first[1] is parse(text).main
+    assert parse("007").main == IntLit(7) and parse("257").main == IntLit(257)
+
+
 def test_recovery_reports_one_error_per_definition():
     src = "data 1\ndata Set\nclass C() implements\nx"
     with pytest.raises(ParseError) as exc:

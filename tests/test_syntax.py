@@ -8,6 +8,7 @@ import gc
 import pytest
 from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, generated, load
 from mutators import rewrite_first
+from reference_recursive import node_repr
 from test_hostile_input import NESTINGS, nest
 
 from food import (
@@ -752,6 +753,44 @@ def test_node_repr_examples():
     shown = "PrimOp(op='+', lhs=IntLit(value=1), rhs=Var(name='y'))"
     assert repr(PrimOp("+", IntLit(1), Var("y"))) == shown
     assert repr(ObjV("C", (BoolV(True),))) == "Obj(name='C', args=(BoolLit(value=True),))"
+
+
+def every_node(top):
+    """``top`` and every node it holds, through node fields and tuples."""
+    found, todo = [], [top]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            todo += x
+        elif type(x) in syntax._COMPARED:
+            found.append(x)
+            todo += [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return found
+
+
+def test_node_repr_is_the_recursive_repr_on_every_node():
+    programs = [load(name) for name in sorted(GOLDEN_SELECTIONS)]
+    programs += [transform(q, GOLDEN_SELECTIONS[name]).program for name, q in zip(sorted(GOLDEN_SELECTIONS), programs)]
+    programs += [generated(GenConfig(seed=seed)) for seed in range(500)]
+    checked = 0
+    for program in programs:
+        for x in every_node(program):
+            assert repr(x) == node_repr(x)
+            checked += 1
+    assert checked > 10_000
+
+
+def test_node_repr_takes_any_depth():
+    # the recursive repr raised RecursionError some 300 levels deep; the text
+    # at depth n is the one-level wrapper's n times around the leaf's
+    for form, (_, tree) in NESTINGS.items():
+        leaf, once = repr(tree(0)), repr(tree(1))
+        at = once.rindex(leaf)
+        want = once[:at] * 100_000 + leaf + once[at + len(leaf) :] * 100_000
+        e = tree(100_000)
+        assert repr(e) == want, form
+        assert repr(Stuck("no rule applies", e)) == f"Stuck(reason='no rule applies', expr={want})", form
+        assert repr(FuelExhausted(e)) == f"FuelExhausted(last={want})", form
 
 
 def test_context_equality_and_repr_ignore_its_cells_and_typings():

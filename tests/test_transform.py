@@ -434,6 +434,26 @@ def test_a_wide_interface_transforms_and_looks_up_in_linear_time():
     assert pretty(out) == "data I\n" + consumers + constructors + "m0(A(0))\n"
 
 
+def test_it2dt_lists_clauses_in_class_order_with_the_wildcard_last():
+    # each consumer made from an interface member has one clause per class
+    # that defines the member, in the classes' source order, then the
+    # member's default body, if any, as the wildcard
+    consumers = 0
+    for seed in range(500):
+        p = generated(GenConfig(seed=seed, style_mix=1.0))
+        out = transform(p).program
+        made = {(d.self_type, d.name): d for d in out.defs if isinstance(d, Consumer)}
+        for i in (d for d in p.defs if isinstance(d, Interface)):
+            classes = [g for g in p.defs if isinstance(g, Generator) and g.parent == i.name]
+            for m in i.dtrs:
+                want = [g.name for g in classes if m.name in {f.name for f in g.funs}]
+                want += ["_"] * (m.body is not None)
+                got = [c.pattern.name if not c.pattern.is_wildcard else "_" for c in made[(i.name, m.name)].clauses]
+                assert got == want, (seed, i.name, m.name)
+                consumers += 1
+    assert consumers >= 500
+
+
 def test_only_a_passing_typing_is_kept():
     p = load("exp_fp")
     ctx = preprocess(p)
