@@ -19,8 +19,8 @@ nesting depth costs heap, not Python frames.  Its allocations are the work
 per token, so it makes few: ``true``, ``false`` and the integers 0..256 parse
 to nodes built once at import, shared by every occurrence (nodes are
 immutable and compare by value), a call waiting for its arguments is a tuple
-of its node class and leading fields, not a closure, and an expression's
-operand and operator lists are made at its first operator.
+of its node class and leading fields, and an expression's operand and
+operator lists are made at its first operator.
 
 Error recovery is per definition: after a syntax error the parser skips to
 the next top-level definition keyword and keeps going, so one bad definition
