@@ -438,10 +438,6 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
 
     def measure(e: Expr) -> tuple:
         """(type or error, node count) of closed ``e``."""
-        if (hit := known.get(id(e))) is not None:
-            return hit[1]
-        if not children(e):
-            return rule(e, ()), 1
         types, sizes, todo = [], [], [e]
         while todo:
             x = todo.pop()

@@ -23,10 +23,10 @@ two binding disciplines, one per entry point:
 * ``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` substitute
   the bindings into the body (``subst``), so every state is a closed term.
   The machine yields each state as its redex and frames; plugging the redex
-  into every frame gives the state, at O(depth) per state.  Going on from
-  the contractum in the same frames, not from the root, is refocusing
-  (Danvy and Nielsen, "Refocusing in Reduction Semantics", BRICS RS-04-26,
-  2004).
+  into every frame (``_read_back``, through ``syntax.with_children``) gives
+  the state, at O(depth) per state.  Going on from the contractum in the
+  same frames, not from the root, is refocusing (Danvy and Nielsen,
+  "Refocusing in Reduction Semantics", BRICS RS-04-26, 2004).
 * ``eval_program`` evaluates the body with the bindings as its environment,
   and yields only the outcome: the environment machine that Biernacka and
   Danvy, "A Concrete Framework for Environment Machines", ACM TOCL 9(1),
@@ -34,8 +34,8 @@ two binding disciplines, one per entry point:
   machine of Felleisen and Friedman (1986).  A method body binds nothing, so
   a call's environment is exactly the mapping a substituting call
   substitutes, and code read back in its environment is ``subst(code,
-  env)``.  That is how ``Stuck.expr`` and ``FuelExhausted.last`` are built,
-  once, at O(size).
+  env)``.  The same rebuild reads back ``Stuck.expr`` and
+  ``FuelExhausted.last``, once, at O(size).
 
 The machine dispatches on each node's exact class, as ``children`` does,
 testing ``PrimOp``, the most frequent redex, first; and it reads each method
@@ -244,37 +244,18 @@ Frames = list[tuple[Expr, dict[str, Expr], tuple[Expr, ...], list[Expr]]]
 
 def _read_back(node: Expr, env: dict[str, Expr], done: list[Expr]) -> Expr:
     """node as a substituting run holds it: done in its first slots, the rest its code in env."""
-    return with_children(node, (*done, *[subst(kid, env) for kid in children(node)[len(done) :]]))
+    kids = children(node)
+    if not env and all(map(operator.is_, done, kids)):
+        return node  # after subst, every value usually sits in its slot already
+    rest = kids[len(done) :]
+    return with_children(node, (*done, *([subst(kid, env) for kid in rest] if env else rest)))
 
 
 def _plug_all(e: Expr, frames: Frames) -> Expr:
-    """The whole term: e plugged into every frame, innermost first."""
+    """The whole term: e plugged into every frame, innermost first, each read back."""
     for node, env, _, vals in reversed(frames):
-        # a run with environments reads its stuck or fuel-exhausted state back
-        e = _read_back(node, env, [*vals, e]) if env else _plug(node, vals, e)
+        e = _read_back(node, env, [*vals, e])
     return e
-
-
-def _plug(node: Expr, vals: list[Expr], e: Expr) -> Expr:
-    """node with vals in its first slots, e in the next, and its code in the rest."""
-    cls = type(node)
-    if cls is PrimOp:
-        return PrimOp(node.op, vals[0], e) if vals else PrimOp(node.op, e, node.rhs)
-    if cls is If:
-        return If(e, node.then, node.els)
-    if cls is Sel or cls is App:
-        recv, args = (vals[0], (*vals[1:], e, *node.args[len(vals) :])) if vals else (e, node.args)
-        return Sel(recv, node.name, args) if cls is Sel else App(node.name, recv, args)
-    return cls(node.name, (*vals, e, *node.args[len(vals) + 1 :]))  # CtrCall or New
-
-
-def _redex(node: Expr, env: dict[str, Expr], slots: tuple[Expr, ...], vals: list[Expr]) -> Expr:
-    """node with the values of all its slots, as a substituting run holds it."""
-    if env:
-        return _read_back(node, env, vals)
-    if all(map(operator.is_, vals, slots)):
-        return node  # after subst, every value usually sits in its slot already
-    return _plug(node, vals[:-1], vals[-1])
 
 
 def _machine(
@@ -292,11 +273,11 @@ def _machine(
     state is a closed term; or, with states False, evaluates the body in the
     bindings as its environment, and yields only the outcome.
 
-    The focus is the state's redex, or its value at the end.  The contractum
-    is what the last step contracted its redex to, None in the first state.
-    The frames change in place, so a caller plugs a state (``_plug_all``)
-    before asking for the next.  A redex is contracted, and may be stuck,
-    before the fuel is looked at.
+    The focus is the state's redex (``_read_back``), or its value at the
+    end.  The contractum is what the last step contracted its redex to, None
+    in the first state.  The frames change in place, so a caller plugs a
+    state (``_plug_all``) before asking for the next.  A redex is
+    contracted, and may be stuck, before the fuel is looked at.
     """
     frames: Frames = []
     env: dict[str, Expr] = {}
@@ -355,13 +336,13 @@ def _machine(
                 frames.append((node, env, slots, vals))
                 break
             if states:
-                yield _redex(node, env, slots, vals), frames, out
+                yield _read_back(node, env, vals), frames, out
             out = _contract(node, vals, ctx)
             if type(out) is str:
-                yield Stuck(out, _redex(node, env, slots, vals))
+                yield Stuck(out, _read_back(node, env, vals))
                 return
             if fuel <= 0:
-                yield FuelExhausted(_plug_all(_redex(node, env, slots, vals), frames))
+                yield FuelExhausted(_plug_all(_read_back(node, env, vals), frames))
                 return
             fuel -= 1
             if type(out) is tuple:

@@ -1,6 +1,8 @@
 import functools
 import pathlib
 
+import pytest
+
 from food import parse
 from food.fuzz import GenConfig, gen_program
 from food.syntax import Program
@@ -18,6 +20,27 @@ GOLDEN_SELECTIONS = {
     "boolnorm_ctx_oop": {"Context"},
     "boolnorm_ctx_fp": {"Context"},
 }
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call():
+    """Report a RecursionError that escapes a test as one line, in seconds.
+
+    pytest looks for the frame where a RecursionError's traceback repeats by
+    comparing every frame's locals with ``==``; each frame that holds a deep
+    node compares the whole tree, so the report of a test that recursed over
+    a 10**5-deep term takes minutes.  The error becomes an AssertionError
+    naming the innermost frame's function, file and line.
+    """
+    outcome = yield
+    error = outcome.exception
+    if isinstance(error, RecursionError):
+        tb = error.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{code.co_name} ({code.co_filename}:{tb.tb_lineno})"
+        outcome.force_exception(AssertionError(f"RecursionError in {where}: {error}"))
 
 
 def corpus_text(name: str) -> str:

@@ -110,3 +110,25 @@ def test_a_full_device_on_stdout_is_a_diagnostic(command):
     with open("/dev/full", "w") as full:
         done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
     assert (done.returncode, done.stderr) == (1, b"cannot write <stdout>: No space left on device\n")
+
+
+def test_a_test_that_recurses_over_a_deep_tree_fails_quickly(tmp_path):
+    # pytest compares the locals of a RecursionError's frames to find where it
+    # repeats, and a frame holding a 10**5-deep node compares the whole tree;
+    # the hook in conftest.py turns the error into a one-line failure first
+    (tmp_path / "test_deep.py").write_text(
+        "from food.syntax import IntLit, PrimOp\n"
+        "def depth(e):\n"
+        "    return 1 + depth(e.rhs) if type(e) is PrimOp else 0\n"
+        "def test_depth():\n"
+        "    e = IntLit(0)\n"
+        "    for _ in range(10**5):\n"
+        "        e = PrimOp('+', IntLit(1), e)\n"
+        "    assert depth(e) == 10**5\n"
+    )
+    tests = pathlib.Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (tests, pathlib.Path(food.__file__).parents[1])))}
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "conftest", "test_deep.py"]
+    done = subprocess.run(argv, capture_output=True, cwd=tmp_path, env=env, timeout=120, text=True)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed" in done.stdout and "AssertionError: RecursionError in depth" in done.stdout

@@ -313,6 +313,30 @@ def test_only_interp_reads_the_machine_frames():
     assert len(SOURCES) >= 10 and found == []
 
 
+def test_interp_builds_no_compound_node():
+    # the machine rebuilds a frame in one place, _read_back, through
+    # syntax.with_children; a compound node's constructor called in interp.py,
+    # by name or through a variable holding type(...), would be a second plug
+    # beside it.  _contract still builds values, which have no frame
+    tree = ast.parse(pathlib.Path(interp.__file__).read_text())
+    values = {c.__name__ for c in interp._VALUE_FORMS}
+    compound = {c.__name__ for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, syntax.Expr)}
+    compound -= values | {"Expr", "Var"}
+    held = {
+        target.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call) and ast.unparse(n.value.func) == "type"
+        for target in n.targets
+        if isinstance(target, ast.Name)
+    }
+    found = [
+        f"interp.py:{n.lineno} {n.func.id}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in compound | held
+    ]
+    assert found == [] and {"PrimOp", "If", "Sel", "App", "CtrCall", "New"} <= compound and "cls" in held
+
+
 def test_only_contract_names_the_contraction_rules():
     # _contract holds every contraction rule once, and the machine calls it
     # for every redex: no rule is written again beside it, and every body
