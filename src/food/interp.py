@@ -23,10 +23,10 @@ two binding disciplines, one per entry point:
 * ``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` substitute
   the bindings into the body (``subst``), so every state is a closed term.
   The machine yields each state as its redex and frames; plugging the redex
-  into every frame (``_read_back``, through ``syntax.with_children``) gives
-  the state, at O(depth) per state.  Going on from the contractum in the
-  same frames, not from the root, is refocusing (Danvy and Nielsen,
-  "Refocusing in Reduction Semantics", BRICS RS-04-26, 2004).
+  into every frame, by one ``syntax.with_children`` call on its values
+  (``_read_back``), gives the state at O(depth).  Going on from the
+  contractum in the same frames, not from the root, is refocusing (Danvy and
+  Nielsen, "Refocusing in Reduction Semantics", BRICS RS-04-26, 2004).
 * ``eval_program`` evaluates the body with the bindings as its environment,
   and yields only the outcome: the environment machine that Biernacka and
   Danvy, "A Concrete Framework for Environment Machines", ACM TOCL 9(1),
@@ -242,13 +242,11 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
 Frames = list[tuple[Expr, dict[str, Expr], tuple[Expr, ...], list[Expr]]]
 
 
-def _read_back(node: Expr, env: dict[str, Expr], done: list[Expr]) -> Expr:
-    """node as a substituting run holds it: done in its first slots, the rest its code in env."""
-    kids = children(node)
-    if not env and all(map(operator.is_, done, kids)):
-        return node  # after subst, every value usually sits in its slot already
-    rest = kids[len(done) :]
-    return with_children(node, (*done, *([subst(kid, env) for kid in rest] if env else rest)))
+def _read_back(node: Expr, env: dict[str, Expr], done: Sequence[Expr]) -> Expr:
+    """done in node's first slots, by one ``with_children`` call; in an env, the rest listed and substituted."""
+    if env:
+        done = (*done, *[subst(kid, env) for kid in children(node)[len(done) :]])
+    return with_children(node, done)
 
 
 def _plug_all(e: Expr, frames: Frames) -> Expr:

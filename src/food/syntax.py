@@ -524,17 +524,18 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def with_children(e: Expr, kids: tuple[Expr, ...]) -> Expr:
-    """``e`` with its immediate subexpressions replaced by ``kids``, in ``children`` order."""
+def with_children(e: Expr, kids: tuple[Expr, ...] | list[Expr]) -> Expr:
+    """``e`` with its first ``len(kids)`` immediate subexpressions, in ``children`` order, replaced by ``kids``."""
     cls = type(e)
-    if cls is Sel or cls is App:
-        return Sel(kids[0], e.name, kids[1:]) if cls is Sel else App(e.name, kids[0], kids[1:])
-    if cls is CtrCall or cls is New or cls is Obj:
-        return cls(e.name, kids)
     if cls is PrimOp:
-        return PrimOp(e.op, *kids)
+        return PrimOp(e.op, kids[0], kids[1] if len(kids) > 1 else e.rhs) if kids else e
+    if (cls is Sel or cls is App) and kids:
+        args = (*kids[1:], *e.args[len(kids) - 1 :])
+        return Sel(kids[0], e.name, args) if cls is Sel else App(e.name, kids[0], args)
+    if cls is CtrCall or cls is New or cls is Obj:
+        return cls(e.name, (*kids, *e.args[len(kids) :]))
     if cls is If:
-        return If(*kids)
+        return If(*kids, *(e.cond, e.then, e.els)[len(kids) :])
     return e
 
 

@@ -461,6 +461,28 @@ def test_machine_matches_reference_on_stuck_terms():
         assert_same_states(e, ctx)
 
 
+def test_a_substituting_run_lists_no_children(monkeypatch):
+    # a substituting run has no environment, so each frame is read back by
+    # one with_children call on the values it holds: listing a node's
+    # children, or scanning them for identity, would cost a second pass
+    def children(e):
+        raise AssertionError(f"children of {type(e).__name__} listed")
+
+    monkeypatch.setattr(food.interp, "children", children)
+    for name in EVAL_TEMPLATES:
+        p = parse(eval_source(name, 20))
+        ctx = preprocess(p)
+        *states, outcome = run(p.main, ctx, 100_000)
+        assert isinstance(outcome, Done) and len(states) > 100
+        for e, after in zip(states, states[1:]):
+            assert step(e, ctx) == Stepped(after)
+        assert step(states[-1], ctx) == outcome
+        assert list(run(p.main, ctx, 7)) == [*states[:8], FuelExhausted(states[7])]
+    ctx, terms = stuck_terms()
+    for e in terms:
+        assert isinstance(list(run(e, ctx, 200))[-1], Stuck) and isinstance(step(e, ctx), (Stepped, Stuck))
+
+
 def test_fuel_boundary_at_a_depth_the_recursive_step_cannot_reach():
     n = 2000
     for name in ("peano_fp", "peano_oo"):

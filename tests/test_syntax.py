@@ -258,6 +258,10 @@ def test_with_children_rebuilds_every_form():
         kids = tuple(Var(f"k{i}") for i in range(len(children(e))))
         rebuilt = with_children(e, kids)
         assert type(rebuilt) is type(e) and children(rebuilt) == kids
+        for n in range(len(kids) + 1):  # a prefix, tuple or list, replaces those children and keeps the rest
+            prefix = with_children(e, kids[:n])
+            assert type(prefix) is type(e) and children(prefix) == (*kids[:n], *children(e)[n:])
+            assert with_children(e, list(kids[:n])) == prefix
 
 
 def test_walk_is_pre_order():

@@ -551,7 +551,7 @@ def ill_typed_variants(e):
         return Var("z") if j % 2 else x
 
     yield rebuilt(every_other, lambda x: dataclasses.replace(x, name="g"))
-    yield rebuilt(every_other, lambda x: with_children(x, children(x)[:-1]) if x.args else x)
+    yield rebuilt(every_other, lambda x: dataclasses.replace(x, args=x.args[:-1]) if x.args else x)
 
 
 def programs(seeds=range(2000)):
