@@ -42,7 +42,6 @@ from .syntax import (
     Def,
     Dtr,
     Expr,
-    free_vars,
     Generator,
     If,
     INT,
@@ -67,7 +66,7 @@ from .syntax import (
 )
 # transform_expr is unused here, but bound for the benchmark's tracer to wrap
 from .transform import _typing, transform, transform_expr, type_program  # noqa: F401
-from .wellformed import check, check_structure
+from .wellformed import check
 
 _MAX_FIELD_ARITY = 2
 _RECURSION_BIAS = 0.6  # probability a body recurses on a field
@@ -495,24 +494,6 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
         lam += 1
 
 
-def _hygiene_failures(p2: Program) -> list[str]:
-    out = []
-    for d in p2.defs:
-        if isinstance(d, Consumer):
-            for clause in d.clauses:
-                if THIS in free_vars(clause.body):
-                    out.append(f"'this' inside consumer {d.name} on {d.self_type}")
-        elif isinstance(d, Interface):
-            for m in d.dtrs:
-                if m.body is not None and SELF in free_vars(m.body):
-                    out.append(f"'self' inside default {m.name} of {d.name}")
-        elif isinstance(d, Generator):
-            for m in d.funs:
-                if m.body is not None and SELF in free_vars(m.body):
-                    out.append(f"'self' inside method {m.name} of {d.name}")
-    return out
-
-
 def _lookup_duality_failures(rctx: GlobalCtx, ctx2: GlobalCtx, cells: dict[tuple[str, str], Cell]) -> list[str]:
     """Check that body lookup commutes with translation for every (f, C): each cell of
     the translated definitions (``cells``, which a passing ``check`` covered) is what
@@ -539,7 +520,9 @@ def check_properties(
     """Run the whole property battery against one (program, selection) pair.
 
     Each ``FoodError`` of preprocessing, checking, transforming, typing or
-    reparsing is reported as a ``PropFail``, and none is raised.
+    reparsing is reported as a ``PropFail``, and none is raised.  The transformed
+    program is judged by ``check``, as the source is: its diagnostics make one
+    ``wf-preservation``, and its type is compared only when it has none.
     ``mutate``, when given, perturbs the transformed program before the
     properties run; the mutation harness in ``tests/mutators.py`` uses it to
     confirm the properties have teeth.
@@ -573,20 +556,9 @@ def check_properties(
     except FoodError as exc:
         fails.append(PropFail("round-trip", f"transformed program does not preprocess: {exc}"))
         return fails
-    diags2 = check_structure(p2, ctx2)
-    try:
-        t2: Type | FoodError = type_program(p2, ctx2)[1]  # kept, so r2 below only translates
-    except FoodError as exc:
-        t2, diags2 = exc, diags2 or exc.diagnostics
-    if diags2:
-        fails.append(
-            PropFail("wf-preservation", "; ".join(d.render() for d in diags2[:3]))
-        )
-    for problem in _hygiene_failures(p2):
-        fails.append(PropFail("substitution-hygiene", problem))
-    if isinstance(t2, FoodError):
-        fails.append(PropFail("type-preservation", f"transformed program does not type: {t2}"))
-    elif t2 != t0:
+    if diags2 := check(p2, ctx2):  # keeps a passing typing, so r2 below only translates
+        fails.append(PropFail("wf-preservation", "; ".join(d.render() for d in diags2[:3])))
+    elif type_program(p2, ctx2)[1] != t0:
         fails.append(PropFail("type-preservation", "transformed program has a different type"))
 
     try:

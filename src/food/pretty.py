@@ -1,7 +1,8 @@
 """Pretty-printing of FOOD programs back to concrete syntax.
 
 ``parse(pretty(p))`` is structurally equal to ``p`` for any program free of
-runtime objects; the fuzz suite exercises that round trip.  Expressions print
+runtime objects whose integer literals all lie in 0..2**63 - 1, the range the
+parser reads; the fuzz suite exercises that round trip.  Expressions print
 at any depth, in one pre-order pass over a stack of nodes and literal text;
 a binary operation places its operands, in parentheses where their level is
 below their place's, inline, with each operator's text from a table.

@@ -147,22 +147,22 @@ def member_bodies(p):
 
 
 def test_the_battery_types_each_side_once(monkeypatch):
-    # check keeps the source's typing and the battery keeps the transformed
-    # program's, so the transforms, the lookup-duality cells and the
+    # check keeps the typing of the source and of the transformed program,
+    # so the transforms, the lookup-duality cells and the
     # typed runs' state 0 type nothing again.  The typed run types the redexes
     # it meets, which start as subterms of the main expression, so calls made
     # inside it are not counted here.
     typed, sides = Counter(), []
-    real_typing, real_structure, real_run = TRANSFORM._typing, fuzz.check_structure, fuzz._typed_run
+    real_typing, real_check, real_run = TRANSFORM._typing, fuzz.check, fuzz._typed_run
     counting = [True]
 
     def typing(ctx, env, names, e, kids):
         typed[id(e)] += counting[0]
         return real_typing(ctx, env, names, e, kids)
 
-    def check_structure(p, ctx):  # the battery checks the transformed program's structure
+    def check(p, ctx):  # the battery checks the source and the transformed program
         sides.append(p)
-        return real_structure(p, ctx)
+        return real_check(p, ctx)
 
     def typed_run(*args):
         counting[0] = False
@@ -172,13 +172,13 @@ def test_the_battery_types_each_side_once(monkeypatch):
             counting[0] = True
 
     monkeypatch.setattr(TRANSFORM, "_typing", typing)
-    monkeypatch.setattr(fuzz, "check_structure", check_structure)
+    monkeypatch.setattr(fuzz, "check", check)
     monkeypatch.setattr(fuzz, "_typed_run", typed_run)
     cases = [(load(name), selected) for name, selected in GOLDEN_SELECTIONS.items()]
     cases += [(generated(GenConfig(seed=seed)), None) for seed in range(20)]
     for program, selected in cases:
         typed.clear()
-        sides[:] = [program]
+        sides.clear()
         assert check_properties(program, selected) == []
         assert len(sides) == 2
         expected = Counter(id(x) for side in sides for body in member_bodies(side) for x in walk(body))
@@ -581,6 +581,17 @@ def test_skip_identity_fires_when_the_empty_selection_changes_the_program(monkey
     )
 
 
-def test_substitution_hygiene_fires_on_self_in_a_method():
-    report = run_properties(GenConfig(seed=0, style_mix=0.0), 1, fuel=20_000, mutate=MUTATORS["wrong-substitution-oo"])
-    assert PropFail("substitution-hygiene", "'self' inside method f1 of C3") in report.trials[0].failures
+def test_a_free_receiver_is_a_wf_preservation():
+    # check owns the receiver scoping rule: a free 'self' or 'this' in the
+    # transformed program is its unbound variable, a wf-preservation, and no
+    # other label reports it again as a hygiene fault or a failed typing
+    for mix, kind, name in ((0.0, "wrong-substitution-oo", "self"), (0.5, "wrong-substitution-fp", "this")):
+        report = run_properties(GenConfig(seed=0, style_mix=mix), 1, fuel=20_000, mutate=MUTATORS[kind])
+        assert PropFail("wf-preservation", f"unbound variable {name!r}") in report.trials[0].failures
+    for seed in range(20):
+        for mix in (0.0, 0.5, 1.0):
+            p = generated(GenConfig(seed=seed, style_mix=mix))
+            for mutate in (None, *MUTATORS.values()):
+                props = {f.prop for f in check_properties(p, None, 20_000, mutate)}
+                assert "substitution-hygiene" not in props
+                assert not {"wf-preservation", "type-preservation"} <= props
