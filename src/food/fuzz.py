@@ -70,6 +70,7 @@ from .wellformed import check
 
 _MAX_FIELD_ARITY = 2
 _RECURSION_BIAS = 0.6  # probability a body recurses on a field
+_OVERLOAD_PROB = 0.2  # probability an op reuses a name from another type
 
 
 @node
@@ -82,7 +83,6 @@ class GenConfig:
     max_ops_per_type: int = 3
     max_expr_depth: int = 4
     style_mix: float = 0.5  # probability a type is rendered object-oriented
-    overload_prob: float = 0.2  # probability an op reuses a name from another type
     diverge_prob: float = 0.0  # probability the program deliberately loops
 
 
@@ -174,7 +174,7 @@ class _Gen:
         reusable = [
             op.name for t in self.types for op in t.ops if t is not model and op.name not in taken
         ]
-        if reusable and rng.random() < self.cfg.overload_prob:
+        if reusable and rng.random() < _OVERLOAD_PROB:
             name = rng.choice(reusable)
         else:
             name = f"f{self.op_counter}"

@@ -25,10 +25,10 @@ operator lists are made at its first operator.
 Error recovery is per definition: after a syntax error the parser skips to
 the next top-level definition keyword and keeps going, so one bad definition
 yields one diagnostic.  A syntax error is a ``ParseError`` holding one
-diagnostic at the offending token (a misplaced wildcard clause's at its
-consumer); the program collects them all into the one it raises.  The tests
-compare this module against two oracles: the character-at-a-time lexer
-``tests/reference_lexer.py`` and the recursive-descent parser
+diagnostic at the offending token; the program collects them all into the one
+it raises.  Clause order is ``wellformed.check``'s rule, not the parser's.
+The tests compare this module against two oracles: the character-at-a-time
+lexer ``tests/reference_lexer.py`` and the recursive-descent parser
 ``tests/reference_parser.py``.
 """
 
@@ -52,6 +52,7 @@ from .syntax import (
     Generator,
     If,
     INT,
+    INT64_MAX,
     IntLit,
     Interface,
     Named,
@@ -85,8 +86,6 @@ KEYWORDS = {
 }
 
 DEF_KEYWORDS = {"data", "interface", "case", "class", "def"}
-
-_INT64_MAX = 2**63 - 1
 
 _SYMBOLS = ["=>", "==", "<=", "&&", "||", "(", ")", "{", "}", ":", ",", ";", ".", "=", "<", "+", "-", "*", "_"]
 
@@ -155,7 +154,7 @@ def _tokens(src: str) -> tuple[list[str | None], list[str], list[str]]:
 # vals and ops are the operands and operators of the enclosing expression.
 _PAREN, _ARG, _RECV, _COND, _THEN, _ELSE = range(6)
 
-_INT64_DIGITS = len(str(_INT64_MAX))
+_INT64_DIGITS = len(str(INT64_MAX))
 
 # The literals of the commonest texts, built once: nodes are immutable and
 # compare by value, so every occurrence can share one.  The integers are
@@ -388,9 +387,6 @@ class _Parser:
             while not self.at("}"):
                 clauses.append(self.clause())
             self.expect("}")
-            for i, c in enumerate(clauses):
-                if c.pattern.is_wildcard and i != len(clauses) - 1:
-                    raise ParseError([Diagnostic("wildcard clause must be last", *pos)])
             return Consumer(name, self_type, params, ret, clauses=tuple(clauses), pos=pos)
         # a bare body is sugar for one wildcard clause, the only form later layers see
         return Consumer(name, self_type, params, ret, clauses=(Clause(WILDCARD, self.expr()),), pos=pos)
@@ -479,7 +475,7 @@ class _Parser:
                     if atom is None:
                         digits = text.lstrip("0") or "0"
                         # source literals are never negative, so only the upper bound applies
-                        if len(digits) > _INT64_DIGITS or int(digits) > _INT64_MAX:
+                        if len(digits) > _INT64_DIGITS or int(digits) > INT64_MAX:
                             self.i = i
                             raise self.fail("integer literal does not fit in 64 bits", i - 1)
                         atom = IntLit(int(digits))

@@ -1,11 +1,12 @@
 """Pretty-printing of FOOD programs back to concrete syntax.
 
-``parse(pretty(p))`` is structurally equal to ``p`` for any program free of
-runtime objects whose integer literals all lie in 0..2**63 - 1, the range the
-parser reads; the fuzz suite exercises that round trip.  Expressions print
-at any depth, in one pre-order pass over a stack of nodes and literal text;
-a binary operation places its operands, in parentheses where their level is
-below their place's, inline, with each operator's text from a table.
+``parse(pretty(p))`` is structurally equal to ``p`` for every program that
+``wellformed.check`` accepts and whose names the parser reads as names of their
+kind (identifiers, not keywords, capitalized as their kind requires); the fuzz
+suite exercises that round trip.  Expressions print at any depth, in one
+pre-order pass over a stack of nodes and literal text; a binary operation
+places its operands, in parentheses where their level is below their place's,
+inline, with each operator's text from a table.
 """
 
 from __future__ import annotations

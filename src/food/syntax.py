@@ -1,10 +1,10 @@
 """Abstract syntax of FOOD programs, the canonicalization pass, and stack-safe
 expression traversals, which take any depth.  The evaluator's one machine, the
-printer, ``_nodes`` (the one search loop, which finds ``free_vars``' variables
-and ``contains_obj``'s objects) and ``rebuild`` (which ``subst`` and the
-translation share) walk expressions by hand on a list, dispatching on each
-node's exact class, for speed; ``fold`` does too, and serves the typer, which
-gives it one rule per form.
+printer, ``_nodes`` (the one search loop, which finds ``free_vars``' variables,
+``contains_obj``'s objects and the checker's objects and literals in one scan)
+and ``rebuild`` (which ``subst`` and the translation share) walk expressions
+by hand on a list, dispatching on each node's exact class, for speed;
+``fold`` does too, and serves the typer, which gives it one rule per form.
 
 All nodes are immutable; ``==`` is structural equality at any depth, which
 ignores the (non-compared) source positions of definitions, and ``repr``
@@ -397,6 +397,7 @@ class Program:
 SELF = "self"
 THIS = "this"
 RESERVED_BINDERS = (SELF, THIS)
+INT64_MAX = 2**63 - 1  # integer literals lie in 0..INT64_MAX, the range the parser reads
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +576,13 @@ def fold(e: Expr, fn):
     return results[0]
 
 
-def _nodes(e: Expr, kind: type) -> list:
-    """Every subexpression of ``e`` (``e`` included) whose class is ``kind``, at any depth, in no set order."""
+def _nodes(e: Expr, kinds: tuple[type, ...]) -> list:
+    """Every subexpression of ``e`` (``e`` included) whose class is one of ``kinds``, at any depth, in no set order."""
     found, todo = [], [e]
     while todo:
         x = todo.pop()
         cls = type(x)
-        if cls is kind:
+        if cls in kinds:
             found.append(x)
         if cls is PrimOp:
             todo += (x.lhs, x.rhs)
@@ -596,8 +597,8 @@ def _nodes(e: Expr, kind: type) -> list:
 
 
 def free_vars(e: Expr) -> set[str]:
-    return {x.name for x in _nodes(e, Var)}
+    return {x.name for x in _nodes(e, (Var,))}
 
 
 def contains_obj(e: Expr) -> bool:
-    return bool(_nodes(e, Obj))
+    return bool(_nodes(e, (Obj,)))

@@ -1,16 +1,16 @@
-"""Static checks assumed before translation.
+"""Static checks assumed before translation, with ``check`` their one entry.
 
 Collects one diagnostic per violation of the structural conditions that
 typing cannot see: declared types in signatures, reserved, duplicate and
 shadowing binders (disjointness keeps the evaluation substitutions well
-defined), exact interface implementation, non-overlapping
-clauses that name constructors of their datatype, the pattern/field naming
-restriction, exhaustiveness, and the absence of runtime objects; coverage is
-read off the decomposition matrix that ``context.matrix`` builds.  Once those
-hold, the typing pass (``transform.type_program``) reports scoping, call kind,
-member names and arity, so that a clean check guarantees the transformation
-cannot fail.  ``type_program`` keeps a passing typing on the context, so a
-later ``transform`` of the same program on it only translates.  Every
+defined), exact interface implementation, non-overlapping clauses that name
+constructors of their datatype with any wildcard clause last, the pattern/field
+naming restriction, exhaustiveness, integer literals in 0..2**63 - 1 (what the
+parser reads) and no runtime objects; coverage is read off the matrix that
+``context.matrix`` builds.  Only when those hold does the typing pass
+(``transform.type_program``) run, reporting scoping, call kind, member names
+and arity, so a clean check guarantees the transformation cannot fail, and
+keeping a passing typing on the context for a later ``transform``.  Every
 diagnostic of a definition sits at that definition, whose position ``run`` sets
 once; the main expression's have none.
 """
@@ -25,36 +25,29 @@ from .syntax import (
     Datatype,
     Expr,
     Generator,
+    INT64_MAX,
+    IntLit,
     Interface,
     Named,
+    Obj,
     Param,
     Program,
     RESERVED_BINDERS,
     Type,
-    contains_obj,
+    _nodes,
 )
 from .transform import type_program
 
 
 def check(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
-    """Check a parsed program against its unrestricted context.
-
-    Returns the empty list when the program is well formed.
-    """
-    diags = check_structure(program, ctx)
+    """The diagnostics of a program, parsed or built, against its unrestricted context: none when well formed."""
+    diags = _Checker(program, ctx).run()
     if not diags:
         try:
             type_program(program, ctx)
         except TransformError as exc:
             return list(exc.diagnostics)
     return diags
-
-
-def check_structure(program: Program, ctx: GlobalCtx) -> list[Diagnostic]:
-    """The structural half of ``check``: its diagnostics other than typing's."""
-    checker = _Checker(program, ctx)
-    checker.run()
-    return checker.diags
 
 
 class _Checker:
@@ -68,7 +61,7 @@ class _Checker:
     def report(self, message: str) -> None:
         self.diags.append(at(message, self.pos))
 
-    def run(self) -> None:
+    def run(self) -> list[Diagnostic]:
         for d in self.program.defs:
             self.pos = getattr(d, "pos", None)  # every diagnostic of d sits at d
             match d:
@@ -84,6 +77,7 @@ class _Checker:
                     pass
         self.pos = None  # the main expression's have no position
         self.check_body(self.program.main)
+        return self.diags
 
     # -- helpers
 
@@ -103,8 +97,11 @@ class _Checker:
         return seen
 
     def check_body(self, e: Expr) -> None:
-        if contains_obj(e):
+        found = _nodes(e, (Obj, IntLit))  # one scan for both rules
+        if Obj in map(type, found):
             self.report("runtime object in source program")
+        for n in (x.value for x in found if type(x) is IntLit and not 0 <= x.value <= INT64_MAX):
+            self.report(f"integer literal {n} is outside 0..{INT64_MAX}")
 
     # -- definitions
 

@@ -262,9 +262,6 @@ class _Parser:
             while not self.at("}"):
                 clauses.append(self.clause())
             self.expect("}")
-            for i, c in enumerate(clauses):
-                if c.pattern.is_wildcard and i != len(clauses) - 1:
-                    raise _Fail(Diagnostic("wildcard clause must be last", pos[0], pos[1]))
             return Consumer(name, self_type, params, ret, clauses=tuple(clauses), pos=pos)
         return Consumer(name, self_type, params, ret, clauses=(Clause(WILDCARD, self.expr()),), pos=pos)
 

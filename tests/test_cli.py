@@ -31,12 +31,22 @@ def test_check_ok(capsys):
     assert code == 0 and out == "" and err == ""
 
 
+MISPLACED_WILDCARD = "data D\ncase C() extends D\ndef f(self: D)(): Bool = match { case _ => true case C() => false }\n1"
+
+
 def test_check_reports_diagnostics_on_stderr(capsys, tmp_path):
     bad = tmp_path / "bad.food"
-    bad.write_text("def f(self: D)(): Bool = match { case _ => true case C() => false }\nx")
+    bad.write_text(MISPLACED_WILDCARD)
     code, out, err = run(capsys, "check", str(bad))
-    assert code == 1 and out == ""
-    assert "wildcard clause must be last" in err
+    assert (code, out, err) == (1, "", f"{bad}:3:1: consumer f on D: wildcard clause must be last\n")
+
+
+def test_ctx_runs_no_checker(capsys, tmp_path):
+    # ctx reports parse and context errors only; clause order is the checker's
+    path = tmp_path / "misplaced.food"
+    path.write_text(MISPLACED_WILDCARD)
+    code, out, err = run(capsys, "ctx", str(path))
+    assert code == 0 and err == "" and "csm[D]: f" in out
 
 
 def test_check_rejects_non_ascii_digit_without_traceback(capsys, tmp_path):

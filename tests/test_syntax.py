@@ -609,7 +609,7 @@ RECORD_SAMPLES = {
     Diagnostic: ("boom", 1, 2),
     TransformResult: (Program((), IntLit(1)), INT, ((Var("x"), Var("y")),)),
     GlobalCtx: tuple(getattr(CTX, f.name) for f in dataclasses.fields(GlobalCtx)),
-    GenConfig: (1, 2, 3, 4, 5, 0.5, 0.25, 0.125),
+    GenConfig: (1, 2, 3, 4, 5, 0.5, 0.125),
     _Binding: ("x", INT, True),
     PropFail: ("round-trip", "detail"),
     TrialReport: (1, ("D",), (PropFail("p", "d"),), "witness"),

@@ -9,9 +9,8 @@ from conftest import GOLDEN_SELECTIONS, generated, load
 
 from food import Stuck, canonicalize, check, eval_program, parse, preprocess, transform
 from food.fuzz import GenConfig
-from food.pretty import pretty_expr
-from food.syntax import INT, Constructor, Consumer, Datatype, Generator, Interface, IntLit, Obj, Param, Program, Sel
-from food.wellformed import check_structure
+from food.pretty import pretty, pretty_expr
+from food.syntax import INT, Constructor, Consumer, Datatype, Generator, Interface, IntLit, Obj, Param, PrimOp, Program, Sel
 
 
 def check_src(src: str):
@@ -157,6 +156,27 @@ def test_runtime_objects_are_rejected():
     diags = check(q, preprocess(q))
     hits = [d for d in diags if d.message == "runtime object in source program"]
     assert [(d.line, d.column) for d in hits] == [consumer.pos, (0, 0)]
+
+
+@pytest.mark.parametrize("n", [-1, 2**63])
+def test_literals_the_parser_cannot_read_are_rejected(n):
+    p = Program((), IntLit(n))
+    assert [d.render() for d in check(p, preprocess(p))] == [f"integer literal {n} is outside 0..9223372036854775807"]
+
+
+def test_a_negative_literal_in_a_method_is_rejected_at_its_definition():
+    p = load("sets_oop")
+    gen = next(d for d in p.defs if isinstance(d, Generator) and d.funs)
+    fun = replace(gen.funs[0], body=PrimOp("+", IntLit(1), IntLit(-1)))
+    broken = replace(gen, funs=(fun,) + gen.funs[1:])
+    q = Program(tuple(broken if d is gen else d for d in p.defs), p.main)
+    diags = [(d.message, d.line, d.column) for d in check(q, preprocess(q))]
+    assert diags == [("integer literal -1 is outside 0..9223372036854775807", *gen.pos)]
+
+
+def test_the_largest_literal_is_well_formed_and_round_trips():
+    p = Program((), IntLit(2**63 - 1))
+    assert check(p, preprocess(p)) == [] and parse(pretty(p)) == p
 
 
 def test_binder_conflicts_are_rejected():
@@ -331,7 +351,7 @@ def test_coverage_read_off_the_cells_matches_the_definitions():
             ctx = preprocess(q)
             got = [
                 (d.message, d.line, d.column)
-                for d in check_structure(q, ctx)
+                for d in check(q, ctx)
                 if " does not implement " in d.message or " has no clause for constructor " in d.message
             ]
             assert got == _coverage_by_definitions(q, ctx)
