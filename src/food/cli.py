@@ -18,7 +18,7 @@ from . import __version__
 from .context import GlobalCtx, preprocess, restrict
 from .diagnostics import FoodError
 from .fuzz import GenConfig, run_properties
-from .interp import Done, FuelExhausted, Stuck, _machine, _plug_all, eval_program
+from .interp import DEFAULT_FUEL, Done, FuelExhausted, Stuck, _machine, _plug_all, eval_program
 from .parser import parse
 from .pretty import pretty, pretty_expr
 from .syntax import Program, canonicalize
@@ -66,7 +66,7 @@ def _fuel(args: argparse.Namespace) -> int:
             return _count(env)
         except argparse.ArgumentTypeError as exc:
             raise _Failure(f"FOOD_FUEL {exc}")
-    return 100_000
+    return DEFAULT_FUEL
 
 
 def _count(text: str) -> int:
@@ -210,18 +210,18 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_roundtrip)
 
     c = with_file("eval", "evaluate the main expression")
-    c.add_argument("--fuel", type=_count, help="step budget (default: FOOD_FUEL or 100000)")
+    c.add_argument("--fuel", type=_count, help=f"step budget (default: FOOD_FUEL or {DEFAULT_FUEL})")
     c.set_defaults(fn=_cmd_eval)
 
     c = with_file("trace", "print the step sequence")
-    c.add_argument("--fuel", type=_count, help="step budget (default: FOOD_FUEL or 100000)")
+    c.add_argument("--fuel", type=_count, help=f"step budget (default: FOOD_FUEL or {DEFAULT_FUEL})")
     c.add_argument("--limit", type=_count, help="print at most this many steps")
     c.set_defaults(fn=_cmd_trace)
 
     c = sub.add_parser("fuzz", help="generate programs and run the property battery")
     c.add_argument("--trials", type=_count, default=100)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--fuel", type=_count, help="step budget (default: FOOD_FUEL or 100000)")
+    c.add_argument("--fuel", type=_count, help=f"step budget (default: FOOD_FUEL or {DEFAULT_FUEL})")
     c.add_argument("--diverge-prob", type=_probability, default=0.01)
     c.set_defaults(fn=_cmd_fuzz)
     return p

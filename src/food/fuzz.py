@@ -20,6 +20,7 @@ from typing import Callable
 from .context import Cell, GlobalCtx, preprocess, restrict, translate_ctx
 from .diagnostics import FoodError
 from .interp import (
+    DEFAULT_FUEL,
     Done,
     FuelExhausted,
     Stuck,
@@ -42,6 +43,7 @@ from .syntax import (
     Def,
     Dtr,
     Expr,
+    FALSE,
     Generator,
     If,
     INT,
@@ -223,7 +225,7 @@ class _Gen:
         if t == INT:
             return IntLit(0)
         if t == BOOL:
-            return BoolLit(False)
+            return FALSE
         assert isinstance(t, Named)
         return self.minimal(t.name)
 
@@ -514,7 +516,7 @@ def _lookup_duality_failures(rctx: GlobalCtx, ctx2: GlobalCtx, cells: dict[tuple
 def check_properties(
     program: Program,
     selected: set[str] | frozenset[str] | None = None,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
     mutate: Callable[[Program], Program] | None = None,
 ) -> list[PropFail]:
     """Run the whole property battery against one (program, selection) pair.
@@ -693,7 +695,7 @@ def _choose_selected(ctx_names: tuple[str, ...], rng: random.Random) -> set[str]
 def run_properties(
     cfg: GenConfig,
     trials: int,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
     mutate: Callable[[Program], Program] | None = None,
 ) -> FuzzReport:
     """Generate trial programs and run the full property battery on each.

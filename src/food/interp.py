@@ -4,10 +4,10 @@ A step contracts the leftmost redex: receiver before arguments, arguments left
 to right.  Boolean operators short-circuit, consuming one step; integers wrap
 to 64 bits.  ``_contract`` holds every contraction rule, once, and keeps the
 common case cheap: an arithmetic result in int64 is not wrapped, and one in
--5..256 is a shared ``IntLit`` node, built once at import; every boolean it
-computes is one of two shared ``BoolLit`` nodes; and a call binds its
-receiver, fields and parameters in one dict, built in place, with no loop
-over a cell that binds no fields or a member with no parameters.
+-5..256 is one of the ``IntLit`` nodes ``syntax`` shares, which the parser
+reads too; every boolean it computes is ``syntax.TRUE`` or ``FALSE``; and a
+call binds its receiver, fields and parameters in one dict, built in place,
+with no loop over a cell that binds no fields or a member with no parameters.
 
 The machine, ``_machine``, keeps the redex's context as a stack of frames,
 so no depth of term recurses.  A frame is a compound node, its environment,
@@ -59,8 +59,11 @@ from .syntax import (
     Constructor,
     CtrCall,
     Expr,
+    FALSE as _FALSE,
     Generator,
     If,
+    INT64_MAX,
+    INT64_MIN,
     IntLit,
     New,
     node,
@@ -69,8 +72,10 @@ from .syntax import (
     Program,
     SELF,
     Sel,
+    SMALL_INTS as _SMALL,
     subst,
     THIS,
+    TRUE as _TRUE,
     Var,
     with_children,
 )
@@ -120,6 +125,7 @@ class Trace:
 
 
 _VALUE_FORMS = frozenset((IntLit, BoolLit, Obj))
+DEFAULT_FUEL = 100_000  # the step budget of every entry point that takes one, and of the food command
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +152,8 @@ def _wrap64(n: int) -> int:
     return (n + 2**63) % 2**64 - 2**63
 
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-# every boolean a contraction computes is one of these two
-_TRUE, _FALSE = BoolLit(True), BoolLit(False)
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
-# every arithmetic result in -5..256, CPython's small-int range, is _SMALL[n + 5]
-_SMALL = tuple(map(IntLit, range(-5, 257)))
 
 
 # The machine tests exact classes, most frequent first, as ``children`` does:
@@ -190,7 +191,7 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
             n = arith(lhs.value, rhs.value)
             if -5 <= n <= 256:
                 return _SMALL[n + 5]
-            return IntLit(n if _INT64_MIN <= n <= _INT64_MAX else _wrap64(n))
+            return IntLit(n if INT64_MIN <= n <= INT64_MAX else _wrap64(n))
         compare = _COMPARE.get(op)
         if compare is not None:
             return _TRUE if compare(lhs.value, rhs.value) else _FALSE
@@ -376,7 +377,7 @@ def run(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[Expr | Done | FuelExhaus
 
 
 def eval_program(
-    program: Program, fuel: int = 100_000, ctx: GlobalCtx | None = None
+    program: Program, fuel: int = DEFAULT_FUEL, ctx: GlobalCtx | None = None
 ) -> Done | FuelExhausted | Stuck:
     """The outcome of iterating the step relation on the main expression at most fuel times.
 
@@ -392,7 +393,7 @@ def eval_program(
     return next(_machine(program.main, ctx, fuel, states=False))
 
 
-def trace(program: Program, fuel: int = 100_000, ctx: GlobalCtx | None = None) -> Trace:
+def trace(program: Program, fuel: int = DEFAULT_FUEL, ctx: GlobalCtx | None = None) -> Trace:
     """The step sequence starting at the main expression, up to value or fuel."""
     if ctx is None:
         ctx = preprocess(program)

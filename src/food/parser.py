@@ -17,8 +17,8 @@ reduced by precedence (Pratt, "Top Down Operator Precedence", 1973).  The
 loop is the recursive descent with its continuations defunctionalized, so
 nesting depth costs heap, not Python frames.  Its allocations are the work
 per token, so it makes few: ``true``, ``false`` and the integers 0..256 parse
-to nodes built once at import, shared by every occurrence (nodes are
-immutable and compare by value), a call waiting for its arguments is a tuple
+to the value nodes ``syntax`` builds once at import, shared by every
+occurrence and by the machine, a call waiting for its arguments is a tuple
 of its node class and leading fields, and an expression's operand and
 operator lists are made at its first operator.
 
@@ -40,7 +40,6 @@ from .diagnostics import Diagnostic, ParseError
 from .syntax import (
     App,
     BOOL,
-    BoolLit,
     Clause,
     Constructor,
     Consumer,
@@ -49,12 +48,15 @@ from .syntax import (
     Def,
     Dtr,
     Expr,
+    FALSE,
     Generator,
+    IDENT,
     If,
     INT,
     INT64_MAX,
     IntLit,
     Interface,
+    KEYWORDS,
     Named,
     New,
     Param,
@@ -64,26 +66,12 @@ from .syntax import (
     Program,
     RESERVED_BINDERS,
     Sel,
+    SMALL_INTS,
+    TRUE,
     Type,
     Var,
     WILDCARD,
 )
-
-KEYWORDS = {
-    "data",
-    "interface",
-    "case",
-    "class",
-    "def",
-    "extends",
-    "implements",
-    "new",
-    "match",
-    "if",
-    "else",
-    "true",
-    "false",
-}
 
 DEF_KEYWORDS = {"data", "interface", "case", "class", "def"}
 
@@ -99,10 +87,10 @@ _SYMBOLS = ["=>", "==", "<=", "&&", "||", "(", ")", "{", "}", ":", ",", ";", "."
 # match would.  Integers are ASCII digits only: \d would also accept other
 # decimal digits, such as '٣'.  \s is exactly str.isspace and \w exactly
 # str.isalnum or '_'.  A lone underscore is the wildcard symbol, so an
-# identifier starts with a letter.
+# identifier (``syntax.IDENT``) starts with a letter.
 _LONE = "".join(s for s in _SYMBOLS if len(s) == 1 and not any(t != s and t.startswith(s) for t in _SYMBOLS))
 _TOKEN = re.compile(
-    "([" + re.escape(_LONE) + r"]|[^\W\d_]\w*|[0-9]+|"
+    "([" + re.escape(_LONE) + "]|" + IDENT + "|[0-9]+|"
     + "".join(re.escape(s) + "|" for s in _SYMBOLS if len(s) > 1)
     + "[" + re.escape("".join(s for s in _SYMBOLS if len(s) == 1 and s not in _LONE)) + r"]|\S)"
 )
@@ -156,10 +144,9 @@ _PAREN, _ARG, _RECV, _COND, _THEN, _ELSE = range(6)
 
 _INT64_DIGITS = len(str(INT64_MAX))
 
-# The literals of the commonest texts, built once: nodes are immutable and
-# compare by value, so every occurrence can share one.  The integers are
-# CPython's small ints, 0..256; any other text, such as 007, builds its own.
-_LITERALS = {"true": BoolLit(True), "false": BoolLit(False), **{str(n): IntLit(n) for n in range(257)}}
+# The literals of the commonest texts are the value nodes syntax shares, for
+# 0..256 too; any other text, such as 007, builds its own.
+_LITERALS = {"true": TRUE, "false": FALSE, **{str(n.value): n for n in SMALL_INTS if n.value >= 0}}
 
 
 class _Parser:

@@ -1,12 +1,11 @@
 """Pretty-printing of FOOD programs back to concrete syntax.
 
 ``parse(pretty(p))`` is structurally equal to ``p`` for every program that
-``wellformed.check`` accepts and whose names the parser reads as names of their
-kind (identifiers, not keywords, capitalized as their kind requires); the fuzz
-suite exercises that round trip.  Expressions print at any depth, in one
-pre-order pass over a stack of nodes and literal text; a binary operation
-places its operands, in parentheses where their level is below their place's,
-inline, with each operator's text from a table.
+``wellformed.check`` accepts, which reads every declared name as the parser
+does; the fuzz suite exercises that round trip.  Expressions print at any
+depth, in one pre-order pass over a stack of nodes and literal text; a binary
+operation places its operands, in parentheses where their level is below
+their place's, inline, with each operator's text from a table.
 """
 
 from __future__ import annotations

@@ -1,14 +1,19 @@
 """Abstract syntax of FOOD programs, the canonicalization pass, and stack-safe
 expression traversals, which take any depth.  The evaluator's one machine, the
-printer, ``_nodes`` (the one search loop, which finds ``free_vars``' variables,
-``contains_obj``'s objects and the checker's objects and literals in one scan)
-and ``rebuild`` (which ``subst`` and the translation share) walk expressions
-by hand on a list, dispatching on each node's exact class, for speed;
-``fold`` does too, and serves the typer, which gives it one rule per form.
+printer, ``_nodes`` (the one search loop, which finds the checker's objects
+and literals in one scan) and ``rebuild`` (which ``subst`` and the
+translation share) walk expressions by hand on a list, dispatching on each
+node's exact class, for speed; ``fold`` does too, and serves the typer, which
+gives it one rule per form.
 
 All nodes are immutable; ``==`` is structural equality at any depth, which
 ignores the (non-compared) source positions of definitions, and ``repr``
-takes any depth too.
+takes any depth too.  So every layer shares the value nodes defined here,
+built once at import: ``TRUE``, ``FALSE`` and ``SMALL_INTS``, the integers
+-5..256; the parser reads ``true``, ``false`` and 0..256 as them, and the
+machine computes them.  The names the parser reads are defined here too, for
+the parser and the checker: ``KEYWORDS``, and an identifier's text,
+``IDENT``, which ``is_identifier`` tests.
 
 Every layer builds nodes: the parser and the transformation build programs,
 and each step of the machine that substitutes at calls builds a few (``subst``
@@ -397,7 +402,26 @@ class Program:
 SELF = "self"
 THIS = "this"
 RESERVED_BINDERS = (SELF, THIS)
-INT64_MAX = 2**63 - 1  # integer literals lie in 0..INT64_MAX, the range the parser reads
+# the machine wraps integers to INT64_MIN..INT64_MAX; literals lie in 0..INT64_MAX, the range the parser reads
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# the value nodes every layer shares: SMALL_INTS[n + 5] is IntLit(n) for n in -5..256, CPython's small ints
+TRUE, FALSE = BoolLit(True), BoolLit(False)
+SMALL_INTS = tuple(map(IntLit, range(-5, 257)))
+
+KEYWORDS = frozenset(
+    ("data", "interface", "case", "class", "def", "extends", "implements", "new", "match", "if", "else", "true", "false")
+)
+# An identifier is a letter, then letters, digits and underscores: the
+# lexer's IDENT, whose first character is also a letter by str.isalpha
+# (which '²' is not).  A name is an identifier that is no keyword; a type,
+# constructor or class name starts with an uppercase letter and is not Int or
+# Bool, and every other name starts with a lowercase letter.
+IDENT = r"[^\W\d_]\w*"
+
+
+def is_identifier(text: str) -> bool:
+    """Whether ``text`` is one identifier, by IDENT's rule: \\w is exactly str.isalnum or '_'."""
+    return text[:1].isalpha() and text.replace("_", "a").isalnum()
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +564,6 @@ def with_children(e: Expr, kids: tuple[Expr, ...] | list[Expr]) -> Expr:
     return e
 
 
-def walk(e: Expr):
-    """Every subexpression of ``e`` (``e`` included) in pre-order, at any depth."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        yield e
-        stack.extend(reversed(children(e)))
-
-
 def fold(e: Expr, fn):
     """``fn(node, results of its children, left to right)`` at ``e``, computed
     bottom-up over every subexpression, at any depth."""
@@ -594,11 +609,3 @@ def _nodes(e: Expr, kinds: tuple[type, ...]) -> list:
         elif cls is CtrCall or cls is New or cls is Obj:
             todo += x.args
     return found
-
-
-def free_vars(e: Expr) -> set[str]:
-    return {x.name for x in _nodes(e, (Var,))}
-
-
-def contains_obj(e: Expr) -> bool:
-    return bool(_nodes(e, (Obj,)))

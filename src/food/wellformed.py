@@ -1,18 +1,20 @@
 """Static checks assumed before translation, with ``check`` their one entry.
 
 Collects one diagnostic per violation of the structural conditions that
-typing cannot see: declared types in signatures, reserved, duplicate and
-shadowing binders (disjointness keeps the evaluation substitutions well
-defined), exact interface implementation, non-overlapping clauses that name
-constructors of their datatype with any wildcard clause last, the pattern/field
-naming restriction, exhaustiveness, integer literals in 0..2**63 - 1 (what the
+typing cannot see: declared names that the parser reads as names of their
+kind (by ``syntax.KEYWORDS`` and ``IDENT``), declared types and no function
+type in signatures, reserved, duplicate and shadowing binders (disjointness
+keeps the evaluation substitutions well defined), exact interface
+implementation, non-overlapping clauses that name constructors of their
+datatype with any wildcard clause last, the pattern/field naming
+restriction, exhaustiveness, integer literals in 0..2**63 - 1 (what the
 parser reads) and no runtime objects; coverage is read off the matrix that
 ``context.matrix`` builds.  Only when those hold does the typing pass
 (``transform.type_program``) run, reporting scoping, call kind, member names
 and arity, so a clean check guarantees the transformation cannot fail, and
 keeping a passing typing on the context for a later ``transform``.  Every
-diagnostic of a definition sits at that definition, whose position ``run`` sets
-once; the main expression's have none.
+diagnostic of a definition sits at that definition, whose position ``run``
+sets once; the main expression's have none.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from .context import GlobalCtx
 from .diagnostics import Diagnostic, TransformError, at
 from .syntax import (
+    Arrow,
     Constructor,
     Consumer,
     Datatype,
@@ -28,6 +31,8 @@ from .syntax import (
     INT64_MAX,
     IntLit,
     Interface,
+    is_identifier,
+    KEYWORDS,
     Named,
     Obj,
     Param,
@@ -66,15 +71,19 @@ class _Checker:
             self.pos = getattr(d, "pos", None)  # every diagnostic of d sits at d
             match d:
                 case Interface():
+                    self.check_name(d.name, "interface")
                     self.check_interface(d)
                 case Generator():
+                    self.check_name(d.name, "class")
                     self.check_generator(d)
                 case Constructor():
-                    self.check_params(d.fields, f"constructor {d.name}")
+                    self.check_name(d.name, "constructor")
+                    self.check_params(d.fields, f"constructor {d.name}", "field")
                 case Consumer():
+                    self.check_name(d.name, "consumer")
                     self.check_consumer(d)
                 case Datatype():
-                    pass
+                    self.check_name(d.name, "datatype")
         self.pos = None  # the main expression's have no position
         self.check_body(self.program.main)
         return self.diags
@@ -84,10 +93,27 @@ class _Checker:
     def check_type(self, t: Type, where: str) -> None:
         if isinstance(t, Named) and t.name not in self.declared:
             self.report(f"{where} mentions undeclared type {t.name}")
+        elif isinstance(t, Arrow):  # collected signatures only: no source text declares one
+            self.report(f"{where} mentions a function type")
 
-    def check_params(self, params: tuple[Param, ...], where: str) -> list[str]:
+    def check_name(self, name: str, kind: str) -> None:
+        """Report a declared name that the parser cannot read as a name of its kind."""
+        upper = kind in ("datatype", "interface", "constructor", "class")
+        if not is_identifier(name):
+            self.report(f"{kind} name {name!r} is not an identifier")
+        elif name in KEYWORDS:
+            self.report(f"{kind} name {name!r} is a keyword")
+        elif upper and name in ("Int", "Bool"):
+            self.report(f"{kind} name {name!r} is a reserved type name")
+        elif kind == "consumer" and name in RESERVED_BINDERS:  # the parser reads no call of it
+            self.report(f"{kind} name {name!r} is reserved")
+        elif not (name[0].isupper() if upper else name[0].islower()):
+            self.report(f"{kind} name {name!r} must start with {'an uppercase' if upper else 'a lowercase'} letter")
+
+    def check_params(self, params: tuple[Param, ...], where: str, kind: str = "parameter") -> list[str]:
         seen: list[str] = []
         for p in params:
+            self.check_name(p.name, kind)
             if p.name in RESERVED_BINDERS:
                 self.report(f"{where} declares reserved name {p.name!r}")
             if p.name in seen:
@@ -107,6 +133,7 @@ class _Checker:
 
     def check_interface(self, d: Interface) -> None:
         for m in d.dtrs:
+            self.check_name(m.name, "method")
             where = f"destructor {m.name} of {d.name}"
             self.check_params(m.params, where)
             self.check_type(m.ret, where)
@@ -115,7 +142,7 @@ class _Checker:
 
     def check_generator(self, d: Generator) -> None:
         where = f"class {d.name}"
-        fields = self.check_params(d.fields, where)
+        fields = self.check_params(d.fields, where, "field")
         if d.parent not in self.ctx.it:
             return  # reported by preprocessing
         # the interface's declared signatures, compared with each method's: this map picks

@@ -5,7 +5,7 @@ import pytest
 
 from food import parse
 from food.fuzz import GenConfig, gen_program
-from food.syntax import Program
+from food.syntax import Expr, Program, children
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -41,6 +41,19 @@ def pytest_runtest_call():
         code = tb.tb_frame.f_code
         where = f"{code.co_name} ({code.co_filename}:{tb.tb_lineno})"
         outcome.force_exception(AssertionError(f"RecursionError in {where}: {error}"))
+
+
+def walk(e: Expr):
+    """Every subexpression of ``e`` (``e`` included) in pre-order, at any depth.
+
+    The tests' reference order for ``syntax._nodes`` and ``fold``: one stack,
+    children pushed last first, over ``syntax.children``.
+    """
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(children(e)))
 
 
 def corpus_text(name: str) -> str:

@@ -30,8 +30,8 @@ from food.syntax import (
     PrimOp,
     Program,
     Var,
+    _nodes,
     children,
-    free_vars,
     subst,
     with_children,
 )
@@ -95,7 +95,7 @@ def _resubst(kind: type, old: str, new: str):
     """Rewrite ``old`` to ``new`` in the first ``kind`` body that mentions it."""
 
     def rewrite(d, part):
-        if isinstance(part, kind) and part.body is not None and old in free_vars(part.body):
+        if isinstance(part, kind) and part.body is not None and Var(old) in _nodes(part.body, (Var,)):
             return (replace(part, body=subst(part.body, {old: Var(new)})),)
         return None
 

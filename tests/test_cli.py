@@ -1,8 +1,10 @@
 """The food command line."""
 
+import argparse
 import collections
 import dataclasses
 import functools
+import inspect
 import io
 import json
 import os
@@ -142,6 +144,19 @@ def test_eval_fuel_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("FOOD_FUEL", "100000")
     code, out, _ = run(capsys, "eval", str(CORPUS / "sets_fp.food"))
     assert code == 0 and out == "false\n"
+
+
+def test_every_entry_point_defaults_to_the_one_fuel(capsys, monkeypatch):
+    # interp.DEFAULT_FUEL is the default step budget of the library and of
+    # the command line, and each --fuel help text prints it
+    for fn in (interp.eval_program, interp.trace, fuzz.check_properties, fuzz.run_properties):
+        assert inspect.signature(fn).parameters["fuel"].default == interp.DEFAULT_FUEL, fn.__name__
+    monkeypatch.delenv("FOOD_FUEL", raising=False)
+    assert cli._fuel(argparse.Namespace(fuel=None)) == interp.DEFAULT_FUEL == 100_000
+    for command in ("eval", "trace", "fuzz"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "step budget (default: FOOD_FUEL or 100000)" in " ".join(capsys.readouterr().out.split()), command
 
 
 @pytest.mark.parametrize("command", ["eval", "trace"])

@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, deep_body_source, eval_source, generated, load
+from conftest import GOLDEN_SELECTIONS, deep_body_source, eval_source, generated, load, walk
 from mutators import MUTATORS, mutate_swap_clause_bodies
 from reference_step import typed_run as reference_typed_run
 
@@ -33,7 +33,6 @@ from food.syntax import (
     Program,
     Sel,
     Var,
-    walk,
 )
 
 TRANSFORM = importlib.import_module("food.transform")  # the module; food.transform is the function

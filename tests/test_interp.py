@@ -42,6 +42,7 @@ from food.syntax import (
     Constructor,
     CtrCall,
     Expr,
+    FALSE,
     Generator,
     If,
     IntLit,
@@ -51,6 +52,8 @@ from food.syntax import (
     PrimOp,
     Program,
     Sel,
+    SMALL_INTS,
+    TRUE,
     Var,
     WILDCARD,
 )
@@ -284,6 +287,14 @@ def test_arithmetic_and_comparisons_agree_with_the_reference_at_the_64_bit_edges
             assert eval_program(Program((), e), 1, ctx) == want[-1], (op, a, b)
     for op, a, b in (("+", 2**63 - 1, 1), ("*", -(2**63), -1)):
         assert eval_program(Program((), PrimOp(op, IntLit(a), IntLit(b)))) == Done(IntV(-(2**63)))
+
+
+def test_the_parser_and_the_machine_share_their_literal_nodes():
+    # syntax builds true, false and -5..256 once; the parser reads them and the machine computes them
+    assert parse("7").main is eval_program(parse("3 + 4")).value is SMALL_INTS[12]
+    assert parse("true").main is eval_program(parse("1 < 2")).value is TRUE
+    assert parse("false").main is eval_program(parse("2 < 1")).value is FALSE
+    assert parse("0").main is eval_program(parse("5 - 5")).value
 
 
 def test_arithmetic_results_in_the_small_int_range_are_shared_nodes():

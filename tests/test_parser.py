@@ -11,8 +11,10 @@ from reference_lexer import tokens as reference_tokens
 
 from food import ParseError, parse, pretty
 from food.fuzz import GenConfig
-from food.parser import _Parser
+from food.parser import _Parser, _tokens
 from food.syntax import (
+    KEYWORDS,
+    is_identifier,
     App,
     BoolLit,
     Consumer,
@@ -89,6 +91,18 @@ def test_integer_literals_fit_in_64_bits():
         d = exc.value.diagnostics[0]
         assert "does not fit in 64 bits" in d.message
         assert (d.line, d.column) == (1, 1)
+
+
+def test_is_identifier_is_what_the_lexer_reads_as_one_identifier():
+    # the checker judges declared names by syntax.is_identifier: it must agree
+    # with the lexer's tokens on every character, alone and after a letter
+    def one_token(text):
+        kinds, texts, _ = _tokens(text)
+        return kinds in (["ident", "eof"], ["kw", "eof"]) and texts[0] == text
+
+    texts = ["", "a b", "_a", "a_", "1a", *KEYWORDS, *(t for cp in range(0x10000) for t in (chr(cp), "a" + chr(cp)))]
+    found = [t for t in texts if is_identifier(t) != one_token(t)]
+    assert found == [] and sum(map(is_identifier, texts)) > 40_000
 
 
 def test_common_literals_are_shared_nodes():

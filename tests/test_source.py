@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import tokenize
 
 import food
@@ -152,8 +153,8 @@ def test_transform_names_no_subst():
 def test_no_function_recurses_on_its_input():
     # a function that calls itself, directly or through others in its module,
     # takes one Python frame per nesting level and fails a few hundred levels
-    # deep; walks over expressions use syntax.fold or walk, or loop over an
-    # explicit stack, as the printer, free_vars, contains_obj and the machine do
+    # deep; walks over expressions use syntax.fold, or loop over an explicit
+    # stack, as the printer, syntax._nodes, syntax.rebuild and the machine do
     allowed = {
         "pretty.pretty_type",  # types nest only as deep as a signature
         # the generator's own recursion is bounded by GenConfig.max_expr_depth
@@ -371,3 +372,17 @@ def test_only_node_equality_names_recursion_error():
                         found.append(f"{path.name}:{line}")
     assert len(SOURCES) >= 10 and found == [] and named != []
     assert "RecursionError" in syntax.Var.__eq__.__code__.co_names
+
+
+def test_only_syntax_builds_the_shared_literals_and_interp_sets_the_fuel():
+    # syntax builds true, false and the integers -5..256 once, and the parser
+    # and the machine share those nodes; interp.DEFAULT_FUEL is the one
+    # default step budget, which the battery and the command line read
+    def lines(path):
+        return enumerate(path.read_text().splitlines(), 1)
+
+    literals = re.compile(r"BoolLit\((True|False)\)|map\(IntLit|IntLit\(\w+\) for \w+ in range")
+    built = [f"{p.name}:{i}" for p in SOURCES for i, line in lines(p) if literals.search(line)]
+    fuel = [f"{p.name}:{i}" for p in SOURCES for i, line in lines(p) if "100_000" in line or "100000" in line]
+    assert [b.split(":")[0] for b in built] == ["syntax.py", "syntax.py"]
+    assert [f.split(":")[0] for f in fuel] == ["interp.py"] and interp.DEFAULT_FUEL == 100_000

@@ -6,7 +6,7 @@ import dataclasses
 import gc
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, generated, load
+from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, generated, load, walk
 from mutators import rewrite_first
 from reference_recursive import node_repr
 from test_hostile_input import NESTINGS, nest
@@ -62,13 +62,11 @@ from food.syntax import (
     Sel,
     Type,
     Var,
+    _nodes,
     children,
-    contains_obj,
     fold,
-    free_vars,
     node,
     subst,
-    walk,
     with_children,
 )
 from food.transform import TransformResult
@@ -285,7 +283,7 @@ def body_exprs(program):
     return found
 
 
-def test_free_vars_and_contains_obj_agree_with_walk():
+def test_nodes_agrees_with_walk():
     corpus = [load(name) for name in sorted(GOLDEN_SELECTIONS)]
     programs = corpus + [generated(GenConfig(seed=seed)) for seed in range(500)]
     programs += [transform(p, selected).program for p, name in zip(corpus, sorted(GOLDEN_SELECTIONS))
@@ -308,9 +306,10 @@ def test_free_vars_and_contains_obj_agree_with_walk():
                 args[slot] = inner(Var("b"), obj)
                 exprs += [outer(*args), PrimOp("+", IntLit(0), If(Var("c"), IntLit(1), outer(*args)))]
     for e in exprs:
-        assert free_vars(e) == {x.name for x in walk(e) if isinstance(x, Var)}
-        assert contains_obj(e) == any(isinstance(x, Obj) for x in walk(e))
-    assert len(exprs) > 4_000 and 100 < sum(map(contains_obj, exprs)) < len(exprs)
+        for kinds in ((Var,), (Obj,), (Obj, IntLit)):
+            found = _nodes(e, kinds)
+            assert sorted(map(id, found)) == sorted(id(x) for x in walk(e) if type(x) in kinds), kinds
+    assert len(exprs) > 4_000 and 100 < sum(bool(_nodes(e, (Obj,))) for e in exprs) < len(exprs)
 
 
 def test_rewrite_first_replaces_only_the_first_match_in_pre_order():
@@ -361,11 +360,11 @@ DEEP_TYPING = {
 
 def test_traversals_do_not_recurse_on_deep_expressions():
     e = deep(100_000)
-    assert free_vars(e) == {"x"}
-    assert contains_obj(e)
+    assert _nodes(e, (Var,)) == [Var("x")]
+    assert _nodes(e, (Obj,)) == [Obj("Z", ())]
     assert sum(1 for _ in walk(e)) > 100_000
     minus_one = rewrite_first(e, lambda x: IntLit(-1) if x == Var("x") else None)
-    assert not free_vars(minus_one) and contains_obj(minus_one)
+    assert not _nodes(minus_one, (Var,)) and _nodes(minus_one, (Obj,))
     assert fold(e, lambda x, kids: 1 + sum(kids)) == sum(1 for _ in walk(e))
     assert pretty_expr(e, runtime=True).count("obj(Z)") == 1
     # the printer, the typer and the checker take every nesting form at any depth
@@ -392,7 +391,7 @@ def test_subst_takes_any_depth():
     # one rule over fold, at the default recursion limit
     e = deep(100_000)
     out = subst(e, {"x": IntLit(7), "y": BoolLit(True)})
-    assert not free_vars(out) and sum(1 for _ in walk(out)) == sum(1 for _ in walk(e))
+    assert not _nodes(out, (Var,)) and sum(1 for _ in walk(out)) == sum(1 for _ in walk(e))
     assert pretty_expr(out, runtime=True) == pretty_expr(e, runtime=True).replace("x", "7")
     assert subst(e, {}) is e
     # a runtime object holds values only, and is kept as it is

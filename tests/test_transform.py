@@ -10,7 +10,7 @@ import time
 
 import pytest
 import reference_recursive as ref
-from conftest import CORPUS, EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, generated, load
+from conftest import CORPUS, EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, generated, load, walk
 
 from food import (
     ContextError,
@@ -52,12 +52,10 @@ from food.syntax import (
     Sel,
     THIS,
     Var,
+    _nodes,
     children,
-    contains_obj,
     fold,
-    free_vars,
     subst,
-    walk,
     with_children,
 )
 
@@ -267,11 +265,11 @@ def test_substitution_hygiene():
     fp = transform(load("sets_oop"), {"Set"}).program
     for d in fp.defs:
         if isinstance(d, Consumer):
-            assert all("this" not in free_vars(c.body) for c in d.clauses)
+            assert all(Var("this") not in _nodes(c.body, (Var,)) for c in d.clauses)
     oo = transform(load("sets_fp"), {"Set"}).program
     for d in oo.defs:
         if isinstance(d, Interface):
-            assert all(m.body is None or "self" not in free_vars(m.body) for m in d.dtrs)
+            assert all(m.body is None or Var("self") not in _nodes(m.body, (Var,)) for m in d.dtrs)
 
 
 def test_transformed_programs_stay_well_formed():
@@ -603,7 +601,7 @@ def test_printer_parenthesizes_every_form_in_every_slot_as_the_reference():
                 for runtime in (False, True):
                     want = outcome(ref.pretty_expr, e, runtime=runtime)
                     assert outcome(pretty_expr, e, runtime=runtime) == want, (outer, slot, inner, runtime)
-                if not contains_obj(e):
+                if not _nodes(e, (Obj,)):
                     assert parse(pretty_expr(e)).main == e, (outer, slot, inner)
 
 

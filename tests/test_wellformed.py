@@ -7,10 +7,32 @@ from dataclasses import replace
 import pytest
 from conftest import GOLDEN_SELECTIONS, generated, load
 
-from food import Stuck, canonicalize, check, eval_program, parse, preprocess, transform
+from food import ParseError, Stuck, canonicalize, check, eval_program, parse, preprocess, transform
 from food.fuzz import GenConfig
 from food.pretty import pretty, pretty_expr
-from food.syntax import INT, Constructor, Consumer, Datatype, Generator, Interface, IntLit, Obj, Param, PrimOp, Program, Sel
+from food.syntax import (
+    INT,
+    App,
+    Arrow,
+    Clause,
+    Constructor,
+    Consumer,
+    CtrCall,
+    Datatype,
+    Dtr,
+    Generator,
+    Interface,
+    IntLit,
+    Named,
+    New,
+    Obj,
+    Param,
+    Pattern,
+    PrimOp,
+    Program,
+    Sel,
+    Var,
+)
 
 
 def check_src(src: str):
@@ -357,3 +379,78 @@ def test_coverage_read_off_the_cells_matches_the_definitions():
             assert got == _coverage_by_definitions(q, ctx)
             kinds.update("class" if m.startswith("class") else "consumer" for m, *_ in got)
     assert kinds == {"class", "consumer"}
+
+
+def test_names_the_parser_cannot_read_are_rejected():
+    # each printed as it stands fails to parse: `data d` and `def if(self: D)…`
+    data = Program((Datatype("d"),), IntLit(0))
+    assert [d.message for d in check(data, preprocess(data))] == ["datatype name 'd' must start with an uppercase letter"]
+    p = load("sets_fp")
+    consumer = next(d for d in p.defs if isinstance(d, Consumer))
+    q = Program(tuple(replace(d, name="if") if d is consumer else d for d in p.defs), p.main)
+    assert "consumer name 'if' is a keyword" in [d.message for d in check(q, preprocess(q))]
+    for bad in (data, q):
+        with pytest.raises(ParseError):
+            parse(pretty(bad))
+
+
+def test_a_function_type_in_a_signature_is_rejected():
+    # arrows occur only in collected signatures, and no source text declares one
+    p = Program((Datatype("D"), Constructor("C", (Param("x", Arrow((INT,), INT)),), "D")), IntLit(0))
+    assert [d.message for d in check(p, preprocess(p))] == ["constructor C mentions a function type"]
+    with pytest.raises(ParseError):
+        parse(pretty(p))
+
+
+# The declared names of named_program, each a role read by one rule, and odd
+# names to put in them: keywords, reserved names, letters of no case, and
+# non-letters, among them a digit that \w reads (\u0663, Arabic-Indic three)
+# and a combining accent that it does not (\u0301)
+ROLES = {"D": "D", "C": "C", "f": "f", "g": "g", "p": "p", "I": "I", "m": "m", "q": "q", "K": "K", "h": "h"}
+ODD_NAMES = (
+    "x", "X", "if", "match", "true", "Int", "Bool", "self", "this", "a_b", "a1", "é", "É", "ǅ", "中",
+    "_a", "1a", "", "a b", "a²", "²a", "x\u0663", "a\u0301", "Data",
+)  # fmt: skip
+
+
+def named_program(n: dict[str, str]) -> Program:
+    """The program below, each name replaced by its entry in ``n``::
+
+    data D
+    case C(f: Int) extends D
+    def g(self: D)(p: D): Int = match { case C(f) => f }
+    interface I { def m(q: Int): Int  def id(): I = this }
+    class K(h: Int) implements I { def m(q: Int): Int = h + q }
+    g(C(1))(C(2)) + new K(3).id().m(4)
+    """
+    D, C, f, g, p, I, m, q, K, h = n.values()
+    signature = (Param(q, INT),), INT
+    return Program(
+        (
+            Datatype(D),
+            Constructor(C, (Param(f, INT),), D),
+            Consumer(g, D, (Param(p, Named(D)),), INT, (Clause(Pattern(C, (f,)), Var(f)),)),
+            Interface(I, (Dtr(m, *signature), Dtr("id", (), Named(I), Var("this")))),
+            Generator(K, (Param(h, INT),), I, (Dtr(m, *signature, PrimOp("+", Var(h), Var(q))),)),
+        ),
+        PrimOp(
+            "+",
+            App(g, CtrCall(C, (IntLit(1),)), (CtrCall(C, (IntLit(2),)),)),
+            Sel(Sel(New(K, (IntLit(3),)), "id", ()), m, (IntLit(4),)),
+        ),
+    )
+
+
+def test_every_checked_program_of_odd_names_prints_back_to_itself():
+    assert check(named_program(ROLES), preprocess(named_program(ROLES))) == []
+    accepted = rejected = 0
+    for role in ROLES:
+        for name in ODD_NAMES:
+            p = named_program({**ROLES, role: name})
+            if check(p, preprocess(p)):
+                rejected += 1
+                continue
+            accepted += 1
+            assert parse(pretty(p)) == p, (role, name)
+            assert eval_program(p) == eval_program(named_program(ROLES)), (role, name)
+    assert accepted > 20 and rejected > 100
