@@ -15,7 +15,6 @@ from .interp import (
     dtr_body,
     eval_program,
     step,
-    trace,
 )
 from .parser import parse
 from .pretty import pretty, pretty_expr
@@ -50,7 +49,6 @@ __all__ = [
     "pretty_expr",
     "restrict",
     "step",
-    "trace",
     "transform",
     "transform_expr",
     "translate_ctx",

@@ -18,7 +18,7 @@ from . import __version__
 from .context import GlobalCtx, preprocess, restrict
 from .diagnostics import FoodError
 from .fuzz import GenConfig, run_properties
-from .interp import DEFAULT_FUEL, Done, FuelExhausted, Stuck, _machine, _plug_all, eval_program
+from .interp import DEFAULT_FUEL, Done, FuelExhausted, Stuck, eval_program, states
 from .parser import parse
 from .pretty import pretty, pretty_expr
 from .syntax import Program, canonicalize
@@ -164,9 +164,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     program, ctx = _checked(args.file)
     # print each state as the machine reaches it and keep none: a state is
     # O(depth), so only the states printed are plugged into whole terms
-    for i, out in enumerate(_machine(program.main, ctx, _fuel(args))):
-        if isinstance(out, tuple) and (args.limit is None or i < args.limit):
-            print(f"{i:4}  {pretty_expr(_plug_all(out[0], out[1]), runtime=True)}")
+    for i, out in enumerate(states(program.main, ctx, _fuel(args))):
+        if type(out) is tuple and (args.limit is None or i < args.limit):
+            print(f"{i:4}  {pretty_expr(out[3](out[0]), runtime=True)}")
     return _report(out, "   => ")
 
 

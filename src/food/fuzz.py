@@ -19,16 +19,7 @@ from typing import Callable
 
 from .context import Cell, GlobalCtx, preprocess, restrict, translate_ctx
 from .diagnostics import FoodError
-from .interp import (
-    DEFAULT_FUEL,
-    Done,
-    FuelExhausted,
-    Stuck,
-    _machine,
-    _plug_all,
-    csm_body,
-    dtr_body,
-)
+from .interp import DEFAULT_FUEL, Done, FuelExhausted, Stuck, csm_body, dtr_body, states
 from .parser import parse
 from .pretty import pretty, pretty_type
 from .syntax import (
@@ -412,27 +403,27 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
 
     Returns (outcome, type_failure_detail).  State 0, the main expression, is
     typed and its nodes counted in one pass.  After that, each step types only
-    its redex and its contractum, which ``_machine`` yields with the state,
-    and no state is plugged but the ones cycle detection keeps.  FOOD has no
-    binders, so every subterm of a closed state is closed, and the typer is
-    one rule per form, ``_typing``: a contractum that types as its redex
-    leaves the state's type as it was.  This is the replacement argument of
-    Wright and Felleisen, "A Syntactic Approach to Type Soundness" (1994).  A
-    value can be as deep as the run is long, and every redex that uses it
-    holds it, so each object is typed once per run, keyed by identity, and a
-    call's contractum costs what its body does.  On any difference or error
-    the state is plugged and measured whole, reusing the objects typed so
-    far, so a failure's text is the whole state's.
+    its redex and its contractum, which ``interp.states`` yields with the
+    state, and no state is plugged but the ones cycle detection keeps.  FOOD
+    has no binders, so every subterm of a closed state is closed, and the
+    typer is one rule per form, ``_typing``: a contractum that types as its
+    redex leaves the state's type as it was.  This is the replacement argument
+    of Wright and Felleisen, "A Syntactic Approach to Type Soundness"
+    (1994).  A value can be as deep as the run is long, and every redex that
+    uses it holds it, so each object is typed once per run, keyed by identity,
+    and a call's contractum costs what its body does.  On any difference or
+    error the state is plugged and measured whole, reusing the objects typed
+    so far, so a failure's text is the whole state's.
 
     Evaluation is deterministic, so once a state repeats the run is periodic
-    until the fuel runs out, and no state in the cycle is a value or stuck.
-    Every later state types as the one it repeats already did.  Repeats are
-    found by Brent's cycle detection ("An improved Monte Carlo factorization
-    algorithm", BIT 20, 1980), which compares each state with one saved
-    state: by cheap keys (node count, frame count, the focus's class and
-    name) and, only when they match, in full, at any depth.  The run stops
-    one period on, with the state the fuel would end on, and the verdict is
-    the one the whole run would give.
+    until the fuel runs out, and no state in the cycle is a value or
+    stuck.  Every later state types as the one it repeats already did.  Repeats
+    are found by Brent's cycle detection ("An improved Monte Carlo
+    factorization algorithm", BIT 20, 1980), which compares each state with
+    one saved state: by cheap keys (node count, depth, the redex's class and
+    name) and, only when they match, in full, at any depth.  The run stops one
+    period on, with the state the fuel would end on, and the verdict is the
+    one the whole run would give.
     """
     known: dict[int, tuple[Expr, tuple]] = {}  # id of an object -> (it, its measure)
     rule = partial(_typing, ctx, {}, deque(maxlen=0))  # the call types that typing lists are dropped
@@ -463,20 +454,20 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     expected, size = measure(program.main)
     if callable(expected):
         return None, f"main expression does not type: {expected()}"
-    machine = _machine(program.main, ctx, fuel)
-    focus, frames, _ = next(machine)
-    saved, saved_key = _plug_all(focus, frames), (size, len(frames), type(focus), getattr(focus, "name", None))
+    stream = states(program.main, ctx, fuel)
+    focus, _, depth, plug = next(stream)
+    saved, saved_key = plug(focus), (size, depth, type(focus), getattr(focus, "name", None))
     power = lam = 1
     for i in itertools.count(1):
         redex = focus
-        out = next(machine)
+        out = next(stream)
         if type(out) is not tuple:
             return out, None
-        focus, frames, contractum = out
+        focus, contractum, depth, plug = out
         (t_redex, n_redex), (t, n) = measure(redex), measure(contractum)
         size += n - n_redex
         if callable(t) or t is not t_redex and t != t_redex:
-            t = measure(_plug_all(focus, frames))[0]
+            t = measure(plug(focus))[0]
             if callable(t):
                 return None, f"step result fails to type: {t()}"
             if t != expected:
@@ -484,14 +475,14 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
                     f"type changed from {pretty_type(expected)} to {pretty_type(t)} "
                     "during evaluation"
                 )
-        key = (size, len(frames), type(focus), getattr(focus, "name", None))
-        if key == saved_key and _plug_all(focus, frames) == saved:
+        key = (size, depth, type(focus), getattr(focus, "name", None))
+        if key == saved_key and plug(focus) == saved:
             # the run has period lam from here on: go on to the state the fuel ends on
             for _ in range((fuel - i) % lam):
-                focus, frames, _ = next(machine)
-            return FuelExhausted(_plug_all(focus, frames)), None
+                focus, _, _, plug = next(stream)
+            return FuelExhausted(plug(focus)), None
         if lam == power:
-            saved, saved_key = _plug_all(focus, frames), key
+            saved, saved_key = plug(focus), key
             power, lam = 2 * power, 0
         lam += 1
 

@@ -20,13 +20,18 @@ for Interpreters", PLDI 1995).  So no term is searched from its root and
 nothing is plugged on the way to a value.  At a method call the machine has
 two binding disciplines, one per entry point:
 
-* ``run`` (so ``trace`` and the fuzzer's typed run) and ``step`` substitute
-  the bindings into the body (``subst``), so every state is a closed term.
-  The machine yields each state as its redex and frames; plugging the redex
-  into every frame, by one ``syntax.with_children`` call on its values
-  (``_read_back``), gives the state at O(depth).  Going on from the
-  contractum in the same frames, not from the root, is refocusing (Danvy and
-  Nielsen, "Refocusing in Reduction Semantics", BRICS RS-04-26, 2004).
+* ``states``, the public stream that ``run``, ``step``, ``food trace`` and
+  the fuzzer's typed run consume, substitutes the bindings into the body
+  (``subst``), so every state is a closed term.  A state is its redex, the
+  contractum of the step that reached it, its depth (the frames below the
+  redex) and its plug, the context: ``plug(redex)`` builds the whole term,
+  plugging the redex into every frame, each by one ``syntax.with_children``
+  call on its values (``_read_back``), at O(depth).  The frames change in
+  place, so a plug is valid only until the next state is taken, and a state
+  is kept by plugging it.  Going on from the contractum in the same frames,
+  not from the root, is refocusing (Danvy and Nielsen, "Refocusing in
+  Reduction Semantics", BRICS RS-04-26, 2004): evaluation is the stream of
+  decompositions.
 * ``eval_program`` evaluates the body with the bindings as its environment,
   and yields only the outcome: the environment machine that Biernacka and
   Danvy, "A Concrete Framework for Environment Machines", ACM TOCL 9(1),
@@ -49,7 +54,9 @@ slots directly (see ``syntax``).
 from __future__ import annotations
 
 import operator
-from typing import Iterator, Sequence
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .context import GlobalCtx, preprocess
 from .syntax import (
@@ -114,14 +121,6 @@ class FuelExhausted:
     """The fuel ran out: the last state reached."""
 
     last: Expr
-
-
-@node
-class Trace:
-    """Every state of a run, in order, and how it ended."""
-
-    steps: tuple[Expr, ...]
-    outcome: Done | FuelExhausted | Stuck
 
 
 _VALUE_FORMS = frozenset((IntLit, BoolLit, Obj))
@@ -241,6 +240,8 @@ def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Exp
 # the frames below the top one, which ``_machine`` holds in locals: each is
 # (node, env, its slots, values of those evaluated)
 Frames = list[tuple[Expr, dict[str, Expr], tuple[Expr, ...], list[Expr]]]
+# a state of the stream: (redex, contractum of the step to it, depth, plug)
+State = tuple[Expr, Expr | None, int, Callable[[Expr], Expr]]
 
 
 def _read_back(node: Expr, env: dict[str, Expr], done: Sequence[Expr]) -> Expr:
@@ -250,17 +251,15 @@ def _read_back(node: Expr, env: dict[str, Expr], done: Sequence[Expr]) -> Expr:
     return with_children(node, done)
 
 
-def _plug_all(e: Expr, frames: Frames) -> Expr:
+def _plug_all(frames: Frames, e: Expr) -> Expr:
     """The whole term: e plugged into every frame, innermost first, each read back."""
     for node, env, _, vals in reversed(frames):
         e = _read_back(node, env, [*vals, e])
     return e
 
 
-def _machine(
-    e: Expr, ctx: GlobalCtx, fuel: int, states: bool = True
-) -> Iterator[tuple[Expr, Frames, Expr | None] | Done | FuelExhausted | Stuck]:
-    """Yield (focus, frames, contractum) for each state from e on, then the outcome.
+def _machine(e: Expr, ctx: GlobalCtx, fuel: int, stream: bool = True) -> Iterator[State | Done | FuelExhausted | Stuck]:
+    """Yield each state from e on, as ``states`` describes, then the outcome.
 
     A compound term becomes the top frame, held in locals, which takes the
     values of its slots one by one, in evaluation order, and is contracted
@@ -269,18 +268,18 @@ def _machine(
     arguments; or its operands, or its condition.  The right operand of &&
     and || is no slot, as it belongs to the contractum.  A method call
     either substitutes its bindings into the body (``subst``), so that every
-    state is a closed term; or, with states False, evaluates the body in the
+    state is a closed term; or, with stream False, evaluates the body in the
     bindings as its environment, and yields only the outcome.
 
-    The focus is the state's redex (``_read_back``), or its value at the
-    end.  The contractum is what the last step contracted its redex to, None
-    in the first state.  The frames change in place, so a caller plugs a
-    state (``_plug_all``) before asking for the next.  A redex is
-    contracted, and may be stuck, before the fuel is looked at.
+    A state's redex is its top frame read back (``_read_back``), or the value
+    at the end, and its plug is ``_plug_all`` over the frames, which change
+    in place.  A redex is contracted, and may be stuck, before the fuel is
+    looked at.
     """
     frames: Frames = []
     env: dict[str, Expr] = {}
     out = None
+    plug = partial(_plug_all, frames)
     while True:
         # e in env: a compound term becomes the top frame, a value goes to the one popped
         cls = type(e)
@@ -303,16 +302,16 @@ def _machine(
         else:
             v = env.get(e.name) if cls is Var else e if cls in _VALUE_FORMS else None
             if v is None:
-                if states:
-                    yield e, frames, out
+                if stream:
+                    yield e, out, len(frames), plug
                 yield Stuck(_contract(e, (), ctx), e)
                 return
             if type(v) not in _VALUE_FORMS:  # an unevaluated field of a hand-built object
                 e, env = v, {}
                 continue
             if not frames:
-                if states:
-                    yield v, frames, out
+                if stream:
+                    yield v, out, 0, plug
                 yield Done(v)
                 return
             node, env, slots, vals = frames.pop()
@@ -334,46 +333,58 @@ def _machine(
                     continue
                 frames.append((node, env, slots, vals))
                 break
-            if states:
-                yield _read_back(node, env, vals), frames, out
+            if stream:
+                yield _read_back(node, env, vals), out, len(frames), plug
             out = _contract(node, vals, ctx)
             if type(out) is str:
                 yield Stuck(out, _read_back(node, env, vals))
                 return
             if fuel <= 0:
-                yield FuelExhausted(_plug_all(_read_back(node, env, vals), frames))
+                yield FuelExhausted(_plug_all(frames, _read_back(node, env, vals)))
                 return
             fuel -= 1
             if type(out) is tuple:
                 e, mapping = out
                 if mapping is not None:
-                    if states:
+                    if stream:
                         e = subst(e, mapping)
                     else:
                         env = mapping
                 out = e
                 break
-            if not frames:
-                if states:
-                    yield out, frames, out
-                yield Done(out)
-                return
+            if not frames:  # the value ends the run, as a value term does
+                e = out
+                break
             node, env, slots, vals = frames.pop()
             vals.append(out)
 
 
+def states(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[State | Done | FuelExhausted | Stuck]:
+    """Yield each state from e on, then the outcome; at most fuel steps are taken.
+
+    A state is (redex, contractum, depth, plug).  The redex is the subterm the
+    next step contracts, or the value or stuck term the run ends on; the
+    contractum is what the step to this state contracted its redex to, None
+    in the first state; the depth is the number of frames around the redex;
+    and the plug is its context: ``plug(t)`` is the whole term with t in the
+    redex's place, at O(depth), so ``plug(redex)`` is the state, a closed
+    term.  A plug is valid only until the next state is taken, as the frames
+    it reads then change: a caller that keeps a state keeps what its plug
+    returned.  The outcome is no state: the last state's plug still holds.
+    """
+    return _machine(e, ctx, fuel)
+
+
 def step(e: Expr, ctx: GlobalCtx) -> Stepped | Done | Stuck:
-    """Reduce exactly one redex, or report the value / stuck state: the machine's first transition."""
-    machine = _machine(e, ctx, 1)
-    next(machine)
-    out = next(machine)
-    return Stepped(_plug_all(out[0], out[1])) if isinstance(out, tuple) else out
+    """Reduce exactly one redex, or report the value / stuck state: the first transition of ``states``."""
+    out = next(islice(states(e, ctx, 1), 1, None))
+    return Stepped(out[3](out[0])) if type(out) is tuple else out
 
 
 def run(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[Expr | Done | FuelExhausted | Stuck]:
-    """Yield each state from e on, then the outcome; at most fuel steps are taken."""
-    for out in _machine(e, ctx, fuel):
-        yield _plug_all(out[0], out[1]) if isinstance(out, tuple) else out
+    """Yield each state of ``states`` plugged whole, then the outcome; at most fuel steps are taken."""
+    for out in states(e, ctx, fuel):
+        yield out[3](out[0]) if type(out) is tuple else out
 
 
 def eval_program(
@@ -390,12 +401,4 @@ def eval_program(
     """
     if ctx is None:
         ctx = preprocess(program)
-    return next(_machine(program.main, ctx, fuel, states=False))
-
-
-def trace(program: Program, fuel: int = DEFAULT_FUEL, ctx: GlobalCtx | None = None) -> Trace:
-    """The step sequence starting at the main expression, up to value or fuel."""
-    if ctx is None:
-        ctx = preprocess(program)
-    *steps, outcome = run(program.main, ctx, fuel)
-    return Trace(tuple(steps), outcome)
+    return next(_machine(program.main, ctx, fuel, stream=False))

@@ -39,7 +39,6 @@ import re
 from .diagnostics import Diagnostic, ParseError
 from .syntax import (
     App,
-    BOOL,
     Clause,
     Constructor,
     Consumer,
@@ -52,7 +51,6 @@ from .syntax import (
     Generator,
     IDENT,
     If,
-    INT,
     INT64_MAX,
     IntLit,
     Interface,
@@ -65,6 +63,7 @@ from .syntax import (
     PrimOp,
     Program,
     RESERVED_BINDERS,
+    RESERVED_TYPES,
     Sel,
     SMALL_INTS,
     TRUE,
@@ -213,7 +212,7 @@ class _Parser:
         text = self.texts[t]
         if not text[0].isupper():
             raise self.fail(f"{what} must start with an uppercase letter", t)
-        if text in ("Int", "Bool"):
+        if text in RESERVED_TYPES:
             raise self.fail(f"{text} is a reserved type name", t)
         return text
 
@@ -241,10 +240,8 @@ class _Parser:
     def type_(self) -> Type:
         t = self.expect("ident", "a type name")
         text = self.texts[t]
-        if text == "Int":
-            return INT
-        if text == "Bool":
-            return BOOL
+        if text in RESERVED_TYPES:
+            return RESERVED_TYPES[text]
         if not text[0].isupper():
             raise self.fail("type name must start with an uppercase letter", t)
         return Named(text)
@@ -436,7 +433,7 @@ class _Parser:
                     name = texts[i]
                     i += 1
                     if name[0].isupper():
-                        if name in ("Int", "Bool"):
+                        if name in RESERVED_TYPES:
                             self.i = i - 1
                             raise self.fail(f"{name} is a type, not an expression")
                         make = (CtrCall, name)

@@ -1,14 +1,14 @@
 """Static checks assumed before translation, with ``check`` their one entry.
 
-Collects one diagnostic per violation of the structural conditions that
-typing cannot see: declared names that the parser reads as names of their
-kind (by ``syntax.KEYWORDS`` and ``IDENT``), declared types and no function
-type in signatures, reserved, duplicate and shadowing binders (disjointness
-keeps the evaluation substitutions well defined), exact interface
-implementation, non-overlapping clauses that name constructors of their
-datatype with any wildcard clause last, the pattern/field naming
-restriction, exhaustiveness, integer literals in 0..2**63 - 1 (what the
-parser reads) and no runtime objects; coverage is read off the matrix that
+Collects one diagnostic per violation of the structural conditions that typing
+cannot see: declared names that the parser reads as names of their kind (by
+``syntax.KEYWORDS``, ``RESERVED_TYPES`` and ``IDENT``), declared types and no
+function type in signatures, reserved, duplicate and shadowing binders
+(disjointness keeps the evaluation substitutions well defined), exact
+interface implementation, non-overlapping clauses that name constructors of
+their datatype with any wildcard clause last, the pattern/field naming
+restriction, exhaustiveness, integer literals in 0..2**63 - 1 (what the parser
+reads) and no runtime objects; coverage is read off the matrix that
 ``context.matrix`` builds.  Only when those hold does the typing pass
 (``transform.type_program``) run, reporting scoping, call kind, member names
 and arity, so a clean check guarantees the transformation cannot fail, and
@@ -38,6 +38,7 @@ from .syntax import (
     Param,
     Program,
     RESERVED_BINDERS,
+    RESERVED_TYPES,
     Type,
     _nodes,
 )
@@ -103,7 +104,7 @@ class _Checker:
             self.report(f"{kind} name {name!r} is not an identifier")
         elif name in KEYWORDS:
             self.report(f"{kind} name {name!r} is a keyword")
-        elif upper and name in ("Int", "Bool"):
+        elif upper and name in RESERVED_TYPES:
             self.report(f"{kind} name {name!r} is a reserved type name")
         elif kind == "consumer" and name in RESERVED_BINDERS:  # the parser reads no call of it
             self.report(f"{kind} name {name!r} is reserved")

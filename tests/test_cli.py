@@ -149,7 +149,7 @@ def test_eval_fuel_flag_and_env(capsys, monkeypatch):
 def test_every_entry_point_defaults_to_the_one_fuel(capsys, monkeypatch):
     # interp.DEFAULT_FUEL is the default step budget of the library and of
     # the command line, and each --fuel help text prints it
-    for fn in (interp.eval_program, interp.trace, fuzz.check_properties, fuzz.run_properties):
+    for fn in (interp.eval_program, fuzz.check_properties, fuzz.run_properties):
         assert inspect.signature(fn).parameters["fuel"].default == interp.DEFAULT_FUEL, fn.__name__
     monkeypatch.delenv("FOOD_FUEL", raising=False)
     assert cli._fuel(argparse.Namespace(fuel=None)) == interp.DEFAULT_FUEL == 100_000
@@ -197,12 +197,12 @@ def test_trace_plugs_only_the_states_it_prints(capsys, tmp_path, monkeypatch):
     plugged = []
     interp_plug_all = interp._plug_all
 
-    def plug_all(e, frames):
+    def plug_all(frames, e):
         plugged.append(e)
-        return interp_plug_all(e, frames)
+        return interp_plug_all(frames, e)
 
+    # every state's plug is built in interp, the one module that plugs frames
     monkeypatch.setattr(interp, "_plug_all", plug_all)
-    monkeypatch.setattr(cli, "_plug_all", plug_all)
     src = tmp_path / "peano.food"
     src.write_text(eval_source("peano_fp", 600))
     code, out, err = run(capsys, "trace", str(src), "--limit", "1")

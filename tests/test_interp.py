@@ -26,14 +26,13 @@ from food import (
     preprocess,
     restrict,
     step,
-    trace,
     transform,
     transform_expr,
     translate_ctx,
 )
 from food.fuzz import GenConfig
 import food.interp
-from food.interp import Stepped, run
+from food.interp import DEFAULT_FUEL, Stepped, run, states
 from food.pretty import pretty_expr
 from food.syntax import (
     App,
@@ -62,24 +61,25 @@ from food.syntax import (
 def test_fig1_subtraction_evaluates_to_one():
     result = eval_program(load("exp_oop"))
     assert result == Done(IntV(1))
-    t = trace(load("exp_fp"))
-    assert t.outcome == Done(IntV(1))
-    assert t.steps[0] == load("exp_fp").main
+    p = load("exp_fp")
+    *steps, outcome = run(p.main, preprocess(p), DEFAULT_FUEL)
+    assert outcome == Done(IntV(1))
+    assert steps[0] == p.main
 
 
 def test_constructor_call_builds_object_in_two_steps():
     p = parse("data Set\ncase Empty() extends Set\ncase Insert(s: Set, n: Int) extends Set\nInsert(Empty(), 3)")
-    t = trace(p)
-    assert t.outcome == Done(ObjV("Insert", (ObjV("Empty", ()), IntV(3))))
-    assert len(t.steps) == 3  # initial expression plus two reductions
+    *steps, outcome = run(p.main, preprocess(p), DEFAULT_FUEL)
+    assert outcome == Done(ObjV("Insert", (ObjV("Empty", ()), IntV(3))))
+    assert len(steps) == 3  # initial expression plus two reductions
 
 
 def test_contains_union_is_true_within_thirty_steps():
     p = load("sets_fp")
     q = Program(p.defs, parse("contains(Union(Insert(Empty(), 1), Insert(Empty(), 2)))(2)").main)
-    t = trace(q)
-    assert t.outcome == Done(BoolV(True))
-    assert len(t.steps) <= 30
+    *steps, outcome = run(q.main, preprocess(q), DEFAULT_FUEL)
+    assert outcome == Done(BoolV(True))
+    assert len(steps) <= 30
 
 
 def test_dtr_body_lookup():
@@ -227,9 +227,11 @@ def test_zero_fuel_on_non_value_main():
 
 def test_trace_of_single_constructor():
     p = parse("data D\ncase Empty() extends D\nEmpty()")
-    t = trace(p)
-    assert t.steps == (CtrCall("Empty", ()), Obj("Empty", ()))
-    assert t.outcome == Done(ObjV("Empty", ()))
+    assert list(run(p.main, preprocess(p), DEFAULT_FUEL)) == [
+        CtrCall("Empty", ()),
+        Obj("Empty", ()),
+        Done(ObjV("Empty", ())),
+    ]
 
 
 def test_stuck_trace_is_flagged():
@@ -238,10 +240,11 @@ def test_stuck_trace_is_flagged():
         "def f(self: D)(): Int = match { case C1() => 1 }\n"
         "f(C0())"
     )
-    t = trace(parse(src))
-    assert isinstance(t.outcome, Stuck)
-    assert "no consumer 'f' covers C0" in t.outcome.reason
-    assert t.steps[-1] == App("f", Obj("C0", ()), ())
+    p = parse(src)
+    *steps, outcome = run(p.main, preprocess(p), DEFAULT_FUEL)
+    assert isinstance(outcome, Stuck)
+    assert "no consumer 'f' covers C0" in outcome.reason
+    assert steps[-1] == App("f", Obj("C0", ()), ())
 
 
 def test_step_is_deterministic_and_done_only_on_values():
@@ -372,8 +375,8 @@ def test_every_step_of_a_trace_preserves_the_type():
     p = load("sets_fp")
     ctx = preprocess(p)
     tctx = restrict(ctx, frozenset())
-    t = trace(p)
-    types = {transform_expr(e, tctx, {})[1] for e in t.steps}
+    *steps, _ = run(p.main, ctx, DEFAULT_FUEL)
+    types = {transform_expr(e, tctx, {})[1] for e in steps}
     assert len(types) == 1
 
 
@@ -396,8 +399,8 @@ def test_done_carries_the_final_state():
     ]
     assert len(programs) == 20
     for p in programs:
-        t = trace(p)
-        assert t.outcome == Done(t.steps[-1]), p.main
+        *steps, outcome = run(p.main, preprocess(p), DEFAULT_FUEL)
+        assert outcome == Done(steps[-1]), p.main
 
 
 def test_an_object_is_a_value_whatever_its_arguments():
@@ -405,8 +408,9 @@ def test_an_object_is_a_value_whatever_its_arguments():
     # program reaches this: the machine takes any Obj as a value, unevaluated
     # arguments and all, and returns it as it is
     e = Obj("C", (PrimOp("+", IntLit(1), IntLit(2)), Var("x")))
-    assert eval_program(Program((), e)) == trace(Program((), e)).outcome == Done(e)
-    assert trace(Program((), e)).steps == (e,)
+    ctx = preprocess(Program((), e))
+    assert eval_program(Program((), e)) == Done(e)
+    assert list(run(e, ctx, DEFAULT_FUEL)) == [e, Done(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +506,10 @@ def test_fuel_boundary_at_a_depth_the_recursive_step_cannot_reach():
         assert eval_program(p, 7 * n + 5, ctx) == Done(IntV(n))
         out = eval_program(p, 7 * n + 4, ctx)
         assert isinstance(out, FuelExhausted)
-        # drain the machine, substituting, and plug only its final (focus,
-        # frames); run would plug every one of the 14,004 states
-        (focus, frames, _), outcome = deque(food.interp._machine(p.main, ctx, 7 * n + 4), maxlen=2)
-        assert outcome == out and out.last == food.interp._plug_all(focus, frames)
+        # drain the stream and plug only its last state, which the outcome
+        # leaves valid; run would plug every one of the 14,004 states
+        (redex, _, _, plug), outcome = deque(states(p.main, ctx, 7 * n + 4), maxlen=2)
+        assert outcome == out and out.last == plug(redex)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +517,8 @@ def test_fuel_boundary_at_a_depth_the_recursive_step_cannot_reach():
 
 
 def drained(e, ctx, fuel):
-    """The outcome of the machine substituting at calls, as ``run`` and ``trace`` step it."""
-    for out in food.interp._machine(e, ctx, fuel):
+    """The outcome of the machine substituting at calls, as ``run`` steps it."""
+    for out in states(e, ctx, fuel):
         pass
     return out
 

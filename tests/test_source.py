@@ -29,9 +29,10 @@ def test_no_function_level_imports():
 
 
 def test_no_recursion_limit_or_stack_size_changes():
-    # node ==, hash and repr recurse in C as well as in Python frames; a higher
-    # limit turns their RecursionError into a crash, so == could not fall back
-    # to syntax._deep_eq.  Depth is handled with explicit stacks instead
+    # node == recurses in C as well as in Python frames; a higher limit turns
+    # its RecursionError into a crash, so == could not fall back to
+    # syntax._deep_eq.  Depth is handled with explicit stacks instead, as
+    # hash and repr do
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -104,7 +105,7 @@ def test_node_classes_use_the_slotted_constructor():
     package = pathlib.Path(food.__file__).parent
     nodes = [c for c in classes(package / "syntax.py") if c.name not in ("Type", "Expr", "Def")]
     outcomes = [c.name for c in classes(package / "interp.py") if "node" in decorators(c)]
-    assert len(nodes) >= 24 and len(outcomes) >= 5
+    assert len(nodes) >= 24 and len(outcomes) >= 4
     assert [name for name in outcomes if issubclass(getattr(interp, name), syntax.Expr)] == []
     assert interp.IntV is syntax.IntLit and interp.BoolV is syntax.BoolLit and interp.ObjV is syntax.Obj
     assert [c.name for c in nodes if decorators(c) != ["node"]] == []
@@ -113,7 +114,7 @@ def test_node_classes_use_the_slotted_constructor():
     assert len(SOURCES) >= 10 and found == []
     # and every node class shares one ==, hash and repr: only __init__ is compiled per class
     declared = {c.name for path in SOURCES for c in classes(path) if "node" in decorators(c)}
-    assert len(declared) >= 37 and declared <= {c.__name__ for c in syntax._COMPARED}
+    assert len(declared) >= 36 and declared <= {c.__name__ for c in syntax._COMPARED}
     codes = [(c.__eq__.__code__, c.__hash__.__code__, c.__repr__.__code__) for c in syntax._COMPARED]
     assert all(mine is shared for three in codes for mine, shared in zip(three, codes[0]))
 
@@ -386,3 +387,22 @@ def test_only_syntax_builds_the_shared_literals_and_interp_sets_the_fuel():
     fuel = [f"{p.name}:{i}" for p in SOURCES for i, line in lines(p) if "100_000" in line or "100000" in line]
     assert [b.split(":")[0] for b in built] == ["syntax.py", "syntax.py"]
     assert [f.split(":")[0] for f in fuel] == ["interp.py"] and interp.DEFAULT_FUEL == 100_000
+
+
+def test_only_interp_names_the_machine():
+    # every caller steps through interp.states, the one public stream of
+    # states: the machine, its plug and its frame rebuild are named nowhere
+    # else, not even in a comment, and no second stepping API keeps every state
+    private = re.compile(r"\b(_machine|_plug_all|_read_back)\b")
+    found = []
+    for path in SOURCES:
+        with path.open("rb") as f:
+            found += [
+                f"{path.name}:{tok.start[0]} {name}"
+                for tok in tokenize.tokenize(f.readline)
+                for name in private.findall(tok.string)
+                if path.name != "interp.py"
+            ]
+    assert len(SOURCES) >= 10 and found == []
+    assert all(callable(getattr(interp, name)) for name in ("_machine", "_plug_all", "_read_back", "states"))
+    assert {"trace", "Trace"} & (set(vars(interp)) | set(food.__all__)) == set()

@@ -4,11 +4,12 @@ import builtins
 import copy
 import dataclasses
 import gc
+import sys
 
 import pytest
 from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, generated, load, walk
 from mutators import rewrite_first
-from reference_recursive import node_repr
+from reference_recursive import node_hash, node_repr
 from test_hostile_input import NESTINGS, nest
 
 from food import (
@@ -29,7 +30,7 @@ from food import (
 from food.context import GlobalCtx
 from food.diagnostics import Diagnostic
 from food.fuzz import FuzzReport, GenConfig, PropFail, TrialReport, _Binding, check_properties
-from food.interp import BoolV, Done, FuelExhausted, IntV, ObjV, Stepped, Stuck, Trace
+from food.interp import BoolV, Done, FuelExhausted, IntV, ObjV, Stepped, Stuck
 from food.pretty import pretty_def, pretty_expr, pretty_type
 from food.syntax import (
     BOOL,
@@ -604,7 +605,6 @@ RECORD_SAMPLES = {
     Done: (IntLit(1),),
     Stuck: ("no rule applies", Var("x")),
     FuelExhausted: (IntLit(1),),
-    Trace: ((IntLit(1),), Done(IntLit(1))),
     Diagnostic: ("boom", 1, 2),
     TransformResult: (Program((), IntLit(1)), INT, ((Var("x"), Var("y")),)),
     GlobalCtx: tuple(getattr(CTX, f.name) for f in dataclasses.fields(GlobalCtx)),
@@ -794,6 +794,43 @@ def test_node_repr_takes_any_depth():
         assert repr(e) == want, form
         assert repr(Stuck("no rule applies", e)) == f"Stuck(reason='no rule applies', expr={want})", form
         assert repr(FuelExhausted(e)) == f"FuelExhausted(last={want})", form
+
+
+def test_node_hash_is_the_recursive_hash_on_every_node():
+    programs = [load(name) for name in sorted(GOLDEN_SELECTIONS)]
+    programs += [transform(q, GOLDEN_SELECTIONS[name]).program for name, q in zip(sorted(GOLDEN_SELECTIONS), programs)]
+    programs += [generated(GenConfig(seed=seed)) for seed in range(500)]
+    checked = 0
+    for program in programs:
+        for x in every_node(program):
+            assert hash(x) == node_hash(x)
+            checked += 1
+    assert checked > 10_000
+    # and on every nesting form, as deep as the recursive hash reaches
+    for form, (_, tree) in NESTINGS.items():
+        assert hash(tree(300)) == node_hash(tree(300)), form
+
+
+def at_stack_depth(depth, f):
+    """f(), called with about ``depth`` frames on the stack."""
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+
+    def down(k):
+        return f() if k <= 0 else down(k - 1)
+
+    return down(depth - n)
+
+
+def test_node_hash_takes_any_depth():
+    # the recursive hash raised RecursionError some 500 levels deep.  An equal
+    # node built apart is found in a set or a dict only if both hash alike: a
+    # key hashed on a deep stack is found from a shallow one, and the reverse
+    for form, (_, tree) in NESTINGS.items():
+        e, same = tree(100_000), tree(100_000)
+        keys, table = at_stack_depth(900, lambda: {e}), {e: form}
+        assert same in keys and at_stack_depth(900, lambda: table[same]) == form, form
 
 
 def test_context_equality_and_repr_ignore_its_cells_and_typings():
