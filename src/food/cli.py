@@ -104,7 +104,7 @@ def _report(outcome: Done | FuelExhausted | Stuck, prefix: str) -> int:
     """Print how evaluation ended, the value after prefix, and return the exit code."""
     match outcome:
         case Done(value):
-            print(prefix + pretty_expr(value, runtime=True))
+            print(prefix + pretty_expr(value))
             return 0
         case FuelExhausted():
             print("fuel exhausted", file=sys.stderr)
@@ -166,7 +166,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # O(depth), so only the states printed are plugged into whole terms
     for i, out in enumerate(states(program.main, ctx, _fuel(args))):
         if type(out) is tuple and (args.limit is None or i < args.limit):
-            print(f"{i:4}  {pretty_expr(out[3](out[0]), runtime=True)}")
+            print(f"{i:4}  {pretty_expr(out[3](out[0]))}")
     return _report(out, "   => ")
 
 
@@ -219,10 +219,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_trace)
 
     c = sub.add_parser("fuzz", help="generate programs and run the property battery")
-    c.add_argument("--trials", type=_count, default=100)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--trials", type=_count, default=100, help="programs to generate and check (default: %(default)s)")
+    c.add_argument("--seed", type=int, default=0, help="seed every trial derives its own from (default: %(default)s)")
     c.add_argument("--fuel", type=_count, help=f"step budget (default: FOOD_FUEL or {DEFAULT_FUEL})")
-    c.add_argument("--diverge-prob", type=_probability, default=0.01)
+    c.add_argument("--diverge-prob", type=_probability, default=0.01, help="chance a trial loops (default: %(default)s)")
     c.set_defaults(fn=_cmd_fuzz)
     return p
 

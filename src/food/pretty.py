@@ -1,11 +1,11 @@
 """Pretty-printing of FOOD programs back to concrete syntax.
 
 ``parse(pretty(p))`` is structurally equal to ``p`` for every program that
-``wellformed.check`` accepts, which reads every declared name as the parser
-does; the fuzz suite exercises that round trip.  Expressions print at any
-depth, in one pre-order pass over a stack of nodes and literal text; a binary
-operation places its operands, in parentheses where their level is below
-their place's, inline, with each operator's text from a table.
+``wellformed.check`` accepts, which alone rejects runtime objects and reads
+every declared name as the parser does.  Every expression prints, at any depth,
+a runtime object as ``obj(C, args)``, which ``parse`` rejects, in one pre-order
+pass over nodes and text; a binary operation places its operands, in parentheses
+where their level is below their place's, inline, with operator text from a table.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def pretty_type(t: Type) -> str:
     raise ValueError(f"unknown type {type(t).__name__}")
 
 
-def pretty_expr(e: Expr, *, runtime: bool = False) -> str:
-    """Render one expression; with ``runtime`` set, objects print as obj(...)."""
+def pretty_expr(e: Expr) -> str:
+    """Render one expression; a runtime object prints as ``obj(C, args)``."""
     out, todo = [], [e]
     push = todo.append
     while todo:  # in pre-order: a string is output, a node pushes its pieces last first
@@ -107,8 +107,6 @@ def pretty_expr(e: Expr, *, runtime: bool = False) -> str:
         elif cls is If:
             todo += (x.els, " else ", x.then, ") ", x.cond, "if (")
         elif cls is Obj:
-            if not runtime:
-                raise ValueError("runtime object is not printable source")
             push(")")
             for a in reversed(x.args):
                 todo += (a, ", ")
@@ -163,5 +161,5 @@ def pretty_def(d: Def) -> str:
 
 
 def pretty(program: Program) -> str:
-    """Render a whole program; rejects programs containing runtime objects."""
+    """Render a whole program; one that holds a runtime object prints to text ``parse`` rejects."""
     return "\n".join([*map(pretty_def, program.defs), pretty_expr(program.main)]) + "\n"

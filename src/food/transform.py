@@ -188,9 +188,8 @@ def _check_args(call: Expr, args: tuple[Expr, ...], kids: list, params: tuple[Ty
 
 
 def _printing(prefix: str, e: Expr, suffix: str):
-    """The error ``prefix``, ``e`` printed, ``suffix``, built only when it is raised.
-    Evaluation states hold runtime objects, so ``e`` prints in runtime form."""
-    return lambda: _err(prefix + pretty_expr(e, runtime=True) + suffix)
+    """The error ``prefix``, ``e`` printed, ``suffix``, built only when it is raised."""
+    return lambda: _err(prefix + pretty_expr(e) + suffix)
 
 
 def _translated(e: Expr, env: TypeEnv, names: list[str], kept: set[str]) -> Expr:

@@ -1,10 +1,11 @@
 """The recursive printer, typer and node repr, kept as test-only references.
 
 ``pretty_expr`` (with ``_level`` and ``_expr``) and ``transform_expr`` (with
-``_expect`` and ``_check_args``) are verbatim copies of the code ``food`` used
-before both became rules over ``food.syntax.fold``; ``node_repr`` gives the
-text of the ``repr`` node classes shared before it took an explicit stack,
-and ``node_hash`` the value of their recursive ``hash``.
+``_expect`` and ``_check_args``) are copies of the code ``food`` used before
+both became rules over ``food.syntax.fold``, the printer without the option
+that made it reject runtime objects, which it prints as ``obj(C, args)``;
+``node_repr`` gives the text of the ``repr`` node classes shared before it
+took an explicit stack, and ``node_hash`` the value of their recursive ``hash``.
 All take one Python frame per nesting level, so they raise ``RecursionError``
 a few hundred levels deep.
 Each raises its error where it meets it, so tests can check that the fold's
@@ -82,19 +83,19 @@ def _level(e: Expr) -> int:
             return _POSTFIX
 
 
-def pretty_expr(e: Expr, min_prec: int = 0, *, runtime: bool = False) -> str:
-    """Render one expression; with ``runtime`` set, objects print as obj(...)."""
-    text = _expr(e, runtime)
+def pretty_expr(e: Expr, min_prec: int = 0) -> str:
+    """Render one expression; a runtime object prints as obj(...)."""
+    text = _expr(e)
     if _level(e) < min_prec:
         return "(" + text + ")"
     return text
 
 
-def _args(args: tuple[Expr, ...], runtime: bool) -> str:
-    return "(" + ", ".join(pretty_expr(a, runtime=runtime) for a in args) + ")"
+def _args(args: tuple[Expr, ...]) -> str:
+    return "(" + ", ".join(map(pretty_expr, args)) + ")"
 
 
-def _expr(e: Expr, runtime: bool) -> str:
+def _expr(e: Expr) -> str:
     match e:
         case Var(name):
             return name
@@ -103,34 +104,21 @@ def _expr(e: Expr, runtime: bool) -> str:
         case BoolLit(v):
             return "true" if v else "false"
         case Sel(recv, name, args):
-            return pretty_expr(recv, _POSTFIX, runtime=runtime) + "." + name + _args(args, runtime)
+            return pretty_expr(recv, _POSTFIX) + "." + name + _args(args)
         case App(name, recv, args):
-            head = name + "(" + pretty_expr(recv, runtime=runtime) + ")"
-            return head + (_args(args, runtime) if args else "")
+            head = name + "(" + pretty_expr(recv) + ")"
+            return head + (_args(args) if args else "")
         case CtrCall(name, args):
-            return name + _args(args, runtime)
+            return name + _args(args)
         case New(name, args):
-            return "new " + name + _args(args, runtime)
+            return "new " + name + _args(args)
         case Obj(name, args):
-            if not runtime:
-                raise ValueError("runtime object is not printable source")
-            return "obj(" + ", ".join([name] + [pretty_expr(a, runtime=True) for a in args]) + ")"
+            return "obj(" + ", ".join([name, *map(pretty_expr, args)]) + ")"
         case PrimOp(op, lhs, rhs):
             prec = _PREC[op]
-            return (
-                pretty_expr(lhs, prec, runtime=runtime)
-                + f" {op} "
-                + pretty_expr(rhs, prec + 1, runtime=runtime)
-            )
+            return pretty_expr(lhs, prec) + f" {op} " + pretty_expr(rhs, prec + 1)
         case If(cond, then, els):
-            return (
-                "if ("
-                + pretty_expr(cond, runtime=runtime)
-                + ") "
-                + pretty_expr(then, runtime=runtime)
-                + " else "
-                + pretty_expr(els, runtime=runtime)
-            )
+            return "if (" + pretty_expr(cond) + ") " + pretty_expr(then) + " else " + pretty_expr(els)
     raise ValueError(f"unknown expression: {e!r}")
 
 
@@ -166,7 +154,7 @@ def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
             els2, t2 = transform_expr(els, ctx, env)
             if t1 is not t2 and t1 != t2:
                 raise _err(
-                    f"branches of {pretty_expr(e, runtime=True)} have different types "
+                    f"branches of {pretty_expr(e)} have different types "
                     f"{pretty_type(t1)} and {pretty_type(t2)}"
                 )
             return If(cond2, then2, els2), t1
@@ -219,7 +207,7 @@ def _expect(e: Expr, want: Type, ctx: GlobalCtx, env: TypeEnv) -> Expr:
     # before the dataclass __eq__ is called
     if got is not want and got != want:
         raise _err(
-            f"{pretty_expr(e, runtime=True)} has type {pretty_type(got)}, expected {pretty_type(want)}"
+            f"{pretty_expr(e)} has type {pretty_type(got)}, expected {pretty_type(want)}"
         )
     return e2
 
@@ -229,6 +217,6 @@ def _check_args(
 ) -> tuple[Expr, ...]:
     if len(args) != len(params):
         raise _err(
-            f"{pretty_expr(call, runtime=True)} takes {len(params)} argument(s), got {len(args)}"
+            f"{pretty_expr(call)} takes {len(params)} argument(s), got {len(args)}"
         )
     return tuple(_expect(a, p, ctx, env) for a, p in zip(args, params))

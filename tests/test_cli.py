@@ -433,6 +433,17 @@ def test_fuzz_summary_counts_failures_by_property(capsys, monkeypatch):
     assert summary["failures_by_prop"] == dict(by_prop) and by_prop["wf-preservation"] > 0
 
 
+def test_fuzz_help_states_every_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # help lines wrap with the terminal's width
+    args = cli._build_parser().parse_args(["fuzz"])
+    assert (args.trials, args.seed, args.diverge_prob) == (100, 0, 0.01)
+    for default in (args.trials, args.seed, args.diverge_prob, f"FOOD_FUEL or {interp.DEFAULT_FUEL}"):
+        assert f"(default: {default})" in text, default
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -580,6 +580,48 @@ def test_skip_identity_fires_when_the_empty_selection_changes_the_program(monkey
     )
 
 
+# a runtime object with no arguments, and one whose printed text has a ","
+PLANTED_OBJECTS = (Obj("Planted", ()), Obj("Planted", (IntLit(1),)))
+
+
+def planted(p, kind, obj):
+    """p with obj in place of its main expression, or of its first body of one kind; None when p has none."""
+    if kind == "main":
+        return Program(p.defs, obj)
+    for i, d in enumerate(p.defs):
+        if kind == "clause" and type(d) is Consumer and d.clauses:
+            d = replace(d, clauses=(replace(d.clauses[0], body=obj), *d.clauses[1:]))
+        elif kind == "method" and type(d) is Generator and d.funs:
+            d = replace(d, funs=(replace(d.funs[0], body=obj), *d.funs[1:]))
+        elif kind == "default" and type(d) is Interface and any(m.body is not None for m in d.dtrs):
+            j = next(j for j, m in enumerate(d.dtrs) if m.body is not None)
+            d = replace(d, dtrs=(*d.dtrs[:j], replace(d.dtrs[j], body=obj), *d.dtrs[j + 1 :]))
+        else:
+            continue
+        return Program(p.defs[:i] + (d,) + p.defs[i + 1 :], p.main)
+    return None
+
+
+def test_a_runtime_object_in_the_transformed_program_is_reported_not_raised():
+    # check alone rejects a runtime object in source, and the printer prints
+    # it as text that parse rejects: wherever the object sits, the battery
+    # reports a wf-preservation and a parse-pretty, and raises nothing
+    kinds = Counter()
+    for name in sorted(GOLDEN_SELECTIONS):
+        program = load(name)
+        target = transform(program).program
+        for kind in ("main", "clause", "method", "default"):
+            if planted(target, kind, PLANTED_OBJECTS[0]) is None:
+                continue
+            kinds[kind] += 1
+            for obj in PLANTED_OBJECTS:
+                fails = check_properties(program, None, 100_000, lambda p: planted(p, kind, obj))
+                assert "parse-pretty" in {f.prop for f in fails}, (name, kind, obj)
+                wf = [f.detail for f in fails if f.prop == "wf-preservation"]
+                assert any(d.endswith("runtime object in source program") for d in wf), (name, kind, obj)
+    assert set(kinds) == {"main", "clause", "method", "default"}, kinds
+
+
 def test_a_free_receiver_is_a_wf_preservation():
     # check owns the receiver scoping rule: a free 'self' or 'this' in the
     # transformed program is its unbound variable, a wf-preservation, and no

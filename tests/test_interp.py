@@ -388,9 +388,9 @@ def test_semantics_preserved_across_transformation():
 
 
 def test_format_value():
-    assert pretty_expr(IntV(-3), runtime=True) == "-3"
-    assert pretty_expr(BoolV(True), runtime=True) == "true"
-    assert pretty_expr(ObjV("Insert", (ObjV("Empty", ()), IntV(3))), runtime=True) == "obj(Insert, obj(Empty), 3)"
+    assert pretty_expr(IntV(-3)) == "-3"
+    assert pretty_expr(BoolV(True)) == "true"
+    assert pretty_expr(ObjV("Insert", (ObjV("Empty", ()), IntV(3)))) == "obj(Insert, obj(Empty), 3)"
 
 
 def test_done_carries_the_final_state():

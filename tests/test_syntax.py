@@ -13,6 +13,7 @@ from reference_recursive import node_hash, node_repr
 from test_hostile_input import NESTINGS, nest
 
 from food import (
+    ParseError,
     TransformError,
     canonicalize,
     check,
@@ -191,10 +192,15 @@ def test_pretty_minimal_program():
     assert pretty(Program((), Var("x"))) == "x\n"
 
 
-def test_pretty_rejects_runtime_objects():
-    with pytest.raises(ValueError):
-        pretty(Program((), Obj("Empty", ())))
-    assert pretty_expr(Obj("Empty", ()), runtime=True) == "obj(Empty)"
+def test_pretty_prints_runtime_objects_that_parse_rejects():
+    # check alone rejects a runtime object in source; the printer prints it,
+    # and the text does not parse: obj(C) stops at its ")", obj(C, 1) at its ","
+    text = pretty(Program((), Obj("Empty", ())))
+    assert text == "obj(Empty)\n"
+    assert pretty_expr(Obj("Empty", ())) == "obj(Empty)"
+    for source in (text, pretty(Program((), Obj("C", (IntLit(1),))))):
+        with pytest.raises(ParseError):
+            parse(source)
 
 
 def test_parse_pretty_fixpoint_on_fuzzed_programs():
@@ -367,7 +373,7 @@ def test_traversals_do_not_recurse_on_deep_expressions():
     minus_one = rewrite_first(e, lambda x: IntLit(-1) if x == Var("x") else None)
     assert not _nodes(minus_one, (Var,)) and _nodes(minus_one, (Obj,))
     assert fold(e, lambda x, kids: 1 + sum(kids)) == sum(1 for _ in walk(e))
-    assert pretty_expr(e, runtime=True).count("obj(Z)") == 1
+    assert pretty_expr(e).count("obj(Z)") == 1
     # the printer, the typer and the checker take every nesting form at any depth
     ctx = preprocess(Program(DEEP_DEFS, IntLit(0)))
     for form, (source, tree) in NESTINGS.items():
@@ -385,7 +391,7 @@ def test_traversals_do_not_recurse_on_deep_expressions():
         diagnostics = check(Program(DEEP_DEFS, e), ctx)
         assert [d.message for d in diagnostics] == ([] if isinstance(typing, Type) else [typing]), form
     value = nest(100_000, lambda v: Obj("S", (IntLit(1), v)), Obj("Z", ()))
-    assert pretty_expr(value, runtime=True) == "obj(S, 1, " * 100_000 + "obj(Z)" + ")" * 100_000
+    assert pretty_expr(value) == "obj(S, 1, " * 100_000 + "obj(Z)" + ")" * 100_000
 
 
 def test_subst_takes_any_depth():
@@ -393,7 +399,7 @@ def test_subst_takes_any_depth():
     e = deep(100_000)
     out = subst(e, {"x": IntLit(7), "y": BoolLit(True)})
     assert not _nodes(out, (Var,)) and sum(1 for _ in walk(out)) == sum(1 for _ in walk(e))
-    assert pretty_expr(out, runtime=True) == pretty_expr(e, runtime=True).replace("x", "7")
+    assert pretty_expr(out) == pretty_expr(e).replace("x", "7")
     assert subst(e, {}) is e
     # a runtime object holds values only, and is kept as it is
     obj = Obj("C", (Var("x"),))
