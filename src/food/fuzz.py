@@ -43,6 +43,7 @@ from .syntax import (
     Named,
     New,
     Obj,
+    OPERATORS,
     Param,
     Pattern,
     PrimOp,
@@ -64,6 +65,8 @@ from .wellformed import check
 _MAX_FIELD_ARITY = 2
 _RECURSION_BIAS = 0.6  # probability a body recurses on a field
 _OVERLOAD_PROB = 0.2  # probability an op reuses a name from another type
+# the operators of each result type, in table order
+_OPS = {t: [op for op, (_, _, result) in OPERATORS.items() if result == t] for t in (INT, BOOL)}
 
 
 @node
@@ -269,12 +272,9 @@ class _Gen:
                 self.expr(target, env, depth - 1),
                 self.expr(target, env, depth - 1),
             )
-        if choice == "branch" and target == INT:
-            op = rng.choice(["+", "-", "*"])
-            return PrimOp(op, self.expr(INT, env, depth - 1), self.expr(INT, env, depth - 1))
-        if choice == "branch" and target == BOOL:
-            op = rng.choice(["&&", "||", "==", "<=", "<"])
-            operand = INT if op in ("==", "<=", "<") else BOOL
+        if choice == "branch" and (target == INT or target == BOOL):
+            op = rng.choice(_OPS[target])
+            operand = OPERATORS[op][1]
             return PrimOp(op, self.expr(operand, env, depth - 1), self.expr(operand, env, depth - 1))
         # leaves (and Named-type branches, which are constructions)
         if target == INT:
@@ -306,7 +306,7 @@ class _Gen:
             target, first = INT, IntLit(rng.randrange(10))
         if rng.random() < 0.5:
             second = self.main_call(target) or self.expr(target, [], 1)
-            op = rng.choice(["+", "-"]) if target == INT else rng.choice(["&&", "||"])
+            op = rng.choice(_OPS[target][:2])  # + or -, && or ||
             return PrimOp(op, first, second)
         return first
 

@@ -1,10 +1,11 @@
 """Pretty-printing of FOOD programs back to concrete syntax.
 
 ``parse(pretty(p))`` is structurally equal to ``p`` for every program that
-``wellformed.check`` accepts, which alone rejects runtime objects and reads
-every declared name as the parser does.  Every expression prints, at any depth,
-a runtime object as ``obj(C, args)``, which ``parse`` rejects, in one pre-order
-pass over nodes and text; a binary operation places its operands, in parentheses
+``wellformed.check`` accepts, which alone rejects runtime objects and operators
+outside ``syntax.OPERATORS`` and reads every declared name as the parser does.
+Every expression prints, at any depth, a runtime object as ``obj(C, args)`` and
+any operator with its own text, which ``parse`` rejects, in one pre-order pass
+over nodes and text; a binary operation places its operands, in parentheses
 where their level is below their place's, inline, with operator text from a table.
 """
 
@@ -77,15 +78,15 @@ def pretty_expr(e: Expr) -> str:
             out.append(str(x.value))
         elif cls is PrimOp:  # an operand is parenthesized when its level is below its place's
             op = x.op
-            prec = PREC[op]
+            prec = PREC.get(op, _IF)  # an operator outside the table: the loosest level, and its own text
             kid = x.rhs
             kind = type(kid)
-            level = PREC[kid.op] if kind is PrimOp else _IF if kind is If else _POSTFIX
+            level = PREC.get(kid.op, _IF) if kind is PrimOp else _IF if kind is If else _POSTFIX
             todo += (")", kid, "(") if level <= prec else (kid,)
-            push(_SPACED[op])
+            push(_SPACED.get(op) or f" {op} ")
             kid = x.lhs
             kind = type(kid)
-            level = PREC[kid.op] if kind is PrimOp else _IF if kind is If else _POSTFIX
+            level = PREC.get(kid.op, _IF) if kind is PrimOp else _IF if kind is If else _POSTFIX
             todo += (")", kid, "(") if level < prec else (kid,)
         elif cls is Sel:
             _args(todo, x.args)
@@ -161,5 +162,5 @@ def pretty_def(d: Def) -> str:
 
 
 def pretty(program: Program) -> str:
-    """Render a whole program; one that holds a runtime object prints to text ``parse`` rejects."""
+    """Render a whole program; a runtime object or an unknown operator prints as text ``parse`` rejects."""
     return "\n".join([*map(pretty_def, program.defs), pretty_expr(program.main)]) + "\n"

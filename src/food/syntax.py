@@ -304,16 +304,22 @@ class BoolLit(Expr):
 
 @node
 class PrimOp(Expr):
-    """A binary operator ``lhs op rhs``; ``op`` is a key of ``PREC``."""
+    """A binary operator ``lhs op rhs``; ``check`` rejects an ``op`` that is no key of ``OPERATORS``."""
 
     op: str
     lhs: Expr
     rhs: Expr
 
 
-# Binding strength of the binary operators, for the parser and the printer;
-# every level is left-associative.
-PREC = {"||": 1, "&&": 2, "==": 3, "<=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
+# The binary operators, each with its binding strength (every level is
+# left-associative), its operand type and its result type: the parser and the
+# printer read the strengths, ``PREC``, and the typer and the generator the types.
+OPERATORS = {
+    "+": (4, INT, INT), "-": (4, INT, INT), "*": (5, INT, INT),
+    "&&": (2, BOOL, BOOL), "||": (1, BOOL, BOOL),
+    "==": (3, INT, BOOL), "<=": (3, INT, BOOL), "<": (3, INT, BOOL),
+}
+PREC = {op: prec for op, (prec, _, _) in OPERATORS.items()}
 
 
 @node

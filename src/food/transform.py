@@ -58,6 +58,7 @@ from .syntax import (
     Named,
     New,
     Obj,
+    OPERATORS,
     Param,
     Pattern,
     PrimOp,
@@ -72,10 +73,6 @@ from .syntax import (
     node,
     rebuild,
 )
-
-_ARITH = {"+", "-", "*"}
-_CMP = {"==", "<=", "<"}
-
 
 # a program's typing: each member body with its environment and call types, and the main expression's type
 Typing = tuple[list[tuple[Expr, TypeEnv, list[str]]], Type]
@@ -145,9 +142,11 @@ def _typing(ctx: GlobalCtx, env: TypeEnv, names: list[str], e: Expr, kids: list)
             return partial(_err, f"{c} is not a {'class' if oo else 'constructor'}")
         flips_by = sig.ret.name
     elif cls is PrimOp:
-        op = e.op
-        want = INT if op in _ARITH or op in _CMP else BOOL
-        return _expect(e.lhs, kids[0], want) or _expect(e.rhs, kids[1], want) or (INT if op in _ARITH else BOOL)
+        sig = OPERATORS.get(e.op)
+        if sig is None:
+            return partial(_err, f"unknown operator {e.op!r}")
+        _, want, result = sig
+        return _expect(e.lhs, kids[0], want) or _expect(e.rhs, kids[1], want) or result
     elif cls is If:
         if failed := _expect(e.cond, kids[0], BOOL) or _expect(e.then, kids[1]) or _expect(e.els, kids[2]):
             return failed

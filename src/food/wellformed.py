@@ -7,14 +7,15 @@ function type in signatures, reserved, duplicate and shadowing binders
 (disjointness keeps the evaluation substitutions well defined), exact
 interface implementation, non-overlapping clauses that name constructors of
 their datatype with any wildcard clause last, the pattern/field naming
-restriction, exhaustiveness, integer literals in 0..2**63 - 1 (what the parser
-reads) and no runtime objects; coverage is read off the matrix that
-``context.matrix`` builds.  Only when those hold does the typing pass
-(``transform.type_program``) run, reporting scoping, call kind, member names
-and arity, so a clean check guarantees the transformation cannot fail, and
-keeping a passing typing on the context for a later ``transform``.  Every
-diagnostic of a definition sits at that definition, whose position ``run``
-sets once; the main expression's have none.
+restriction, exhaustiveness, integer literals whose value is an int in
+0..2**63 - 1 (what the parser reads) and no runtime objects; coverage is read
+off the matrix that ``context.matrix`` builds.  Only when those hold does the
+typing pass (``transform.type_program``) run, reporting scoping, operators
+outside ``syntax.OPERATORS``, call kind, member names and arity, so a clean
+check guarantees the transformation cannot fail, and keeping a passing typing
+on the context for a later ``transform``.  Every diagnostic of a definition
+sits at that definition, whose position ``run`` sets once; the main
+expression's have none.
 """
 
 from __future__ import annotations
@@ -127,8 +128,11 @@ class _Checker:
         found = _nodes(e, (Obj, IntLit))  # one scan for both rules
         if Obj in map(type, found):
             self.report("runtime object in source program")
-        for n in (x.value for x in found if type(x) is IntLit and not 0 <= x.value <= INT64_MAX):
-            self.report(f"integer literal {n} is outside 0..{INT64_MAX}")
+        for n in (x.value for x in found if type(x) is IntLit):
+            if type(n) is not int:  # a bool or a float prints as text the parser does not read
+                self.report(f"integer literal value {n!r} is not an int")
+            elif not 0 <= n <= INT64_MAX:
+                self.report(f"integer literal {n} is outside 0..{INT64_MAX}")
 
     # -- definitions
 

@@ -25,6 +25,7 @@ from food.syntax import (
     BoolLit,
     Consumer,
     Datatype,
+    FALSE,
     Generator,
     IntLit,
     Interface,
@@ -32,6 +33,7 @@ from food.syntax import (
     PrimOp,
     Program,
     Sel,
+    TRUE,
     Var,
 )
 
@@ -602,24 +604,36 @@ def planted(p, kind, obj):
     return None
 
 
-def test_a_runtime_object_in_the_transformed_program_is_reported_not_raised():
-    # check alone rejects a runtime object in source, and the printer prints
-    # it as text that parse rejects: wherever the object sits, the battery
-    # reports a wf-preservation and a parse-pretty, and raises nothing
+def reported_wherever_planted(nodes, message):
+    """Plant each of nodes in the main expression, and in each kind of member body, of
+    every corpus file's transformed program: the battery raises nothing, and reports
+    a parse-pretty and a wf-preservation that ends in message."""
     kinds = Counter()
     for name in sorted(GOLDEN_SELECTIONS):
         program = load(name)
         target = transform(program).program
         for kind in ("main", "clause", "method", "default"):
-            if planted(target, kind, PLANTED_OBJECTS[0]) is None:
+            if planted(target, kind, nodes[0]) is None:
                 continue
             kinds[kind] += 1
-            for obj in PLANTED_OBJECTS:
-                fails = check_properties(program, None, 100_000, lambda p: planted(p, kind, obj))
-                assert "parse-pretty" in {f.prop for f in fails}, (name, kind, obj)
+            for e in nodes:
+                fails = check_properties(program, None, 100_000, lambda p: planted(p, kind, e))
+                assert "parse-pretty" in {f.prop for f in fails}, (name, kind, e)
                 wf = [f.detail for f in fails if f.prop == "wf-preservation"]
-                assert any(d.endswith("runtime object in source program") for d in wf), (name, kind, obj)
+                assert any(d.endswith(message) for d in wf), (name, kind, e)
     assert set(kinds) == {"main", "clause", "method", "default"}, kinds
+
+
+def test_a_runtime_object_in_the_transformed_program_is_reported_not_raised():
+    # check alone rejects a runtime object in source, and the printer prints
+    # it as text that parse rejects
+    reported_wherever_planted(PLANTED_OBJECTS, "runtime object in source program")
+
+
+def test_an_unknown_operator_in_the_transformed_program_is_reported_not_raised():
+    # the typer rejects an operator outside syntax.OPERATORS, and the printer
+    # prints it with its own text, which parse rejects
+    reported_wherever_planted((PrimOp("%", IntLit(1), IntLit(2)), PrimOp("%", TRUE, FALSE)), "unknown operator '%'")
 
 
 def test_a_free_receiver_is_a_wf_preservation():

@@ -36,6 +36,7 @@ from food.interp import DEFAULT_FUEL, Stepped, run, states
 from food.pretty import pretty_expr
 from food.syntax import (
     App,
+    BOOL,
     BoolLit,
     Clause,
     Constructor,
@@ -44,10 +45,12 @@ from food.syntax import (
     FALSE,
     Generator,
     If,
+    INT,
     IntLit,
     Interface,
     New,
     Obj,
+    OPERATORS,
     PrimOp,
     Program,
     Sel,
@@ -290,6 +293,21 @@ def test_arithmetic_and_comparisons_agree_with_the_reference_at_the_64_bit_edges
             assert eval_program(Program((), e), 1, ctx) == want[-1], (op, a, b)
     for op, a, b in (("+", 2**63 - 1, 1), ("*", -(2**63), -1)):
         assert eval_program(Program((), PrimOp(op, IntLit(a), IntLit(b)))) == Done(IntV(-(2**63)))
+
+
+def test_the_machine_contracts_exactly_the_operators_of_the_table():
+    # _contract is the one home of the rules: every operator of syntax.OPERATORS
+    # has one, which takes literals of its operand type to a literal of its
+    # result type, and any other operator gets stuck
+    ctx = preprocess(Program((), IntLit(0)))
+    literals = {INT: (IntLit(7), IntLit(3)), BOOL: (TRUE, FALSE)}
+    for op, (_, operand, result) in OPERATORS.items():
+        e = PrimOp(op, *literals[operand])
+        for out in (eval_program(Program((), e), ctx=ctx), deque(states(e, ctx, DEFAULT_FUEL), 1)[0]):
+            assert type(out) is Done and type(out.value) is type(literals[result][0]), (op, out)
+    e = PrimOp("%", IntLit(1), IntLit(2))
+    for out in (eval_program(Program((), e), ctx=ctx), deque(states(e, ctx, DEFAULT_FUEL), 1)[0]):
+        assert out == Stuck("unknown operator '%'", e)
 
 
 def test_the_parser_and_the_machine_share_their_literal_nodes():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from conftest import GOLDEN_SELECTIONS, generated, load
 
-from food import ParseError, Stuck, canonicalize, check, eval_program, parse, preprocess, transform
+from food import ParseError, Stuck, TransformError, canonicalize, check, eval_program, parse, preprocess, transform
 from food.fuzz import GenConfig
 from food.pretty import pretty, pretty_expr
 from food.syntax import (
@@ -20,6 +20,7 @@ from food.syntax import (
     CtrCall,
     Datatype,
     Dtr,
+    FALSE,
     Generator,
     Interface,
     IntLit,
@@ -31,6 +32,7 @@ from food.syntax import (
     PrimOp,
     Program,
     Sel,
+    TRUE,
     Var,
 )
 
@@ -186,14 +188,44 @@ def test_literals_the_parser_cannot_read_are_rejected(n):
     assert [d.render() for d in check(p, preprocess(p))] == [f"integer literal {n} is outside 0..9223372036854775807"]
 
 
-def test_a_negative_literal_in_a_method_is_rejected_at_its_definition():
-    p = load("sets_oop")
+def planted_in_a_method(p: Program, body) -> tuple[Program, tuple[int, int]]:
+    """p with body in place of its first class method's, and that class's position."""
     gen = next(d for d in p.defs if isinstance(d, Generator) and d.funs)
-    fun = replace(gen.funs[0], body=PrimOp("+", IntLit(1), IntLit(-1)))
-    broken = replace(gen, funs=(fun,) + gen.funs[1:])
-    q = Program(tuple(broken if d is gen else d for d in p.defs), p.main)
+    broken = replace(gen, funs=(replace(gen.funs[0], body=body),) + gen.funs[1:])
+    return Program(tuple(broken if d is gen else d for d in p.defs), p.main), gen.pos
+
+
+def test_a_negative_literal_in_a_method_is_rejected_at_its_definition():
+    q, pos = planted_in_a_method(load("sets_oop"), PrimOp("+", IntLit(1), IntLit(-1)))
     diags = [(d.message, d.line, d.column) for d in check(q, preprocess(q))]
-    assert diags == [("integer literal -1 is outside 0..9223372036854775807", *gen.pos)]
+    assert diags == [("integer literal -1 is outside 0..9223372036854775807", *pos)]
+
+
+@pytest.mark.parametrize("value", ["3", 1.5, True])
+def test_a_literal_whose_value_is_not_an_int_is_rejected(value):
+    # a str fails the range test with a TypeError, and a float or a bool
+    # passes it but prints as text that the parser does not read back
+    message = f"integer literal value {value!r} is not an int"
+    p = Program((), IntLit(value))
+    assert [(d.message, d.line, d.column) for d in check(p, preprocess(p))] == [(message, 0, 0)]
+    q, pos = planted_in_a_method(load("sets_oop"), PrimOp("+", IntLit(1), IntLit(value)))
+    assert [(d.message, d.line, d.column) for d in check(q, preprocess(q))] == [(message, *pos)]
+
+
+@pytest.mark.parametrize("lhs, rhs", [(TRUE, FALSE), (IntLit(1), IntLit(2))])
+def test_an_operator_outside_the_table_is_rejected_and_prints_as_text_parse_rejects(lhs, rhs):
+    # syntax.OPERATORS is the one table of the operators: the typer reports
+    # any other before its operands, and the printer prints it as it is
+    p = Program((), PrimOp("%", lhs, rhs))
+    assert [(d.message, d.line, d.column) for d in check(p, preprocess(p))] == [("unknown operator '%'", 0, 0)]
+    text = pretty(p)
+    with pytest.raises(ParseError, match=f"^1:{text.index('%') + 1}: unexpected character '%'$"):
+        parse(text)
+    q, pos = planted_in_a_method(load("sets_oop"), PrimOp("%", lhs, rhs))
+    assert [(d.message, d.line, d.column) for d in check(q, preprocess(q))] == [("unknown operator '%'", *pos)]
+    with pytest.raises(TransformError) as raised:
+        transform(q)
+    assert [(d.message, d.line, d.column) for d in raised.value.diagnostics] == [("unknown operator '%'", *pos)]
 
 
 def test_the_largest_literal_is_well_formed_and_round_trips():
