@@ -57,6 +57,7 @@ from .syntax import (
     KEYWORDS,
     Named,
     New,
+    OPERATORS,
     Param,
     Pattern,
     PREC,
@@ -74,7 +75,7 @@ from .syntax import (
 
 DEF_KEYWORDS = {"data", "interface", "case", "class", "def"}
 
-_SYMBOLS = ["=>", "==", "<=", "&&", "||", "(", ")", "{", "}", ":", ",", ";", ".", "=", "<", "+", "-", "*", "_"]
+_SYMBOLS = ["=>", "(", ")", "{", "}", ":", ",", ";", ".", "=", "_", *OPERATORS]
 
 # re.split on its one group gives the gaps (whitespace, comments being
 # blanked before the split) and token texts in turn.  The alternatives are

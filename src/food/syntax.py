@@ -7,14 +7,14 @@ node's exact class, for speed; ``fold`` does too, and serves the typer, which
 gives it one rule per form.
 
 All nodes are immutable; ``==`` is structural equality at any depth, which
-ignores the (non-compared) source positions of definitions, and ``hash`` and
-``repr`` take any depth too.  So every layer shares the value nodes defined
-here, built once at import: ``TRUE``, ``FALSE`` and ``SMALL_INTS``, the
-integers -5..256; the parser reads ``true``, ``false`` and 0..256 as them,
-and the machine computes them.  The names the parser reads are defined here
-too, for the parser and the checker: ``KEYWORDS``, the reserved type names
-``RESERVED_TYPES``, and an identifier's text, ``IDENT``, which
-``is_identifier`` tests.
+ignores the (non-compared) source positions of definitions; ``hash``, the hash
+of one flat tuple of a node's structure, and ``repr`` take any depth too.  So
+every layer shares the value nodes defined here, built once at import:
+``TRUE``, ``FALSE`` and ``SMALL_INTS``, the integers -5..256; the parser reads
+``true``, ``false`` and 0..256 as them, and the machine computes them.  The
+names the parser reads are defined here too, for the parser and the checker:
+``KEYWORDS``, the reserved type names ``RESERVED_TYPES``, and an identifier's
+text, ``IDENT``, which ``is_identifier`` tests.
 
 Every layer builds nodes: the parser and the transformation build programs,
 and each step of the machine that substitutes at calls builds a few (``subst``
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 from operator import attrgetter
-from sys import _getframe, hash_info
+from sys import _getframe
 
 _COMPARED: dict[type, tuple[str, ...]] = {}  # each node class's compared fields
 # each node class's repr head, "Name(", and its shown fields, each with the text before its value
@@ -50,7 +50,7 @@ def node(cls):
     Only the constructor is compiled per class; ``==``, ``hash``, ``repr`` and copying are written once, here,
     over the class's fields.  A field may have a plain default, such as ``pos=None``, but no default
     factory.  Only the outermost node compare of an ``==`` falls back to ``_deep_eq`` past the recursion limit;
-    ``hash`` is ``_hash`` and ``repr`` is ``_repr``, which take any depth.
+    ``hash`` is ``_hash``, CPython's ``hash`` of one flat tuple, and ``repr`` is ``_repr``; both take any depth.
     """
     cls = dataclass(init=False, repr=False, eq=False)(cls)  # records the fields; writes no method
     names, defaults = [], {}
@@ -122,42 +122,26 @@ def _deep_eq(a, b) -> bool:
     return True
 
 
-# CPython's tuple hash, the xxHash round per item of Objects/tupleobject.c, at the platform's hash width
-_WIDTH, _MASK = hash_info.width, (1 << hash_info.width) - 1
-if _WIDTH == 64:
-    _P1, _P2, _P5, _ROT = 11400714785074694791, 14029467366897019727, 2870177450012600261, 31
-else:
-    _P1, _P2, _P5, _ROT = 2654435761, 2246822519, 374761393, 13
-
-
 def _hash(top) -> int:
-    """``hash(top)`` on an explicit stack, equal to the recursive hash of the tuple of its compared fields.
+    """``hash(top)`` on an explicit stack: CPython's ``hash`` of one flat tuple of ``top``'s structure.
 
-    A node or a tuple is hashed as CPython hashes a tuple, over the compared fields of the node or the items of
-    the tuple; any other value takes its own ``hash``.  Each open tuple is (its items, the next one, the
-    running hash), and a finished item's unsigned hash is mixed into its parent's as one lane.
+    In pre-order, a node adds its class, then its compared fields; a tuple adds its length, then its items; any
+    other value adds itself.  Equal nodes have the same classes, lengths and equal leaves in the same places, so
+    they flatten to equal tuples and hash alike.
     """
-    stack = []
-    items, i, acc = [getattr(top, name) for name in _COMPARED[top.__class__]], 0, _P5
-    while True:
-        if i < len(items):
-            x = items[i]
-            i += 1
-            cls = x.__class__
-            if cls is tuple or cls in _COMPARED:
-                stack.append((items, i, acc))
-                items, i, acc = x if cls is tuple else [getattr(x, name) for name in _COMPARED[cls]], 0, _P5
-                continue
-            lane = hash(x) & _MASK
+    flat, todo = [], [top]
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is tuple:
+            flat.append(len(x))
+            todo += reversed(x)
+        elif cls in _COMPARED:
+            flat.append(cls)
+            todo += [getattr(x, name) for name in reversed(_COMPARED[cls])]
         else:
-            lane = (acc + (len(items) ^ _P5 ^ 3527539)) & _MASK
-            if lane == _MASK:  # a hash is never -1
-                lane = 1546275796
-            if not stack:
-                return lane - (1 << _WIDTH) if lane >> (_WIDTH - 1) else lane
-            items, i, acc = stack.pop()
-        acc = (acc + lane * _P2) & _MASK
-        acc = ((acc << _ROT | acc >> (_WIDTH - _ROT)) & _MASK) * _P1 & _MASK
+            flat.append(x)
+    return hash(tuple(flat))
 
 
 def _repr(top) -> str:

@@ -5,7 +5,7 @@
 both became rules over ``food.syntax.fold``, the printer without the option
 that made it reject runtime objects, which it prints as ``obj(C, args)``;
 ``node_repr`` gives the text of the ``repr`` node classes shared before it
-took an explicit stack, and ``node_hash`` the value of their recursive ``hash``.
+took an explicit stack.
 All take one Python frame per nesting level, so they raise ``RecursionError``
 a few hundred levels deep.
 Each raises its error where it meets it, so tests can check that the fold's
@@ -50,20 +50,6 @@ def node_repr(x) -> str:
         shown = ", ".join(f"{f.name}={node_repr(getattr(x, f.name))}" for f in dataclasses.fields(x) if f.repr)
         return f"{type(x).__qualname__}({shown})"
     return repr(x)
-
-
-def node_hash(x) -> int:
-    """The node ``hash`` that hashed the tuple of compared fields, each field by its own ``hash``, recursing."""
-    return hash(_compared(x))
-
-
-def _compared(x):
-    """x with every node replaced by the tuple of its compared fields, at every level."""
-    if type(x) is tuple:
-        return tuple(map(_compared, x))
-    if type(x) in _COMPARED:
-        return tuple(_compared(getattr(x, name)) for name in _COMPARED[type(x)])
-    return x
 
 
 # Precedence levels, loosest first.  A child is parenthesized whenever its

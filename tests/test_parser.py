@@ -24,6 +24,7 @@ from food.syntax import (
     IntLit,
     Interface,
     New,
+    OPERATORS,
     PrimOp,
     Sel,
     Var,
@@ -161,6 +162,13 @@ def test_operator_precedence_and_associativity():
         "&&", PrimOp("<=", PrimOp("+", IntLit(1), IntLit(2)), IntLit(3)), BoolLit(True)
     )
     assert parse("(1 + 2) * 3").main == PrimOp("*", PrimOp("+", IntLit(1), IntLit(2)), IntLit(3))
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_each_operator_lexes_glued_to_its_operands_as_one_token(op):
+    # the lexer reads its operator spellings from the operator table
+    for lhs, rhs, kind in (("a", "b", "ident"), ("1", "2", "int")):
+        assert _tokens(lhs + op + rhs) == ([kind, op, kind, "eof"], [lhs, op, rhs, ""], ["", "", "", ""])
 
 
 def test_if_expression_nests_and_parenthesizes():

@@ -45,6 +45,24 @@ def test_no_recursion_limit_or_stack_size_changes():
     assert found == []
 
 
+def test_node_hash_copies_no_tuple_hash():
+    # syntax._hash returns CPython's hash of one flat tuple; a Python copy of
+    # the tuple hash's round would need the platform's hash width, which only
+    # sys.hash_info gives
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name)
+        and node.id == "hash_info"
+        or isinstance(node, ast.Attribute)
+        and node.attr == "hash_info"
+        or isinstance(node, ast.alias)
+        and node.name == "hash_info"
+    ]
+    assert found == []
+
+
 def test_package_imports_nothing_from_the_tests():
     # the test oracles (reference_*) and the mutation harness (mutators) stay
     # test-only: no module of the package imports a module of tests/

@@ -9,7 +9,7 @@ import sys
 import pytest
 from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, generated, load, walk
 from mutators import rewrite_first
-from reference_recursive import node_hash, node_repr
+from reference_recursive import node_repr
 from test_hostile_input import NESTINGS, nest
 
 from food import (
@@ -30,7 +30,7 @@ from food import (
 )
 from food.context import GlobalCtx
 from food.diagnostics import Diagnostic
-from food.fuzz import FuzzReport, GenConfig, PropFail, TrialReport, _Binding, check_properties
+from food.fuzz import FuzzReport, GenConfig, PropFail, TrialReport, _Binding, check_properties, gen_program
 from food.interp import BoolV, Done, FuelExhausted, IntV, ObjV, Stepped, Stuck
 from food.pretty import pretty_def, pretty_expr, pretty_type
 from food.syntax import (
@@ -690,7 +690,7 @@ def test_node_runs_one_exec_per_class(monkeypatch):
 
     assert len([args for args in calls if isinstance(args[0], str) and args[0].startswith("def outer(")]) == 1
     a = Throwaway("x", (1, 2))
-    assert a == Throwaway("x") and hash(a) == hash(("x",)) and a.pos == (1, 2)
+    assert a == Throwaway("x") and hash(a) == hash(Throwaway("x")) and a.pos == (1, 2)
     assert repr(a) == f"{Throwaway.__qualname__}(name='x')"
 
 
@@ -716,11 +716,10 @@ def test_node_instances_have_no_dict(cls, args):
 def test_node_equality_and_hash_agree_across_constructions(cls, args):
     a, b = both_ways(cls, args)
     assert a is not b and a == b and a.__eq__(args) is NotImplemented
-    compared = tuple(getattr(a, f.name) for f in dataclasses.fields(cls) if f.compare)
     if cls is GlobalCtx:  # its maps are dicts, so it is unhashable, as a frozen dataclass is
         pytest.raises(TypeError, hash, a)
     else:
-        assert hash(a) == hash(b) == hash(compared)
+        assert hash(a) == hash(b)
     assert [getattr(a, x) for x in field_names(cls)] == [getattr(b, x) for x in field_names(cls)]
 
 
@@ -802,19 +801,23 @@ def test_node_repr_takes_any_depth():
         assert repr(FuelExhausted(e)) == f"FuelExhausted(last={want})", form
 
 
-def test_node_hash_is_the_recursive_hash_on_every_node():
-    programs = [load(name) for name in sorted(GOLDEN_SELECTIONS)]
-    programs += [transform(q, GOLDEN_SELECTIONS[name]).program for name, q in zip(sorted(GOLDEN_SELECTIONS), programs)]
-    programs += [generated(GenConfig(seed=seed)) for seed in range(500)]
-    checked = 0
-    for program in programs:
-        for x in every_node(program):
-            assert hash(x) == node_hash(x)
-            checked += 1
-    assert checked > 10_000
-    # and on every nesting form, as deep as the recursive hash reaches
-    for form, (_, tree) in NESTINGS.items():
-        assert hash(tree(300)) == node_hash(tree(300)), form
+def test_node_hash_agrees_with_equality_on_every_node():
+    # each program is built twice: equal nodes built apart hash alike, and no
+    # two unequal nodes share a hash
+    names = sorted(GOLDEN_SELECTIONS)
+
+    def programs():
+        loaded = [load(name) for name in names]
+        transformed = [transform(q, GOLDEN_SELECTIONS[name]).program for name, q in zip(names, loaded)]
+        return loaded + transformed + [gen_program(GenConfig(seed=seed)) for seed in range(500)]
+
+    trees = [(tree(300), tree(300)) for _, tree in NESTINGS.values()]
+    distinct = set()
+    for a, b in [*zip(programs(), programs()), *trees]:
+        for x, y in zip(every_node(a), every_node(b), strict=True):
+            assert x == y and hash(x) == hash(y), x
+            distinct.add(x)
+    assert len(distinct) > 10_000 and len({hash(x) for x in distinct}) == len(distinct)
 
 
 def at_stack_depth(depth, f):
