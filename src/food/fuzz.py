@@ -477,10 +477,10 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
                 )
         key = (size, depth, type(focus), getattr(focus, "name", None))
         if key == saved_key and plug(focus) == saved:
-            # the run has period lam from here on: go on to the state the fuel ends on
+            # the run has period lam from here on: go on to the state the fuel ends on, all of it spent
             for _ in range((fuel - i) % lam):
                 focus, _, _, plug = next(stream)
-            return FuelExhausted(plug(focus)), None
+            return FuelExhausted(plug(focus), fuel), None
         if lam == power:
             saved, saved_key = plug(focus), key
             power, lam = 2 * power, 0

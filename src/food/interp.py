@@ -2,12 +2,13 @@
 
 A step contracts the leftmost redex: receiver before arguments, arguments left
 to right.  Boolean operators short-circuit, consuming one step; integers wrap
-to 64 bits.  ``_contract`` holds every contraction rule, once, and keeps the
-common case cheap: an arithmetic result in int64 is not wrapped, and one in
--5..256 is one of the ``IntLit`` nodes ``syntax`` shares, which the parser
-reads too; every boolean it computes is ``syntax.TRUE`` or ``FALSE``; and a
-call binds its receiver, fields and parameters in one dict, built in place,
-with no loop over a cell that binds no fields or a member with no parameters.
+to 64 bits.  The machine writes every contraction rule once, in its loop, and
+keeps the common case cheap: an arithmetic result in int64 is not wrapped, and
+one in -5..256 is one of the ``IntLit`` nodes ``syntax`` shares, which the
+parser reads too; every boolean it computes is ``syntax.TRUE`` or ``FALSE``;
+and a call binds its receiver, fields and parameters in one dict, built in
+place, with no loop over a cell that binds no fields or a member with no
+parameters.
 
 The machine, ``_machine``, keeps the redex's context as a stack of frames,
 so no depth of term recurses.  A frame is a compound node, its environment,
@@ -45,15 +46,17 @@ two binding disciplines, one per entry point:
 The machine dispatches on each node's exact class, as ``children`` does,
 testing ``PrimOp``, the most frequent redex, first; and it reads each method
 body off its cell in the context's decomposition matrix (``context.matrix``).
-Values are expressions in value form (``IntLit``,
-``BoolLit`` and ``Obj``), and ``Done`` carries the final value itself.  The
-nodes the machine builds are ``@node`` classes, whose constructors write their
-slots directly (see ``syntax``).
+Values are expressions in value form (``IntLit``, ``BoolLit`` and ``Obj``),
+and ``Done`` carries the final value itself.  An outcome counts its steps, k,
+in a field that takes no part in ``==`` or ``repr``; ``states`` yields k + 1
+states before it.  The nodes the machine builds are ``@node`` classes, whose
+constructors write their slots directly (see ``syntax``).
 """
 
 from __future__ import annotations
 
 import operator
+from dataclasses import field
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence
@@ -103,24 +106,27 @@ class Stepped:
 
 @node
 class Done:
-    """Evaluation ended in a value."""
+    """Evaluation ended in a value; steps counts the steps taken."""
 
     value: Expr
+    steps: int = field(default=0, compare=False, repr=False)
 
 
 @node
 class Stuck:
-    """No rule applies: why, and the expression that is stuck."""
+    """No rule applies: why, and the expression that is stuck; steps counts the steps taken."""
 
     reason: str
     expr: Expr
+    steps: int = field(default=0, compare=False, repr=False)
 
 
 @node
 class FuelExhausted:
-    """The fuel ran out: the last state reached."""
+    """The fuel ran out: the last state reached; steps counts the steps taken, all the fuel."""
 
     last: Expr
+    steps: int = field(default=0, compare=False, repr=False)
 
 
 _VALUE_FORMS = frozenset((IntLit, BoolLit, Obj))
@@ -144,7 +150,13 @@ def csm_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str
 
 
 # ---------------------------------------------------------------------------
-# The contraction rules
+# The tables of the contraction rules, which ``_machine`` writes once, in its
+# loop: on the way to a value, calls and allocations cost more than the rules
+# (Ertl and Gregg, "The Structure and Performance of Efficient Interpreters",
+# JILP 5, 2003), so a redex is contracted with no call and no result to test.
+# The machine tests exact classes, most frequent first, as ``children`` does:
+# class patterns cost about a microsecond more per node, isinstance less.  An
+# operator is looked up in _ARITH before && and || are tested.
 
 
 def _wrap64(n: int) -> int:
@@ -153,85 +165,6 @@ def _wrap64(n: int) -> int:
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
-
-
-# The machine tests exact classes, most frequent first, as ``children`` does:
-# class patterns cost about a microsecond more per node, isinstance less.  On
-# the way to a value, helper calls and allocations cost more than the rules
-# (Ertl and Gregg, "The Structure and Performance of Efficient Interpreters",
-# JILP 5, 2003): so an operator is looked up in _ARITH before && and || are
-# tested, arithmetic returns a node of _SMALL for a result in -5..256 and
-# wraps only one outside int64, comparisons, && and || return _TRUE or
-# _FALSE, and a call checks arity and binds inline, skipping the field loop
-# of a cell that binds none and the parameter loop of a member with none.
-def _contract(e: Expr, vals: Sequence[Expr], ctx: GlobalCtx) -> Expr | tuple[Expr, dict[str, Expr] | None] | str:
-    """What the redex e contracts to, given the values of its slots.
-
-    vals starts with those values, in the order in which ``_machine``
-    evaluates the slots: the receiver and then the arguments, or the
-    operands, or the condition.  The answer is
-    a value; or (code, mapping), the body of a call and its bindings, or
-    (code, None), a subterm of e; or a str, why e is stuck.
-    """
-    cls = type(e)
-    if cls is PrimOp:
-        op, lhs = e.op, vals[0]
-        arith = _ARITH.get(op)
-        if arith is None and op in ("&&", "||"):
-            if type(lhs) is not BoolLit:
-                return f"{op} on a non-boolean"
-            if op == "&&":
-                return (e.rhs, None) if lhs.value else _FALSE
-            return _TRUE if lhs.value else (e.rhs, None)
-        rhs = vals[1]
-        if type(lhs) is not IntLit or type(rhs) is not IntLit:
-            return f"{op} on non-integers"
-        if arith is not None:
-            n = arith(lhs.value, rhs.value)
-            if -5 <= n <= 256:
-                return _SMALL[n + 5]
-            return IntLit(n if INT64_MIN <= n <= INT64_MAX else _wrap64(n))
-        compare = _COMPARE.get(op)
-        if compare is not None:
-            return _TRUE if compare(lhs.value, rhs.value) else _FALSE
-        return f"unknown operator {op!r}"
-    if cls is If:
-        if type(vals[0]) is not BoolLit:
-            return "condition of if is not a boolean"
-        return (e.then if vals[0].value else e.els), None
-    if cls is Sel or cls is App:
-        # one rule in the two decompositions: a destructor selected on an
-        # object, or a consumer applied to one
-        recv, f, oo = vals[0], e.name, cls is Sel
-        if type(recv) is not Obj:
-            call = f"selection of {f!r} on" if oo else f"consumer {f!r} applied to"
-            return f"{call} a non-object"
-        found = dtr_body(f, recv.name, ctx) if oo else csm_body(f, recv.name, ctx)
-        if found is None:
-            member = f"destructor {f!r} on" if oo else f"consumer {f!r} covers"
-            return f"no {member} {recv.name}"
-        bound, params, body = found
-        # defaults and wildcard clauses bind no fields, however many the object carries
-        if len(params) != len(vals) - 1 or (bound and len(bound) != len(recv.args)):
-            call = f"invoking {f!r} on" if oo else f"applying {f!r} to"
-            return f"arity mismatch {call} {recv.name}"
-        # the receiver, then its fields, then the parameters: a later binding wins
-        mapping = {THIS if oo else SELF: recv}
-        if bound:
-            for i, name in enumerate(bound):
-                mapping[name] = recv.args[i]
-        if params:
-            for i, name in enumerate(params, 1):
-                mapping[name] = vals[i]
-        return body, mapping
-    if cls is CtrCall or cls is New:
-        oo = cls is New
-        if not isinstance(ctx.defs.get(e.name), Generator if oo else Constructor):
-            return f"{e.name} is not a {'class' if oo else 'constructor'}"
-        return Obj(e.name, tuple(vals))
-    if cls is Var:
-        return f"unbound variable {e.name!r}"
-    return f"no rule applies to {type(e).__name__}"
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +207,12 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int, stream: bool = True) -> Iterato
     A state's redex is its top frame read back (``_read_back``), or the value
     at the end, and its plug is ``_plug_all`` over the frames, which change
     in place.  A redex is contracted, and may be stuck, before the fuel is
-    looked at.
+    looked at; each outcome counts the steps taken, the fuel spent.
     """
     frames: Frames = []
     env: dict[str, Expr] = {}
-    out = None
+    out = stuck = None  # a stuck reason ends the run, so it is set once
+    start = fuel
     plug = partial(_plug_all, frames)
     while True:
         # e in env: a compound term becomes the top frame, a value goes to the one popped
@@ -304,7 +238,8 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int, stream: bool = True) -> Iterato
             if v is None:
                 if stream:
                     yield e, out, len(frames), plug
-                yield Stuck(_contract(e, (), ctx), e)
+                stuck = f"unbound variable {e.name!r}" if cls is Var else f"no rule applies to {cls.__name__}"
+                yield Stuck(stuck, e, start - fuel)
                 return
             if type(v) not in _VALUE_FORMS:  # an unevaluated field of a hand-built object
                 e, env = v, {}
@@ -312,7 +247,7 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int, stream: bool = True) -> Iterato
             if not frames:
                 if stream:
                     yield v, out, 0, plug
-                yield Done(v)
+                yield Done(v, start - fuel)
                 return
             node, env, slots, vals = frames.pop()
             vals.append(v)
@@ -335,22 +270,78 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int, stream: bool = True) -> Iterato
                 break
             if stream:
                 yield _read_back(node, env, vals), out, len(frames), plug
-            out = _contract(node, vals, ctx)
-            if type(out) is str:
-                yield Stuck(out, _read_back(node, env, vals))
+            # the rules: the redex contracts to a value, out; or to code, a subterm
+            # or a call's body with its bindings, mapping; or it is stuck, and why
+            cls, code, mapping = type(node), None, None
+            if cls is PrimOp:
+                op, lhs = node.op, vals[0]
+                arith = _ARITH.get(op)
+                if arith is None and op in ("&&", "||"):
+                    if type(lhs) is not BoolLit:
+                        stuck = f"{op} on a non-boolean"
+                    elif (op == "&&") == bool(lhs.value):  # true && r and false || r go on with r
+                        code = node.rhs
+                    else:
+                        out = _FALSE if op == "&&" else _TRUE
+                elif type(lhs) is not IntLit or type(vals[1]) is not IntLit:
+                    stuck = f"{op} on non-integers"
+                elif arith is not None:
+                    n = arith(lhs.value, vals[1].value)
+                    out = _SMALL[n + 5] if -5 <= n <= 256 else IntLit(n if INT64_MIN <= n <= INT64_MAX else _wrap64(n))
+                elif (compare := _COMPARE.get(op)) is not None:
+                    out = _TRUE if compare(lhs.value, vals[1].value) else _FALSE
+                else:
+                    stuck = f"unknown operator {op!r}"
+            elif cls is If:
+                if type(vals[0]) is not BoolLit:
+                    stuck = "condition of if is not a boolean"
+                else:
+                    code = node.then if vals[0].value else node.els
+            elif cls is Sel or cls is App:
+                # one rule in the two decompositions: a destructor selected on an
+                # object, or a consumer applied to one
+                recv, f, oo = vals[0], node.name, cls is Sel
+                if type(recv) is not Obj:
+                    call = f"selection of {f!r} on" if oo else f"consumer {f!r} applied to"
+                    stuck = f"{call} a non-object"
+                elif (found := dtr_body(f, recv.name, ctx) if oo else csm_body(f, recv.name, ctx)) is None:
+                    member = f"destructor {f!r} on" if oo else f"consumer {f!r} covers"
+                    stuck = f"no {member} {recv.name}"
+                else:
+                    fields, params, body = found
+                    # defaults and wildcard clauses bind no fields, however many the object carries
+                    if len(params) != len(vals) - 1 or (fields and len(fields) != len(recv.args)):
+                        call = f"invoking {f!r} on" if oo else f"applying {f!r} to"
+                        stuck = f"arity mismatch {call} {recv.name}"
+                    else:
+                        # the receiver, then its fields, then the parameters: a later binding wins
+                        code, mapping = body, {THIS if oo else SELF: recv}
+                        if fields:
+                            for i, name in enumerate(fields):
+                                mapping[name] = recv.args[i]
+                        if params:
+                            for i, name in enumerate(params, 1):
+                                mapping[name] = vals[i]
+            else:  # CtrCall or New, the other forms a frame holds
+                oo = cls is New
+                if not isinstance(ctx.defs.get(node.name), Generator if oo else Constructor):
+                    stuck = f"{node.name} is not a {'class' if oo else 'constructor'}"
+                else:
+                    out = Obj(node.name, tuple(vals))
+            if stuck is not None:
+                yield Stuck(stuck, _read_back(node, env, vals), start - fuel)
                 return
             if fuel <= 0:
-                yield FuelExhausted(_plug_all(frames, _read_back(node, env, vals)))
+                yield FuelExhausted(_plug_all(frames, _read_back(node, env, vals)), start - fuel)
                 return
             fuel -= 1
-            if type(out) is tuple:
-                e, mapping = out
+            if code is not None:
                 if mapping is not None:
                     if stream:
-                        e = subst(e, mapping)
+                        code = subst(code, mapping)
                     else:
                         env = mapping
-                out = e
+                e = out = code
                 break
             if not frames:  # the value ends the run, as a value term does
                 e = out

@@ -36,6 +36,7 @@ from .syntax import (
     PREC,
     PrimOp,
     Program,
+    RESERVED_TYPES,
     Sel,
     Type,
     Var,
@@ -48,16 +49,16 @@ _IF = 0
 _POSTFIX = 6
 # each binary operator's text between its operands
 _SPACED = {op: f" {op} " for op in PREC}
+# the type names syntax reserves, by the class of the type each names
+_RESERVED = {type(t): name for name, t in RESERVED_TYPES.items()}
 
 
 def pretty_type(t: Type) -> str:
     match t:
         case Named(name):
             return name
-        case IntT():
-            return "Int"
-        case BoolT():
-            return "Bool"
+        case IntT() | BoolT():
+            return _RESERVED[type(t)]
         case Arrow(params, ret):
             return "(" + ", ".join(pretty_type(p) for p in params) + ") -> " + pretty_type(ret)
     raise ValueError(f"unknown type {type(t).__name__}")

@@ -474,6 +474,21 @@ def test_typed_run_matches_reference_on_hand_written_loops(style, period):
         assert (out, detail) == reference_typed_run(p, ctx, 1000 + (10**9 - 1000) % period)
 
 
+def test_the_typed_run_counts_the_steps_of_its_outcome():
+    # a typed run that ends early on a repeated state jumps to the state the
+    # fuel ends on, and counts the steps the machine counts there: all the fuel
+    for style in ("fp", "oo"):
+        for period in (2, 3):
+            for p in loop_programs(style, period).values():
+                ctx = preprocess(p)
+                for fuel in (*range(40), 200, 1001):
+                    out, detail = _typed_run(p, ctx, fuel)
+                    assert detail is None and out.steps == eval_program(p, fuel, ctx).steps, fuel
+            p = loop_programs(style, period)["at once"]
+            out, _ = _typed_run(p, preprocess(p), 10**9)
+            assert type(out) is FuelExhausted and out.steps == 10**9
+
+
 def test_typed_run_matches_reference_on_ill_typed_programs():
     p = loop_programs("fp", 2)["at once"]
     bad_main = Program(p.defs, PrimOp("+", IntLit(1), BoolLit(True)))

@@ -296,9 +296,10 @@ def test_arithmetic_and_comparisons_agree_with_the_reference_at_the_64_bit_edges
 
 
 def test_the_machine_contracts_exactly_the_operators_of_the_table():
-    # _contract is the one home of the rules: every operator of syntax.OPERATORS
-    # has one, which takes literals of its operand type to a literal of its
-    # result type, and any other operator gets stuck
+    # the machine's contraction step is the one home of the rules: every
+    # operator of syntax.OPERATORS has one, which takes literals of its
+    # operand type to a literal of its result type, and any other operator
+    # gets stuck
     ctx = preprocess(Program((), IntLit(0)))
     literals = {INT: (IntLit(7), IntLit(3)), BOOL: (TRUE, FALSE)}
     for op, (_, operand, result) in OPERATORS.items():
@@ -611,27 +612,13 @@ def test_operands_that_are_not_integers_in_place_fill_their_slots_one_by_one():
         assert_same_states(e, ctx)
 
 
-def test_both_disciplines_contract_the_same_redexes_in_the_same_order(monkeypatch):
-    # the outcomes agree above; here every contraction does, by its redex's
-    # form, the values of its slots and what it contracts to.  A call's body
-    # is the same object in both, its bindings equal; a branch or right
-    # operand is code only the substituting discipline has substituted
-    calls = []
-    contract = food.interp._contract
-
-    def recorded(e, vals, ctx):
-        out = contract(e, vals, ctx)
-        label = getattr(e, "name", getattr(e, "op", None))
-        calls.append((type(e), label, tuple(vals), out[1] if type(out) is tuple else out))
-        return out
-
-    monkeypatch.setattr(food.interp, "_contract", recorded)
-
-    def contractions(run_it):
-        calls.clear()
-        outcome = run_it()
-        return outcome, calls[:]
-
+def test_both_disciplines_contract_the_same_redexes_in_the_same_order():
+    # the outcomes agree above; here they agree at every fuel up to a bound,
+    # and at sampled larger ones, so the two disciplines take the same steps
+    # in the same order: where the fuel runs out, the environment machine's
+    # last state, read back, is the state the substituting stream plugs there,
+    # and both count the same steps
+    rng = random.Random(614)
     programs = [load(name) for name in GOLDEN_SELECTIONS]
     programs += [parse(eval_source(name, n)) for name in EVAL_TEMPLATES for n in (0, 1, 4, 9)]
     programs += [generated(GenConfig(seed=seed, diverge_prob=1.0 if seed % 7 == 0 else 0.0)) for seed in range(300)]
@@ -640,8 +627,38 @@ def test_both_disciplines_contract_the_same_redexes_in_the_same_order(monkeypatc
     cases += [(e, ctx) for e in terms]
     counted = 0
     for e, ctx in cases:
-        by_env = contractions(lambda: eval_program(Program((), e), 2_000, ctx))
-        by_subst = contractions(lambda: drained(e, ctx, 2_000))
-        assert by_env == by_subst, e
-        counted += len(by_env[1])
+        for fuel in (*range(40), *sorted(rng.sample(range(40, 2_000), 3)), 2_000):
+            by_env = eval_program(Program((), e), fuel, ctx)
+            (redex, _, _, plug), by_subst = deque(states(e, ctx, fuel), maxlen=2)
+            assert by_env == by_subst and by_env.steps == by_subst.steps, (e, fuel)
+            counted += by_env.steps
+            if type(by_env) is not FuelExhausted:
+                break  # every larger fuel ends the same way
+            assert by_env.last == plug(redex) and by_env.steps == fuel, (e, fuel)
     assert counted > 50_000, counted
+
+
+def test_every_outcome_counts_its_steps():
+    # Peano takes 7n + 5 steps and the countdown 5k + 4, in both styles and
+    # both disciplines; a run whose outcome counts k steps yields k + 1
+    # states, and the count takes no part in == or repr
+    for name in EVAL_TEMPLATES:
+        for n in (0, 1, 4, 9, 30):
+            p = parse(eval_source(name, n))
+            ctx = preprocess(p)
+            want = 7 * n + 5 if name.startswith("peano") else 5 * n + 4
+            *stream, outcome = states(p.main, ctx, DEFAULT_FUEL)
+            assert type(outcome) is Done and outcome.steps == want == len(stream) - 1
+            assert eval_program(p, want, ctx).steps == want
+            for fuel in (0, want // 2, want - 1):
+                out = eval_program(p, fuel, ctx)
+                *stream, last = states(p.main, ctx, fuel)
+                assert type(out) is FuelExhausted and out.steps == last.steps == fuel == len(stream) - 1
+    ctx, terms = stuck_terms()
+    for e in terms:
+        *stream, outcome = states(e, ctx, DEFAULT_FUEL)
+        out = eval_program(Program((), e), DEFAULT_FUEL, ctx)
+        assert type(out) is Stuck and out.steps == outcome.steps == len(stream) - 1, e
+    assert Done(IntLit(3), 5) == Done(IntLit(3), 7) and hash(Done(IntLit(3), 5)) == hash(Done(IntLit(3)))
+    assert repr(Stuck("why", Var("x"), 4)) == "Stuck(reason='why', expr=Var(name='x'))"
+    assert repr(FuelExhausted(IntLit(1), 9)) == "FuelExhausted(last=IntLit(value=1))"

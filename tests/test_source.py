@@ -337,7 +337,7 @@ def test_interp_builds_no_compound_node():
     # the machine rebuilds a frame in one place, _read_back, through
     # syntax.with_children; a compound node's constructor called in interp.py,
     # by name or through a variable holding type(...), would be a second plug
-    # beside it.  _contract still builds values, which have no frame
+    # beside it.  The machine's rules still build values, which have no frame
     tree = ast.parse(pathlib.Path(interp.__file__).read_text())
     values = {c.__name__ for c in interp._VALUE_FORMS}
     compound = {c.__name__ for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, syntax.Expr)}
@@ -357,17 +357,30 @@ def test_interp_builds_no_compound_node():
     assert found == [] and {"PrimOp", "If", "Sel", "App", "CtrCall", "New"} <= compound and "cls" in held
 
 
-def test_only_contract_names_the_contraction_rules():
-    # _contract holds every contraction rule once, and the machine calls it
-    # for every redex: no rule is written again beside it, and every body
-    # lookup goes through the names the benchmark's tracer rebinds
+def test_only_the_machine_names_the_contraction_rules():
+    # the machine's contraction step holds every contraction rule once, and
+    # contracts every redex with them: no rule is written again beside it, no
+    # helper holds them, and every body lookup goes through the names the
+    # benchmark's tracer rebinds
     rules = {"_ARITH", "_COMPARE", "_SMALL", "_wrap64", "_TRUE", "_FALSE", "dtr_body", "csm_body"}
     tree = ast.parse(pathlib.Path(interp.__file__).read_text())
-    contract = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_contract")
-    inside = set(map(id, ast.walk(contract)))
+    machine = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_machine")
+    inside = set(map(id, ast.walk(machine)))
     named = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in rules and isinstance(n.ctx, ast.Load)]
     found = [f"interp.py:{n.lineno} {n.id}" for n in named if id(n) not in inside]
     assert found == [] and {n.id for n in named} == rules
+
+
+def test_only_syntax_spells_the_reserved_type_names():
+    # syntax.RESERVED_TYPES is the one home of Int and Bool: the parser, the
+    # checker and the printer read the names from it
+    spelt = [
+        f"{path.name}:{n.lineno}"
+        for path in SOURCES
+        for n in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(n, ast.Constant) and type(n.value) is str and n.value in syntax.RESERVED_TYPES
+    ]
+    assert [s.split(":")[0] for s in spelt] == ["syntax.py", "syntax.py"]
 
 
 def test_only_node_equality_names_recursion_error():
