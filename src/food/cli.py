@@ -3,7 +3,8 @@
 Program text goes to stdout, diagnostics to stderr.  Exit code 0 means the
 subcommand's semantic result is success, 1 a pipeline failure, 2 a usage
 error.  ``eval`` and ``trace`` exit 1 when the fuel runs out or evaluation gets
-stuck.
+stuck; with ``--stats`` they also print how the run ended, its steps and its
+fuel as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -100,17 +101,26 @@ def _emit(text: str, out_path: str | None) -> None:
             raise _Failure(f"cannot write {out_path}: {exc.strerror}")
 
 
-def _report(outcome: Done | FuelExhausted | Stuck, prefix: str) -> int:
-    """Print how evaluation ended, the value after prefix, and return the exit code."""
+# the outcome kinds that --stats prints
+_KINDS = {Done: "done", Stuck: "stuck", FuelExhausted: "fuel_exhausted"}
+
+
+def _report(outcome: Done | FuelExhausted | Stuck, prefix: str, fuel: int, stats: bool) -> int:
+    """Print how evaluation ended, the value after prefix, and with ``stats`` its
+    steps and fuel on stderr; return the exit code."""
+    code = 1
     match outcome:
         case Done(value):
             print(prefix + pretty_expr(value))
-            return 0
+            code = 0
         case FuelExhausted():
             print("fuel exhausted", file=sys.stderr)
         case Stuck(reason, _):
             print(f"stuck: {reason}", file=sys.stderr)
-    return 1
+    if stats:
+        line = {"outcome": _KINDS[type(outcome)], "steps": outcome.steps, "fuel": fuel, "fuel_left": fuel - outcome.steps}
+        print(json.dumps(line), file=sys.stderr)
+    return code
 
 
 # -- subcommands
@@ -157,17 +167,19 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     program, ctx = _checked(args.file)
-    return _report(eval_program(program, _fuel(args), ctx), "")
+    fuel = _fuel(args)
+    return _report(eval_program(program, fuel, ctx), "", fuel, args.stats)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     program, ctx = _checked(args.file)
+    fuel = _fuel(args)
     # print each state as the machine reaches it and keep none: a state is
     # O(depth), so only the states printed are plugged into whole terms
-    for i, out in enumerate(states(program.main, ctx, _fuel(args))):
+    for i, out in enumerate(states(program.main, ctx, fuel)):
         if type(out) is tuple and (args.limit is None or i < args.limit):
             print(f"{i:4}  {pretty_expr(out[3](out[0]))}")
-    return _report(out, "   => ")
+    return _report(out, "   => ", fuel, args.stats)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -209,13 +221,16 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--types", help="comma-separated selected types (default: all)")
     c.set_defaults(fn=_cmd_roundtrip)
 
+    stats_help = "also print the outcome, steps, fuel and fuel left as one JSON object on stderr"
     c = with_file("eval", "evaluate the main expression")
     c.add_argument("--fuel", type=_count, help=f"step budget (default: FOOD_FUEL or {DEFAULT_FUEL})")
+    c.add_argument("--stats", action="store_true", help=stats_help)
     c.set_defaults(fn=_cmd_eval)
 
     c = with_file("trace", "print the step sequence")
     c.add_argument("--fuel", type=_count, help=f"step budget (default: FOOD_FUEL or {DEFAULT_FUEL})")
     c.add_argument("--limit", type=_count, help="print at most this many steps")
+    c.add_argument("--stats", action="store_true", help=stats_help)
     c.set_defaults(fn=_cmd_trace)
 
     c = sub.add_parser("fuzz", help="generate programs and run the property battery")

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable
 
 from .context import Cell, GlobalCtx, preprocess, restrict, translate_ctx
 from .diagnostics import FoodError
-from .interp import DEFAULT_FUEL, Done, FuelExhausted, Stuck, csm_body, dtr_body, states
+from .interp import DEFAULT_FUEL, Done, FuelExhausted, Stuck, csm_body, dtr_body, eval_program, states
 from .parser import parse
 from .pretty import pretty, pretty_type
 from .syntax import (
@@ -42,7 +40,6 @@ from .syntax import (
     Interface,
     Named,
     New,
-    Obj,
     OPERATORS,
     Param,
     Pattern,
@@ -55,11 +52,10 @@ from .syntax import (
     Var,
     WILDCARD,
     canonicalize,
-    children,
     node,
 )
 # transform_expr is unused here, but bound for the benchmark's tracer to wrap
-from .transform import _typing, transform, transform_expr, type_program  # noqa: F401
+from .transform import transform, transform_expr, type_count, type_program  # noqa: F401
 from .wellformed import check
 
 _MAX_FIELD_ARITY = 2
@@ -405,12 +401,13 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     typed and its nodes counted in one pass.  After that, each step types only
     its redex and its contractum, which ``interp.states`` yields with the
     state, and no state is plugged but the ones cycle detection keeps.  FOOD
-    has no binders, so every subterm of a closed state is closed, and the
-    typer is one rule per form, ``_typing``: a contractum that types as its
-    redex leaves the state's type as it was.  This is the replacement argument
-    of Wright and Felleisen, "A Syntactic Approach to Type Soundness"
-    (1994).  A value can be as deep as the run is long, and every redex that
-    uses it holds it, so each object is typed once per run, keyed by identity,
+    has no binders, so every subterm of a closed state is closed, and each is
+    typed and counted by ``transform.type_count``, the loop that writes the
+    typing rules once: a contractum that types as its redex leaves the state's
+    type as it was.  This is the replacement argument of Wright and
+    Felleisen, "A Syntactic Approach to Type Soundness" (1994).  A value can
+    be as deep as the run is long, and every redex that uses it holds it, so
+    each object is typed once per run, in the loop's memo keyed by identity,
     and a call's contractum costs what its body does.  On any difference or
     error the state is plugged and measured whole, reusing the objects typed
     so far, so a failure's text is the whole state's.
@@ -425,31 +422,11 @@ def _typed_run(program: Program, ctx: GlobalCtx, fuel: int):
     period on, with the state the fuel would end on, and the verdict is the
     one the whole run would give.
     """
-    known: dict[int, tuple[Expr, tuple]] = {}  # id of an object -> (it, its measure)
-    rule = partial(_typing, ctx, {}, deque(maxlen=0))  # the call types that typing lists are dropped
+    known: dict = {}  # id of a runtime object -> (it, its type or error, its node count)
 
     def measure(e: Expr) -> tuple:
         """(type or error, node count) of closed ``e``."""
-        types, sizes, todo = [], [], [e]
-        while todo:
-            x = todo.pop()
-            if type(x) is tuple:  # (node, n): the measures of its n children end the lists
-                x, n = x
-                t, size = rule(x, types[-n:]), 1 + sum(sizes[-n:])
-                del types[-n:], sizes[-n:]
-                if type(x) is Obj:
-                    known[id(x)] = x, (t, size)
-            elif (hit := known.get(id(x))) is not None:
-                t, size = hit[1]
-            elif kids := children(x):
-                todo.append((x, len(kids)))
-                todo += reversed(kids)
-                continue
-            else:
-                t, size = rule(x, ()), 1
-            types.append(t)
-            sizes.append(size)
-        return types[0], sizes[0]
+        return type_count(e, ctx, {}, None, known)
 
     expected, size = measure(program.main)
     if callable(expected):
@@ -515,7 +492,12 @@ def check_properties(
     Each ``FoodError`` of preprocessing, checking, transforming, typing or
     reparsing is reported as a ``PropFail``, and none is raised.  The transformed
     program is judged by ``check``, as the source is: its diagnostics make one
-    ``wf-preservation``, and its type is compared only when it has none.
+    ``wf-preservation``, and its type is compared only when it has none.  The
+    source runs typed (``_typed_run``); when it ends in a value after k steps,
+    the transformed program runs on ``food eval``'s machine (``eval_program``)
+    with fuel k, and must end in the same value in exactly k steps, as the
+    transformation keeps step counts.  Otherwise the transformed program runs
+    typed too.
     ``mutate``, when given, perturbs the transformed program before the
     properties run; the mutation harness in ``tests/mutators.py`` uses it to
     confirm the properties have teeth.
@@ -574,7 +556,12 @@ def check_properties(
         fails.append(PropFail("lookup-duality", problem))
 
     out1, bad1 = _typed_run(program, ctx, fuel)
-    out2, bad2 = _typed_run(p2, ctx2, fuel)
+    if isinstance(out1, Done):
+        # the transformation keeps step counts, so the transformed program runs on
+        # food eval's machine with exactly the source's steps as its fuel
+        out2, bad2 = eval_program(p2, out1.steps, ctx2), None
+    else:  # the typed run's cycle detection stops a looping run early
+        out2, bad2 = _typed_run(p2, ctx2, fuel)
     for bad in (bad1, bad2):
         if bad is not None:
             fails.append(PropFail("type-safety", bad))
@@ -582,10 +569,13 @@ def check_properties(
         if isinstance(out, Stuck):
             fails.append(PropFail("type-safety", f"{where} program got stuck: {out.reason}"))
     if out1 is not None and out2 is not None and not isinstance(out1, Stuck) and not isinstance(out2, Stuck):
-        if isinstance(out1, Done) != isinstance(out2, Done):
-            fails.append(PropFail("eval-agreement", "only one side terminated within fuel"))
-        elif isinstance(out1, Done) and out1.value != out2.value:
+        done1, done2 = isinstance(out1, Done), isinstance(out2, Done)
+        if done1 and done2 and out1.value != out2.value:
             fails.append(PropFail("eval-agreement", "terminating results differ"))
+        elif done1 and (not done2 or out2.steps != out1.steps):
+            fails.append(PropFail("eval-agreement", "step counts differ"))
+        elif done1 != done2:
+            fails.append(PropFail("eval-agreement", "only one side terminated within fuel"))
 
     for label, q in (("source", program), ("transformed", p2)):
         try:

@@ -1,10 +1,9 @@
 """Abstract syntax of FOOD programs, the canonicalization pass, and stack-safe
 expression traversals, which take any depth.  The evaluator's one machine, the
-printer, ``_nodes`` (the one search loop, which finds the checker's objects
-and literals in one scan) and ``rebuild`` (which ``subst`` and the
-translation share) walk expressions by hand on a list, dispatching on each
-node's exact class, for speed; ``fold`` does too, and serves the typer, which
-gives it one rule per form.
+typer (``transform.type_count``), the printer, ``_nodes`` (the one search
+loop, which finds the checker's objects and literals in one scan) and
+``rebuild`` (which ``subst`` and the translation share) walk expressions by
+hand on a list, dispatching on each node's exact class, for speed.
 
 All nodes are immutable; ``==`` is structural equality at any depth, which
 ignores the (non-compared) source positions of definitions; ``hash``, the hash
@@ -592,33 +591,6 @@ def with_children(e: Expr, kids: tuple[Expr, ...] | list[Expr]) -> Expr:
     if cls is If:
         return If(*kids, *(e.cond, e.then, e.els)[len(kids) :])
     return e
-
-
-def fold(e: Expr, fn):
-    """``fn(node, results of its children, left to right)`` at ``e``, computed
-    bottom-up over every subexpression, at any depth."""
-    results: list = []
-    todo: list = [e]
-    pop, push = todo.pop, results.append
-    while todo:  # a node with children pushes itself, their count and them, first child on top
-        x = pop()
-        cls = type(x)
-        if cls is int:  # the results of the node below's x children end the list
-            k = len(results) - x
-            kids = results[k:]
-            del results[k:]
-            push(fn(pop(), kids))
-        elif cls is PrimOp:
-            todo += (x, 2, x.rhs, x.lhs)
-        elif cls is Sel or cls is App:
-            todo += (x, len(x.args) + 1, *x.args[::-1], x.recv)
-        elif cls is If:
-            todo += (x, 3, x.els, x.then, x.cond)
-        elif (cls is CtrCall or cls is New or cls is Obj) and x.args:
-            todo += (x, len(x.args), *x.args[::-1])
-        else:
-            push(fn(x, ()))
-    return results[0]
 
 
 def _nodes(e: Expr, kinds: tuple[type, ...]) -> list:

@@ -20,13 +20,16 @@ type, or its constructor's parent, is selected.  So this takes three steps:
   not selected, and transposes their matrix (``context.matrix``, kept as
   ``TransformResult.cells``): it moves each body between consumers and classes.
 
-Typing is one rule per form over ``syntax.fold``, and returns the error a
-recursive pass meets first: the receiver's, the node's own, then the
-arguments'.  Errors are functions that build them with no position;
-``type_program`` places each definition's at that definition, and the main
-expression's at none.  Translation, like the printer and the machine, is a
-hand-written loop: ``syntax.rebuild``, which ``subst`` shares, rebuilds each
-node by its exact class and reads at each call whether it flips.
+Typing is ``type_count``, which writes every typing rule once, inside one
+post-order loop on an explicit stack, and returns the error a recursive pass
+meets first: the receiver's, the node's own, then the arguments'.  The
+battery's typed run calls the same loop on evaluation states, with a memo of
+the runtime objects it typed.  Errors are functions that build them with no
+position; ``type_program`` places each definition's at that definition, and
+the main expression's at none.  Translation, like the typer, the printer and
+the machine, is a hand-written loop: ``syntax.rebuild``, which ``subst``
+shares, rebuilds each node by its exact class and reads at each call whether
+it flips.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from .syntax import (
     Type,
     Var,
     WILDCARD,
-    fold,
     node,
     rebuild,
 )
@@ -94,9 +96,9 @@ def _err(message: str) -> TransformError:
 
 def type_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str] | None = None) -> Type:
     """The type of ``e``, or its first error raised; builds no node.  ``names`` gets, in
-    fold order, the type each call flips by: a selection's or application's receiver
+    post-order, the type each call flips by: a selection's or application's receiver
     type, or a constructor call's or instantiation's parent."""
-    t = fold(e, partial(_typing, ctx, env, [] if names is None else names))
+    t = type_count(e, ctx, env, names)[0]
     if callable(t):
         raise t()
     return t
@@ -110,80 +112,142 @@ def transform_expr(e: Expr, ctx: GlobalCtx, env: TypeEnv) -> tuple[Expr, Type]:
     return _translated(e, env, names, {*ctx.dt, *ctx.it}), t
 
 
-def _typing(ctx: GlobalCtx, env: TypeEnv, names: list[str], e: Expr, kids: list):
-    """The type of ``e`` from its children's, or its first error."""
-    cls = type(e)
-    if cls is Var:
-        t = env.get(e.name)
-        return partial(_err, f"unbound variable {e.name!r}") if t is None else t
-    if cls is IntLit:
-        return INT
-    if cls is BoolLit:
-        return BOOL
-    if cls is Sel or cls is App:
-        # one rule for both decompositions: a destructor selected, or a consumer applied
-        oo, f, rt = cls is Sel, e.name, kids[0]
-        if callable(rt):
-            return rt
-        if type(rt) is not Named:
-            call = f"select {f!r} on" if oo else f"apply consumer {f!r} to"
-            return partial(_err, f"cannot {call} a value of type {pretty_type(rt)}")
-        sig = (ctx.dtr_sig if oo else ctx.sig).get((f, rt.name))
-        if sig is None:
-            return partial(_err, f"type {rt.name} has no {'destructor' if oo else 'consumer'} {f!r}")
-        if not oo:  # a consumer's signature is D -> (T...) -> T
-            sig = sig.ret
-            assert isinstance(sig, Arrow)
-        kids, flips_by = kids[1:], rt.name
-    elif cls is CtrCall or cls is New:
-        oo, c = cls is New, e.name
-        sig = ctx.sig.get(c)
-        if sig is None or not isinstance(ctx.defs.get(c), Generator if oo else Constructor):
-            return partial(_err, f"{c} is not a {'class' if oo else 'constructor'}")
-        flips_by = sig.ret.name
-    elif cls is PrimOp:
-        sig = OPERATORS.get(e.op)
-        if sig is None:
-            return partial(_err, f"unknown operator {e.op!r}")
-        _, want, result = sig
-        return _expect(e.lhs, kids[0], want) or _expect(e.rhs, kids[1], want) or result
-    elif cls is If:
-        if failed := _expect(e.cond, kids[0], BOOL) or _expect(e.then, kids[1]) or _expect(e.els, kids[2]):
-            return failed
-        _, t1, t2 = kids
-        if t1 is not t2 and t1 != t2:
-            types = f" have different types {pretty_type(t1)} and {pretty_type(t2)}"
-            return _printing("branches of ", e, types)
-        return t1
-    elif cls is Obj:
-        # runtime objects appear only when typing evaluation traces
-        sig = ctx.sig.get(e.name)
-        if sig is None:
-            return partial(_err, f"object tag {e.name} has no signature")
-        return _check_args(e, e.args, kids, sig.params) or sig.ret
-    else:
-        return partial(_err, f"unknown expression form {type(e).__name__}")
-    if failed := _check_args(e, e.args, kids, sig.params):  # a call: its arguments, then its flip type
-        return failed
-    names.append(flips_by)
-    return sig.ret
+def type_count(
+    e: Expr, ctx: GlobalCtx, env: TypeEnv, names: list[str] | None = None, objs: dict | None = None
+) -> tuple:
+    """(the type of ``e``, or its first error, and the count of nodes in ``e``), at any depth.
+
+    Every typing rule is written once, here, in one post-order loop on an
+    explicit stack: a node is typed from its children's results.  An error is a
+    function that builds it, with no position, and a node carries the one a
+    recursive pass meets first: the receiver's, the node's own, then the
+    arguments'; a call's arity before its arguments' types, and an unknown
+    operator before its operands.  ``names``, if given, gets in post-order the
+    type each call flips by.  ``objs``, if given, maps the id of each runtime
+    object typed to (the object, its result, its node count); an object found
+    there is not typed again.
+    """
+    sigs, dtr_sigs, defs = ctx.sig, ctx.dtr_sig, ctx.defs
+    out: list = []  # the results of the nodes whose parent is not typed yet
+    todo: list = [e]
+    starts: list[int] = []  # the count before each runtime object being typed
+    count = 0
+    pop, push = todo.pop, out.append
+    while todo:  # a node with children pushes itself, their count and them, first child on top
+        x = pop()
+        cls = type(x)
+        if cls is not int:
+            count += 1
+            if cls is Var:
+                t = env.get(x.name)
+                push(partial(_err, f"unbound variable {x.name!r}") if t is None else t)
+            elif cls is IntLit:
+                push(INT)
+            elif cls is BoolLit:
+                push(BOOL)
+            elif cls is PrimOp:
+                todo += (x, 2, x.rhs, x.lhs)
+            elif cls is Sel or cls is App:
+                todo += (x, len(x.args) + 1, *x.args[::-1], x.recv)
+            elif cls is If:
+                todo += (x, 3, x.els, x.then, x.cond)
+            elif cls is CtrCall or cls is New:
+                todo += (x, len(x.args), *x.args[::-1])
+            elif cls is Obj:  # runtime objects appear only when typing evaluation states
+                if objs is not None and (hit := objs.get(id(x))) is not None:
+                    count += hit[2] - 1
+                    push(hit[1])
+                else:
+                    starts.append(count - 1)
+                    todo += (x, len(x.args), *x.args[::-1])
+            else:
+                push(partial(_err, f"unknown expression form {cls.__name__}"))
+            continue
+        # the results of the node below's x children end the list
+        k, x = x, pop()
+        cls = type(x)
+        if cls is PrimOp:
+            rhs, lhs = out.pop(), out[-1]
+            sig = OPERATORS.get(x.op)
+            if sig is None:
+                out[-1] = partial(_err, f"unknown operator {x.op!r}")
+                continue
+            _, want, t = sig
+            # INT and BOOL are shared instances: identity settles most checks before __eq__
+            if lhs is not want and (callable(lhs) or lhs != want):
+                t = _mistyped(x.lhs, lhs, want)
+            elif rhs is not want and (callable(rhs) or rhs != want):
+                t = _mistyped(x.rhs, rhs, want)
+            out[-1] = t
+            continue
+        if cls is If:
+            els, then, cond = out.pop(), out.pop(), out[-1]
+            if cond is not BOOL and (callable(cond) or cond != BOOL):
+                t = _mistyped(x.cond, cond, BOOL)
+            elif callable(then) or callable(els):
+                t = then if callable(then) else els
+            elif then is els or then == els:
+                t = then
+            else:
+                t = _printing("branches of ", x, f" have different types {pretty_type(then)} and {pretty_type(els)}")
+            out[-1] = t
+            continue
+        j = len(out) - k
+        kids = out[j:]
+        del out[j:]
+        if cls is Sel or cls is App:
+            # one rule for both decompositions: a destructor selected, or a consumer applied
+            oo, f, rt = cls is Sel, x.name, kids[0]
+            del kids[0]
+            if type(rt) is not Named:
+                call = f"select {f!r} on" if oo else f"apply consumer {f!r} to"
+                t = rt if callable(rt) else partial(_err, f"cannot {call} a value of type {pretty_type(rt)}")
+                sig = None
+            elif (sig := (dtr_sigs if oo else sigs).get((f, rt.name))) is None:
+                t = partial(_err, f"type {rt.name} has no {'destructor' if oo else 'consumer'} {f!r}")
+            else:
+                flips_by = rt.name
+                if not oo:  # a consumer's signature is D -> (T...) -> T
+                    sig = sig.ret
+                    assert isinstance(sig, Arrow)
+        elif cls is Obj:
+            sig = sigs.get(x.name)
+            flips_by = None
+            if sig is None:
+                t = partial(_err, f"object tag {x.name} has no signature")
+        else:  # CtrCall or New
+            oo, c = cls is New, x.name
+            sig = sigs.get(c)
+            if sig is None or not isinstance(defs.get(c), Generator if oo else Constructor):
+                sig, t = None, partial(_err, f"{c} is not a {'class' if oo else 'constructor'}")
+            else:
+                flips_by = sig.ret.name
+        if sig is not None:  # the node's own rule passed: its arguments, then its flip type
+            params = sig.params
+            if len(kids) != len(params):
+                t = _printing("", x, f" takes {len(params)} argument(s), got {len(kids)}")
+            else:
+                t = sig.ret
+                for arg, got, want in zip(x.args, kids, params):
+                    if got is not want and (callable(got) or got != want):
+                        t = _mistyped(arg, got, want)
+                        break
+                else:
+                    if flips_by is not None and names is not None:
+                        names.append(flips_by)
+        push(t)
+        if cls is Obj:
+            size = count - starts.pop()
+            if objs is not None:
+                objs[id(x)] = x, t, size
+    return out[0], count
 
 
-def _expect(e: Expr, got, want: Type | None = None):
-    """The error of child ``e``, typed ``got``, where ``want`` is expected; None if it has none."""
+def _mistyped(e: Expr, got, want: Type):
+    """The error of child ``e``, typed ``got``, where ``want`` is expected: its own, or the mismatch."""
     if callable(got):
         return got
-    # INT and BOOL are shared instances: identity settles most checks before __eq__
-    if want is None or got is want or got == want:
-        return None
     return _printing("", e, f" has type {pretty_type(got)}, expected {pretty_type(want)}")
-
-
-def _check_args(call: Expr, args: tuple[Expr, ...], kids: list, params: tuple[Type, ...]):
-    """The first error of a call's arguments, typed as ``kids``, against ``params``; None if none."""
-    if len(args) != len(params):
-        return _printing("", call, f" takes {len(params)} argument(s), got {len(args)}")
-    return next(filter(None, map(_expect, args, kids, params)), None)
 
 
 def _printing(prefix: str, e: Expr, suffix: str):

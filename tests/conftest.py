@@ -5,7 +5,7 @@ import pytest
 
 from food import parse
 from food.fuzz import GenConfig, gen_program
-from food.syntax import Expr, Program, children
+from food.syntax import App, CtrCall, Expr, If, New, Obj, PrimOp, Program, Sel, children
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -54,6 +54,37 @@ def walk(e: Expr):
         e = stack.pop()
         yield e
         stack.extend(reversed(children(e)))
+
+
+def fold(e: Expr, fn):
+    """``fn(node, results of its children, left to right)`` at ``e``, computed
+    bottom-up over every subexpression, at any depth.
+
+    The tests' post-order fold, on an explicit stack that pushes a node's
+    children by its exact class, as the package's loops do.
+    """
+    results: list = []
+    todo: list = [e]
+    pop, push = todo.pop, results.append
+    while todo:  # a node with children pushes itself, their count and them, first child on top
+        x = pop()
+        cls = type(x)
+        if cls is int:  # the results of the node below's x children end the list
+            k = len(results) - x
+            kids = results[k:]
+            del results[k:]
+            push(fn(pop(), kids))
+        elif cls is PrimOp:
+            todo += (x, 2, x.rhs, x.lhs)
+        elif cls is Sel or cls is App:
+            todo += (x, len(x.args) + 1, *x.args[::-1], x.recv)
+        elif cls is If:
+            todo += (x, 3, x.els, x.then, x.cond)
+        elif (cls is CtrCall or cls is New or cls is Obj) and x.args:
+            todo += (x, len(x.args), *x.args[::-1])
+        else:
+            push(fn(x, ()))
+    return results[0]
 
 
 def corpus_text(name: str) -> str:

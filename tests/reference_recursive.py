@@ -2,13 +2,14 @@
 
 ``pretty_expr`` (with ``_level`` and ``_expr``) and ``transform_expr`` (with
 ``_expect`` and ``_check_args``) are copies of the code ``food`` used before
-both became rules over ``food.syntax.fold``, the printer without the option
+both became loops on an explicit stack (the printer a pre-order one, the
+typer ``food.transform.type_count``), the printer without the option
 that made it reject runtime objects, which it prints as ``obj(C, args)``;
 ``node_repr`` gives the text of the ``repr`` node classes shared before it
 took an explicit stack.
 All take one Python frame per nesting level, so they raise ``RecursionError``
 a few hundred levels deep.
-Each raises its error where it meets it, so tests can check that the fold's
+Each raises its error where it meets it, so tests can check that the loop's
 carried errors come out in the same order, with the same text.  Error
 messages here print through this module's own ``pretty_expr``.
 """

@@ -14,7 +14,7 @@ import sys
 import tracemalloc
 
 import pytest
-from conftest import CORPUS, eval_source
+from conftest import CORPUS, EVAL_TEMPLATES, eval_source
 from mutators import mutate_drop_consumer
 
 from food import cli, fuzz, interp
@@ -167,6 +167,46 @@ def test_fuel_exhaustion_exits_1(capsys, command):
     assert out.count("\n") == (2 if command == "trace" else 0)
 
 
+def with_stats(capsys, *argv):
+    """The run of argv with --stats: its exit code and stdout, which must be those of
+    the run without it, and its stderr, which must be that run's, then its stats."""
+    code, out, err = run(capsys, *argv)
+    code2, out2, err2 = run(capsys, *argv, "--stats")
+    assert (code2, out2) == (code, out) and err2.startswith(err), argv
+    *_, last = err2.splitlines()
+    assert err2 == err + last + "\n"
+    return code, json.loads(last)
+
+
+@pytest.mark.parametrize("template", sorted(EVAL_TEMPLATES))
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_stats_count_the_steps_of_the_eval_programs(capsys, monkeypatch, tmp_path, command, template):
+    # Peano counts to n in 7n + 5 steps and the countdown sums 1..n in 5n + 4,
+    # in both styles: with the default fuel, with exactly those steps, and one short
+    monkeypatch.delenv("FOOD_FUEL", raising=False)
+    n = 12
+    steps = 7 * n + 5 if template.startswith("peano") else 5 * n + 4
+    source = tmp_path / f"{template}.food"
+    source.write_text(eval_source(template, n))
+    for fuel in (interp.DEFAULT_FUEL, steps):
+        stats = {"outcome": "done", "steps": steps, "fuel": fuel, "fuel_left": fuel - steps}
+        assert with_stats(capsys, command, str(source), "--fuel", str(fuel)) == (0, stats)
+    assert with_stats(capsys, command, str(source)) == (0, stats | {"fuel": 100_000, "fuel_left": 100_000 - steps})
+    stats = {"outcome": "fuel_exhausted", "steps": steps - 1, "fuel": steps - 1, "fuel_left": 0}
+    assert with_stats(capsys, command, str(source), "--fuel", str(steps - 1)) == (1, stats)
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_stats_of_a_stuck_run(capsys, monkeypatch, tmp_path, command):
+    # check rejects every program that gets stuck, so this one is let through
+    monkeypatch.setattr(cli, "check", lambda program, ctx: [])
+    source = tmp_path / "stuck.food"
+    source.write_text("(1 + 1) + true\n")
+    stats = {"outcome": "stuck", "steps": 1, "fuel": 7, "fuel_left": 6}
+    assert with_stats(capsys, command, str(source), "--fuel", "7") == (1, stats)
+    assert run(capsys, command, str(source))[2] == "stuck: + on non-integers\n"
+
+
 def test_trace_prints_numbered_steps(capsys):
     code, out, err = run(capsys, "trace", str(CORPUS / "exp_fp.food"), "--limit", "3")
     assert code == 0
@@ -248,8 +288,8 @@ def test_trace_prints_every_deep_state(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["eval", "transform", "roundtrip"])
 def test_a_deep_method_body_gives_its_real_output(capsys, tmp_path, command):
     # eval binds a call's environment and evaluates its body on a stack of frames,
-    # and the transformation renames the receiver as it types the body, in
-    # one fold: both take any depth
+    # and the transformation types the body in one loop and renames the
+    # receiver in one rebuild: both take any depth
     source = tmp_path / "deep_body.food"
     body = "1 + (" * 3000 + "n" + ")" * 3000
     source.write_text(f"data D\ncase C() extends D\ndef f(self: D)(n: Int): Int = {body}\nf(C())(1)\n")
@@ -267,7 +307,7 @@ def test_a_deep_method_body_gives_its_real_output(capsys, tmp_path, command):
 @pytest.mark.parametrize("fuel", [0, 1, 2, 3, 4, None])
 def test_a_deep_body_read_back_when_the_fuel_runs_out(capsys, tmp_path, fuel):
     # the fuel runs out on g(C()) at 2 and 3, with the deep right operand
-    # unevaluated: the stopped state is read back by subst, a fold
+    # unevaluated: the stopped state is read back by subst, a rebuild loop
     source = tmp_path / "deep_read_back.food"
     body = "g(C())() + " + nested_sum(3000, "n")
     source.write_text(

@@ -5,11 +5,12 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, deep_body_source, eval_source, generated, load, walk
+import reference_recursive as ref
+from conftest import EVAL_TEMPLATES, GOLDEN_SELECTIONS, deep_body_source, eval_source, generated, load, walk
 from mutators import MUTATORS, mutate_swap_clause_bodies
 from reference_step import typed_run as reference_typed_run
 
-from food import FoodError, check, eval_program, fuzz, parse, preprocess, transform
+from food import FoodError, TransformError, check, eval_program, fuzz, parse, preprocess, transform
 from food.fuzz import (
     GenConfig,
     PropFail,
@@ -19,7 +20,7 @@ from food.fuzz import (
     run_properties,
     shrink,
 )
-from food.interp import Done, FuelExhausted
+from food.interp import Done, FuelExhausted, states
 from food.syntax import (
     App,
     BoolLit,
@@ -154,12 +155,12 @@ def test_the_battery_types_each_side_once(monkeypatch):
     # it meets, which start as subterms of the main expression, so calls made
     # inside it are not counted here.
     typed, sides = Counter(), []
-    real_typing, real_check, real_run = TRANSFORM._typing, fuzz.check, fuzz._typed_run
+    real_typing, real_check, real_run = TRANSFORM.type_count, fuzz.check, fuzz._typed_run
     counting = [True]
 
-    def typing(ctx, env, names, e, kids):
+    def typing(e, *args):
         typed[id(e)] += counting[0]
-        return real_typing(ctx, env, names, e, kids)
+        return real_typing(e, *args)
 
     def check(p, ctx):  # the battery checks the source and the transformed program
         sides.append(p)
@@ -172,7 +173,7 @@ def test_the_battery_types_each_side_once(monkeypatch):
         finally:
             counting[0] = True
 
-    monkeypatch.setattr(TRANSFORM, "_typing", typing)
+    monkeypatch.setattr(TRANSFORM, "type_count", typing)
     monkeypatch.setattr(fuzz, "check", check)
     monkeypatch.setattr(fuzz, "_typed_run", typed_run)
     cases = [(load(name), selected) for name, selected in GOLDEN_SELECTIONS.items()]
@@ -182,7 +183,8 @@ def test_the_battery_types_each_side_once(monkeypatch):
         sides.clear()
         assert check_properties(program, selected) == []
         assert len(sides) == 2
-        expected = Counter(id(x) for side in sides for body in member_bodies(side) for x in walk(body))
+        # one call of the typing loop per body of each side
+        expected = Counter(id(body) for side in sides for body in member_bodies(side))
         assert +typed == expected
 
 
@@ -373,6 +375,57 @@ def test_prim_mutators_hit_the_first_target_in_pre_order(kind, before, after):
 
 
 # ---------------------------------------------------------------------------
+# The typed run's measure is the typing loop with a memo of the runtime
+# objects it typed: on the terms a run meets, it gives what the recursive
+# typer gives, and counts every node, whether or not the memo is shared.
+
+
+def redexes_and_contracta(p, fuel=2000):
+    """Each redex and contractum that ``interp.states`` yields on p's run, in order."""
+    for out in states(p.main, preprocess(p), fuel):
+        if type(out) is not tuple:
+            return
+        yield out[0]
+        if out[1] is not None:
+            yield out[1]
+
+
+def reference_type(e, ctx):
+    """The recursive typer's type of closed e, or its error's text."""
+    try:
+        return ref.transform_expr(e, ctx, {})[1]
+    except TransformError as exc:
+        return str(exc)
+
+
+def test_the_typing_loop_measures_every_redex_and_contractum_as_the_reference():
+    programs = [load(name) for name in sorted(GOLDEN_SELECTIONS)]
+    programs += [parse(eval_source(name, n)) for name in sorted(EVAL_TEMPLATES) for n in range(13)]
+    programs += [generated(GenConfig(seed=seed)) for seed in range(100)]
+    # the runs of transformed programs with a planted fault reach states that do not type
+    for seed in range(0, 100, 4):
+        q = transform(generated(GenConfig(seed=seed))).program
+        for mutate in MUTATORS.values():
+            try:
+                preprocess(m := mutate(q))
+            except FoodError:
+                continue
+            programs.append(m)
+    terms = errors = objects = 0
+    for p in programs:
+        ctx, shared = preprocess(p), {}  # one memo per run, as the typed run keeps
+        for e in redexes_and_contracta(p):
+            expected = reference_type(e, ctx), sum(1 for _ in walk(e))
+            for memo in (None, shared):
+                t, count = TRANSFORM.type_count(e, ctx, {}, None, memo)
+                assert (str(t()) if callable(t) else t, count) == expected, e
+            terms += 1
+            errors += type(expected[0]) is str
+        objects += len(shared)
+    assert terms > 9_000 and errors > 10 and objects > 500, (terms, errors, objects)
+
+
+# ---------------------------------------------------------------------------
 # The typed run stops at the first repeated state; the reference runs on.
 
 TYPED_RUN_FUELS = (0, 1, 2, 3, 4, 5, 6, 7, 17, 200, 1001)
@@ -537,6 +590,11 @@ def append_first_def(p):
     return Program(p.defs + p.defs[:1], p.main)
 
 
+def one_step_more(p):
+    # the same value, reached one step later: 0 + main
+    return Program(p.defs, PrimOp("+", IntLit(0), p.main))
+
+
 def drop_set_interface(p):
     # the interface and its classes go, so the selection names no type of p2
     return fuzz._without_def(p, next(i for i, d in enumerate(p.defs) if d.name == "Set"))
@@ -554,6 +612,14 @@ BRANCHES = {
     "one side terminates": (
         lambda: generated(GenConfig(seed=3, diverge_prob=1.0)), None, 2000, with_main(IntLit(0)),
         PropFail("eval-agreement", "only one side terminated within fuel"),
+    ),
+    "different result": (
+        lambda: load("exp_oop"), None, 100_000, with_main(IntLit(0)),
+        PropFail("eval-agreement", "terminating results differ"),
+    ),
+    "different step count": (
+        lambda: load("exp_oop"), None, 100_000, one_step_more,
+        PropFail("eval-agreement", "step counts differ"),
     ),
     "different type": (
         lambda: load("exp_oop"), None, 100_000, with_main(BoolLit(True)),

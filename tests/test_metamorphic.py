@@ -15,7 +15,7 @@ import dataclasses
 import random
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, generated, load
+from conftest import GOLDEN_SELECTIONS, fold, generated, load
 
 from food import check, eval_program, preprocess, transform
 from food.fuzz import GenConfig
@@ -37,7 +37,6 @@ from food.syntax import (
     Pattern,
     Program,
     Sel,
-    fold,
     with_children,
 )
 

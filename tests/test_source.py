@@ -172,8 +172,9 @@ def test_transform_names_no_subst():
 def test_no_function_recurses_on_its_input():
     # a function that calls itself, directly or through others in its module,
     # takes one Python frame per nesting level and fails a few hundred levels
-    # deep; walks over expressions use syntax.fold, or loop over an explicit
-    # stack, as the printer, syntax._nodes, syntax.rebuild and the machine do
+    # deep; walks over expressions loop over an explicit stack, as the typer
+    # (transform.type_count), the printer, syntax._nodes, syntax.rebuild and
+    # the machine do
     allowed = {
         "pretty.pretty_type",  # types nest only as deep as a signature
         # the generator's own recursion is bounded by GenConfig.max_expr_depth
@@ -216,6 +217,48 @@ def test_only_syntax_names_desugar():
         if "desugar" in line
     ]
     assert len(SOURCES) >= 10 and found == []
+
+
+def test_only_transform_writes_the_typing_rules():
+    # transform.type_count writes every typing rule once, in its loop, as the
+    # machine does the contraction rules: no fold or per-form typing rule is
+    # defined beside it, no module but transform.py (and context.py, which
+    # builds them) reads the signatures that type a call, and the battery's
+    # typed run reads no child of a term: it types each term with the loop
+    def tree(path):
+        return ast.parse(path.read_text(), str(path))
+
+    defined = [
+        f"{path.name}:{n.lineno} {n.name}"
+        for path in SOURCES
+        for n in ast.walk(tree(path))
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name in ("fold", "_typing")
+    ]
+    signatures = [
+        f"{path.name}:{n.lineno} {n.attr}"
+        for path in SOURCES
+        if path.name not in ("context.py", "transform.py")
+        for n in ast.walk(tree(path))
+        if isinstance(n, ast.Attribute) and n.attr in ("sig", "dtr_sig")
+    ]
+    fuzz_tree = tree(pathlib.Path(food.__file__).parent / "fuzz.py")
+    typed_run = next(fn for fn in fuzz_tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_typed_run")
+    slots = ("args", "recv", "lhs", "rhs", "cond", "then", "els")
+    walks = [
+        f"fuzz.py:{n.lineno}"
+        for n in ast.walk(typed_run)
+        if isinstance(n, ast.Attribute) and n.attr in slots or isinstance(n, ast.Name) and n.id == "children"
+    ]
+    walks += [
+        f"fuzz.py:{n.lineno} {alias.name}"
+        for n in ast.walk(fuzz_tree)
+        if isinstance(n, ast.ImportFrom)
+        for alias in n.names
+        if alias.name in ("children", "with_children", "fold")
+    ]
+    calls = {n.func.id for n in ast.walk(typed_run) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert len(SOURCES) >= 10 and defined == [] and signatures == [] and walks == []
+    assert "type_count" in calls and not hasattr(syntax, "fold")
 
 
 def test_only_transform_names_the_typing_cache():
@@ -384,7 +427,7 @@ def test_only_syntax_spells_the_reserved_type_names():
 
 
 def test_only_node_equality_names_recursion_error():
-    # every pass is a fold or a loop; only the __eq__ that syntax.node shares
+    # every pass is a loop; only the __eq__ that syntax.node shares
     # among node classes catches RecursionError, from its recursive compare,
     # and hands the compare to syntax._deep_eq.  A catch anywhere else would
     # hide a pass that recurses on its input.  Every token is searched,

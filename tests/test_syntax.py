@@ -7,7 +7,7 @@ import gc
 import sys
 
 import pytest
-from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, generated, load, walk
+from conftest import GOLDEN_SELECTIONS, corpus_text, deep_body_source, eval_source, fold, generated, load, walk
 from mutators import rewrite_first
 from reference_recursive import node_repr
 from test_hostile_input import NESTINGS, nest
@@ -66,7 +66,6 @@ from food.syntax import (
     Var,
     _nodes,
     children,
-    fold,
     node,
     subst,
     with_children,
@@ -395,7 +394,7 @@ def test_traversals_do_not_recurse_on_deep_expressions():
 
 
 def test_subst_takes_any_depth():
-    # one rule over fold, at the default recursion limit
+    # one rebuild loop, at the default recursion limit
     e = deep(100_000)
     out = subst(e, {"x": IntLit(7), "y": BoolLit(True)})
     assert not _nodes(out, (Var,)) and sum(1 for _ in walk(out)) == sum(1 for _ in walk(e))

@@ -7,10 +7,11 @@ import itertools
 import operator
 import random
 import time
+from collections import Counter
 
 import pytest
 import reference_recursive as ref
-from conftest import CORPUS, EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, generated, load, walk
+from conftest import CORPUS, EVAL_TEMPLATES, GOLDEN_SELECTIONS, eval_source, fold, generated, load, walk
 from reference_transform import reference, reference_typed
 
 from food import (
@@ -53,7 +54,6 @@ from food.syntax import (
     Var,
     _nodes,
     children,
-    fold,
     with_children,
 )
 
@@ -334,26 +334,26 @@ def member_bodies(d):
 
 
 def test_check_then_transform_types_each_body_once(monkeypatch):
-    real, typed = TRANSFORM._typing, []
+    # one call of the typing loop per member body and main expression
+    real, typed = TRANSFORM.type_count, []
 
-    def counted(ctx, env, names, e, kids):
+    def counted(e, *args):
         typed.append(e)
-        return real(ctx, env, names, e, kids)
+        return real(e, *args)
 
-    monkeypatch.setattr(TRANSFORM, "_typing", counted)
+    monkeypatch.setattr(TRANSFORM, "type_count", counted)
     programs = [load(name) for name in sorted(GOLDEN_SELECTIONS)] + [generated(GenConfig(seed=s)) for s in range(20)]
     for program in programs:
-        bodies = [program.main, *(b for d in program.defs for b in member_bodies(d))]
-        nodes = sum(1 for b in bodies for _ in walk(b))
+        bodies = Counter(map(id, [program.main, *(b for d in program.defs for b in member_bodies(d))]))
         ctx = preprocess(program)
         typed.clear()
-        assert check(program, ctx) == [] and len(typed) == nodes
+        assert check(program, ctx) == [] and Counter(map(id, typed)) == bodies
         for selected in (None, frozenset()):
             typed.clear()
             kept = transform(program, selected, ctx)
             assert typed == []  # read from the context, not typed again
             assert kept == transform(program, selected)  # a fresh context: typed again
-            assert len(typed) == nodes
+            assert Counter(map(id, typed)) == bodies
 
 
 def test_transform_of_another_program_types_it_for_itself():
@@ -466,7 +466,7 @@ def test_only_a_passing_typing_is_kept():
 
 # ---------------------------------------------------------------------------
 # The printer, a pre-order loop, and the typing and translation of
-# transform_expr, a fold over syntax.fold and a rebuild loop, against the
+# transform_expr, the typing loop type_count and a rebuild loop, against the
 # recursive code they replaced (reference_recursive): the same text,
 # translation and type, or the same error text, on every input.
 # The translation also renames the receiver of a selected type, which the
