@@ -1,47 +1,45 @@
-"""Call-by-value small-step semantics, run under fuel by one machine.
+"""Call-by-value small-step semantics, run under fuel by a machine and by flat code.
 
 A step contracts the leftmost redex: receiver before arguments, arguments left
 to right.  Boolean operators short-circuit, consuming one step; integers wrap
 to 64 bits.  The machine writes every contraction rule once, in its loop, and
-keeps the common case cheap: an arithmetic result in int64 is not wrapped, and
-one in -5..256 is one of the ``IntLit`` nodes ``syntax`` shares, which the
-parser reads too; every boolean it computes is ``syntax.TRUE`` or ``FALSE``;
-and a call binds its receiver, fields and parameters in one dict, built in
-place, with no loop over a cell that binds no fields or a member with no
-parameters.
+flat code the rules on the way to a value, in its own; both keep the common
+case cheap: an arithmetic result in int64 is not wrapped, and one in -5..256
+is one of the ``IntLit`` nodes ``syntax`` shares, which the parser reads too;
+every boolean they compute is ``syntax.TRUE`` or ``FALSE``; and a call binds
+its receiver, fields and parameters in one dict, built in place, with no loop
+over a cell that binds no fields or a member with no parameters.
 
 The machine, ``_machine``, keeps the redex's context as a stack of frames,
-so no depth of term recurses.  A frame is a compound node, its environment,
-its slots and the values of those evaluated so far; it is contracted when it
-has them all, and the value it contracts to goes to the frame below.  The top
-frame is held in locals and the frames below it on a list; it is pushed only
-while one of its slots is evaluated, so a redex whose slots are values in
-place is contracted with no push (top-of-stack caching: Ertl, "Stack Caching
-for Interpreters", PLDI 1995).  So no term is searched from its root and
-nothing is plugged on the way to a value.  At a method call the machine has
-two binding disciplines, one per entry point:
+so no depth of term recurses.  A frame is a compound node, its slots and the
+values of those evaluated so far; it is contracted when it has them all, and
+the value it contracts to goes to the frame below.  The top frame is held in
+locals and the frames below it on a list; it is pushed only while one of its
+slots is evaluated, so a redex whose slots are values in place is contracted
+with no push (top-of-stack caching: Ertl, "Stack Caching for Interpreters",
+PLDI 1995).  A method call substitutes its bindings into the body
+(``subst``), so every state is a closed term.  ``states``, the public stream
+that ``run``, ``step``, ``food trace`` and the fuzzer's typed run consume,
+yields each state as its redex, the contractum of the step that reached it,
+its depth (the frames below the redex) and its plug, the context:
+``plug(redex)`` builds the whole term, plugging the redex into every frame,
+each by one ``syntax.with_children`` call on its values, at O(depth).  The
+frames change in place, so a plug is valid only until the next state is
+taken, and a state is kept by plugging it.  Going on from the contractum in
+the same frames, not from the root, is refocusing (Danvy and Nielsen,
+"Refocusing in Reduction Semantics", BRICS RS-04-26, 2004): evaluation is the
+stream of decompositions.
 
-* ``states``, the public stream that ``run``, ``step``, ``food trace`` and
-  the fuzzer's typed run consume, substitutes the bindings into the body
-  (``subst``), so every state is a closed term.  A state is its redex, the
-  contractum of the step that reached it, its depth (the frames below the
-  redex) and its plug, the context: ``plug(redex)`` builds the whole term,
-  plugging the redex into every frame, each by one ``syntax.with_children``
-  call on its values (``_read_back``), at O(depth).  The frames change in
-  place, so a plug is valid only until the next state is taken, and a state
-  is kept by plugging it.  Going on from the contractum in the same frames,
-  not from the root, is refocusing (Danvy and Nielsen, "Refocusing in
-  Reduction Semantics", BRICS RS-04-26, 2004): evaluation is the stream of
-  decompositions.
-* ``eval_program`` evaluates the body with the bindings as its environment,
-  and yields only the outcome: the environment machine that Biernacka and
-  Danvy, "A Concrete Framework for Environment Machines", ACM TOCL 9(1),
-  2007, derive from the same reduction semantics; its target is the CEK
-  machine of Felleisen and Friedman (1986).  A method body binds nothing, so
-  a call's environment is exactly the mapping a substituting call
-  substitutes, and code read back in its environment is ``subst(code,
-  env)``.  The same rebuild reads back ``Stuck.expr`` and
-  ``FuelExhausted.last``, once, at O(size).
+``eval_program`` runs flat code, the virtual machine that Ager, Biernacki,
+Danvy and Midtgaard derive from an evaluator ("From Interpreter to Compiler
+and Virtual Machine", BRICS RS-03-14, 2003): ``_compile`` turns each body
+into post-order code once per run, reading a binary operation's variable and
+literal operands in place (Proebsting's superoperators, POPL 1995), and
+``_execute`` runs it on a stack of values and a stack of returns, a call
+binding an environment.  It covers only the way to a value, one step per
+contraction of the machine's.  Anywhere else it stops, and ``eval_program``
+hands the run to ``_machine``, which yields only the outcome: so every stuck
+term, last state and step count is the stream's.
 
 The machine dispatches on each node's exact class, as ``children`` does,
 testing ``PrimOp``, the most frequent redex, first; and it reads each method
@@ -59,13 +57,12 @@ import operator
 from dataclasses import field
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .context import GlobalCtx, preprocess
 from .syntax import (
     App,
     BoolLit,
-    children,
     Constructor,
     CtrCall,
     Expr,
@@ -150,13 +147,14 @@ def csm_body(f: str, c: str, ctx: GlobalCtx) -> tuple[tuple[str, ...], tuple[str
 
 
 # ---------------------------------------------------------------------------
-# The tables of the contraction rules, which ``_machine`` writes once, in its
-# loop: on the way to a value, calls and allocations cost more than the rules
-# (Ertl and Gregg, "The Structure and Performance of Efficient Interpreters",
-# JILP 5, 2003), so a redex is contracted with no call and no result to test.
-# The machine tests exact classes, most frequent first, as ``children`` does:
-# class patterns cost about a microsecond more per node, isinstance less.  An
-# operator is looked up in _ARITH before && and || are tested.
+# The tables of the contraction rules, which ``_machine`` and ``_execute``
+# each write once, in their loops: on the way to a value, calls and
+# allocations cost more than the rules (Ertl and Gregg, "The Structure and
+# Performance of Efficient Interpreters", JILP 5, 2003), so a redex is
+# contracted with no call and no result to test.  The machine tests exact
+# classes, most frequent first, as ``children`` does: class patterns cost
+# about a microsecond more per node, isinstance less.  An operator is looked
+# up in _ARITH before && and || are tested.
 
 
 def _wrap64(n: int) -> int:
@@ -171,23 +169,16 @@ _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
 # The machine
 
 # the frames below the top one, which ``_machine`` holds in locals: each is
-# (node, env, its slots, values of those evaluated)
-Frames = list[tuple[Expr, dict[str, Expr], tuple[Expr, ...], list[Expr]]]
+# (node, its slots, values of those evaluated)
+Frames = list[tuple[Expr, tuple[Expr, ...], list[Expr]]]
 # a state of the stream: (redex, contractum of the step to it, depth, plug)
 State = tuple[Expr, Expr | None, int, Callable[[Expr], Expr]]
 
 
-def _read_back(node: Expr, env: dict[str, Expr], done: Sequence[Expr]) -> Expr:
-    """done in node's first slots, by one ``with_children`` call; in an env, the rest listed and substituted."""
-    if env:
-        done = (*done, *[subst(kid, env) for kid in children(node)[len(done) :]])
-    return with_children(node, done)
-
-
 def _plug_all(frames: Frames, e: Expr) -> Expr:
-    """The whole term: e plugged into every frame, innermost first, each read back."""
-    for node, env, _, vals in reversed(frames):
-        e = _read_back(node, env, [*vals, e])
+    """The whole term: e plugged into every frame, innermost first, each by one ``with_children`` call."""
+    for node, _, vals in reversed(frames):
+        e = with_children(node, (*vals, e))
     return e
 
 
@@ -200,22 +191,20 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int, stream: bool = True) -> Iterato
     of its slots is evaluated.  A node's slots are its receiver, then its
     arguments; or its operands, or its condition.  The right operand of &&
     and || is no slot, as it belongs to the contractum.  A method call
-    either substitutes its bindings into the body (``subst``), so that every
-    state is a closed term; or, with stream False, evaluates the body in the
-    bindings as its environment, and yields only the outcome.
+    substitutes its bindings into the body (``subst``), so every state is a
+    closed term; with stream False the run yields only the outcome.
 
-    A state's redex is its top frame read back (``_read_back``), or the value
+    A state's redex is its top frame with the values it holds, or the value
     at the end, and its plug is ``_plug_all`` over the frames, which change
     in place.  A redex is contracted, and may be stuck, before the fuel is
     looked at; each outcome counts the steps taken, the fuel spent.
     """
     frames: Frames = []
-    env: dict[str, Expr] = {}
     out = stuck = None  # a stuck reason ends the run, so it is set once
     start = fuel
     plug = partial(_plug_all, frames)
     while True:
-        # e in env: a compound term becomes the top frame, a value goes to the one popped
+        # e: a compound term becomes the top frame, a value goes to the one popped
         cls = type(e)
         if cls is PrimOp:
             node = e
@@ -223,8 +212,6 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int, stream: bool = True) -> Iterato
                 slots, vals = (e.lhs,), []
             else:
                 slots = lhs, rhs = e.lhs, e.rhs
-                lhs = env.get(lhs.name) if type(lhs) is Var else lhs
-                rhs = env.get(rhs.name) if type(rhs) is Var else rhs
                 # integers in place: the slots are full
                 vals = [lhs, rhs] if type(lhs) is IntLit and type(rhs) is IntLit else []
         elif cls is Sel or cls is App:
@@ -234,42 +221,32 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int, stream: bool = True) -> Iterato
         elif cls is CtrCall or cls is New:
             node, slots, vals = e, e.args, []
         else:
-            v = env.get(e.name) if cls is Var else e if cls in _VALUE_FORMS else None
-            if v is None:
+            if cls not in _VALUE_FORMS:
                 if stream:
                     yield e, out, len(frames), plug
                 stuck = f"unbound variable {e.name!r}" if cls is Var else f"no rule applies to {cls.__name__}"
                 yield Stuck(stuck, e, start - fuel)
                 return
-            if type(v) not in _VALUE_FORMS:  # an unevaluated field of a hand-built object
-                e, env = v, {}
-                continue
             if not frames:
                 if stream:
-                    yield v, out, 0, plug
-                yield Done(v, start - fuel)
+                    yield e, out, 0, plug
+                yield Done(e, start - fuel)
                 return
-            node, env, slots, vals = frames.pop()
-            vals.append(v)
+            node, slots, vals = frames.pop()
+            vals.append(e)
         # the top frame takes its next slot, a value in place, or is pushed while
         # the slot is evaluated, or is contracted; a value goes to the frame popped
         while True:
             k = len(vals)
             if k < len(slots):
                 e = slots[k]
-                cls = type(e)
-                if cls is Var:
-                    v = env.get(e.name)
-                    if v is not None and type(v) in _VALUE_FORMS:
-                        vals.append(v)
-                        continue
-                elif cls in _VALUE_FORMS:
+                if type(e) in _VALUE_FORMS:
                     vals.append(e)
                     continue
-                frames.append((node, env, slots, vals))
+                frames.append((node, slots, vals))
                 break
             if stream:
-                yield _read_back(node, env, vals), out, len(frames), plug
+                yield with_children(node, vals), out, len(frames), plug
             # the rules: the redex contracts to a value, out; or to code, a subterm
             # or a call's body with its bindings, mapping; or it is stuck, and why
             cls, code, mapping = type(node), None, None
@@ -329,24 +306,19 @@ def _machine(e: Expr, ctx: GlobalCtx, fuel: int, stream: bool = True) -> Iterato
                 else:
                     out = Obj(node.name, tuple(vals))
             if stuck is not None:
-                yield Stuck(stuck, _read_back(node, env, vals), start - fuel)
+                yield Stuck(stuck, with_children(node, vals), start - fuel)
                 return
             if fuel <= 0:
-                yield FuelExhausted(_plug_all(frames, _read_back(node, env, vals)), start - fuel)
+                yield FuelExhausted(_plug_all(frames, with_children(node, vals)), start - fuel)
                 return
             fuel -= 1
             if code is not None:
-                if mapping is not None:
-                    if stream:
-                        code = subst(code, mapping)
-                    else:
-                        env = mapping
-                e = out = code
+                e = out = code if mapping is None else subst(code, mapping)
                 break
             if not frames:  # the value ends the run, as a value term does
                 e = out
                 break
-            node, env, slots, vals = frames.pop()
+            node, slots, vals = frames.pop()
             vals.append(out)
 
 
@@ -378,18 +350,194 @@ def run(e: Expr, ctx: GlobalCtx, fuel: int) -> Iterator[Expr | Done | FuelExhaus
         yield out[3](out[0]) if type(out) is tuple else out
 
 
+# ---------------------------------------------------------------------------
+# Flat code: ``eval_program``'s way to a value
+
+# the opcodes, each the first item of an instruction tuple
+_VAR, _LIT, _BIN, _AND, _OR, _IF, _JUMP, _CALL, _TAIL, _NEW, _RET, _STOP, _LABEL = range(13)
+
+
+def _compile(e: Expr, ctx: GlobalCtx) -> list[tuple]:
+    """e as post-order code, ending in _RET: each node's instruction follows its operands' code.
+
+    An operand of _BIN is read in place, a variable as its name and a literal
+    as its node, or is None, the value its code leaves on the stack.  && and
+    || jump over their right operand, and if over a branch; a call followed
+    by _RET is a _TAIL call.  A construction of a name that ``ctx`` does not
+    define, and a form with no rule, compile to _STOP.
+    """
+    code: list[tuple] = []
+    todo: list = [e]
+    while todo:
+        x = todo.pop()
+        cls = type(x)
+        if cls is tuple:  # an instruction that follows its operands' code
+            code.append(x)
+        elif cls is list:  # [opcode, holes]: a jump whose target is not yet known, or the label that is it
+            op, holes = x
+            if op is _LABEL:
+                for at in holes:
+                    code[at] = (code[at][0], len(code))
+            else:
+                holes.append(len(code))
+                code.append((op, None))
+        elif cls is Var:
+            code.append((_VAR, x.name))
+        elif cls in _VALUE_FORMS:
+            code.append((_LIT, x))
+        elif cls is PrimOp:
+            op, lhs, rhs = x.op, x.lhs, x.rhs
+            if op == "&&" or op == "||":
+                holes = []
+                todo += ([_LABEL, holes], rhs, [_AND if op == "&&" else _OR, holes], lhs)
+                continue
+            # a name is a str, so it reads apart from a literal; a Var named otherwise is compiled as a _VAR
+            a = lhs.name if type(lhs) is Var and type(lhs.name) is str else lhs if type(lhs) in _VALUE_FORMS else None
+            b = rhs.name if type(rhs) is Var and type(rhs.name) is str else rhs if type(rhs) in _VALUE_FORMS else None
+            todo.append((_BIN, op, a, b))
+            if b is None:
+                todo.append(rhs)
+            if a is None:
+                todo.append(lhs)
+        elif cls is If:
+            other, end = [], []
+            todo += ([_LABEL, end], x.els, [_LABEL, other], [_JUMP, end], x.then, [_IF, other], x.cond)
+        elif cls is Sel or cls is App:
+            todo += ((_CALL, x.name, len(x.args), cls is Sel), *x.args[::-1], x.recv)
+        elif cls is CtrCall or cls is New:
+            defined = isinstance(ctx.defs.get(x.name), Generator if cls is New else Constructor)
+            todo += ((_NEW, x.name, len(x.args)) if defined else (_STOP,), *x.args[::-1])
+        else:
+            code.append((_STOP,))
+    code.append((_RET,))
+    # backwards, so a jump's target is final: a jump to a jump or to _RET becomes it
+    for at in range(len(code) - 2, -1, -1):
+        ins = code[at]
+        if ins[0] is _JUMP and code[ins[1]][0] in (_JUMP, _RET):
+            code[at] = code[ins[1]]
+        elif ins[0] is _CALL and code[at + 1][0] is _RET:
+            code[at] = (_TAIL, *ins[1:])
+    return code
+
+
+def _execute(e: Expr, ctx: GlobalCtx, fuel: int) -> Done | None:
+    """``Done`` if e's run on flat code reaches a value within fuel; None where it leaves the way to one.
+
+    The code runs on a stack of values and a stack of returns, (code, pc,
+    environment) each, which a tail call leaves alone; a call binds its
+    environment and runs its cell's body, compiled once per run.  Each
+    contraction is one step.  The run stops at a redex the machine is stuck
+    on, at a variable with no value in place, or with no fuel for the next
+    contraction.
+    """
+    start = fuel
+    compiled: dict[int, list[tuple]] = {}  # id of a body, which ctx holds -> its code
+    code, pc, env = _compile(e, ctx), 0, {}
+    stack: list[Expr] = []
+    returns: list[tuple[list[tuple], int, dict[str, Expr]]] = []
+    push, pop = stack.append, stack.pop
+    while True:
+        ins = code[pc]
+        pc += 1
+        kind = ins[0]
+        if kind is _BIN:
+            _, op, a, b = ins
+            if b is None:
+                b = pop()
+            elif type(b) is str:
+                b = env.get(b)
+            if a is None:
+                a = pop()
+            elif type(a) is str:
+                a = env.get(a)
+            if type(a) is not IntLit or type(b) is not IntLit or fuel <= 0:
+                return None
+            arith = _ARITH.get(op)
+            if arith is not None:
+                n = arith(a.value, b.value)
+                push(_SMALL[n + 5] if -5 <= n <= 256 else IntLit(n if INT64_MIN <= n <= INT64_MAX else _wrap64(n)))
+            elif (compare := _COMPARE.get(op)) is not None:
+                push(_TRUE if compare(a.value, b.value) else _FALSE)
+            else:
+                return None
+            fuel -= 1
+        elif kind is _VAR:
+            v = env.get(ins[1])
+            if type(v) not in _VALUE_FORMS:
+                return None
+            push(v)
+        elif kind is _IF:
+            cond = pop()
+            if type(cond) is not BoolLit or fuel <= 0:
+                return None
+            fuel -= 1
+            if not cond.value:
+                pc = ins[1]
+        elif kind is _TAIL or kind is _CALL:
+            _, f, n, oo = ins
+            at = len(stack) - n
+            recv = stack[at - 1]
+            if type(recv) is not Obj:
+                return None
+            found = dtr_body(f, recv.name, ctx) if oo else csm_body(f, recv.name, ctx)
+            if found is None:
+                return None
+            fields, params, body = found
+            if len(params) != n or (fields and len(fields) != len(recv.args)) or fuel <= 0:
+                return None
+            fuel -= 1
+            # the receiver, then its fields, then the parameters: a later binding wins
+            mapping = {THIS if oo else SELF: recv}
+            if fields:
+                for i, name in enumerate(fields):
+                    mapping[name] = recv.args[i]
+            if params:
+                for i, name in enumerate(params, at):
+                    mapping[name] = stack[i]
+            del stack[at - 1 :]
+            if kind is _CALL:
+                returns.append((code, pc, env))
+            code = compiled.get(id(body))
+            if code is None:
+                code = compiled[id(body)] = _compile(body, ctx)
+            pc, env = 0, mapping
+        elif kind is _RET:
+            if not returns:
+                return Done(stack[-1], start - fuel)
+            code, pc, env = returns.pop()
+        elif kind is _LIT:
+            push(ins[1])
+        elif kind is _NEW:
+            if fuel <= 0:
+                return None
+            fuel -= 1
+            at = len(stack) - ins[2]  # the arguments on top become the object
+            stack[at:] = (Obj(ins[1], tuple(stack[at:])),)
+        elif kind is _JUMP:
+            pc = ins[1]
+        elif kind is _AND or kind is _OR:
+            lhs = pop()
+            if type(lhs) is not BoolLit or fuel <= 0:
+                return None
+            fuel -= 1
+            if (kind is _AND) != bool(lhs.value):  # false && r and true || r are values
+                push(_FALSE if kind is _AND else _TRUE)
+                pc = ins[1]
+        else:  # _STOP
+            return None
+
+
 def eval_program(
     program: Program, fuel: int = DEFAULT_FUEL, ctx: GlobalCtx | None = None
 ) -> Done | FuelExhausted | Stuck:
     """The outcome of iterating the step relation on the main expression at most fuel times.
 
-    The machine computes it with environments: the contractions of ``run``,
-    in the same order, each counted against the fuel.  ``Stuck.expr`` and
-    ``FuelExhausted.last`` are read back into the states ``run`` ends on:
-    an evaluated slot holds its value, as in the substituted term, and any
-    other subterm is its code substituted with its environment, as a
-    substituting call put it there.
+    Flat code (``_execute``) computes a value: the contractions of ``run``,
+    in the same order, each counted against the fuel.  Any other outcome is
+    the one ``_machine`` reaches from the main expression with the same fuel,
+    yielding no state, so ``Stuck`` and ``FuelExhausted`` are exactly the
+    outcomes ``states`` ends on; such a run takes both loops' time.
     """
     if ctx is None:
         ctx = preprocess(program)
-    return next(_machine(program.main, ctx, fuel, stream=False))
+    return _execute(program.main, ctx, fuel) or next(_machine(program.main, ctx, fuel, stream=False))

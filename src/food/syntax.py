@@ -502,8 +502,8 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
     FOOD expressions contain no binders, so no capture is possible.
     """
-    # the machine's call rule when it yields states; with environments it
-    # reads a stopped state back with it
+    # the machine's call rule, in the stream and in the run eval_program
+    # hands a stuck or fuel-exhausted evaluation to
     return rebuild(e, mapping) if mapping else e
 
 

@@ -307,7 +307,8 @@ def test_a_deep_method_body_gives_its_real_output(capsys, tmp_path, command):
 @pytest.mark.parametrize("fuel", [0, 1, 2, 3, 4, None])
 def test_a_deep_body_read_back_when_the_fuel_runs_out(capsys, tmp_path, fuel):
     # the fuel runs out on g(C()) at 2 and 3, with the deep right operand
-    # unevaluated: the stopped state is read back by subst, a rebuild loop
+    # unevaluated: flat code stops, and the machine it hands the run to
+    # substitutes the deep body with subst, a rebuild loop
     source = tmp_path / "deep_read_back.food"
     body = "g(C())() + " + nested_sum(3000, "n")
     source.write_text(

@@ -149,31 +149,37 @@ def member_bodies(p):
 
 
 def test_the_battery_types_each_side_once(monkeypatch):
-    # check keeps the typing of the source and of the transformed program,
-    # so the transforms, the lookup-duality cells and the
-    # typed runs' state 0 type nothing again.  The typed run types the redexes
-    # it meets, which start as subterms of the main expression, so calls made
-    # inside it are not counted here.
-    typed, sides = Counter(), []
+    # check keeps the typing of the source and of the transformed program, so
+    # the transforms and the lookup-duality cells type nothing again.  The
+    # typed run binds the typing loop in fuzz, so both bindings are counted:
+    # the source's typed run measures its main expression first, at state 0,
+    # for its node count, then the redexes and contracta it meets.  Every
+    # source here ends in a value, so the transformed program runs on
+    # eval_program, and its side calls the typing loop not at all
+    typed, sides, runs = Counter(), [], []
     real_typing, real_check, real_run = TRANSFORM.type_count, fuzz.check, fuzz._typed_run
-    counting = [True]
+    assert fuzz.type_count is real_typing
 
     def typing(e, *args):
-        typed[id(e)] += counting[0]
+        if runs and runs[-1][2]:  # inside a typed run
+            runs[-1][1].append(e)
+        else:
+            typed[id(e)] += 1
         return real_typing(e, *args)
 
     def check(p, ctx):  # the battery checks the source and the transformed program
         sides.append(p)
         return real_check(p, ctx)
 
-    def typed_run(*args):
-        counting[0] = False
+    def typed_run(program, *args):
+        runs.append([program, [], True])
         try:
-            return real_run(*args)
+            return real_run(program, *args)
         finally:
-            counting[0] = True
+            runs[-1][2] = False
 
     monkeypatch.setattr(TRANSFORM, "type_count", typing)
+    monkeypatch.setattr(fuzz, "type_count", typing)
     monkeypatch.setattr(fuzz, "check", check)
     monkeypatch.setattr(fuzz, "_typed_run", typed_run)
     cases = [(load(name), selected) for name, selected in GOLDEN_SELECTIONS.items()]
@@ -181,11 +187,14 @@ def test_the_battery_types_each_side_once(monkeypatch):
     for program, selected in cases:
         typed.clear()
         sides.clear()
+        runs.clear()
         assert check_properties(program, selected) == []
         assert len(sides) == 2
         # one call of the typing loop per body of each side
         expected = Counter(id(body) for side in sides for body in member_bodies(side))
         assert +typed == expected
+        # one typed run, the source's, whose first measure is the main expression itself
+        assert len(runs) == 1 and runs[0][0] is program and runs[0][1][0] is program.main
 
 
 def test_the_battery_translates_each_body_once(monkeypatch):

@@ -185,9 +185,9 @@ def test_a_wide_consumer_looks_every_constructor_up_in_linear_time():
 
 def test_contractions_call_subst_and_lookups_through_module_globals(monkeypatch):
     # the benchmark's tracer counts these calls by rebinding the three names
-    # in food.interp, so a contraction must call each of them there; with
-    # environments the machine substitutes only to read a state back, and a run
-    # that ends in a value reads none back
+    # in food.interp, so a contraction must call each of them there; flat
+    # code binds environments and substitutes nothing, and a run that ends in
+    # a value hands nothing to the machine
     counts = Counter()
 
     def count_calls(module, name):
@@ -320,8 +320,8 @@ def test_the_parser_and_the_machine_share_their_literal_nodes():
 
 
 def test_arithmetic_results_in_the_small_int_range_are_shared_nodes():
-    # every + - * result in -5..256 is one node, built at import, in both
-    # disciplines; a result just outside the range is a fresh node
+    # every + - * result in -5..256 is one node, built at import, in the
+    # machine and in flat code; a result just outside the range is a fresh node
     ctx = preprocess(Program((), IntLit(0)))
 
     def results(n):
@@ -341,8 +341,8 @@ def test_arithmetic_results_in_the_small_int_range_are_shared_nodes():
 def test_calls_that_bind_no_fields_or_no_parameters_agree_across_disciplines():
     # a consumer's default and wildcard clause and an interface's default
     # bind no fields, and members with no parameters bind none: the call
-    # binds only its receiver then, and the environment machine agrees with
-    # the substituting one and the reference at every fuel
+    # binds only its receiver then, and flat code agrees with the
+    # substituting machine and the reference at every fuel
     p = parse(
         "data D\ncase C(x: Int) extends D\ncase E() extends D\n"
         "def f(self: D)(n: Int): Int = match {\n  case C(x) => x + n\n  case _ => n\n}\n"
@@ -495,14 +495,11 @@ def test_machine_matches_reference_on_stuck_terms():
         assert_same_states(e, ctx)
 
 
-def test_a_substituting_run_lists_no_children(monkeypatch):
-    # a substituting run has no environment, so each frame is read back by
-    # one with_children call on the values it holds: listing a node's
-    # children, or scanning them for identity, would cost a second pass
-    def children(e):
-        raise AssertionError(f"children of {type(e).__name__} listed")
-
-    monkeypatch.setattr(food.interp, "children", children)
+def test_a_substituting_run_lists_no_children():
+    # the machine has no environment, so each frame is read back by one
+    # with_children call on the values it holds: interp.py does not even bind
+    # children, as listing a node's children would cost a second pass
+    assert not hasattr(food.interp, "children")
     for name in EVAL_TEMPLATES:
         p = parse(eval_source(name, 20))
         ctx = preprocess(p)
@@ -532,7 +529,7 @@ def test_fuel_boundary_at_a_depth_the_recursive_step_cannot_reach():
 
 
 # ---------------------------------------------------------------------------
-# The environment discipline against the substituting one
+# Flat code against the substituting machine
 
 
 def drained(e, ctx, fuel):
@@ -578,6 +575,77 @@ def test_eval_program_takes_a_method_body_of_any_depth():
     assert isinstance(eval_program(p, n // 2, ctx), FuelExhausted)
 
 
+def test_flat_code_reads_each_operand_in_place_or_off_the_stack():
+    # a binary operation reads a variable or a literal operand in place and
+    # takes any other off the stack: for every operator of the table, with
+    # each operand in each of those places and bound to values that an
+    # operand swap would change, flat code reaches the stream's value in the
+    # stream's steps
+    places = {INT: ("a", "7", "(a + 0)"), BOOL: ("p", "true", "(p && true)")}
+    others = {INT: ("b", "3", "(b * 1)"), BOOL: ("q", "false", "(q || false)")}
+    cases = 0
+    for op, (_, operand, _) in OPERATORS.items():
+        for lhs, rhs in itertools.product(places[operand], others[operand]):
+            for body in (f"{lhs} {op} {rhs}", f"{rhs} {op} {lhs}"):
+                p = parse(
+                    "data D\ncase C() extends D\n"
+                    f"def m(self: D)(a: Int, b: Int, p: Bool, q: Bool): Int = {body}\n"
+                    "m(C())(7, 3, true, false)\n"
+                )
+                ctx = preprocess(p)
+                out, stream = food.interp._execute(p.main, ctx, DEFAULT_FUEL), drained(p.main, ctx, DEFAULT_FUEL)
+                assert type(out) is Done and out == stream and out.steps == stream.steps, body
+                cases += 1
+    assert cases == 2 * 9 * len(OPERATORS)
+    # a hand-built variable whose name is a node is no literal read in place
+    ctx = preprocess(Program((), IntLit(0)))
+    for e, name in ((PrimOp("+", Var(IntLit(1)), IntLit(2)), IntLit(1)), (PrimOp("*", IntLit(2), Var(IntLit(3))), IntLit(3))):
+        want = Stuck(f"unbound variable {name!r}", Var(name))
+        assert eval_program(Program((), e), DEFAULT_FUEL, ctx) == drained(e, ctx, DEFAULT_FUEL) == want
+
+
+def test_flat_code_returns_through_ten_thousand_calls_and_counts_their_steps():
+    # count(build(Z())(n)) returns through n calls on flat code's stack of
+    # returns and reaches its value in exactly 7n + 5 steps; one step less,
+    # flat code stops and eval_program ends where the stream does
+    n = 10_000
+    for name in ("peano_fp", "peano_oo"):
+        p = parse(eval_source(name, n))
+        ctx = preprocess(p)
+        out = food.interp._execute(p.main, ctx, 7 * n + 5)
+        assert out == eval_program(p, 7 * n + 5, ctx) == Done(IntV(n)) and out.steps == 7 * n + 5
+        assert food.interp._execute(p.main, ctx, 7 * n + 4) is None
+        out, stream = eval_program(p, 7 * n + 4, ctx), drained(p.main, ctx, 7 * n + 4)
+        assert type(out) is FuelExhausted and out == stream and out.steps == stream.steps == 7 * n + 4
+
+
+def test_flat_code_runs_a_tail_call_loop_with_no_return():
+    # the countdown's one call is in tail position, so it pushes no return,
+    # and Peano's count calls in an operand, so it does; 10^5 iterations
+    # reach the value in exactly 5k + 4 steps, and one step less flat code
+    # stops and eval_program ends where the stream does
+    k = 100_000
+    kinds = {}
+    for name in EVAL_TEMPLATES:
+        p = parse(eval_source(name, 0))
+        ctx = preprocess(p)
+        for (f, _), (_, _, body) in ctx.cells.items():
+            calls = [ins[0] for ins in food.interp._compile(body, ctx) if ins[0] in (food.interp._CALL, food.interp._TAIL)]
+            kinds.setdefault(f, set()).update(calls)
+    assert kinds == {
+        "sum": {food.interp._TAIL},
+        "build": {food.interp._TAIL},
+        "count": {food.interp._CALL},
+    }
+    p = parse(eval_source("countdown_fp", k))
+    ctx = preprocess(p)
+    out = food.interp._execute(p.main, ctx, 5 * k + 4)
+    assert out == eval_program(p, 5 * k + 4, ctx) == Done(IntV(k * (k + 1) // 2)) and out.steps == 5 * k + 4
+    assert food.interp._execute(p.main, ctx, 5 * k + 3) is None
+    out, stream = eval_program(p, 5 * k + 3, ctx), drained(p.main, ctx, 5 * k + 3)
+    assert type(out) is FuelExhausted and out == stream and out.steps == stream.steps == 5 * k + 3
+
+
 def test_operands_that_are_not_integers_in_place_fill_their_slots_one_by_one():
     # a binary operator whose operands are integers in place starts with both
     # values; these operands are not, so the machine falls back to filling
@@ -614,10 +682,10 @@ def test_operands_that_are_not_integers_in_place_fill_their_slots_one_by_one():
 
 def test_both_disciplines_contract_the_same_redexes_in_the_same_order():
     # the outcomes agree above; here they agree at every fuel up to a bound,
-    # and at sampled larger ones, so the two disciplines take the same steps
-    # in the same order: where the fuel runs out, the environment machine's
-    # last state, read back, is the state the substituting stream plugs there,
-    # and both count the same steps
+    # and at sampled larger ones, so flat code takes the stream's steps in
+    # the same order, stopping where the fuel runs out: there eval_program's
+    # last state, the machine's, is the state the stream plugs, and both
+    # count the same steps
     rng = random.Random(614)
     programs = [load(name) for name in GOLDEN_SELECTIONS]
     programs += [parse(eval_source(name, n)) for name in EVAL_TEMPLATES for n in (0, 1, 4, 9)]
@@ -639,8 +707,8 @@ def test_both_disciplines_contract_the_same_redexes_in_the_same_order():
 
 
 def test_every_outcome_counts_its_steps():
-    # Peano takes 7n + 5 steps and the countdown 5k + 4, in both styles and
-    # both disciplines; a run whose outcome counts k steps yields k + 1
+    # Peano takes 7n + 5 steps and the countdown 5k + 4, in both styles, in
+    # the machine and in flat code; a run whose outcome counts k steps yields k + 1
     # states, and the count takes no part in == or repr
     for name in EVAL_TEMPLATES:
         for n in (0, 1, 4, 9, 30):

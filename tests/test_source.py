@@ -377,8 +377,8 @@ def test_only_interp_reads_the_machine_frames():
 
 
 def test_interp_builds_no_compound_node():
-    # the machine rebuilds a frame in one place, _read_back, through
-    # syntax.with_children; a compound node's constructor called in interp.py,
+    # the machine rebuilds a frame only through syntax.with_children, and
+    # flat code builds none; a compound node's constructor called in interp.py,
     # by name or through a variable holding type(...), would be a second plug
     # beside it.  The machine's rules still build values, which have no frame
     tree = ast.parse(pathlib.Path(interp.__file__).read_text())
@@ -402,16 +402,38 @@ def test_interp_builds_no_compound_node():
 
 def test_only_the_machine_names_the_contraction_rules():
     # the machine's contraction step holds every contraction rule once, and
-    # contracts every redex with them: no rule is written again beside it, no
-    # helper holds them, and every body lookup goes through the names the
+    # contracts every redex with them, and flat code's loop holds the rules on
+    # the way to a value: no rule is written again beside the two, no helper
+    # holds them, and every body lookup goes through the names the
     # benchmark's tracer rebinds
     rules = {"_ARITH", "_COMPARE", "_SMALL", "_wrap64", "_TRUE", "_FALSE", "dtr_body", "csm_body"}
     tree = ast.parse(pathlib.Path(interp.__file__).read_text())
-    machine = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_machine")
-    inside = set(map(id, ast.walk(machine)))
+    loops = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in ("_machine", "_execute")]
+    inside = {id(n) for fn in loops for n in ast.walk(fn)}
     named = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in rules and isinstance(n.ctx, ast.Load)]
     found = [f"interp.py:{n.lineno} {n.id}" for n in named if id(n) not in inside]
-    assert found == [] and {n.id for n in named} == rules
+    assert found == [] and len(loops) == 2
+    assert all({n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in rules} == rules for fn in loops)
+
+
+def test_flat_code_leaves_every_other_outcome_to_the_machine():
+    # flat code covers only the way to a value: it writes no stuck reason and
+    # builds no Stuck or FuelExhausted, so eval_program's other outcomes are
+    # the machine's, reached from the main expression
+    tree = ast.parse(pathlib.Path(interp.__file__).read_text())
+    found = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_compile", "_execute"):
+            doc = fn.body[0].value
+            found += [
+                f"interp.py:{n.lineno} {ast.unparse(n)}"
+                for n in ast.walk(fn)
+                if isinstance(n, ast.JoinedStr)
+                or isinstance(n, ast.Constant) and type(n.value) is str and n is not doc and n.value not in ("&&", "||")
+                or isinstance(n, ast.Name) and n.id in ("Stuck", "FuelExhausted", "stuck")
+            ]
+            found += [f"interp.py:{fn.lineno} {fn.name}"] if ast.get_docstring(fn) is None else []
+    assert found == [] and {"_compile", "_execute"} <= set(vars(interp))
 
 
 def test_only_syntax_spells_the_reserved_type_names():
@@ -465,9 +487,9 @@ def test_only_syntax_builds_the_shared_literals_and_interp_sets_the_fuel():
 
 def test_only_interp_names_the_machine():
     # every caller steps through interp.states, the one public stream of
-    # states: the machine, its plug and its frame rebuild are named nowhere
-    # else, not even in a comment, and no second stepping API keeps every state
-    private = re.compile(r"\b(_machine|_plug_all|_read_back)\b")
+    # states: the machine, its plug and flat code are named nowhere else, not
+    # even in a comment, and no second stepping API keeps every state
+    private = re.compile(r"\b(_machine|_plug_all|_execute)\b")
     found = []
     for path in SOURCES:
         with path.open("rb") as f:
@@ -478,5 +500,5 @@ def test_only_interp_names_the_machine():
                 if path.name != "interp.py"
             ]
     assert len(SOURCES) >= 10 and found == []
-    assert all(callable(getattr(interp, name)) for name in ("_machine", "_plug_all", "_read_back", "states"))
+    assert all(callable(getattr(interp, name)) for name in ("_machine", "_plug_all", "_execute", "states"))
     assert {"trace", "Trace"} & (set(vars(interp)) | set(food.__all__)) == set()
